@@ -70,6 +70,20 @@ inline std::string FmtRatio(double ratio) {
   return ToFixed(ratio, 2) + "x";
 }
 
+/// The first "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 /// Drop-in replacement for the Print* free functions that mirrors every
 /// printed table into `BENCH_<name>.json` — same rows, machine-readable —
 /// so runs can be diffed and plotted without scraping stdout. The file is
@@ -142,14 +156,22 @@ class BenchReport {
     w.String(name_);
     w.Key("repetitions");
     w.Int(kRepetitions);
-    // Timing provenance: which estimator produced the ms columns and how
-    // much hardware the run had — without these, artifact diffs across
-    // machines (a 1-core CI box vs an 8-core workstation) read as
-    // regressions.
+    // Timing provenance: which estimator produced the ms columns, which
+    // code and build produced them, and on what hardware — without these,
+    // artifact diffs across machines (a 1-core CI box vs an 8-core
+    // workstation) or builds read as regressions.
     w.Key("timing_policy");
     w.String("min_of_n");
     w.Key("hardware_threads");
     w.Int(static_cast<int64_t>(std::thread::hardware_concurrency()));
+    w.Key("git_sha");
+    w.String(IDREPAIR_BENCH_GIT_SHA);
+    w.Key("build_type");
+    w.String(IDREPAIR_BENCH_BUILD_TYPE);
+    w.Key("compiler");
+    w.String(IDREPAIR_BENCH_COMPILER);
+    w.Key("cpu_model");
+    w.String(CpuModel());
     // Memory block: the process peak RSS at write time (the whole run's
     // high-water mark) plus any bench-reported structure sizes, so memory
     // regressions diff as easily as timings.

@@ -34,12 +34,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            selectors_test graph_test scaling_test snapshot_test server_test \
            properties_test lig_test scenario_test
 
-# scaling_test runs identity-only here: sanitizer instrumentation distorts
-# wall-clock far past any meaningful speedup floor. scenario_test runs the
-# shrunk matrix (IDREPAIR_SCENARIO_LIGHT) for the same reason.
+# scenario_test runs the shrunk matrix (IDREPAIR_SCENARIO_LIGHT):
+# sanitizer instrumentation makes the full city-scale sweep too slow.
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-IDREPAIR_SCALING_SKIP_TIMING=1 \
 IDREPAIR_SCENARIO_LIGHT=1 \
   ctest --test-dir "$BUILD_DIR" \
   -R 'exec_test|partitioned_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test' \

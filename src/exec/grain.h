@@ -30,12 +30,6 @@ inline constexpr size_t kAutoShardsPerThread = 4;
 inline constexpr size_t kCandidateGrainCalibration = 4;
 inline constexpr size_t kSelectionGrainCalibration = 512;
 
-/// Edge-count gate for sharding the per-commit degree re-scoring fan in
-/// the lazy degree selectors when the grain is `auto` (an explicit grain
-/// replaces it). Separate from the shard-size calibration because the
-/// gated quantity is edges touched per commit, not items per shard.
-inline constexpr size_t kSelectionRescoreGateEdges = 2048;
-
 /// The auto cost model as a pure function: the grain (items per shard)
 /// for `items` work items on `threads` threads with the given calibration
 /// floor. Properties relied on by callers and pinned in exec_test:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 
@@ -254,58 +253,56 @@ std::vector<RepairIndex> DegreeGreedy(const RepairGraph& gr, bool minimize) {
   return out;
 }
 
-/// Lazy-invalidation form of DegreeGreedy: same output, but the O(|Vr|)
-/// full rescan per pick becomes a heap pop, and the degree re-scoring after
-/// each commit fans out over the pool for heavy batches.
+/// Exact-pick form of DegreeGreedy: same output, but the O(|Vr|) full
+/// rescan per pick becomes a read of a tournament-tree root.
 ///
-/// Heap entries are (degree-at-push, vertex); a vertex's entry goes stale
-/// when its degree drops, and every drop pushes a fresh entry, so the live
-/// vertex set always has current entries and stale ones are skipped on pop.
-/// Keys are unique (degree ties break by vertex, and one vertex never
-/// repeats a degree — degrees only decrease), so the pop sequence is a pure
-/// function of the key set: push order, and therefore sharding, cannot
-/// change it.
-Result<std::vector<RepairIndex>> DegreeGreedyLazy(const RepairGraph& gr,
-                                                  bool minimize,
-                                                  const SelectionContext& ctx) {
+/// Each leaf holds one packed key per vertex — (degree << 32) | vertex for
+/// DMIN, (0xFFFFFFFF - degree) << 32 | vertex for DMAX — and every inner
+/// node the minimum of its children, so the root is the minimum degree
+/// (maximum for DMAX) with the smallest vertex breaking ties: exactly the
+/// vertex the reference's ascending scan with strict improvement picks.
+/// Removed vertices hold kEmpty. A commit re-keys each touched vertex's leaf
+/// once, walking up only while the ancestor minimum changes; the tree never
+/// holds a stale entry.
+Result<std::vector<RepairIndex>> DegreeGreedyExact(
+    const RepairGraph& gr, bool minimize, const SelectionContext& ctx) {
+  constexpr uint64_t kEmpty = ~uint64_t{0};
   const size_t n = gr.num_vertices();
-  std::vector<uint8_t> removed(n, 0);
-  std::vector<size_t> degree(n);
-  using Entry = std::pair<size_t, RepairIndex>;
-  // priority_queue pops the Compare-greatest entry, so "worse" orders the
-  // next pick last-to-first: DMIN pops the smallest (degree, vertex) pair,
-  // DMAX the largest degree with the smallest vertex — exactly the vertex
-  // the reference's ascending scan with strict improvement would pick.
-  auto worse = [minimize](const Entry& a, const Entry& b) {
-    if (a.first != b.first) {
-      return minimize ? a.first > b.first : a.first < b.first;
-    }
-    return a.second > b.second;
+  std::vector<uint32_t> degree(n);
+  auto key = [&](RepairIndex v) {
+    uint64_t rank = minimize ? degree[v] : 0xFFFFFFFFu - degree[v];
+    return rank << 32 | v;
   };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(worse)> heap(worse);
+  size_t leaves = 1;
+  while (leaves < n) leaves *= 2;
+  std::vector<uint64_t> tree(2 * leaves, kEmpty);
   for (RepairIndex v = 0; v < n; ++v) {
-    degree[v] = gr.Degree(v);
-    heap.push({degree[v], v});
+    degree[v] = static_cast<uint32_t>(gr.Degree(v));
+    tree[leaves + v] = key(v);
   }
+  for (size_t i = leaves - 1; i >= 1; --i) {
+    tree[i] = std::min(tree[2 * i], tree[2 * i + 1]);
+  }
+  auto set_leaf = [&](RepairIndex v, uint64_t k) {
+    size_t i = leaves + v;
+    tree[i] = k;
+    for (i /= 2; i >= 1; i /= 2) {
+      uint64_t m = std::min(tree[2 * i], tree[2 * i + 1]);
+      if (tree[i] == m) break;
+      tree[i] = m;
+    }
+  };
 
+  std::vector<uint8_t> removed(n, 0);
+  // touched_at[w] == commits marks w as already collected this commit.
+  std::vector<uint64_t> touched_at(n, 0);
   std::vector<RepairIndex> out;
   std::vector<RepairIndex> batch;
+  std::vector<RepairIndex> touched;
   uint64_t commits = 0;
   uint64_t invalidations = 0;
-  const int threads = ctx.exec.ResolvedThreads();
-  // An explicit grain doubles as the fan-out gate (small batches stay
-  // serial); the auto sentinel would gate at 0 edges and shard every
-  // batch, so it maps to the calibrated edge threshold instead.
-  const size_t rescore_gate = ctx.exec.min_selection_grain == kGrainAuto
-                                  ? kSelectionRescoreGateEdges
-                                  : ctx.exec.min_selection_grain;
-  // Hoisted per-commit scratch (inner vectors keep their capacity).
-  std::vector<std::vector<RepairIndex>> shard_touched;
-  while (!heap.empty()) {
-    Entry top = heap.top();
-    heap.pop();
-    RepairIndex v = top.second;
-    if (removed[v] || top.first != degree[v]) continue;  // stale entry
+  while (tree[1] != kEmpty) {
+    RepairIndex v = static_cast<RepairIndex>(tree[1]);
     IDREPAIR_FAULT_INJECT("repair.selection.commit");
     if (ctx.deadline != nullptr && ctx.deadline->Expired()) break;
     out.push_back(v);
@@ -323,50 +320,22 @@ Result<std::vector<RepairIndex>> DegreeGreedyLazy(const RepairGraph& gr,
         batch.push_back(w);
       }
     }
+    for (RepairIndex u : batch) set_leaf(u, kEmpty);
 
-    // Re-scoring: every surviving neighbor of a batch member loses one
-    // incident edge per adjacent batch member. Gathering the touched lists
-    // only reads `removed` (all batch writes happened above, on this
-    // thread); the decrements and heap pushes are applied serially in shard
-    // order, so heap contents are identical at any thread count.
-    size_t batch_edges = 0;
-    for (RepairIndex u : batch) batch_edges += gr.Degree(u);
-    auto shards = batch_edges >= rescore_gate
-                      ? SplitRange(batch.size(), threads, 1)
-                      : std::vector<std::pair<size_t, size_t>>();
-    if (shards.size() <= 1) {
-      for (RepairIndex u : batch) {
-        for (RepairIndex w : gr.Neighbors(u)) {
-          if (!removed[w]) {
-            --degree[w];
-            heap.push({degree[w], w});
-          }
-        }
-      }
-    } else {
-      if (shard_touched.size() < shards.size()) {
-        shard_touched.resize(shards.size());
-      }
-      for (auto& touched : shard_touched) touched.clear();
-      IDREPAIR_RETURN_NOT_OK(ParallelFor(
-          &ThreadPool::Default(), shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            IDREPAIR_FAULT_INJECT("repair.selection.shard");
-            std::vector<RepairIndex>& touched = shard_touched[shard];
-            for (size_t i = begin; i < end; ++i) {
-              for (RepairIndex w : gr.Neighbors(batch[i])) {
-                if (!removed[w]) touched.push_back(w);
-              }
-            }
-            return Status::OK();
-          }));
-      for (const std::vector<RepairIndex>& touched : shard_touched) {
-        for (RepairIndex w : touched) {
-          --degree[w];
-          heap.push({degree[w], w});
+    // Every surviving neighbor of a batch member loses one incident edge
+    // per adjacent batch member; its leaf is re-keyed once at the end.
+    touched.clear();
+    for (RepairIndex u : batch) {
+      for (RepairIndex w : gr.Neighbors(u)) {
+        if (removed[w]) continue;
+        --degree[w];
+        if (touched_at[w] != commits) {
+          touched_at[w] = commits;
+          touched.push_back(w);
         }
       }
     }
+    for (RepairIndex w : touched) set_leaf(w, key(w));
   }
   std::sort(out.begin(), out.end());
   RecordSelection(commits, invalidations);
@@ -386,7 +355,7 @@ Result<std::vector<RepairIndex>> DminSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
   (void)candidates;
-  return DegreeGreedyLazy(gr, /*minimize=*/true, ctx);
+  return DegreeGreedyExact(gr, /*minimize=*/true, ctx);
 }
 
 std::vector<RepairIndex> DmaxSelector::Select(
@@ -400,7 +369,7 @@ Result<std::vector<RepairIndex>> DmaxSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
   (void)candidates;
-  return DegreeGreedyLazy(gr, /*minimize=*/false, ctx);
+  return DegreeGreedyExact(gr, /*minimize=*/false, ctx);
 }
 
 namespace {

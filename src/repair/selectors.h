@@ -76,9 +76,10 @@ class EmaxSelector final : public RepairSelector {
 
 /// Minimum-degree first (DMIN, §6.5.1): repeatedly take a remaining vertex
 /// of minimum *current* degree and discard its neighbors — the classic
-/// greedy independent-set heuristic, blind to ω. The parallel form replaces
-/// the O(|Vr|²) rescan with a lazy-invalidation heap and fans the degree
-/// re-scoring after each commit out over the pool.
+/// greedy independent-set heuristic, blind to ω. The ctx form replaces the
+/// O(|Vr|²) rescan with a tournament tree over packed (degree, vertex) keys:
+/// the root is the next pick, and a commit re-keys each touched vertex
+/// once. It runs serially; only the Gr build before it is sharded.
 class DminSelector final : public RepairSelector {
  public:
   using RepairSelector::Select;

@@ -1,21 +1,18 @@
-// Scaling-regression smoke: the dense single-component workload — where
+// Scaling regression tests on the dense single-component workload — where
 // only intra-component parallelism can help — run at 1 and 8 threads.
 //
-// Two halves with different guarantees:
-//  1. Byte-identity (ALWAYS asserted): the 8-thread run must reproduce the
-//     1-thread candidate set and stats exactly, per the repo's determinism
-//     contract.
-//  2. Wall-clock speedup (hardware-gated): on a machine with enough real
-//     cores the 8-thread generation must beat the conservative floor. The
-//     floor deliberately sits far below the ≥4x bench target so scheduler
-//     noise on shared CI machines cannot flake it; the CI `scaling` stage
-//     enforces the real target against the committed bench artifacts.
-//
-// Environment knobs (for CI machines with few or contended cores):
-//   IDREPAIR_SCALING_SKIP_TIMING=1   skip the timing half entirely
-//   IDREPAIR_SCALING_MIN_SPEEDUP=F   override the speedup floor (e.g. 1.2)
-// The timing half also auto-skips when hardware_concurrency < 4 — a 1- or
-// 2-core container cannot physically produce a 2x 8-thread speedup.
+// Two tests with different homes:
+//  1. GiantComponentIsByteIdentical (tier-1): the 8-thread run must
+//     reproduce the 1-thread candidate set, stats and DMIN selection
+//     exactly, per the repo's determinism contract. No clock is read.
+//  2. DISABLED_GenerationSpeedupMeetsFloor (scripts/ci.sh `scaling`
+//     stage): the 8-thread generation must beat a 2x floor on a workload
+//     whose 1-thread generation takes over a second, so scheduler noise is
+//     small against the measured region. Disabled in tier-1 because
+//     `ctest -j` runs it next to other tests; ci.sh runs it alone with
+//     --gtest_also_run_disabled_tests. It skips on fewer than 4 hardware
+//     threads, and IDREPAIR_SCALING_MIN_SPEEDUP=F overrides the floor (for
+//     a contended shared runner).
 
 #include <gtest/gtest.h>
 
@@ -57,66 +54,70 @@ struct GenerationRun {
   GenerationStats stats;
 };
 
-TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
-  // One dense chain component: every start-time gap far below η, so the
-  // partitioner could not split it and all parallelism is intra-component.
-  TransitionGraph graph = MakeRealLikeGraph();
+TrajectorySet DenseTrajectories(const TransitionGraph& graph,
+                                size_t num_trajectories) {
   SyntheticConfig config;
-  config.num_trajectories = 320;
+  config.num_trajectories = num_trajectories;
   config.window_seconds = 3600;
   config.max_path_len = 4;
   config.seed = 2026;
   auto ds = GenerateSyntheticDataset(graph, config);
-  ASSERT_TRUE(ds.ok()) << ds.status();
-  TrajectorySet set = ds->BuildObservedTrajectories();
+  EXPECT_TRUE(ds.ok()) << ds.status();
+  return ds.ok() ? ds->BuildObservedTrajectories() : TrajectorySet();
+}
 
-  RepairOptions options;
-  options.theta = 4;
-  options.eta = 600;
-  PredicateEvaluator pred(graph, options.theta, options.eta);
-  NormalizedEditSimilarity similarity;
-  std::vector<bool> is_valid(set.size());
-  for (TrajIndex i = 0; i < set.size(); ++i) {
-    is_valid[i] = set.at(i).IsValid(graph);
+// One dense chain component: every start-time gap far below η, so the
+// partitioner could not split it and all parallelism is intra-component.
+// Gm is input, not the phase under test: it is built once and shared (its
+// edge set depends on θ/η only, never on the thread budget).
+class DenseComponent {
+ public:
+  explicit DenseComponent(size_t num_trajectories)
+      : graph_(MakeRealLikeGraph()),
+        set_(DenseTrajectories(graph_, num_trajectories)),
+        options_(Options()),
+        pred_(graph_, options_.theta, options_.eta),
+        gm_(set_, pred_, options_),
+        is_valid_(set_.size()) {
+    for (TrajIndex i = 0; i < set_.size(); ++i) {
+      is_valid_[i] = set_.at(i).IsValid(graph_);
+    }
   }
 
-  // Gm is input, not the phase under test: build it once and share it (its
-  // edge set depends on θ/η only, never on the thread budget).
-  TrajectoryGraph gm(set, pred, options);
-  auto run_generation = [&](int threads, GenerationRun* out) {
-    RepairOptions o = options;
+  const TrajectorySet& set() const { return set_; }
+
+  void Generate(int threads, GenerationRun* out) const {
+    RepairOptions o = options_;
     o.exec.num_threads = threads;  // grains stay `auto`
-    auto generated = GenerateCandidates(set, gm, pred, o, similarity,
-                                        is_valid, &out->stats);
+    auto generated = GenerateCandidates(set_, gm_, pred_, o, similarity_,
+                                        is_valid_, &out->stats);
     ASSERT_TRUE(generated.ok()) << generated.status();
     out->candidates = std::move(generated).value();
-    ASSERT_TRUE(ComputeEffectiveness(out->candidates, o, set.size()).ok());
-  };
-
-  // Decide up front whether the timing half will run, so the identity-only
-  // configuration does one run per width instead of min-of-3.
-  bool time_it = true;
-  const char* skip_env = std::getenv("IDREPAIR_SCALING_SKIP_TIMING");
-  if (skip_env != nullptr && *skip_env != '\0' &&
-      std::string(skip_env) != "0") {
-    GTEST_LOG_(INFO) << "timing half skipped (IDREPAIR_SCALING_SKIP_TIMING)";
-    time_it = false;
+    ASSERT_TRUE(ComputeEffectiveness(out->candidates, o, set_.size()).ok());
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (time_it && hw < 4) {
-    GTEST_LOG_(INFO) << "timing half skipped: only " << hw
-                     << " hardware threads (need >= 4 for a meaningful "
-                        "8-thread speedup)";
-    time_it = false;
-  }
-  const int reps = time_it ? 3 : 1;
 
-  // ---- Half 1: byte-identity (always on) ----
+ private:
+  static RepairOptions Options() {
+    RepairOptions options;
+    options.theta = 4;
+    options.eta = 600;
+    return options;
+  }
+
+  TransitionGraph graph_;
+  TrajectorySet set_;
+  RepairOptions options_;
+  PredicateEvaluator pred_;
+  TrajectoryGraph gm_;
+  NormalizedEditSimilarity similarity_;
+  std::vector<bool> is_valid_;
+};
+
+TEST(ScalingTest, GiantComponentIsByteIdentical) {
+  DenseComponent dense(320);
   GenerationRun serial, parallel;
-  double serial_seconds =
-      MinSecondsOf(reps, [&] { run_generation(1, &serial); });
-  double parallel_seconds =
-      MinSecondsOf(reps, [&] { run_generation(8, &parallel); });
+  dense.Generate(1, &serial);
+  dense.Generate(8, &parallel);
   ASSERT_GT(serial.candidates.size(), 200u)
       << "workload too easy to be a scaling test";
 
@@ -147,14 +148,14 @@ TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
 
   // Selection rides the same instance: Gr build + DMIN at 8 threads must
   // match the 1-thread reference indices exactly.
+  const size_t num_trajs = dense.set().size();
   ExecOptions serial_exec;
   serial_exec.num_threads = 1;
-  auto gr1 = RepairGraph::Build(serial.candidates, set.size(), serial_exec);
+  auto gr1 = RepairGraph::Build(serial.candidates, num_trajs, serial_exec);
   ASSERT_TRUE(gr1.ok()) << gr1.status();
   ExecOptions parallel_exec;
   parallel_exec.num_threads = 8;
-  auto gr8 =
-      RepairGraph::Build(parallel.candidates, set.size(), parallel_exec);
+  auto gr8 = RepairGraph::Build(parallel.candidates, num_trajs, parallel_exec);
   ASSERT_TRUE(gr8.ok()) << gr8.status();
   ASSERT_EQ(gr8->num_edges(), gr1->num_edges());
   DminSelector dmin;
@@ -166,14 +167,26 @@ TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
   ASSERT_TRUE(sel1.ok()) << sel1.status();
   ASSERT_TRUE(sel8.ok()) << sel8.status();
   EXPECT_EQ(*sel8, *sel1);
+}
 
-  // ---- Half 2: wall-clock speedup (hardware-gated) ----
-  if (!time_it) return;
+TEST(ScalingTest, DISABLED_GenerationSpeedupMeetsFloor) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 4) {
+    GTEST_SKIP() << "only " << hw << " hardware threads (need >= 4 for a "
+                 << "meaningful 8-thread speedup)";
+  }
   double floor = 2.0;
   if (const char* env = std::getenv("IDREPAIR_SCALING_MIN_SPEEDUP");
       env != nullptr && *env != '\0') {
     floor = std::strtod(env, nullptr);
   }
+  DenseComponent dense(1200);
+  GenerationRun serial, parallel;
+  const double serial_seconds =
+      MinSecondsOf(3, [&] { dense.Generate(1, &serial); });
+  const double parallel_seconds =
+      MinSecondsOf(3, [&] { dense.Generate(8, &parallel); });
+  ASSERT_EQ(parallel.candidates.size(), serial.candidates.size());
   const double speedup = serial_seconds / parallel_seconds;
   GTEST_LOG_(INFO) << "generation 1-thread " << serial_seconds
                    << "s, 8-thread " << parallel_seconds << "s, speedup "
@@ -181,8 +194,7 @@ TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
                    << ")";
   EXPECT_GE(speedup, floor)
       << "8-thread generation regressed below the scaling floor; if this "
-         "machine is contended, set IDREPAIR_SCALING_MIN_SPEEDUP or "
-         "IDREPAIR_SCALING_SKIP_TIMING";
+         "machine is contended, set IDREPAIR_SCALING_MIN_SPEEDUP";
 }
 
 }  // namespace

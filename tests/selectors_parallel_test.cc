@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "fault/deadline.h"
+#include "fault/failpoint.h"
 #include "repair/selectors.h"
 
 namespace idrepair {
@@ -381,6 +385,196 @@ TEST(ParallelSelectorsTest, ExpiredDeadlineYieldsEmptyPrefix) {
     auto cover = SelectEmaxByCover(candidates, kDenseTrajs, ctx);
     ASSERT_TRUE(cover.ok()) << cover.status();
     EXPECT_TRUE(cover->empty());
+  }
+}
+
+// ------------------------------------------------- degree-greedy edge cases
+
+// The DMIN/DMAX production loop picks from a tournament tree padded to a
+// power of two; the O(|Vr|^2) rescan in the 2-arg Select shares none of
+// that code and is the oracle here. Each shape stresses one way the tree
+// could diverge: no or one leaf, the padding boundary (63/64/65), all-tie
+// keys, a single hub, independent components, and degree-0 vertices.
+
+// n candidates drawn over `trajs` trajectories with 1-3 members each.
+CandidateSet RandomInstance(size_t n, size_t trajs, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Spec> specs;
+  for (size_t i = 0; i < n; ++i) {
+    std::set<TrajIndex> members;
+    size_t k = rng.UniformIndex(3) + 1;
+    while (members.size() < k) {
+      members.insert(static_cast<TrajIndex>(rng.UniformIndex(trajs)));
+    }
+    specs.push_back({{members.begin(), members.end()}, 1.0});
+  }
+  return MakeCandidates(specs);
+}
+
+// n candidates all covering trajectory 0: Kn, every vertex tied.
+CandidateSet CompleteInstance(size_t n) {
+  std::vector<Spec> specs;
+  for (size_t i = 0; i < n; ++i) {
+    specs.push_back({{0, static_cast<TrajIndex>(i + 1)}, 1.0});
+  }
+  return MakeCandidates(specs);
+}
+
+// A hub covering trajectories 0..leaves-1, then one leaf per trajectory.
+CandidateSet StarInstance(size_t leaves) {
+  std::vector<Spec> specs;
+  Spec hub{{}, 1.0};
+  for (size_t i = 0; i < leaves; ++i) {
+    hub.members.push_back(static_cast<TrajIndex>(i));
+  }
+  specs.push_back(hub);
+  for (size_t i = 0; i < leaves; ++i) {
+    specs.push_back({{static_cast<TrajIndex>(i)}, 1.0});
+  }
+  return MakeCandidates(specs);
+}
+
+// Cliques of sizes 1..7 interleaved in index order: clique c shares
+// trajectory c, each member also holding a private trajectory.
+CandidateSet DisjointCliquesInstance() {
+  std::vector<Spec> specs;
+  TrajIndex next_private = 100;
+  for (size_t round = 0; round < 7; ++round) {
+    for (TrajIndex c = 0; c < 7; ++c) {
+      if (round <= c) specs.push_back({{c, next_private++}, 1.0});
+    }
+  }
+  return MakeCandidates(specs);
+}
+
+// 20 candidates with private trajectories (degree 0) around a triangle.
+CandidateSet IsolatedInstance() {
+  std::vector<Spec> specs;
+  for (TrajIndex i = 0; i < 20; ++i) {
+    if (i == 7 || i == 8 || i == 9) {
+      specs.push_back({{1000, i}, 1.0});
+    } else {
+      specs.push_back({{i}, 1.0});
+    }
+  }
+  return MakeCandidates(specs);
+}
+
+TEST(DegreeGreedyTest, MatchesRescanReferenceOnEdgeShapes) {
+  struct Shape {
+    std::string name;
+    CandidateSet candidates;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"empty", CandidateSet()});
+  shapes.push_back({"single", MakeCandidates({{{0}, 1.0}})});
+  for (size_t n : {63, 64, 65}) {
+    shapes.push_back({"random" + std::to_string(n),
+                      RandomInstance(n, n / 2, 20260900 + n)});
+  }
+  shapes.push_back({"complete", CompleteInstance(33)});
+  shapes.push_back({"star", StarInstance(40)});
+  shapes.push_back({"cliques", DisjointCliquesInstance()});
+  shapes.push_back({"isolated", IsolatedInstance()});
+
+  DminSelector dmin;
+  DmaxSelector dmax;
+  for (const Shape& shape : shapes) {
+    RepairGraph gr = BuildSerial(shape.candidates,
+                                 shape.candidates.empty()
+                                     ? 0
+                                     : NumTrajsFor(shape.candidates));
+    for (const RepairSelector* selector :
+         std::vector<const RepairSelector*>{&dmin, &dmax}) {
+      SCOPED_TRACE(shape.name + "/" + std::string(selector->name()));
+      std::vector<RepairIndex> reference =
+          selector->Select(gr, shape.candidates);
+      for (int threads : kThreadCounts) {
+        std::vector<RepairIndex> commit_order;
+        SelectionContext ctx = MakeContext(threads);
+        ctx.commit_order = &commit_order;
+        auto got = selector->Select(gr, shape.candidates, ctx);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, reference) << "threads=" << threads;
+        std::sort(commit_order.begin(), commit_order.end());
+        EXPECT_EQ(commit_order, reference) << "threads=" << threads;
+      }
+    }
+  }
+}
+
+// Pins the shapes' known answers, so the oracle itself is checked too: Kn
+// keeps one vertex (the smallest, all degrees tie); DMIN takes every star
+// leaf and DMAX the hub; both keep one vertex per clique and every
+// isolated vertex.
+TEST(DegreeGreedyTest, EdgeShapesHaveKnownAnswers) {
+  DminSelector dmin;
+  DmaxSelector dmax;
+  auto both = [&](const CandidateSet& candidates) {
+    RepairGraph gr = BuildSerial(candidates, NumTrajsFor(candidates));
+    auto lo = dmin.Select(gr, candidates, MakeContext(1));
+    auto hi = dmax.Select(gr, candidates, MakeContext(1));
+    if (!lo.ok() || !hi.ok()) {
+      ADD_FAILURE() << "selection failed";
+      return std::make_pair(std::vector<RepairIndex>(),
+                            std::vector<RepairIndex>());
+    }
+    return std::make_pair(*lo, *hi);
+  };
+  auto complete = both(CompleteInstance(33));
+  EXPECT_EQ(complete.first, std::vector<RepairIndex>{0});
+  EXPECT_EQ(complete.second, std::vector<RepairIndex>{0});
+
+  auto star = both(StarInstance(40));
+  std::vector<RepairIndex> leaves(40);
+  std::iota(leaves.begin(), leaves.end(), RepairIndex{1});
+  EXPECT_EQ(star.first, leaves);
+  EXPECT_EQ(star.second, std::vector<RepairIndex>{0});
+
+  auto cliques = both(DisjointCliquesInstance());
+  EXPECT_EQ(cliques.first.size(), 7u);
+  EXPECT_EQ(cliques.second.size(), 7u);
+
+  auto isolated = both(IsolatedInstance());
+  EXPECT_EQ(isolated.first.size(), 18u);
+  EXPECT_EQ(isolated.second.size(), 18u);
+}
+
+// A deadline forced to expire at the (k+1)-th commit probe returns exactly
+// the first k commits of the unbounded run, in the same order.
+TEST(DegreeGreedyTest, ForcedDeadlineYieldsCommitOrderPrefix) {
+  CandidateSet candidates = DenseInstance();
+  RepairGraph gr = BuildSerial(candidates, kDenseTrajs);
+  DminSelector dmin;
+  DmaxSelector dmax;
+  fault::Deadline far = fault::Deadline::FromMillis(3600 * 1000);
+  for (const RepairSelector* selector :
+       std::vector<const RepairSelector*>{&dmin, &dmax}) {
+    SCOPED_TRACE(std::string(selector->name()));
+    std::vector<RepairIndex> full;
+    SelectionContext ctx = MakeContext(1);
+    ctx.commit_order = &full;
+    ASSERT_TRUE(selector->Select(gr, candidates, ctx).ok());
+    ASSERT_GT(full.size(), 3u);
+    for (size_t k : {size_t{0}, size_t{1}, size_t{2}, full.size() / 2,
+                     full.size() - 1}) {
+      fault::FaultSpec expire;
+      expire.fire_on_hit = k + 1;
+      ASSERT_TRUE(fault::FailPointRegistry::Global()
+                      .Arm(fault::kDeadlineExpireSite, expire)
+                      .ok());
+      fault::Deadline deadline = far;
+      std::vector<RepairIndex> prefix;
+      ctx.deadline = &deadline;
+      ctx.commit_order = &prefix;
+      auto got = selector->Select(gr, candidates, ctx);
+      fault::FailPointRegistry::Global().DisarmAll();
+      ASSERT_TRUE(got.ok()) << got.status();
+      std::vector<RepairIndex> expected(full.begin(), full.begin() + k);
+      EXPECT_EQ(prefix, expected) << "k=" << k;
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(*got, expected) << "k=" << k;
+    }
   }
 }
 
