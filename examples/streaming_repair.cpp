@@ -34,8 +34,9 @@ int main() {
   options.theta = 4;
   options.eta = 600;
 
-  StreamingRepairer stream(dataset->graph, options,
-                           /*flush_horizon_multiplier=*/3.0);
+  StreamOptions stream_options;
+  stream_options.flush_horizon_multiplier = 3.0;
+  StreamingRepairer stream(dataset->graph, options, stream_options);
   std::vector<Trajectory> emitted;
   size_t polls = 0;
   size_t max_pending = 0;

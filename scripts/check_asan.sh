@@ -27,7 +27,7 @@ cmake -S . -B "$BUILD_DIR" \
   >/dev/null
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target exec_test partitioned_test stream_test stream_differential_test \
+  --target exec_test stream_test stream_differential_test \
            candidates_test \
            selectors_parallel_test differential_test fuzz_test obs_test \
            fault_test chaos_test stats_json_test common_test sim_test \
@@ -40,7 +40,7 @@ ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
 IDREPAIR_SCENARIO_LIGHT=1 \
   ctest --test-dir "$BUILD_DIR" \
-  -R 'exec_test|partitioned_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test' \
+  -R 'exec_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test' \
   --output-on-failure
 
 echo "check_asan ($SANITIZER): OK"

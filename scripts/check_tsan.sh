@@ -2,8 +2,7 @@
 # Builds the concurrency-sensitive targets with ThreadSanitizer and runs the
 # tests that exercise the parallel execution engine. Any data race in the
 # thread pool, task groups, sharded Gm construction, sharded candidate
-# generation, the parallel selection phase, or parallel partitioned repair
-# fails the script.
+# generation, or the parallel selection phase fails the script.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -17,7 +16,7 @@ cmake -S . -B "$BUILD_DIR" \
   >/dev/null
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target exec_test partitioned_test stream_test stream_differential_test \
+  --target exec_test stream_test stream_differential_test \
            candidates_test \
            selectors_parallel_test differential_test fuzz_test obs_test \
            fault_test chaos_test stats_json_test common_test sim_test \
@@ -33,7 +32,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 IDREPAIR_SCENARIO_LIGHT=1 \
   ctest --test-dir "$BUILD_DIR" \
-  -R 'exec_test|partitioned_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test' \
+  -R 'exec_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test' \
   --output-on-failure
 
 echo "check_tsan: OK"

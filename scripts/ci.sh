@@ -52,7 +52,7 @@ sys.exit(1 if failed else 0)
 EOF
 
 echo "==> scenario: city-scale & adversarial workload matrix"
-# The scenario tier (topology x traffic x error model through all five
+# The scenario tier (topology x traffic x error model through all four
 # engines, metamorphic + quality oracles) ran inside tier-1; re-run it by
 # name so a scenario regression reports as its own stage, then replay the
 # scenario bench and hold its deterministic columns (vertices, records,
@@ -101,8 +101,8 @@ echo "==> scaling: wall-clock speedup test + bench floor"
 # IDREPAIR_SCALING_BENCH_FLOOR (e.g. on a contended shared runner).
 "$BUILD_DIR/tests/scaling_test" --gtest_also_run_disabled_tests \
   --gtest_filter='ScalingTest.DISABLED_GenerationSpeedupMeetsFloor'
-IDREPAIR_BENCH_JSON_DIR="$BENCH_JSON_DIR" "$BUILD_DIR/bench/bench_ext_partitioned"
-python3 - "$BENCH_JSON_DIR/BENCH_ext_partitioned.json" <<'EOF'
+IDREPAIR_BENCH_JSON_DIR="$BENCH_JSON_DIR" "$BUILD_DIR/bench/bench_scaling"
+python3 - "$BENCH_JSON_DIR/BENCH_scaling.json" <<'EOF'
 import json, os, sys
 report = json.load(open(sys.argv[1]))
 table = next(t for t in report["tables"]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Nightly chaos soak: long seeded fault-injection sweeps under ASan and
-# TSan. Reuses the chaos_test matrix (all five engines × fault ×
+# TSan. Reuses the chaos_test matrix (all four engines × fault ×
 # thread-count × graph-shape) and stretches it through the environment:
 # each round arms a fresh seeded fault schedule, so N rounds explore N
 # distinct interleavings of errors, simulated alloc failures, delays and

@@ -11,7 +11,7 @@ namespace idrepair {
 
 /// Execution knobs shared by every parallel phase of the pipeline. Embedded
 /// in RepairOptions so thread count flows through all engines (batch,
-/// partitioned, streaming) without separate plumbing.
+/// streaming, daemon) without separate plumbing.
 struct ExecOptions {
   /// Maximum worker parallelism. 0 selects std::thread::hardware_concurrency.
   /// 1 forces fully sequential execution (no pool dispatch at all), which is

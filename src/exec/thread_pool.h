@@ -99,7 +99,7 @@ class ThreadPool {
 
   // One deque per worker plus the injection queue at index workers_.size().
   // A single mutex guards all queues: tasks here are coarse (a shard of
-  // pairwise evaluations, a whole partition repair), so queue operations
+  // pairwise evaluations, a block of clique seeds), so queue operations
   // are a vanishing fraction of task runtime and the simple locking keeps
   // the pool easy to reason about (and trivially TSan-clean).
   mutable std::mutex mu_;

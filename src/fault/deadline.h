@@ -21,9 +21,9 @@ inline constexpr char kDeadlineExpireSite[] = "fault.deadline.expire";
 
 /// A budget for one repair run: an absolute steady-clock expiry derived from
 /// RepairOptions::deadline_ms at Repair() entry. Engines probe it at safe
-/// interruption boundaries (phase / partition / replay-batch granularity)
-/// and degrade to a well-formed partial result when it reports expiry —
-/// they never tear down mid-mutation.
+/// interruption boundaries (phase / selection-commit / replay-batch
+/// granularity) and degrade to a well-formed partial result when it reports
+/// expiry — they never tear down mid-mutation.
 ///
 /// Expiry latches: once any check (wall-clock or forced) observes it, every
 /// later check on this instance reports expired too, so a one-shot forced
@@ -88,8 +88,8 @@ class Deadline {
  private:
   bool enabled_ = false;
   std::chrono::steady_clock::time_point expiry_{};
-  // Latch; relaxed atomic because sibling partition tasks share one
-  // Deadline by reference and may race their checks.
+  // Latch; relaxed atomic so tasks sharing one Deadline by reference may
+  // race their checks.
   mutable std::atomic<bool> expired_{false};
 };
 

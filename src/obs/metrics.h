@@ -17,7 +17,7 @@ namespace obs {
 
 /// How a metric's value relates to the work performed:
 ///  - kStable: a pure function of the input and the repair options
-///    (excluding execution width) — clique counts, candidates, partitions.
+///    (excluding execution width) — clique counts, candidates, rewrites.
 ///    Stable metrics are byte-identical across thread counts, which the
 ///    obs tests enforce.
 ///  - kRuntime: depends on scheduling, timing, or the decomposition width —

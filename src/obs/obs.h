@@ -10,7 +10,7 @@
 namespace idrepair {
 
 /// Observability knobs, embedded in RepairOptions (RepairOptions::obs) so
-/// every engine (batch, partitioned, streaming) can switch instrumentation
+/// every engine (batch, streaming, daemon) can switch instrumentation
 /// on without separate plumbing. Observability never changes what a repair
 /// computes — only what is recorded about it.
 struct ObsOptions {

@@ -103,11 +103,21 @@ void CliqueEnumerator::VisitNode(const std::vector<TrajIndex>& candidates,
     cb(clique, next_merged);
     if (clique.size() < options_->zeta) {
       // Candidates after v that are adjacent to v (and, inductively, to
-      // every earlier member).
+      // every earlier member). At the root the candidates are every
+      // feasible vertex, so v's sorted adjacency yields the same list in
+      // O(deg v) rather than O(n) — what keeps a batch of many small chain
+      // components linear. The feasibility filter is needed because a
+      // FromAdjacency graph may carry edges to infeasible vertices.
       std::vector<TrajIndex> next;
-      for (size_t j = idx + 1; j < candidates.size(); ++j) {
-        TrajIndex w = candidates[j];
-        if (graph_->HasEdge(v, w)) next.push_back(w);
+      if (clique.size() == 1) {
+        for (TrajIndex w : graph_->Neighbors(v)) {
+          if (w > v && graph_->IsFeasible(w)) next.push_back(w);
+        }
+      } else {
+        for (size_t j = idx + 1; j < candidates.size(); ++j) {
+          TrajIndex w = candidates[j];
+          if (graph_->HasEdge(v, w)) next.push_back(w);
+        }
       }
       if (!next.empty()) {
         Extend(clique, next_merged, next, cb, stats);

@@ -56,10 +56,11 @@ class CliqueEnumerator {
   /// subtrees in seed order — the unit the parallel generator shards over.
   std::vector<TrajIndex> SeedVertices() const;
 
-  /// Enumerates only the cliques rooted at seeds[begin, end) (subtrees may
-  /// extend to later vertices of `seeds`; they never reach earlier ones).
-  /// Running disjoint contiguous ranges and concatenating the emissions in
-  /// range order reproduces Enumerate() exactly, callbacks and stats both.
+  /// Enumerates only the cliques rooted at seeds[begin, end), where `seeds`
+  /// is SeedVertices() (subtrees extend through Gm neighbors to later
+  /// seeds; they never reach earlier ones). Running disjoint contiguous
+  /// ranges and concatenating the emissions in range order reproduces
+  /// Enumerate() exactly, callbacks and stats both.
   Stats EnumerateSeedRange(const std::vector<TrajIndex>& seeds, size_t begin,
                            size_t end, const Callback& cb) const;
 

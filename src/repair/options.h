@@ -92,8 +92,8 @@ struct RepairOptions {
   const LengthIndexedGrids* resident_lig = nullptr;
 
   /// Parallel-execution knobs (thread count, task granularity), consumed
-  /// by every engine: trajectory-graph sharding, partitioned dispatch,
-  /// streaming flushes.
+  /// by every engine: trajectory-graph sharding, candidate generation,
+  /// selection, streaming flushes.
   ExecOptions exec;
 
   /// Runtime-observability knobs (metrics + trace spans), consumed by every
@@ -102,8 +102,8 @@ struct RepairOptions {
 
   /// Wall-clock budget for one Repair() call, milliseconds; 0 disables.
   /// When the budget runs out mid-run the engine degrades gracefully: it
-  /// stops starting new work at the next safe boundary (phase, partition,
-  /// or replay batch), passes the unprocessed remainder through
+  /// stops starting new work at the next safe boundary (phase, selection
+  /// commit, or replay batch), passes the unprocessed remainder through
   /// unrepaired, and returns a well-formed partial RepairResult whose
   /// `completion` Status is DeadlineExceeded (see repairer.h).
   int64_t deadline_ms = 0;

@@ -146,10 +146,6 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
   w.String(s.cpu_clock_source);
   w.Key("threads_used");
   w.Int(s.threads_used);
-  w.Key("num_partitions");
-  w.Uint(s.num_partitions);
-  w.Key("largest_partition");
-  w.Uint(s.largest_partition);
   w.EndObject();
   // Steal/imbalance summary of the generation phase's dynamic scheduler
   // (ParallelForDynamic): how the clique-seed blocks actually landed on

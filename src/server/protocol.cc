@@ -277,7 +277,6 @@ std::string EncodeRepairRequest(const RepairRequest& req) {
   BinaryWriter w(&out);
   w.Str(req.name);
   w.I64(req.budget_ms);
-  w.U8(req.engine);
   w.U8(req.use_corpus ? 1 : 0);
   w.U32(static_cast<uint32_t>(req.batches.size()));
   for (const auto& batch : req.batches) EncodeRecords(&w, batch);
@@ -288,11 +287,9 @@ Status DecodeRepairRequest(std::string_view bytes, RepairRequest* req) {
   BinaryReader r(bytes);
   req->name = r.Str();
   req->budget_ms = r.I64();
-  req->engine = r.U8();
   uint8_t use_corpus = r.U8();
   uint32_t batch_count = r.U32();
   if (r.ok()) {
-    if (req->engine > 1) r.Fail("repair: unknown engine selector");
     if (use_corpus > 1) r.Fail("repair: bad corpus flag");
     if (batch_count > r.remaining() / 8) {
       r.Fail("repair: batch count overflows payload");

@@ -112,8 +112,6 @@ struct RepairRequest {
   /// Per-request budget, mapped onto RepairOptions::deadline_ms (graceful
   /// degradation); 0 keeps the bundle's registered deadline.
   int64_t budget_ms = 0;
-  /// 0 = core engine, 1 = partitioned.
-  uint8_t engine = 0;
   /// Repair the registered resident corpus (load-not-rebuild: the bundle's
   /// snapshot-loaded LIG index is reused) instead of shipping batches.
   bool use_corpus = false;

@@ -18,7 +18,6 @@
 #include "exec/thread_pool.h"
 #include "graph/serialization.h"
 #include "obs/metrics.h"
-#include "repair/partitioned.h"
 #include "repair/repairer.h"
 
 namespace idrepair {
@@ -366,11 +365,7 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
   }
   if (req.use_corpus) options.resident_lig = bundle->lig.get();
 
-  IdRepairer core_engine(bundle->graph, options);
-  PartitionedRepairer partitioned_engine(bundle->graph, options);
-  const Repairer& engine =
-      req.engine == 1 ? static_cast<const Repairer&>(partitioned_engine)
-                      : static_cast<const Repairer&>(core_engine);
+  IdRepairer engine(bundle->graph, options);
 
   std::vector<std::optional<Result<RepairResult>>> slots(jobs);
   std::vector<TrajectorySet> sets(jobs);

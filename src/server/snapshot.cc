@@ -1,5 +1,12 @@
 #include "server/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -513,19 +520,63 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
   return BundlePtr(std::move(bundle));
 }
 
+namespace {
+
+Status ErrnoError(const std::string& what, const std::string& path) {
+  return Status::IoError(what + " '" + path + "': " + std::strerror(errno));
+}
+
+/// Writes `bytes` to a fresh file at `path` and fsyncs it. On failure the
+/// partial file is removed.
+Status WriteDurably(const std::string& path, const std::string& bytes) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  if (fd < 0) return ErrnoError("cannot open", path);
+  Status status;
+  for (size_t done = 0; done < bytes.size() && status.ok();) {
+    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      status = ErrnoError("short write to", path);
+    } else {
+      done += static_cast<size_t>(n);
+    }
+  }
+  if (status.ok() && ::fsync(fd) != 0) {
+    status = ErrnoError("cannot fsync", path);
+  }
+  if (::close(fd) != 0 && status.ok()) {
+    status = ErrnoError("cannot close", path);
+  }
+  if (!status.ok()) std::remove(path.c_str());
+  return status;
+}
+
+/// Makes a rename inside `dir` durable.
+Status SyncDirectory(const std::string& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return ErrnoError("cannot open directory", dir);
+  Status status;
+  if (::fsync(fd) != 0) status = ErrnoError("cannot fsync directory", dir);
+  ::close(fd);
+  return status;
+}
+
+}  // namespace
+
 Status WriteSnapshotFile(const std::string& path, const GraphBundle& bundle) {
+  const std::string tmp = path + kSnapshotTempSuffix;
+  IDREPAIR_RETURN_NOT_OK(WriteDurably(tmp, EncodeSnapshot(bundle)));
+  // A fault here models a crash between the temp write and the rename: the
+  // temp file stays behind and the live snapshot is untouched.
   IDREPAIR_FAULT_INJECT("io.snapshot.save");
-  std::string bytes = EncodeSnapshot(bundle);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "' for writing");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    Status status = ErrnoError("cannot rename '" + tmp + "' to", path);
+    std::remove(tmp.c_str());
+    return status;
   }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    return Status::IoError("short write to '" + path + "'");
-  }
-  return Status::OK();
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  return SyncDirectory(dir.empty() ? "." : dir);
 }
 
 Result<BundlePtr> ReadSnapshotFile(const std::string& path) {

@@ -93,7 +93,16 @@ std::string EncodeSnapshot(const GraphBundle& bundle);
 /// Parses and fully validates snapshot bytes.
 Result<BundlePtr> DecodeSnapshot(std::string_view bytes);
 
-/// EncodeSnapshot + atomic-enough file write (failpoint: io.snapshot.save).
+/// Suffix of the temp file WriteSnapshotFile writes before renaming it over
+/// the live snapshot. LoadDir reads only `.idrs` files, so a temp left by a
+/// crash is ignored.
+inline constexpr char kSnapshotTempSuffix[] = ".tmp";
+
+/// EncodeSnapshot + crash-safe file write: the bytes go to `path` + ".tmp",
+/// which is fsynced and renamed over `path`, then the directory is fsynced.
+/// A crash at any point leaves either the old or the new snapshot at
+/// `path`, never a torn one. The io.snapshot.save failpoint fires between
+/// the temp write and the rename.
 Status WriteSnapshotFile(const std::string& path, const GraphBundle& bundle);
 
 /// Whole-file read + DecodeSnapshot (failpoint: io.snapshot.load).

@@ -116,12 +116,6 @@ StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
                              static_cast<double>(options_.eta)));
 }
 
-StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
-                                     RepairOptions options,
-                                     double flush_horizon_multiplier)
-    : StreamingRepairer(graph, std::move(options),
-                        StreamOptions{flush_horizon_multiplier}) {}
-
 Status StreamingRepairer::Append(const TrackingRecord& record) {
   // Before any state mutation: an injected Append fault drops nothing and
   // moves no watermark — the caller may retry the record.

@@ -85,11 +85,7 @@ struct StreamOptions {
 class StreamingRepairer : public Repairer {
  public:
   StreamingRepairer(const TransitionGraph& graph, RepairOptions options,
-                    StreamOptions stream_options);
-
-  /// Legacy two-knob constructor (flush horizon only).
-  StreamingRepairer(const TransitionGraph& graph, RepairOptions options,
-                    double flush_horizon_multiplier = 2.0);
+                    StreamOptions stream_options = {});
 
   /// Folds one record into the incremental state: its fragment is rebuilt,
   /// re-indexed, and re-linked in O(affected neighborhood); its component

@@ -8,7 +8,6 @@
 #include "eval/metrics.h"
 #include "gen/real_like.h"
 #include "graph/generators.h"
-#include "repair/partitioned.h"
 #include "repair/repairer.h"
 #include "stream/streaming_repairer.h"
 #include "test_util.h"
@@ -196,7 +195,6 @@ TEST(RepairerInterfaceTest, AllEnginesAreSwappablePolymorphically) {
 
   std::vector<std::unique_ptr<Repairer>> engines;
   engines.push_back(std::make_unique<IdRepairer>(graph, options));
-  engines.push_back(std::make_unique<PartitionedRepairer>(graph, options));
   engines.push_back(std::make_unique<StreamingRepairer>(graph, options));
   engines.push_back(std::make_unique<IdSimilarityRepairer>(3));
   engines.push_back(std::make_unique<NeighborhoodRepairer>(graph, options));
@@ -212,21 +210,6 @@ TEST(RepairerInterfaceTest, AllEnginesAreSwappablePolymorphically) {
     for (const auto& [traj, id] : result->rewrites) {
       EXPECT_NE(set.at(traj).id(), id) << engine->name();
     }
-  }
-}
-
-TEST(RepairerInterfaceTest, CandidateEnginesAgreeOnTheRunningExample) {
-  TransitionGraph graph = MakePaperExampleGraph();
-  TrajectorySet set = MakeTable2Trajectories();
-  RepairOptions options = RunningExampleOptions();
-  IdRepairer core(graph, options);
-  PartitionedRepairer partitioned(graph, options);
-  const Repairer* engines[] = {&core, &partitioned};
-  for (const Repairer* engine : engines) {
-    auto result = engine->Repair(set);
-    ASSERT_TRUE(result.ok()) << engine->name();
-    ASSERT_EQ(result->rewrites.size(), 1u) << engine->name();
-    EXPECT_EQ(result->rewrites.at(1), "GL83248") << engine->name();
   }
 }
 

@@ -1,5 +1,5 @@
 // Chaos/soak correctness harness (the fault-injection counterpart of
-// differential_test.cc): seeded synthetic datasets run through all five
+// differential_test.cc): seeded synthetic datasets run through all four
 // engines across a fault × thread-count × graph-shape matrix. Invariants:
 //
 //  * armed-but-silent failpoints and delay-only chaos leave every engine's
@@ -57,10 +57,6 @@ const std::map<std::string, std::vector<std::string>>& ErrorSitesByEngine() {
   static const std::map<std::string, std::vector<std::string>> kSites = {
       {"core", {"repair.generation.shard", "repair.selection.shard",
                 "repair.selection.commit"}},
-      {"partitioned",
-       {"repair.partition.repair", "repair.partition.merge",
-        "repair.generation.shard", "repair.selection.shard",
-        "repair.selection.commit"}},
       {"streaming", {"stream.append"}},
   };
   return kSites;
@@ -72,7 +68,6 @@ const std::vector<std::string>& AllSites() {
       "exec.pool.dispatch",      "exec.pool.steal",
       "exec.task_group.run",     "repair.generation.shard",
       "repair.selection.shard",  "repair.selection.commit",
-      "repair.partition.repair", "repair.partition.merge",
       "stream.append",           "stream.poll",
       "stream.finish",           "io.csv.read",
       "io.csv.write",            "io.graph.load",
@@ -276,7 +271,7 @@ TEST_F(ChaosTest, DelayChaosNeverChangesResults) {
   }
 
   for (const Scenario& s : MakeScenarios()) {
-    for (std::string_view engine : {"core", "partitioned", "streaming"}) {
+    for (std::string_view engine : {"core", "streaming"}) {
       for (int threads : ThreadCounts()) {
         SCOPED_TRACE(s.name + "/" + std::string(engine) + "/t" +
                      std::to_string(threads));
@@ -340,26 +335,24 @@ TEST_F(ChaosTest, SelectionFaultsPropagateCleanlyAtParallelGrain) {
   fine.options.exec.min_selection_grain = 1;
   for (const char* site :
        {"repair.selection.shard", "repair.selection.commit"}) {
-    for (std::string_view engine : {"core", "partitioned"}) {
-      SCOPED_TRACE(std::string(site) + "/" + std::string(engine));
-      fault::FaultSpec spec;
-      spec.fire_on_hit = 1;
-      spec.code = StatusCode::kInternal;
-      spec.message = "injected selection fault";
-      ASSERT_TRUE(fault::FailPointRegistry::Global().Arm(site, spec).ok());
+    SCOPED_TRACE(site);
+    fault::FaultSpec spec;
+    spec.fire_on_hit = 1;
+    spec.code = StatusCode::kInternal;
+    spec.message = "injected selection fault";
+    ASSERT_TRUE(fault::FailPointRegistry::Global().Arm(site, spec).ok());
 
-      auto result = RunEngine(engine, fine, 8);
-      ASSERT_FALSE(result.ok()) << "armed " << site << " but the run passed";
-      EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-      EXPECT_NE(result.status().message().find("injected selection fault"),
-                std::string::npos)
-          << result.status();
+    auto result = RunEngine("core", fine, 8);
+    ASSERT_FALSE(result.ok()) << "armed " << site << " but the run passed";
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_NE(result.status().message().find("injected selection fault"),
+              std::string::npos)
+        << result.status();
 
-      fault::FailPointRegistry::Global().DisarmAll();
-      auto rerun = RunEngine(engine, fine, 8);
-      ASSERT_TRUE(rerun.ok()) << rerun.status();
-      EXPECT_EQ(Fingerprint(*rerun), BaselineFor(base, engine, 8));
-    }
+    fault::FailPointRegistry::Global().DisarmAll();
+    auto rerun = RunEngine("core", fine, 8);
+    ASSERT_TRUE(rerun.ok()) << rerun.status();
+    EXPECT_EQ(Fingerprint(*rerun), BaselineFor(base, "core", 8));
   }
 }
 
@@ -404,20 +397,17 @@ TEST_F(ChaosTest, AllocFailureAndCancellationCarryTheirCodes) {
       {fault::FaultAction::kCancel, StatusCode::kCancelled},
   };
   for (const auto& [action, code] : kActions) {
-    for (std::string_view engine : {"core", "partitioned"}) {
-      SCOPED_TRACE(std::string(engine) + "/" +
-                   StatusCodeToString(code));
-      fault::FaultSpec spec;
-      spec.action = action;
-      spec.fire_on_hit = 1;
-      ASSERT_TRUE(fault::FailPointRegistry::Global()
-                      .Arm("repair.generation.shard", spec)
-                      .ok());
-      auto result = RunEngine(engine, s, 2);
-      ASSERT_FALSE(result.ok());
-      EXPECT_EQ(result.status().code(), code) << result.status();
-      fault::FailPointRegistry::Global().DisarmAll();
-    }
+    SCOPED_TRACE(StatusCodeToString(code));
+    fault::FaultSpec spec;
+    spec.action = action;
+    spec.fire_on_hit = 1;
+    ASSERT_TRUE(fault::FailPointRegistry::Global()
+                    .Arm("repair.generation.shard", spec)
+                    .ok());
+    auto result = RunEngine("core", s, 2);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), code) << result.status();
+    fault::FailPointRegistry::Global().DisarmAll();
   }
 }
 
@@ -427,7 +417,7 @@ TEST_F(ChaosTest, AllocFailureAndCancellationCarryTheirCodes) {
 // thread keeps which-boundary-expired deterministic.
 TEST_F(ChaosTest, ForcedDeadlineExpiryDegradesToWellFormedPartial) {
   for (const Scenario& s : MakeScenarios()) {
-    for (std::string_view engine : {"core", "partitioned", "streaming"}) {
+    for (std::string_view engine : {"core", "streaming"}) {
       SCOPED_TRACE(s.name + "/" + std::string(engine));
       fault::FaultSpec expire;
       expire.one_in = 1;  // every deadline check reports expiry
@@ -453,25 +443,6 @@ TEST_F(ChaosTest, ForcedDeadlineExpiryDegradesToWellFormedPartial) {
   }
 }
 
-// Partition-granularity degradation: expiring after the first partition
-// check yields a prefix-of-partitions partial whose completion message
-// counts the passed-through partitions.
-TEST_F(ChaosTest, PartitionedDeadlineSkipsAtPartitionGranularity) {
-  const Scenario s = MakeScenarios().front();
-  fault::FaultSpec expire;
-  expire.fire_on_hit = 1;  // exactly one partition check reports expiry
-  ASSERT_TRUE(fault::FailPointRegistry::Global()
-                  .Arm(fault::kDeadlineExpireSite, expire)
-                  .ok());
-  auto result = RunEngine("partitioned", s, 1, /*deadline_ms=*/600000);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->completion.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(result->completion.message().find("partitions passed through"),
-            std::string::npos)
-      << result->completion;
-  EXPECT_EQ(result->repaired.total_records(), s.set.total_records());
-}
-
 uint64_t CounterValue(const std::string& name) {
   for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
     if (m.name == name) return m.counter_value;
@@ -487,9 +458,6 @@ TEST_F(ChaosTest, AttemptedVersusCompletedCountersAccountForEveryRun) {
       {
           {"core",
            {"idrepair_repair_attempts_total", "idrepair_repair_runs_total"}},
-          {"partitioned",
-           {"idrepair_partition_attempts_total",
-            "idrepair_partition_runs_total"}},
           {"streaming",
            {"idrepair_stream_attempts_total", "idrepair_stream_runs_total"}},
           {"idsim",
@@ -502,7 +470,7 @@ TEST_F(ChaosTest, AttemptedVersusCompletedCountersAccountForEveryRun) {
   obs::SetEnabled(true);
   const Scenario s = MakeScenarios().front();
 
-  // Clean run: attempts and runs advance in lockstep on all five engines.
+  // Clean run: attempts and runs advance in lockstep on all four engines.
   for (const auto& [engine, counters] : kCounters) {
     SCOPED_TRACE(engine + "/clean");
     uint64_t attempts = CounterValue(counters.first);
@@ -700,7 +668,7 @@ TEST_F(ChaosTest, SoakSeededProbabilisticChaos) {
     arm("exec.pool.steal", fault::FaultAction::kDelay, 5);
     arm("repair.generation.shard", fault::FaultAction::kError, 4);
     arm("repair.selection.commit", fault::FaultAction::kError, 6);
-    arm("repair.partition.repair", fault::FaultAction::kAllocFail, 4);
+    arm("repair.selection.shard", fault::FaultAction::kAllocFail, 4);
     arm("stream.append", fault::FaultAction::kCancel, 400);
 
     for (const Scenario& s : scenarios) {

@@ -31,6 +31,31 @@ std::set<Clique> EnumerateAll(const TrajectorySet& set,
   return out;
 }
 
+/// Reference enumeration in the enumerator's emission order, written
+/// without Gm adjacency walks: every level, the root included, probes each
+/// later feasible vertex against every member. θ and ζ bound it; no MCP
+/// pruning.
+void ScanCliques(const TrajectorySet& set, const TrajectoryGraph& gm,
+                 const RepairOptions& options, Clique& clique, size_t records,
+                 TrajIndex from, std::vector<Clique>* out) {
+  for (TrajIndex w = from; w < set.size(); ++w) {
+    if (!gm.IsFeasible(w) || records + set.at(w).size() > options.theta) {
+      continue;
+    }
+    if (!std::all_of(clique.begin(), clique.end(),
+                     [&](TrajIndex m) { return gm.HasEdge(m, w); })) {
+      continue;
+    }
+    clique.push_back(w);
+    out->push_back(clique);
+    if (clique.size() < options.zeta) {
+      ScanCliques(set, gm, options, clique, records + set.at(w).size(),
+                  w + 1, out);
+    }
+    clique.pop_back();
+  }
+}
+
 TEST(CliqueTest, RunningExampleCliquesWithoutPruning) {
   TransitionGraph graph = MakePaperExampleGraph();
   TrajectorySet set = MakeTable2Trajectories();
@@ -177,17 +202,38 @@ TEST(CliqueTest, InfeasibleTrajectoriesAreSkippedEntirely) {
   for (const auto& c : cliques) {
     for (TrajIndex m : c) EXPECT_NE(m, idx.at("bad"));
   }
+
+  // A Gm wrapped from a caller-maintained adjacency may link a feasible
+  // vertex to an infeasible one; the root step's adjacency walk must still
+  // skip it and reproduce the built graph's cliques.
+  PredicateEvaluator pred(graph, options.theta, options.eta);
+  std::vector<std::vector<TrajIndex>> adj(set.size());
+  adj[idx.at("ok")].push_back(idx.at("bad"));
+  adj[idx.at("bad")].push_back(idx.at("ok"));
+  TrajectoryGraph wrapped = TrajectoryGraph::FromAdjacency(set, pred, adj);
+  ASSERT_TRUE(wrapped.HasEdge(idx.at("ok"), idx.at("bad")));
+  ASSERT_FALSE(wrapped.IsFeasible(idx.at("bad")));
+  std::set<Clique> from_adjacency;
+  CliqueEnumerator(set, wrapped, pred, options)
+      .Enumerate([&](const Clique& c, const std::vector<MergedPoint>&) {
+        from_adjacency.insert(c);
+      });
+  EXPECT_EQ(from_adjacency, cliques);
 }
 
 TEST(CliqueTest, PruningNeverLosesAJoinableSubset) {
   // Property: the joinable subsets derived from the pruned enumeration are
   // identical to those from the full enumeration (Theorem 5.3 soundness).
+  // The last seed spreads its entities over a window far wider than η, so
+  // the input falls into many chain components; the unpruned enumeration
+  // must then also match the scan reference clique for clique, in order.
   TransitionGraph graph = MakeRealLikeGraph();
-  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
     SyntheticConfig config;
-    config.num_trajectories = 60;
+    config.num_trajectories = seed == 6 ? 200 : 60;
     config.max_path_len = 4;
     config.seed = seed;
+    if (seed == 6) config.window_seconds = 200000;
     auto ds = GenerateSyntheticDataset(graph, config);
     ASSERT_TRUE(ds.ok());
     TrajectorySet set = ds->BuildObservedTrajectories();
@@ -213,6 +259,19 @@ TEST(CliqueTest, PruningNeverLosesAJoinableSubset) {
     auto with = joinable_from(true);
     auto without = joinable_from(false);
     EXPECT_EQ(with, without) << "seed " << seed;
+
+    RepairOptions unpruned = options;
+    unpruned.use_mcp_pruning = false;
+    TrajectoryGraph gm(set, pred, unpruned);
+    std::vector<Clique> emitted;
+    CliqueEnumerator(set, gm, pred, unpruned)
+        .Enumerate([&](const Clique& c, const std::vector<MergedPoint>&) {
+          emitted.push_back(c);
+        });
+    std::vector<Clique> reference;
+    Clique scratch;
+    ScanCliques(set, gm, unpruned, scratch, 0, 0, &reference);
+    EXPECT_EQ(emitted, reference) << "seed " << seed;
   }
 }
 

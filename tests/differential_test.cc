@@ -1,10 +1,10 @@
 // Cross-engine differential suite: seeded synthetic datasets over several
-// transition-graph shapes and error rates, run through all five engines via
-// the unified Repairer interface. The core and partitioned engines must
-// agree byte-for-byte (candidates, selection, rewrites, Ω); every engine
-// must conserve records; the transition-graph engines must only ever apply
-// joins that produce valid trajectories; and the streaming engine's
-// incremental path must emit valid merges.
+// transition-graph shapes and error rates, run through all four engines via
+// the unified Repairer interface. The core engine's selection must not move
+// with thread count or grain; every engine must conserve records; the
+// transition-graph engines must only ever apply joins that produce valid
+// trajectories; and the streaming engine's incremental path must emit valid
+// merges.
 
 #include <gtest/gtest.h>
 
@@ -81,51 +81,12 @@ std::vector<Scenario> MakeScenarios() {
   return scenarios;
 }
 
-// The partitioned engine must reproduce the core engine exactly — same
-// candidates in the same order, same selection, same rewrites, and the
-// same Ω down to the last bit (it recomputes the sum in global selection
-// order, so even float association matches).
-TEST(DifferentialTest, PartitionedIsByteIdenticalToCore) {
-  for (const Scenario& s : MakeScenarios()) {
-    SCOPED_TRACE(s.name);
-    auto core = MakeEngineByName("core", s.graph, s.options)->Repair(s.set);
-    auto part =
-        MakeEngineByName("partitioned", s.graph, s.options)->Repair(s.set);
-    ASSERT_TRUE(core.ok()) << core.status();
-    ASSERT_TRUE(part.ok()) << part.status();
-
-    ASSERT_EQ(part->candidates.size(), core->candidates.size());
-    const CandidateSet& a = core->candidates;
-    const CandidateSet& b = part->candidates;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(b.members(i), a.members(i)) << "candidate " << i;
-      EXPECT_EQ(b.target_id(i), a.target_id(i)) << "candidate " << i;
-      EXPECT_EQ(b.invalid_members(i), a.invalid_members(i))
-          << "candidate " << i;
-      EXPECT_EQ(b.similarity(i), a.similarity(i)) << "candidate " << i;
-      EXPECT_EQ(b.rarity(i), a.rarity(i)) << "candidate " << i;
-      EXPECT_EQ(b.effectiveness(i), a.effectiveness(i)) << "candidate " << i;
-    }
-    EXPECT_EQ(part->selected, core->selected);
-    EXPECT_EQ(part->rewrites, core->rewrites);
-    EXPECT_EQ(part->total_effectiveness, core->total_effectiveness);
-
-    // Phase-1 counters decompose exactly over chain components.
-    EXPECT_EQ(part->stats.jnb_checks, core->stats.jnb_checks);
-    EXPECT_EQ(part->stats.joinable_subsets, core->stats.joinable_subsets);
-    EXPECT_EQ(part->stats.cliques_enumerated, core->stats.cliques_enumerated);
-    EXPECT_EQ(part->stats.gm_edges, core->stats.gm_edges);
-    EXPECT_EQ(part->stats.num_candidates, core->stats.num_candidates);
-    EXPECT_EQ(part->stats.num_selected, core->stats.num_selected);
-  }
-}
-
 // Selection-grain torture: --selection-grain 1 forces every selection
 // stage (effectiveness-sort shards, repair-graph shards, invalidation
 // fan-out) onto the pool even for small components, and the result must
 // still match a single-thread default-grain core run byte for byte — for
-// both the EMAX cover fast path and the graph-materializing DMIN path, on
-// both exact engines, at every thread count.
+// both the EMAX cover fast path and the graph-materializing DMIN path, at
+// every thread count.
 TEST(DifferentialTest, SelectionGrainOneIsByteIdenticalAcrossThreads) {
   for (const Scenario& s : MakeScenarios()) {
     if (s.name.find("err20") == std::string::npos) continue;
@@ -138,22 +99,18 @@ TEST(DifferentialTest, SelectionGrainOneIsByteIdenticalAcrossThreads) {
                            ->Repair(s.set);
       ASSERT_TRUE(reference.ok()) << reference.status();
       for (int threads : {1, 2, 8}) {
-        for (std::string_view engine_name : {"core", "partitioned"}) {
-          SCOPED_TRACE(s.name + " / " + std::string(engine_name) + " / algo" +
-                       std::to_string(static_cast<int>(algorithm)) + " / t" +
-                       std::to_string(threads));
-          RepairOptions options = reference_options;
-          options.exec.num_threads = threads;
-          options.exec.min_selection_grain = 1;
-          auto result =
-              MakeEngineByName(engine_name, s.graph, options)->Repair(s.set);
-          ASSERT_TRUE(result.ok()) << result.status();
-          EXPECT_EQ(result->selected, reference->selected);
-          EXPECT_EQ(result->rewrites, reference->rewrites);
-          EXPECT_EQ(result->total_effectiveness,
-                    reference->total_effectiveness);
-          EXPECT_EQ(result->stats.gr_edges, reference->stats.gr_edges);
-        }
+        SCOPED_TRACE(s.name + " / algo" +
+                     std::to_string(static_cast<int>(algorithm)) + " / t" +
+                     std::to_string(threads));
+        RepairOptions options = reference_options;
+        options.exec.num_threads = threads;
+        options.exec.min_selection_grain = 1;
+        auto result = MakeEngineByName("core", s.graph, options)->Repair(s.set);
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(result->selected, reference->selected);
+        EXPECT_EQ(result->rewrites, reference->rewrites);
+        EXPECT_EQ(result->total_effectiveness, reference->total_effectiveness);
+        EXPECT_EQ(result->stats.gr_edges, reference->stats.gr_edges);
       }
     }
   }
@@ -175,31 +132,28 @@ TEST(DifferentialTest, AllEnginesConserveRecords) {
   }
 }
 
-// The candidate-based transition-graph engines only ever apply joins whose
-// merged trajectory is valid, and their selections are compatible
-// (pairwise disjoint members).
-TEST(DifferentialTest, CandidateEnginesApplyOnlyValidCompatibleJoins) {
+// The candidate-based engine only ever applies joins whose merged
+// trajectory is valid, and its selections are compatible (pairwise
+// disjoint members).
+TEST(DifferentialTest, CoreAppliesOnlyValidCompatibleJoins) {
   for (const Scenario& s : MakeScenarios()) {
-    for (std::string_view engine_name : {"core", "partitioned"}) {
-      SCOPED_TRACE(s.name + " / " + std::string(engine_name));
-      auto result =
-          MakeEngineByName(engine_name, s.graph, s.options)->Repair(s.set);
-      ASSERT_TRUE(result.ok()) << result.status();
-      std::set<TrajIndex> used;
-      for (RepairIndex r : result->selected) {
-        for (TrajIndex m : result->candidates.members(r)) {
-          EXPECT_TRUE(used.insert(m).second) << "overlapping selection";
-        }
+    SCOPED_TRACE(s.name);
+    auto result = MakeEngineByName("core", s.graph, s.options)->Repair(s.set);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::set<TrajIndex> used;
+    for (RepairIndex r : result->selected) {
+      for (TrajIndex m : result->candidates.members(r)) {
+        EXPECT_TRUE(used.insert(m).second) << "overlapping selection";
       }
-      auto idx = result->repaired.BuildIdIndex();
-      for (RepairIndex r : result->selected) {
-        const CandidateSet& cands = result->candidates;
-        if (cands.num_members(r) < 2) continue;
-        auto it = idx.find(cands.target_id(r));
-        ASSERT_NE(it, idx.end()) << cands.target_id(r);
-        EXPECT_TRUE(result->repaired.at(it->second).IsValid(s.graph))
-            << "invalid join applied to " << cands.target_id(r);
-      }
+    }
+    auto idx = result->repaired.BuildIdIndex();
+    for (RepairIndex r : result->selected) {
+      const CandidateSet& cands = result->candidates;
+      if (cands.num_members(r) < 2) continue;
+      auto it = idx.find(cands.target_id(r));
+      ASSERT_NE(it, idx.end()) << cands.target_id(r);
+      EXPECT_TRUE(result->repaired.at(it->second).IsValid(s.graph))
+          << "invalid join applied to " << cands.target_id(r);
     }
   }
 }
@@ -266,7 +220,8 @@ TEST(DifferentialTest, StreamingEmitsOnlyValidMerges) {
     EXPECT_EQ(stream.pending_records(), 0u);
 
     // The batch adapter over the same input conserves records too.
-    auto batch = StreamingRepairer(s.graph, s.options).Repair(s.set);
+    auto batch =
+        StreamingRepairer(s.graph, s.options, StreamOptions{}).Repair(s.set);
     ASSERT_TRUE(batch.ok()) << batch.status();
     EXPECT_EQ(batch->repaired.total_records(), s.set.total_records());
   }

@@ -168,8 +168,8 @@ TEST_P(EngineChaosTest, ThreadCountNeverChangesTheAnswer) {
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndSeeds, EngineChaosTest,
-    ::testing::Combine(::testing::Values("core", "partitioned", "streaming",
-                                         "idsim", "neighborhood"),
+    ::testing::Combine(::testing::Values("core", "streaming", "idsim",
+                                         "neighborhood"),
                        ::testing::Range<uint64_t>(1, 6)),
     [](const ::testing::TestParamInfo<EngineChaosTest::ParamType>& info) {
       return std::get<0>(info.param) + "_seed" +

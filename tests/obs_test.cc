@@ -18,7 +18,6 @@
 #include "obs/phase.h"
 #include "obs/scrape.h"
 #include "obs/trace.h"
-#include "repair/partitioned.h"
 #include "repair/repairer.h"
 
 namespace idrepair {
@@ -302,7 +301,7 @@ TEST_F(ObsTest, RepairWithObsEnabledPopulatesMetricsAndTrace) {
 }
 
 TEST_F(ObsTest, StableMetricsByteIdenticalAcrossRepairThreadCounts) {
-  // The acceptance invariant of the subsystem: a full partitioned repair
+  // The acceptance invariant of the subsystem: a full core repair
   // records the *same* stable metric values — rendered byte-for-byte — at
   // 1, 2, and 8 threads. Runtime metrics (latencies, steals) are excluded
   // by the stable filter; everything else must not depend on scheduling.
@@ -317,7 +316,7 @@ TEST_F(ObsTest, StableMetricsByteIdenticalAcrossRepairThreadCounts) {
     options.eta = 600;
     options.exec.num_threads = threads;
     options.obs.enabled = true;
-    PartitionedRepairer repairer(graph, options);
+    IdRepairer repairer(graph, options);
     auto result = repairer.Repair(set);
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     std::string rendered =

@@ -17,7 +17,6 @@
 #include "graph/paths.h"
 #include "graph/reachability.h"
 #include "lig/length_indexed_grids.h"
-#include "repair/partitioned.h"
 #include "repair/predicates.h"
 #include "repair/repairer.h"
 #include "sim/edit_distance.h"
@@ -314,10 +313,10 @@ TEST_P(SeededPropertyTest, SampledPathPrefixesAreValidPrefixes) {
 
 // Graceful degradation dominates nothing: a partial result produced under
 // a (forced) deadline can only lose Eq. (3)/(4) effectiveness relative to
-// the fault-free run on the same seed — partitions that pass through
-// unrepaired contribute zero — and every repair it does emit is still a
-// valid trajectory of Gt (starts in I, follows transition edges, ends in
-// O), exactly like a fault-free repair.
+// the fault-free run on the same seed — phases that never ran and commits
+// the selection loop never made contribute zero — and every repair it does
+// emit is still a valid trajectory of Gt (starts in I, follows transition
+// edges, ends in O), exactly like a fault-free repair.
 TEST_P(SeededPropertyTest, PartialResultsAreDominatedAndStillValid) {
   TransitionGraph graph = MakeRealLikeGraph();
   SyntheticConfig config;
@@ -334,14 +333,15 @@ TEST_P(SeededPropertyTest, PartialResultsAreDominatedAndStillValid) {
   options.eta = 600;
   options.exec.num_threads = 1;  // deterministic which boundaries expire
 
-  PartitionedRepairer engine(graph, options);
+  IdRepairer engine(graph, options);
   auto full = engine.Repair(set);
   ASSERT_TRUE(full.ok()) << full.status();
   ASSERT_TRUE(full->completion.ok());
 
-  // Force expiry at a seeded per-partition check — expiry latches, so the
-  // cutoff point varies with the seed and everything after it passes
-  // through unrepaired. The run needs a (never actually elapsing) budget so
+  // Force expiry at a seeded deadline check — at a phase boundary or
+  // between two selection commits. Expiry latches, so the cutoff point
+  // varies with the seed and everything after it passes through
+  // unrepaired. The run needs a (never actually elapsing) budget so
   // the deadline is enabled at all.
   fault::FaultSpec expire;
   expire.one_in = 2;
@@ -351,7 +351,7 @@ TEST_P(SeededPropertyTest, PartialResultsAreDominatedAndStillValid) {
                   .ok());
   RepairOptions budgeted = options;
   budgeted.deadline_ms = 600000;
-  auto partial = PartitionedRepairer(graph, budgeted).Repair(set);
+  auto partial = IdRepairer(graph, budgeted).Repair(set);
   fault::FailPointRegistry::Global().DisarmAll();
   ASSERT_TRUE(partial.ok()) << partial.status();
 
@@ -359,7 +359,7 @@ TEST_P(SeededPropertyTest, PartialResultsAreDominatedAndStillValid) {
   EXPECT_LE(partial->total_effectiveness, full->total_effectiveness);
   // Degradation is never destructive: nothing dropped or invented.
   EXPECT_EQ(partial->repaired.total_records(), set.total_records());
-  // If any partition was skipped, the result says so.
+  // If any work was skipped, the result says so.
   if (partial->total_effectiveness < full->total_effectiveness) {
     EXPECT_EQ(partial->completion.code(), StatusCode::kDeadlineExceeded);
   }

@@ -66,8 +66,8 @@ TrajectorySet DenseTrajectories(const TransitionGraph& graph,
   return ds.ok() ? ds->BuildObservedTrajectories() : TrajectorySet();
 }
 
-// One dense chain component: every start-time gap far below η, so the
-// partitioner could not split it and all parallelism is intra-component.
+// One dense chain component: every start-time gap far below η, so all
+// parallelism is intra-component.
 // Gm is input, not the phase under test: it is built once and shared (its
 // edge set depends on θ/η only, never on the thread budget).
 class DenseComponent {

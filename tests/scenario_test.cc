@@ -2,12 +2,12 @@
 //
 // The declarative workload catalog (gen/scenario_catalog.h) — topology
 // family x temporal traffic model x ID-error model — is driven through all
-// five repair engines at several thread counts, with metamorphic and
+// four repair engines at several thread counts, with metamorphic and
 // oracle checks on every cell:
 //
 //  * record conservation — repair relabels, never drops or invents data;
-//  * core == partitioned byte-identity (selection, rewrites, Ω) at every
-//    thread count, on city-scale inputs rather than toy graphs;
+//  * core byte-identity (selection, rewrites, Ω) at every thread count, on
+//    city-scale inputs rather than toy graphs;
 //  * same-seed reproduction — regenerating a scenario yields byte-identical
 //    records, and repairing twice yields byte-identical rewrites;
 //  * streaming-vs-batch window equivalence on the bursty timeline (the
@@ -117,7 +117,7 @@ const std::vector<Scenario>& Scenarios() {
 // byte-identity against the single-thread core reference.
 // ---------------------------------------------------------------------------
 
-TEST(ScenarioTest, MatrixConservesRecordsAndExactEnginesAgree) {
+TEST(ScenarioTest, MatrixConservesRecordsAndCoreIsThreadInvariant) {
   for (const Scenario& s : Scenarios()) {
     SCOPED_TRACE(s.entry.name);
     TrajectorySet set = s.dataset.BuildObservedTrajectories();
@@ -142,9 +142,9 @@ TEST(ScenarioTest, MatrixConservesRecordsAndExactEnginesAgree) {
         // Conservation: repair relabels records, never drops or invents.
         EXPECT_EQ(result->repaired.total_records(), set.total_records());
 
-        // The exact engines must reproduce the reference run byte for
-        // byte regardless of decomposition and parallelism.
-        if (engine_name == "core" || engine_name == "partitioned") {
+        // The exact engine must reproduce the reference run byte for byte
+        // regardless of parallelism.
+        if (engine_name == "core") {
           EXPECT_EQ(result->selected, reference->selected);
           EXPECT_EQ(result->rewrites, reference->rewrites);
           EXPECT_EQ(result->total_effectiveness,

@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "fault/failpoint.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
 #include "lig/length_indexed_grids.h"
 #include "repair/repairer.h"
+#include "server/registry.h"
 #include "server/snapshot.h"
 #include "test_util.h"
 
@@ -147,6 +149,51 @@ TEST(SnapshotTest, FileRoundTripMatchesInMemoryBytes) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(on_disk, EncodeSnapshot(**loaded));
   std::remove(path.string().c_str());
+}
+
+// A save that dies after writing its temp file (the io.snapshot.save
+// failpoint sits between the temp write and the rename) must leave the
+// previous snapshot in place and loadable; LoadDir skips the stray temp.
+TEST(SnapshotTest, FailedSaveAfterTempWriteKeepsOldSnapshotLoadable) {
+  fs::path dir = fs::temp_directory_path() / "idrepair_snapshot_crash";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::path path = dir / "paper.idrs";
+  auto old_bundle = MakePaperBundle();
+  ASSERT_TRUE(old_bundle.ok()) << old_bundle.status();
+  ASSERT_TRUE(WriteSnapshotFile(path.string(), **old_bundle).ok());
+
+  auto new_bundle = MakeBundle("paper", 4, MakePaperExampleGraph(),
+                               testutil::RunningExampleOptions(), {});
+  ASSERT_TRUE(new_bundle.ok()) << new_bundle.status();
+  fault::FaultSpec spec;
+  spec.fire_on_hit = 1;
+  spec.code = StatusCode::kIoError;
+  ASSERT_TRUE(
+      fault::FailPointRegistry::Global().Arm("io.snapshot.save", spec).ok());
+  Status failed = WriteSnapshotFile(path.string(), **new_bundle);
+  fault::FailPointRegistry::Global().DisarmAll();
+  ASSERT_EQ(failed.code(), StatusCode::kIoError) << failed;
+  EXPECT_TRUE(fs::exists(path.string() + kSnapshotTempSuffix));
+
+  auto loaded = ReadSnapshotFile(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(EncodeSnapshot(**loaded), EncodeSnapshot(**old_bundle));
+  GraphRegistry registry;
+  auto count = registry.LoadDir(dir.string());
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 1u);
+  auto acquired = registry.Acquire("paper");
+  ASSERT_TRUE(acquired.ok()) << acquired.status();
+  EXPECT_EQ((*acquired)->version, 3u);
+
+  // The next save replaces both the live file and the stray temp.
+  ASSERT_TRUE(WriteSnapshotFile(path.string(), **new_bundle).ok());
+  EXPECT_FALSE(fs::exists(path.string() + kSnapshotTempSuffix));
+  loaded = ReadSnapshotFile(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ((*loaded)->version, 4u);
+  fs::remove_all(dir);
 }
 
 TEST(SnapshotTest, TruncationAtEveryPrefixIsRejectedCleanly) {

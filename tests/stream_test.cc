@@ -111,7 +111,9 @@ TEST(StreamingRepairerTest, MatchesBatchOnRealLikeDataset) {
   ASSERT_TRUE(batch.ok());
 
   // Stream with a generous horizon.
-  StreamingRepairer stream(ds->graph, options, /*flush_horizon=*/4.0);
+  StreamOptions stream_options;
+  stream_options.flush_horizon_multiplier = 4.0;
+  StreamingRepairer stream(ds->graph, options, stream_options);
   std::vector<Trajectory> emitted;
   size_t count = 0;
   for (const auto& r : SortedRecords(*ds)) {

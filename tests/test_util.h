@@ -11,7 +11,6 @@
 #include "graph/generators.h"
 #include "graph/transition_graph.h"
 #include "repair/options.h"
-#include "repair/partitioned.h"
 #include "repair/repairer.h"
 #include "stream/streaming_repairer.h"
 #include "traj/tracking_record.h"
@@ -24,7 +23,7 @@ namespace testutil {
 /// differential and fuzz suites iterate over.
 inline const std::vector<std::string_view>& AllEngineNames() {
   static const std::vector<std::string_view> kNames = {
-      "core", "partitioned", "streaming", "idsim", "neighborhood"};
+      "core", "streaming", "idsim", "neighborhood"};
   return kNames;
 }
 
@@ -35,9 +34,6 @@ inline std::unique_ptr<Repairer> MakeEngineByName(
     std::string_view name, const TransitionGraph& graph,
     const RepairOptions& options) {
   if (name == "core") return std::make_unique<IdRepairer>(graph, options);
-  if (name == "partitioned") {
-    return std::make_unique<PartitionedRepairer>(graph, options);
-  }
   if (name == "streaming") {
     return std::make_unique<StreamingRepairer>(graph, options);
   }

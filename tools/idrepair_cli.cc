@@ -8,8 +8,8 @@
 //                         [--explain] [--threads N]
 //                         [--candidate-grain auto|N]
 //                         [--selection-grain auto|N]
-//                         [--engine core|partitioned|streaming|idsim|
-//                         neighborhood] [--max-edit-distance N]
+//                         [--engine core|streaming|idsim|neighborhood]
+//                         [--max-edit-distance N]
 //                         [--flush-horizon F] [--window-slide SECONDS]
 //                         [--max-buffered N]
 //                         [--metrics-out FILE] [--metrics-interval MS]
@@ -32,7 +32,6 @@
 //   idrepair_cli client repair   --connect ADDR --name NAME
 //                         (--records in.csv --graph g.txt [--out fixed.csv]
 //                          | --use-corpus) [--budget-ms N]
-//                         [--engine core|partitioned]
 //   idrepair_cli client snapshot --connect ADDR [--dir DIR]
 //   idrepair_cli client stats    --connect ADDR [--prometheus]
 //   idrepair_cli client shutdown --connect ADDR
@@ -62,7 +61,6 @@
 #include "gen/synthetic.h"
 #include "graph/serialization.h"
 #include "repair/explain.h"
-#include "repair/partitioned.h"
 #include "repair/repairer.h"
 #include "repair/stats_json.h"
 #include "sim/similarity.h"
@@ -168,9 +166,6 @@ Result<std::unique_ptr<Repairer>> MakeEngine(const FlagParser& flags,
   std::string engine = flags.GetString("engine", "core");
   if (engine == "core") {
     return std::unique_ptr<Repairer>(new IdRepairer(graph, options));
-  }
-  if (engine == "partitioned") {
-    return std::unique_ptr<Repairer>(new PartitionedRepairer(graph, options));
   }
   if (engine == "streaming") {
     auto horizon = flags.GetDouble("flush-horizon", 2.0);
@@ -511,13 +506,6 @@ int RunClient(const std::string& action, const FlagParser& flags) {
     auto budget = flags.GetInt("budget-ms", 0);
     if (!budget.ok()) return FailWith(budget.status());
     req.budget_ms = *budget;
-    std::string engine = flags.GetString("engine", "core");
-    if (engine == "partitioned") {
-      req.engine = 1;
-    } else if (engine != "core") {
-      return FailWith(Status::InvalidArgument(
-          "client repair supports --engine core|partitioned"));
-    }
     req.use_corpus = flags.GetBool("use-corpus");
     std::unique_ptr<TransitionGraph> graph;  // only needed for record CSV I/O
     if (!req.use_corpus) {
