@@ -35,7 +35,7 @@ struct ExecOptions {
   size_t min_candidate_grain = kGrainAuto;
 
   /// Number of selection-phase work items (candidates to sort, repair-graph
-  /// vertices to build, conflict neighbors to invalidate) per shard.
+  /// vertices to build) per shard.
   /// kGrainAuto (the default) defers to the cost model with the selection
   /// calibration; any positive value overrides it. Selection work items are
   /// much cheaper than clique seeds — a comparison or a flag write — so the

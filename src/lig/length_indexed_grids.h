@@ -2,9 +2,7 @@
 #define IDREPAIR_LIG_LENGTH_INDEXED_GRIDS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "common/span.h"
@@ -25,19 +23,8 @@ namespace idrepair {
 /// (longer ones cannot join anything and are skipped), the (start, end) grid
 /// is stored as a diagonal band, keeping memory linear in the time window
 /// rather than quadratic. The index is an over-approximation — cex re-checks
-/// the exact bounds — but never misses a feasible candidate.
-///
-/// ### Two representations
-/// A freshly built index is a flat CSR arena (immutable, cache-friendly —
-/// the batch pipeline's hot path). The first call to a mutating operation
-/// (`Insert`/`Remove`/`InsertSpan`/`RemoveSpan`) explodes the CSR into
-/// per-cell buckets keyed by (length, start_bin, span_off), after which the
-/// index supports O(log cells + bucket) maintenance — the streaming engine's
-/// per-record path. Both representations answer the same probes with the
-/// same candidates in the same order (buckets stay ascending), and
-/// `ToParts()` of a dynamic index canonically re-linearizes to the CSR a
-/// from-scratch build over the same members would produce, which is what the
-/// insert∘remove fixed-point tests pin.
+/// the exact bounds — but never misses a feasible candidate. A built index
+/// is immutable: one flat CSR arena, built once per trajectory set.
 class LengthIndexedGrids {
  public:
   struct Options {
@@ -65,18 +52,9 @@ class LengthIndexedGrids {
   /// Builds the index over `set` in Θ(|set|).
   LengthIndexedGrids(const TrajectorySet& set, const Options& options);
 
-  /// An empty dynamic index anchored at `base_time` (every inserted span
-  /// must start at or after it). Entries are caller-defined handles fed via
-  /// InsertSpan/RemoveSpan; the set-bound probes (`CollectCandidates`,
-  /// `Insert`/`Remove` by TrajIndex) are not meaningful on a dynamic index —
-  /// use `CollectCandidatesSpan`.
-  static LengthIndexedGrids Dynamic(const Options& options,
-                                    Timestamp base_time);
-
   /// Copies out the serializable state. Building a fresh index over the
   /// same set with parts.options yields byte-identical Parts (the CSR fill
-  /// is deterministic, and a dynamic index re-linearizes canonically),
-  /// which the snapshot round-trip and fixed-point tests rely on.
+  /// is deterministic), which the snapshot round-trip tests rely on.
   Parts ToParts() const;
 
   /// Reconstructs an index over `set` from previously captured Parts,
@@ -95,31 +73,10 @@ class LengthIndexedGrids {
   /// CollectCandidates for an explicit probe geometry instead of a set
   /// member: appends every indexed entry whose bucket passes the grid-level
   /// length and time-window criteria against a probe of `length` records
-  /// spanning [start, end]. Works in both representations; does not
-  /// self-exclude (a probe that is itself indexed appears in its own
-  /// answer — streaming callers de-index before re-probing).
+  /// spanning [start, end]. Does not self-exclude (a probe that is itself
+  /// indexed appears in its own answer).
   void CollectCandidatesSpan(size_t length, Timestamp start, Timestamp end,
                              std::vector<TrajIndex>* out) const;
-
-  /// Adds set member `i` to the index (switching to the dynamic
-  /// representation on first use). Returns false when the trajectory is not
-  /// indexable (empty, longer than θ, span over η, or band-straddling) or
-  /// is already present — exactly the trajectories a from-scratch build
-  /// would skip, so insert∘remove round-trips are fixed points.
-  bool Insert(TrajIndex i);
-
-  /// Removes set member `i` from the index (switching to the dynamic
-  /// representation on first use). Returns false when `i` was not indexed.
-  bool Remove(TrajIndex i);
-
-  /// Insert/Remove with explicit geometry for caller-defined handles (the
-  /// streaming engine indexes fragment handles, not TrajectorySet members).
-  /// `start` must be >= the index base time. Same indexability rules and
-  /// return-value contract as Insert/Remove.
-  bool InsertSpan(TrajIndex handle, size_t length, Timestamp start,
-                  Timestamp end);
-  bool RemoveSpan(TrajIndex handle, size_t length, Timestamp start,
-                  Timestamp end);
 
   /// Number of trajectories actually indexed (those with length <= θ and
   /// span <= η).
@@ -127,12 +84,11 @@ class LengthIndexedGrids {
 
   /// The trajectories of length `length` starting in bin `start_bin` and
   /// ending in bin `start_bin + span_off`, ascending. A view into the
-  /// index's storage, valid until the next mutating call (indefinitely for
-  /// a never-mutated index; DESIGN.md §9).
+  /// index's storage, valid for the index's lifetime (DESIGN.md §9).
   Span<const TrajIndex> Bucket(size_t length, size_t start_bin,
                                size_t span_off) const;
 
-  /// Heap bytes of the index storage (CSR arena, or the dynamic buckets).
+  /// Heap bytes of the index storage (the CSR arena).
   size_t MemoryBytes() const;
 
   const Options& options() const { return options_; }
@@ -154,15 +110,6 @@ class LengthIndexedGrids {
   /// (too long, span exceeds η, or straddles the band).
   size_t CellFor(const Trajectory& t) const;
 
-  /// Grid coordinates for an explicit geometry, or false when the span is
-  /// not indexable (same skip rules as CellFor). Grows nothing.
-  bool SpanGeometry(size_t length, Timestamp start, Timestamp end,
-                    size_t* sbin, size_t* off) const;
-
-  /// Switches to the dynamic per-cell representation (no-op when already
-  /// dynamic). Buckets keep their CSR (ascending) order.
-  void EnterDynamic();
-
   const TrajectorySet& set_;
   Options options_;
   Timestamp base_time_ = 0;
@@ -175,12 +122,6 @@ class LengthIndexedGrids {
   // footprint (most cells are empty).
   std::vector<uint32_t> cell_offsets_;
   std::vector<TrajIndex> cell_entries_;
-  // Dynamic representation: only nonempty cells, keyed (length, start_bin,
-  // span_off). The ordered map makes ToParts' re-linearization canonical —
-  // lexicographic key order is exactly ascending CellIndex order.
-  bool dynamic_ = false;
-  std::map<std::tuple<size_t, size_t, size_t>, std::vector<TrajIndex>>
-      dyn_cells_;
 };
 
 }  // namespace idrepair

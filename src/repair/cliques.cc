@@ -106,8 +106,9 @@ void CliqueEnumerator::VisitNode(const std::vector<TrajIndex>& candidates,
       // every earlier member). At the root the candidates are every
       // feasible vertex, so v's sorted adjacency yields the same list in
       // O(deg v) rather than O(n) — what keeps a batch of many small chain
-      // components linear. The feasibility filter is needed because a
-      // FromAdjacency graph may carry edges to infeasible vertices.
+      // components linear. The feasibility filter keeps the root step's
+      // contract explicit: a built Gm never links an infeasible vertex,
+      // but the extension list must hold only feasible ones either way.
       std::vector<TrajIndex> next;
       if (clique.size() == 1) {
         for (TrajIndex w : graph_->Neighbors(v)) {

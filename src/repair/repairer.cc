@@ -97,23 +97,6 @@ IdRepairer::IdRepairer(const TransitionGraph& graph, RepairOptions options)
 
 Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
                                         const RepairSelector* selector) const {
-  return RepairImpl(set, selector, nullptr, nullptr);
-}
-
-Result<RepairResult> IdRepairer::RepairPrebuilt(
-    const TrajectorySet& set, const TrajectoryGraph& gm,
-    const PredicateEvaluator& pred) const {
-  if (gm.num_vertices() != set.size()) {
-    return Status::InvalidArgument(
-        "RepairPrebuilt: graph vertex count disagrees with the set");
-  }
-  return RepairImpl(set, nullptr, &gm, &pred);
-}
-
-Result<RepairResult> IdRepairer::RepairImpl(
-    const TrajectorySet& set, const RepairSelector* selector,
-    const TrajectoryGraph* prebuilt,
-    const PredicateEvaluator* external_pred) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
   IDREPAIR_RETURN_NOT_OK(graph_->Validate());
   obs::ApplyOptions(options_.obs);
@@ -140,11 +123,9 @@ Result<RepairResult> IdRepairer::RepairImpl(
   result.stats.num_trajectories = set.size();
   result.stats.threads_used = options_.exec.ResolvedThreads();
 
-  // Graceful degradation: seal whatever phases completed into a well-formed
-  // partial result (phase granularity — rewrites found so far applied, the
-  // rest passed through) with `why` as the completion marker.
-  auto finish_degraded = [&](Status why) -> RepairResult {
-    result.completion = std::move(why);
+  // Apply (Definition 2.5): rewrite the selected repairs' member IDs to
+  // their targets and join.
+  auto apply_selected = [&] {
     for (RepairIndex r : result.selected) {
       const std::string& target = result.candidates.target_id(r);
       for (TrajIndex m : result.candidates.members(r)) {
@@ -152,6 +133,13 @@ Result<RepairResult> IdRepairer::RepairImpl(
       }
     }
     result.repaired = ApplyRewrites(set, result.rewrites);
+  };
+  // Graceful degradation: seal whatever phases completed into a well-formed
+  // partial result (phase granularity — rewrites found so far applied, the
+  // rest passed through) with `why` as the completion marker.
+  auto finish_degraded = [&](Status why) -> RepairResult {
+    result.completion = std::move(why);
+    apply_selected();
     result.stats.num_selected = result.selected.size();
     result.stats.seconds_total = total.ElapsedSeconds();
     result.stats.cpu_seconds_total = total_cpu.ElapsedSeconds();
@@ -165,23 +153,17 @@ Result<RepairResult> IdRepairer::RepairImpl(
   }
 
   // ---- Phase 1: candidate repair generation (§3.2) ----
-  // The evaluator (and its Floyd–Warshall closure) and the trajectory graph
-  // are built here unless the caller brought its own — RepairPrebuilt
-  // amortizes both across the streaming engine's component repairs.
-  if (external_pred == nullptr) {
-    std::call_once(pred_once_, [&] {
-      shared_pred_.emplace(*graph_, options_.theta, options_.eta);
-    });
-  }
-  const PredicateEvaluator& pred =
-      external_pred != nullptr ? *external_pred : *shared_pred_;
+  std::call_once(pred_once_, [&] {
+    shared_pred_.emplace(*graph_, options_.theta, options_.eta);
+  });
+  const PredicateEvaluator& pred = *shared_pred_;
   std::optional<TrajectoryGraph> gm_storage;
-  if (prebuilt == nullptr) {
+  {
     obs::PhaseScope phase("repair.gm", &result.stats.seconds_gm,
                           &result.stats.cpu_seconds_gm, inst.gm_seconds);
     gm_storage.emplace(set, pred, options_);
   }
-  const TrajectoryGraph& gm = prebuilt != nullptr ? *prebuilt : *gm_storage;
+  const TrajectoryGraph& gm = *gm_storage;
   result.stats.gm_edges = gm.num_edges();
   result.stats.cex_evaluations = gm.stats().cex_evaluations;
 
@@ -275,13 +257,7 @@ Result<RepairResult> IdRepairer::RepairImpl(
   }
 
   // ---- Apply: rewrite IDs and join (Definition 2.5) ----
-  for (RepairIndex r : result.selected) {
-    const std::string& target = result.candidates.target_id(r);
-    for (TrajIndex m : result.candidates.members(r)) {
-      if (set.at(m).id() != target) result.rewrites[m] = target;
-    }
-  }
-  result.repaired = ApplyRewrites(set, result.rewrites);
+  apply_selected();
   result.candidates.Freeze();  // no further appends; shed the intern index
   result.stats.seconds_total = total.ElapsedSeconds();
   result.stats.cpu_seconds_total = total_cpu.ElapsedSeconds();

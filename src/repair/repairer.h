@@ -18,8 +18,6 @@
 
 namespace idrepair {
 
-class TrajectoryGraph;
-
 /// Per-phase timings and counters of one repair run, powering the paper's
 /// running-time plots.
 struct RepairStats {
@@ -153,30 +151,12 @@ class IdRepairer : public Repairer {
     return Repair(set, nullptr);
   }
 
-  /// Runs the pipeline downstream of Gm construction against a trajectory
-  /// graph the caller already holds — the component-scoped entry point of
-  /// the incremental streaming engine, which maintains `gm`'s adjacency
-  /// edge-by-edge and shares one PredicateEvaluator (and its Floyd–Warshall
-  /// closure) across every component repair. `gm` must be a graph over
-  /// exactly `set` (num_vertices == set.size()) built against the same θ/η
-  /// as `pred`, or InvalidArgument is returned. stats.seconds_gm stays 0.
-  Result<RepairResult> RepairPrebuilt(const TrajectorySet& set,
-                                      const TrajectoryGraph& gm,
-                                      const PredicateEvaluator& pred) const;
-
   std::string_view name() const override { return "core"; }
 
   const RepairOptions& options() const { return options_; }
   const TransitionGraph& graph() const { return *graph_; }
 
  private:
-  /// Shared pipeline body: `prebuilt`/`external_pred` are both null on the
-  /// building path and both non-null on the RepairPrebuilt path.
-  Result<RepairResult> RepairImpl(const TrajectorySet& set,
-                                  const RepairSelector* selector,
-                                  const TrajectoryGraph* prebuilt,
-                                  const PredicateEvaluator* external_pred) const;
-
   const TransitionGraph* graph_;
   RepairOptions options_;
   NormalizedEditSimilarity default_similarity_;

@@ -35,9 +35,9 @@ struct SelectionInstruments {
           "Candidate repairs committed by the selection phase");
       si->invalidations = reg.GetCounter(
           "idrepair_selection_invalidations_total", obs::Stability::kStable,
-          "Candidates invalidated by committed repairs (conflict-neighbor "
-          "discards on the graph path; cover-mask rejections on the EMAX "
-          "fast path)");
+          "Candidates invalidated by committed repairs (cover-mask "
+          "rejections under EMAX; conflict-neighbor discards under "
+          "DMIN/DMAX)");
       return si;
     }();
     return *m;
@@ -152,65 +152,7 @@ std::vector<RepairIndex> EmaxSelector::Select(
 Result<std::vector<RepairIndex>> EmaxSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
-  auto order = OrderByEffectiveness(candidates, ctx.exec);
-  IDREPAIR_RETURN_NOT_OK(order.status());
-
-  // The commit loop is inherently serial — whether vertex k commits depends
-  // on every earlier commit — so it stays on this thread; only the
-  // neighbor-invalidation fan after each commit is sharded. Shards touch
-  // disjoint entries of `discarded` (neighbor lists are sorted-unique) and
-  // the flags are bytes, not vector<bool> bits, so there is no write
-  // overlap to race on.
-  std::vector<uint8_t> discarded(gr.num_vertices(), 0);
-  std::vector<RepairIndex> out;
-  uint64_t commits = 0;
-  uint64_t invalidations = 0;
-  const int threads = ctx.exec.ResolvedThreads();
-  // Hoisted per-commit scratch: the fan re-sizes it in place instead of
-  // allocating a fresh vector per committed repair.
-  std::vector<uint64_t> shard_invalidations;
-  for (RepairIndex v : *order) {
-    if (discarded[v]) continue;
-    if (candidates.effectiveness(v) <= 0.0) continue;
-    IDREPAIR_FAULT_INJECT("repair.selection.commit");
-    if (ctx.deadline != nullptr && ctx.deadline->Expired()) break;
-    out.push_back(v);
-    ++commits;
-    if (ctx.commit_order != nullptr) ctx.commit_order->push_back(v);
-
-    Span<const RepairIndex> nbrs = gr.Neighbors(v);
-    auto shards = SplitRange(
-        nbrs.size(), threads,
-        ResolveGrain(ctx.exec.min_selection_grain, nbrs.size(), threads,
-                     kSelectionGrainCalibration));
-    if (shards.size() <= 1) {
-      for (RepairIndex w : nbrs) {
-        if (!discarded[w]) {
-          discarded[w] = 1;
-          ++invalidations;
-        }
-      }
-    } else {
-      shard_invalidations.assign(shards.size(), 0);
-      IDREPAIR_RETURN_NOT_OK(ParallelFor(
-          &ThreadPool::Default(), shards,
-          [&](size_t shard, size_t begin, size_t end) {
-            IDREPAIR_FAULT_INJECT("repair.selection.shard");
-            for (size_t i = begin; i < end; ++i) {
-              RepairIndex w = nbrs[i];
-              if (!discarded[w]) {
-                discarded[w] = 1;
-                ++shard_invalidations[shard];
-              }
-            }
-            return Status::OK();
-          }));
-      for (uint64_t c : shard_invalidations) invalidations += c;
-    }
-  }
-  std::sort(out.begin(), out.end());
-  RecordSelection(commits, invalidations);
-  return out;
+  return SelectEmaxByCover(candidates, gr.num_trajs(), ctx);
 }
 
 namespace {

@@ -59,9 +59,12 @@ class RepairSelector {
 
 /// Maximum-effectiveness first (Algorithm 3, "EMAX"): repeatedly take the
 /// highest-ω repair and discard its neighbors. Zero-effectiveness repairs
-/// are never taken (Example 4.2). O(|Vr| log |Vr| + |Er|). The parallel
-/// form shard-sorts the pick order and fans neighbor invalidation out over
-/// the pool; the commit loop itself stays serial (DESIGN.md §3).
+/// are never taken (Example 4.2). The 2-arg form walks Gr adjacency,
+/// O(|Vr| log |Vr| + |Er|), and is the serial reference. The ctx form is
+/// SelectEmaxByCover over Gr's trajectory count: it never reads Gr's edges
+/// (a repair conflicts with a committed one exactly when they share a
+/// trajectory) and shard-sorts the pick order; the commit loop stays
+/// serial (DESIGN.md §3).
 class EmaxSelector final : public RepairSelector {
  public:
   using RepairSelector::Select;

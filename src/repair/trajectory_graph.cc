@@ -113,26 +113,6 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
   for (auto& nbrs : adj_) std::sort(nbrs.begin(), nbrs.end());
 }
 
-TrajectoryGraph TrajectoryGraph::FromAdjacency(
-    const TrajectorySet& set, const PredicateEvaluator& pred,
-    std::vector<std::vector<TrajIndex>> adj) {
-  TrajectoryGraph g;
-  size_t n = set.size();
-  adj.resize(n);
-  g.adj_ = std::move(adj);
-  g.feasible_.assign(n, false);
-  for (TrajIndex i = 0; i < n; ++i) {
-    g.feasible_[i] = pred.InternallyFeasible(set.at(i));
-  }
-  size_t endpoints = 0;
-  for (auto& nbrs : g.adj_) {
-    std::sort(nbrs.begin(), nbrs.end());
-    endpoints += nbrs.size();
-  }
-  g.stats_.edges = endpoints / 2;
-  return g;
-}
-
 void TrajectoryGraph::AddEdge(TrajIndex u, TrajIndex v) {
   adj_[u].push_back(v);
   adj_[v].push_back(u);

@@ -34,17 +34,6 @@ class TrajectoryGraph {
   TrajectoryGraph(const TrajectorySet& set, const PredicateEvaluator& pred,
                   const RepairOptions& options);
 
-  /// Wraps an adjacency the caller maintained incrementally (the streaming
-  /// engine's per-component edge cache) into a Gm over `set`. `adj` must
-  /// be symmetric, self-loop-free, with every endpoint < set.size();
-  /// feasibility is recomputed from `pred`, neighbor lists are sorted, and
-  /// an edge whose endpoint `pred` deems infeasible is a caller bug (the
-  /// building constructor never produces one). cex_evaluations stays 0 —
-  /// the caller already paid them at append time.
-  static TrajectoryGraph FromAdjacency(const TrajectorySet& set,
-                                       const PredicateEvaluator& pred,
-                                       std::vector<std::vector<TrajIndex>> adj);
-
   size_t num_vertices() const { return adj_.size(); }
   size_t num_edges() const { return stats_.edges; }
 
@@ -63,8 +52,6 @@ class TrajectoryGraph {
   const BuildStats& stats() const { return stats_; }
 
  private:
-  TrajectoryGraph() = default;  // FromAdjacency's shell
-
   void AddEdge(TrajIndex u, TrajIndex v);
 
   std::vector<std::vector<TrajIndex>> adj_;

@@ -13,7 +13,6 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "repair/trajectory_graph.h"
 #include "traj/merge.h"
 
 namespace idrepair {
@@ -77,14 +76,6 @@ struct StreamInstruments {
   }
 };
 
-LengthIndexedGrids::Options LigOptionsFrom(const RepairOptions& options) {
-  LengthIndexedGrids::Options lig_opts;
-  lig_opts.theta = options.theta;
-  lig_opts.eta = options.eta;
-  lig_opts.time_bin = options.time_bin;
-  return lig_opts;
-}
-
 std::vector<TrackingRecord> FlattenRecords(const TrajectorySet& set) {
   std::vector<TrackingRecord> records;
   records.reserve(set.total_records());
@@ -104,7 +95,6 @@ StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
     : graph_(&graph),
       options_(std::move(options)),
       stream_options_(stream_options),
-      pred_(graph, options_.theta, options_.eta),
       inner_(graph, options_) {
   obs::ApplyOptions(options_.obs);
   // Emitted fragments must at least be inert (no future record can join a
@@ -137,12 +127,6 @@ Status StreamingRepairer::Append(const TrackingRecord& record) {
   }
   saw_any_ = true;
   watermark_ = record.ts;
-  if (!lig_.has_value()) {
-    // Anchor the dynamic index at the first record: the watermark never
-    // regresses, so every later span starts at or after this base.
-    lig_.emplace(
-        LengthIndexedGrids::Dynamic(LigOptionsFrom(options_), record.ts));
-  }
   uint32_t handle;
   auto it = frag_by_id_.find(record.id);
   if (it != frag_by_id_.end()) {
@@ -188,43 +172,11 @@ uint32_t StreamingRepairer::NewFragment(const TrackingRecord& record) {
 }
 
 void StreamingRepairer::RefreshFragment(uint32_t handle) {
+  // The Trajectory constructor sorts points chronologically, so the
+  // fragment trajectory is byte-identical to what FromRecords over the same
+  // records would build.
   Fragment& frag = frags_[handle];
-  // De-index and unlink the stale fragment state.
-  if (frag.indexed && lig_.has_value()) {
-    lig_->RemoveSpan(handle, frag.traj.size(), frag.traj.start_time(),
-                     frag.traj.end_time());
-    frag.indexed = false;
-  }
-  for (uint32_t e : frag.edges) {
-    auto& other = frags_[e].edges;
-    other.erase(std::remove(other.begin(), other.end(), handle), other.end());
-  }
-  frag.edges.clear();
-  // Rebuild. The Trajectory constructor sorts points chronologically, so
-  // the fragment trajectory is byte-identical to what FromRecords over the
-  // same records would build.
   frag.traj = Trajectory(frag.id, frag.points);
-  frag.feasible = pred_.InternallyFeasible(frag.traj);
-  if (!frag.feasible) return;  // isolated vertex, exactly as in a batch Gm
-  // One η-neighborhood probe + exact cex checks reproduces the batch edge
-  // set: the LIG probe never drops a cex-passing pair (the
-  // LigIsNecessaryForCex property), cex is symmetric, and only feasible
-  // fragments are indexed — so re-deriving the changed endpoint's edges is
-  // exact, not approximate.
-  probe_.clear();
-  lig_->CollectCandidatesSpan(frag.traj.size(), frag.traj.start_time(),
-                              frag.traj.end_time(), &probe_);
-  for (TrajIndex c : probe_) {
-    uint32_t other = static_cast<uint32_t>(c);
-    if (!frags_[other].alive || !frags_[other].feasible) continue;
-    if (pred_.Cex(frag.traj, frags_[other].traj)) {
-      frag.edges.push_back(other);
-      frags_[other].edges.push_back(handle);
-    }
-  }
-  frag.indexed =
-      lig_->InsertSpan(handle, frag.traj.size(), frag.traj.start_time(),
-                       frag.traj.end_time());
 }
 
 void StreamingRepairer::TouchComponent(uint32_t component) {
@@ -304,30 +256,13 @@ StreamingRepairer::CachedRepair* StreamingRepairer::RunComponentRepair(
     }
   }
   cache->set = TrajectorySet::FromRecords(records);
-  // Project the maintained adjacency onto the window: edge presence depends
-  // only on the two endpoint trajectories, so the induced subgraph equals
-  // the graph a batch build over exactly these records would produce.
   auto idx = cache->set.BuildIdIndex();
-  const size_t n = cache->set.size();
-  cache->local_to_frag.assign(n, 0);
-  std::unordered_map<uint32_t, TrajIndex> local_of;
-  local_of.reserve(window.size());
-  for (uint32_t h : window) {
-    TrajIndex local = idx.at(frags_[h].id);
-    cache->local_to_frag[local] = h;
-    local_of.emplace(h, local);
-  }
-  std::vector<std::vector<TrajIndex>> adj(n);
-  for (uint32_t h : window) {
-    TrajIndex u = local_of.at(h);
-    for (uint32_t e : frags_[h].edges) {
-      auto it = local_of.find(e);
-      if (it != local_of.end()) adj[u].push_back(it->second);
-    }
-  }
-  TrajectoryGraph gm =
-      TrajectoryGraph::FromAdjacency(cache->set, pred_, std::move(adj));
-  auto result = inner_.RepairPrebuilt(cache->set, gm, pred_);
+  cache->local_to_frag.assign(cache->set.size(), 0);
+  for (uint32_t h : window) cache->local_to_frag[idx.at(frags_[h].id)] = h;
+  // The window is repaired by the batch pipeline itself, Gm build included,
+  // so every window's output is by construction what a batch IdRepairer
+  // over exactly these records produces.
+  auto result = inner_.Repair(cache->set);
   ++generation_runs_;
   if (obs::Enabled()) StreamInstruments::Get().generation_runs->Increment();
   poll_fresh_records_ += cache->set.total_records();
@@ -448,18 +383,6 @@ void StreamingRepairer::RetireFragments(
     uint32_t component, const std::vector<uint32_t>& handles) {
   for (uint32_t h : handles) {
     Fragment& frag = frags_[h];
-    if (frag.indexed && lig_.has_value()) {
-      lig_->RemoveSpan(h, frag.traj.size(), frag.traj.start_time(),
-                       frag.traj.end_time());
-      frag.indexed = false;
-    }
-    for (uint32_t e : frag.edges) {
-      if (!frags_[e].alive) continue;  // partner retired in this batch
-      auto& other = frags_[e].edges;
-      other.erase(std::remove(other.begin(), other.end(), h), other.end());
-    }
-    frag.edges.clear();
-    frag.edges.shrink_to_fit();
     frag.alive = false;
     auto it = frag_by_id_.find(frag.id);
     if (it != frag_by_id_.end() && it->second == h) frag_by_id_.erase(it);
@@ -540,7 +463,6 @@ std::vector<TrackingRecord> StreamingRepairer::TakeAllRecords() {
   frag_by_id_.clear();
   components_.clear();
   live_.clear();
-  lig_.reset();
   pending_records_ = 0;
   return records;
 }
@@ -567,7 +489,7 @@ std::vector<Trajectory> StreamingRepairer::Finish() {
   for (uint32_t cid : snapshot) {
     if (components_[cid].alive) EmitSettled(cid, &out);
   }
-  TakeAllRecords();  // empties; resets the fragment arena and the index
+  TakeAllRecords();  // empties; resets the fragment arena
   emitted_ += out.size();
   if (obs::Enabled()) StreamInstruments::Get().emitted->Increment(out.size());
   return out;

@@ -3,16 +3,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/transition_graph.h"
-#include "lig/length_indexed_grids.h"
 #include "repair/options.h"
-#include "repair/predicates.h"
 #include "repair/repairer.h"
 #include "traj/tracking_record.h"
 #include "traj/trajectory.h"
@@ -38,7 +35,7 @@ struct StreamOptions {
 
 /// Online ID repair over a record stream — the paper's §8 future-work
 /// direction ("solutions that could perform ID repair as the tracking
-/// records stream in"), with incrementally maintained repair state.
+/// records stream in"), with incrementally maintained window state.
 ///
 /// Records arrive in timestamp order and accrete into trajectory
 /// *fragments* (grouped by observed ID). Fragments chain into *components*
@@ -47,34 +44,30 @@ struct StreamOptions {
 /// forward, components only ever grow at the tail: a new fragment either
 /// joins the newest component or opens the next one, and two existing
 /// components can never merge. That monotonicity is what makes incremental
-/// maintenance exact rather than approximate.
+/// maintenance exact rather than approximate: cex never links fragments
+/// whose starts differ by more than η, so a component's repair never needs
+/// a record outside it.
 ///
 /// ### What Append() maintains in place
-///  * a dynamic Length-Indexed Grids index over the live fragments
-///    (`LengthIndexedGrids::InsertSpan`/`RemoveSpan`), so each changed
-///    fragment probes only its η-neighborhood instead of the whole window;
-///  * the trajectory-graph (Gm) adjacency, edge by edge: the changed
-///    fragment's edges are dropped and re-derived via one LIG probe plus
-///    exact cex checks, which reproduces exactly the edge set a batch build
-///    over the same window would compute (cex never links fragments whose
-///    starts differ by more than η, so edges stay within one component);
+///  * the record's fragment trajectory and its component membership;
 ///  * a dirty flag and version per component, invalidating only the
 ///    component the record landed in — settled components keep their
-///    cached candidate state untouched (the amortized-cost invariant the
+///    cached repair untouched (the amortized-cost invariant the
 ///    differential tier asserts by counter).
+/// Append() builds no index and evaluates no predicate: Gm is built per
+/// repaired window, by the batch pipeline, at poll time.
 ///
 /// ### What Poll() emits (watermark semantics)
 /// Only components whose records can no longer be affected by in-window
 /// arrivals: a component whose newest fragment start is more than η behind
-/// the watermark is *settled* and is repaired exactly as the batch pipeline
-/// would repair it (`IdRepairer::RepairPrebuilt` over the maintained
-/// adjacency). Under continuously dense traffic a chain may never settle on
-/// its own; fragments older than the flush horizon are force-flushed
-/// together with their full η-context, and only repair decisions whose
-/// members are all behind the cut are applied — mixed decisions stay
-/// buffered and re-enter the next poll, so quality stays close to batch
-/// even under frequent polling. Emitted trajectories are final: no later
-/// append can re-emit or mutate them.
+/// the watermark is *settled* and is repaired by the batch pipeline
+/// (`IdRepairer::Repair` over exactly its records). Under continuously
+/// dense traffic a chain may never settle on its own; fragments older than
+/// the flush horizon are force-flushed together with their full η-context,
+/// and only repair decisions whose members are all behind the cut are
+/// applied — mixed decisions stay buffered and re-enter the next poll, so
+/// quality stays close to batch even under frequent polling. Emitted
+/// trajectories are final: no later append can re-emit or mutate them.
 ///
 /// As a batch Repairer (the polymorphic engine interface), a streaming
 /// instance replays the whole set through a scratch stream in timestamp
@@ -87,10 +80,10 @@ class StreamingRepairer : public Repairer {
   StreamingRepairer(const TransitionGraph& graph, RepairOptions options,
                     StreamOptions stream_options = {});
 
-  /// Folds one record into the incremental state: its fragment is rebuilt,
-  /// re-indexed, and re-linked in O(affected neighborhood); its component
-  /// is marked dirty. Records must arrive in non-decreasing timestamp order
-  /// (an OutOfRange error reports a regression; the record is dropped).
+  /// Folds one record into the incremental state: its fragment is rebuilt
+  /// and its component is marked dirty. Records must arrive in
+  /// non-decreasing timestamp order (an OutOfRange error reports a
+  /// regression; the record is dropped).
   /// With StreamOptions::max_buffered set, a full buffer rejects the record
   /// with ResourceExhausted — nothing is mutated and the caller may retry
   /// after polling.
@@ -153,17 +146,13 @@ class StreamingRepairer : public Repairer {
 
  private:
   /// One live trajectory fragment (all records of one observed ID still in
-  /// the window). `edges` holds the fragment handles its cex edges point
-  /// at — the incrementally maintained Gm adjacency, always symmetric.
+  /// the window).
   struct Fragment {
     std::string id;
     std::vector<TrajectoryPoint> points;
     Trajectory traj;
-    std::vector<uint32_t> edges;
     uint32_t component = 0;
     bool alive = true;
-    bool feasible = false;
-    bool indexed = false;
   };
 
   /// A cached component repair: the window set it was computed over plus
@@ -199,8 +188,8 @@ class StreamingRepairer : public Repairer {
   /// component (start gap <= η) or a fresh one.
   uint32_t NewFragment(const TrackingRecord& record);
 
-  /// Re-derives one fragment's trajectory, feasibility, LIG entry, and cex
-  /// edges after its record set changed — the per-record incremental step.
+  /// Re-derives one fragment's trajectory after its record set changed —
+  /// the per-record incremental step.
   void RefreshFragment(uint32_t handle);
 
   /// Marks the fragment's component dirty (counting clean->dirty
@@ -222,8 +211,8 @@ class StreamingRepairer : public Repairer {
   void FlushForced(uint32_t component, Timestamp cut,
                    std::vector<Trajectory>* out);
 
-  /// Removes fragments from the index, the adjacency, and their component;
-  /// bumps the component version.
+  /// Removes fragments from the stream and their component; bumps the
+  /// component version.
   void RetireFragments(uint32_t component,
                        const std::vector<uint32_t>& handles);
 
@@ -246,17 +235,15 @@ class StreamingRepairer : public Repairer {
   size_t emitted_ = 0;
   size_t pending_records_ = 0;
 
-  /// Shared across every component repair: the evaluator (with its
-  /// Floyd–Warshall closure, built once) and the inner pipeline.
-  PredicateEvaluator pred_;
+  /// The batch pipeline every window goes through. Its evaluator (and the
+  /// Floyd–Warshall closure) is built once, on the first window, and
+  /// shared by every later one.
   IdRepairer inner_;
 
   std::vector<Fragment> frags_;
   std::unordered_map<std::string, uint32_t> frag_by_id_;  // alive only
   std::vector<Component> components_;
   std::vector<uint32_t> live_;  // alive components, ascending start
-  std::optional<LengthIndexedGrids> lig_;  // dynamic; anchored lazily
-  std::vector<TrajIndex> probe_;           // scratch for LIG probes
 
   size_t generation_runs_ = 0;
   size_t dirty_components_ = 0;

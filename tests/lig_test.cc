@@ -153,31 +153,14 @@ TEST(LigTest, EmptyOutputForSingletonSet) {
   EXPECT_TRUE(Candidates(lig, 0).empty());
 }
 
-// ---- Incremental maintenance (Insert/Remove, dynamic representation) ----
-//
-// The streaming engine leans on two fixed points: removing and re-inserting
-// every member of a built index reproduces its serialized state bit for
-// bit, and a dynamic index fed one member at a time linearizes to exactly
-// the CSR a from-scratch build produces. ToParts() is the canonical
-// comparison surface (it is also what snapshots persist).
-
-void ExpectSameParts(const LengthIndexedGrids::Parts& got,
-                     const LengthIndexedGrids::Parts& want) {
-  EXPECT_EQ(got.base_time, want.base_time);
-  EXPECT_EQ(got.num_bins, want.num_bins);
-  EXPECT_EQ(got.band, want.band);
-  EXPECT_EQ(got.num_indexed, want.num_indexed);
-  EXPECT_EQ(got.cell_offsets, want.cell_offsets);
-  EXPECT_EQ(got.cell_entries, want.cell_entries);
-}
+// ---- Indexability boundaries ----
 
 /// A set that walks the indexability boundaries of SmallOptions (θ=4,
 /// η=600, tb=60): lengths exactly at and beyond θ, spans exactly at and
 /// beyond η, and a start landing exactly on a time-bin edge.
 TrajectorySet MakeBoundarySet() {
   std::vector<TrackingRecord> records = {
-      // len 4 == θ: indexed (a from-scratch build keeps it, so the
-      // incremental ops must agree), though no probe can pair with it.
+      // len 4 == θ: indexed, though no probe can pair with it.
       {"at_theta", 0, 0},
       {"at_theta", 1, 100},
       {"at_theta", 2, 200},
@@ -200,67 +183,24 @@ TrajectorySet MakeBoundarySet() {
   return TrajectorySet::FromRecords(records);
 }
 
-TEST(LigTest, RemoveInsertRoundTripIsFixedPoint) {
-  for (bool boundary : {false, true}) {
-    SCOPED_TRACE(boundary ? "boundary set" : "small set");
-    TrajectorySet set = boundary ? MakeBoundarySet() : MakeSmallSet();
-    LengthIndexedGrids lig(set, SmallOptions());
-    LengthIndexedGrids::Parts before = lig.ToParts();
-    for (TrajIndex i = 0; i < set.size(); ++i) {
-      // Remove and Insert agree, member by member, on what a from-scratch
-      // build would index; a round trip restores the exact entry layout.
-      bool removed = lig.Remove(i);
-      EXPECT_EQ(lig.Insert(i), removed) << "trajectory " << i;
-    }
-    ExpectSameParts(lig.ToParts(), before);
-  }
-}
-
-TEST(LigTest, DynamicBuildMatchesConstructorBuild) {
-  TrajectorySet set = MakeSmallSet();
-  LengthIndexedGrids built(set, SmallOptions());
-
-  LengthIndexedGrids dynamic = LengthIndexedGrids::Dynamic(SmallOptions(), 0);
-  // Insertion order must not matter: feed spans newest-first.
-  for (TrajIndex i = set.size(); i-- > 0;) {
-    const Trajectory& t = set.at(i);
-    EXPECT_TRUE(dynamic.InsertSpan(i, t.size(), t.start_time(), t.end_time()));
-  }
-  ExpectSameParts(dynamic.ToParts(), built.ToParts());
-}
-
-TEST(LigTest, DuplicateInsertAndAbsentRemoveAreRejected) {
-  TrajectorySet set = MakeSmallSet();
-  LengthIndexedGrids lig(set, SmallOptions());
-  EXPECT_FALSE(lig.Insert(0));  // already present from the build
-  ASSERT_TRUE(lig.Remove(0));
-  EXPECT_FALSE(lig.Remove(0));  // already gone
-  ASSERT_TRUE(lig.Insert(0));
-  EXPECT_EQ(lig.num_indexed(), set.size());
-}
-
 TEST(LigTest, BoundarySpansIndexAndProbeConsistently) {
   TrajectorySet set = MakeBoundarySet();
   LengthIndexedGrids lig(set, SmallOptions());
   auto idx = set.BuildIdIndex();
-  // Unindexable members reject both Remove (absent) and re-Insert.
-  for (const char* id : {"over_theta", "over_eta"}) {
-    SCOPED_TRACE(id);
-    EXPECT_FALSE(lig.Remove(idx.at(id)));
-    EXPECT_FALSE(lig.Insert(idx.at(id)));
-  }
-  // A span probe at the η boundary still sees the boundary entries: probe
-  // as a length-1 fragment starting where "bin_edge" does.
-  std::vector<TrajIndex> out;
-  lig.CollectCandidatesSpan(1, 600, 600, &out);
-  std::set<TrajIndex> got(out.begin(), out.end());
+  // at_theta, at_eta and bin_edge are indexed; over_theta and over_eta are
+  // not.
+  EXPECT_EQ(lig.num_indexed(), 3u);
+  // A probe at the η boundary still sees the boundary entries: probe with
+  // the length-1 "bin_edge", which starts exactly on a bin edge.
+  std::set<TrajIndex> got = Candidates(lig, idx.at("bin_edge"));
   EXPECT_EQ(got.count(idx.at("at_eta")), 1u);
   // Indexed at length θ, but a join with any probe would exceed θ records —
   // the grid's length criterion excludes it from every probe's answer.
   EXPECT_EQ(got.count(idx.at("at_theta")), 0u);
-  // Span probes do not self-exclude: the indexed bin_edge entry appears in
-  // its own geometry's answer (streaming callers de-index first).
-  EXPECT_EQ(got.count(idx.at("bin_edge")), 1u);
+  // Unindexed members never appear, and the probe excludes itself.
+  EXPECT_EQ(got.count(idx.at("over_theta")), 0u);
+  EXPECT_EQ(got.count(idx.at("over_eta")), 0u);
+  EXPECT_EQ(got.count(idx.at("bin_edge")), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Batch-equivalence differential tier for the incremental streaming engine.
 //
-// The StreamingRepairer maintains its repair state record by record (dynamic
-// LIG, incremental Gm adjacency, per-component cached candidate state); the
-// contract making that safe is that every repair it runs over a window of
-// records is *byte-identical* to what the batch IdRepairer produces over
-// exactly those records. This suite pins that contract window by window —
+// The StreamingRepairer maintains its window state record by record
+// (fragments, chain components, per-component cached repairs) and repairs
+// each window it emits through IdRepairer::Repair; the contract making that
+// safe is that every repair it runs over a window of records is
+// *byte-identical* to what a fresh batch IdRepairer produces over exactly
+// those records — the right windows, the right records in each, and no
+// stale cached repair. This suite pins that contract window by window —
 // the engine captures each (records, repaired) pair it processes and we
 // replay every window through a fresh batch pipeline — across graph shapes,
 // eviction patterns, and thread counts, and locks the amortized-cost claim
@@ -81,6 +83,15 @@ std::vector<StreamScenario> MakeStreamScenarios() {
                        std::tie(b.ts, b.id, b.loc);
               });
     scenarios.push_back(std::move(s));
+  }
+  // Windows go through the batch pipeline, so the stream honours every
+  // RepairOptions knob: replay the first shape once more with the
+  // all-pairs Gm build instead of the LIG probe.
+  if (!scenarios.empty()) {
+    StreamScenario no_lig = scenarios.front();
+    no_lig.name += "_no_lig";
+    no_lig.options.use_lig = false;
+    scenarios.push_back(std::move(no_lig));
   }
   return scenarios;
 }
