@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
+
+#include "graph/reachability.h"
 
 namespace idrepair {
 
 namespace {
 
-constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kUnreachable = ReachabilityMatrix::kUnreachable;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -252,31 +253,9 @@ Result<RoadNetwork> RoadNetwork::Build(const RoadNetworkConfig& config) {
 void RoadNetwork::FinishBuild() {
   size_t n = graph_.num_locations();
   dropout_.assign(n, 0);
-  // Multi-source reverse BFS from every exit: hops_to_exit_ is the guide
-  // rail of SampleTrip (never step anywhere an exit cannot be reached from
-  // within the remaining budget).
-  hops_to_exit_.assign(n, kUnreachable);
-  std::vector<LocationId> frontier;
-  for (LocationId v = 0; v < n; ++v) {
-    if (graph_.IsExit(v)) {
-      hops_to_exit_[v] = 0;
-      frontier.push_back(v);
-    }
-  }
-  uint32_t depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    std::vector<LocationId> next;
-    for (LocationId v : frontier) {
-      for (LocationId u : graph_.InNeighbors(v)) {
-        if (hops_to_exit_[u] == kUnreachable) {
-          hops_to_exit_[u] = depth;
-          next.push_back(u);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
+  // Hops to the nearest exit are the guide rail of SampleTrip (never step
+  // anywhere an exit cannot be reached from within the remaining budget).
+  hops_to_exit_ = idrepair::HopsToExit(graph_);
   for (LocationId v = 0; v < n; ++v) {
     if (graph_.IsEntrance(v) && hops_to_exit_[v] != kUnreachable) {
       origins_.push_back(v);

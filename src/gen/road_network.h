@@ -112,8 +112,8 @@ class RoadNetwork {
   /// Trip origins: entrances from which an exit is reachable.
   const std::vector<LocationId>& origins() const { return origins_; }
 
-  /// Hops from `loc` to the nearest exit (multi-source reverse BFS),
-  /// ReachabilityMatrix::kUnreachable-style UINT32_MAX when none.
+  /// Hops from `loc` to the nearest exit (graph/reachability.h's
+  /// HopsToExit), ReachabilityMatrix::kUnreachable when none.
   uint32_t HopsToExit(LocationId loc) const { return hops_to_exit_[loc]; }
 
   /// Samples a trip from `origin`: a valid path (entrance -> ... -> exit)

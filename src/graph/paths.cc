@@ -1,12 +1,17 @@
 #include "graph/paths.h"
 
+#include "graph/reachability.h"
+
 namespace idrepair {
 
 namespace {
 
 // Iterative DFS over partial paths; appends completed valid paths to `out`.
-Status EnumerateFrom(const TransitionGraph& graph, LocationId start,
-                     size_t max_len, size_t max_paths,
+// `hops_to_exit` (HopsToExit(graph)) prunes branches no exit is reachable
+// from.
+Status EnumerateFrom(const TransitionGraph& graph,
+                     const std::vector<uint32_t>& hops_to_exit,
+                     LocationId start, size_t max_len, size_t max_paths,
                      std::vector<std::vector<LocationId>>* out) {
   std::vector<LocationId> path = {start};
   // Stack of (depth, next-neighbor-index) frames.
@@ -23,7 +28,9 @@ Status EnumerateFrom(const TransitionGraph& graph, LocationId start,
     const auto& nbrs = graph.OutNeighbors(cur);
     if (path.size() < max_len && next_index[depth] < nbrs.size()) {
       LocationId nxt = nbrs[next_index[depth]++];
-      if (!graph.CanReachExit(nxt)) continue;  // dead branch
+      if (hops_to_exit[nxt] == ReachabilityMatrix::kUnreachable) {
+        continue;  // dead branch
+      }
       path.push_back(nxt);
       next_index.push_back(0);
     } else {
@@ -42,10 +49,11 @@ Result<std::vector<std::vector<LocationId>>> EnumerateValidPaths(
   if (max_len == 0) {
     return Status::InvalidArgument("max_len must be positive");
   }
+  std::vector<uint32_t> hops_to_exit = HopsToExit(graph);
   std::vector<std::vector<LocationId>> out;
   for (LocationId entrance : graph.entrances()) {
-    IDREPAIR_RETURN_NOT_OK(
-        EnumerateFrom(graph, entrance, max_len, max_paths, &out));
+    IDREPAIR_RETURN_NOT_OK(EnumerateFrom(graph, hops_to_exit, entrance,
+                                         max_len, max_paths, &out));
   }
   return out;
 }

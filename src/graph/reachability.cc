@@ -1,35 +1,8 @@
 #include "graph/reachability.h"
 
-#include <numeric>
+#include <algorithm>
 
 namespace idrepair {
-
-ReachabilityMatrix ReachabilityMatrix::Build(const TransitionGraph& graph) {
-  size_t n = graph.num_locations();
-  std::vector<uint32_t> hops(n * n, kUnreachable);
-  for (LocationId u = 0; u < n; ++u) {
-    for (LocationId v : graph.OutNeighbors(u)) {
-      uint32_t& cell = hops[static_cast<size_t>(u) * n + v];
-      cell = std::min<uint32_t>(cell, 1);
-    }
-  }
-  // Floyd–Warshall without zero-initializing the diagonal: hops[i][i] then
-  // converges to the shortest cycle length through i.
-  for (size_t k = 0; k < n; ++k) {
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t ik = hops[i * n + k];
-      if (ik == kUnreachable) continue;
-      const uint32_t* row_k = &hops[k * n];
-      uint32_t* row_i = &hops[i * n];
-      for (size_t j = 0; j < n; ++j) {
-        if (row_k[j] == kUnreachable) continue;
-        uint32_t via = ik + row_k[j];
-        if (via < row_i[j]) row_i[j] = via;
-      }
-    }
-  }
-  return ReachabilityMatrix(n, std::move(hops));
-}
 
 ReachabilityMatrix ReachabilityMatrix::BuildBounded(const TransitionGraph& graph,
                                                     uint32_t max_hops) {
@@ -48,8 +21,7 @@ ReachabilityMatrix ReachabilityMatrix::BuildBounded(const TransitionGraph& graph
     found.clear();
     // The source is deliberately NOT pre-marked: if some walk returns to it
     // within the bound, it enters `found` with its shortest cycle length —
-    // preserving the diagonal-as-shortest-cycle semantics of the dense
-    // build.
+    // giving the diagonal its shortest-cycle semantics.
     if (max_hops >= 1) {
       for (LocationId v : graph.OutNeighbors(u)) {
         if (mark[v] != stamp) {
@@ -80,6 +52,26 @@ ReachabilityMatrix ReachabilityMatrix::BuildBounded(const TransitionGraph& graph
   }
   return ReachabilityMatrix(n, max_hops, std::move(offsets),
                             std::move(targets), std::move(ball_hops));
+}
+
+std::vector<uint32_t> HopsToExit(const TransitionGraph& graph) {
+  std::vector<uint32_t> hops(graph.num_locations(),
+                             ReachabilityMatrix::kUnreachable);
+  std::vector<LocationId> queue;
+  for (LocationId e : graph.exits()) {
+    hops[e] = 0;
+    queue.push_back(e);
+  }
+  for (size_t head = 0; head < queue.size(); ++head) {
+    LocationId v = queue[head];
+    for (LocationId u : graph.InNeighbors(v)) {
+      if (hops[u] == ReachabilityMatrix::kUnreachable) {
+        hops[u] = hops[v] + 1;
+        queue.push_back(u);
+      }
+    }
+  }
+  return hops;
 }
 
 }  // namespace idrepair

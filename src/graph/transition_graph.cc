@@ -1,96 +1,9 @@
 #include "graph/transition_graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 namespace idrepair {
-
-TransitionGraph::TransitionGraph(const TransitionGraph& other)
-    : names_(other.names_),
-      name_to_id_(other.name_to_id_),
-      out_(other.out_),
-      in_(other.in_),
-      is_entrance_(other.is_entrance_),
-      is_exit_(other.is_exit_),
-      entrances_(other.entrances_),
-      exits_(other.exits_),
-      num_edges_(other.num_edges_),
-      can_reach_exit_(other.can_reach_exit_),
-      exit_reach_dirty_(
-          other.exit_reach_dirty_.load(std::memory_order_acquire)),
-      edge_bits_(other.edge_bits_),
-      matrix_stride_(other.matrix_stride_),
-      compact_matrix_(other.compact_matrix_),
-      compact_matrix_dirty_(
-          other.compact_matrix_dirty_.load(std::memory_order_acquire)) {}
-
-TransitionGraph& TransitionGraph::operator=(const TransitionGraph& other) {
-  if (this == &other) return *this;
-  names_ = other.names_;
-  name_to_id_ = other.name_to_id_;
-  out_ = other.out_;
-  in_ = other.in_;
-  is_entrance_ = other.is_entrance_;
-  is_exit_ = other.is_exit_;
-  entrances_ = other.entrances_;
-  exits_ = other.exits_;
-  num_edges_ = other.num_edges_;
-  can_reach_exit_ = other.can_reach_exit_;
-  exit_reach_dirty_.store(
-      other.exit_reach_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  edge_bits_ = other.edge_bits_;
-  matrix_stride_ = other.matrix_stride_;
-  compact_matrix_ = other.compact_matrix_;
-  compact_matrix_dirty_.store(
-      other.compact_matrix_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  return *this;
-}
-
-TransitionGraph::TransitionGraph(TransitionGraph&& other) noexcept
-    : names_(std::move(other.names_)),
-      name_to_id_(std::move(other.name_to_id_)),
-      out_(std::move(other.out_)),
-      in_(std::move(other.in_)),
-      is_entrance_(std::move(other.is_entrance_)),
-      is_exit_(std::move(other.is_exit_)),
-      entrances_(std::move(other.entrances_)),
-      exits_(std::move(other.exits_)),
-      num_edges_(other.num_edges_),
-      can_reach_exit_(std::move(other.can_reach_exit_)),
-      exit_reach_dirty_(
-          other.exit_reach_dirty_.load(std::memory_order_acquire)),
-      edge_bits_(std::move(other.edge_bits_)),
-      matrix_stride_(other.matrix_stride_),
-      compact_matrix_(std::move(other.compact_matrix_)),
-      compact_matrix_dirty_(
-          other.compact_matrix_dirty_.load(std::memory_order_acquire)) {}
-
-TransitionGraph& TransitionGraph::operator=(TransitionGraph&& other) noexcept {
-  if (this == &other) return *this;
-  names_ = std::move(other.names_);
-  name_to_id_ = std::move(other.name_to_id_);
-  out_ = std::move(other.out_);
-  in_ = std::move(other.in_);
-  is_entrance_ = std::move(other.is_entrance_);
-  is_exit_ = std::move(other.is_exit_);
-  entrances_ = std::move(other.entrances_);
-  exits_ = std::move(other.exits_);
-  num_edges_ = other.num_edges_;
-  can_reach_exit_ = std::move(other.can_reach_exit_);
-  exit_reach_dirty_.store(
-      other.exit_reach_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  edge_bits_ = std::move(other.edge_bits_);
-  matrix_stride_ = other.matrix_stride_;
-  compact_matrix_ = std::move(other.compact_matrix_);
-  compact_matrix_dirty_.store(
-      other.compact_matrix_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  return *this;
-}
 
 LocationId TransitionGraph::AddLocation(std::string name) {
   auto it = name_to_id_.find(name);
@@ -102,40 +15,17 @@ LocationId TransitionGraph::AddLocation(std::string name) {
   in_.emplace_back();
   is_entrance_.push_back(false);
   is_exit_.push_back(false);
-  exit_reach_dirty_.store(true, std::memory_order_relaxed);
-  compact_matrix_dirty_.store(true, std::memory_order_relaxed);
-  // The stride grows geometrically, so the O(stride^2) remap amortizes to
-  // O(1) per insertion — city-scale generators add tens of thousands of
-  // locations, and a compact remap per insertion would be cubic overall.
-  if (names_.size() > matrix_stride_) GrowMatrixStride();
   return id;
-}
-
-void TransitionGraph::GrowMatrixStride() {
-  size_t stride = std::max<size_t>(64, matrix_stride_ * 2);
-  stride = std::max(stride, names_.size());
-  // Rebuilding from the adjacency lists is O(stride^2 / 64 + E) — cheaper
-  // and simpler than remapping bit rows between layouts.
-  DynamicBitset grown(stride * stride);
-  for (size_t u = 0; u < out_.size(); ++u) {
-    for (LocationId v : out_[u]) grown.Set(u * stride + v);
-  }
-  edge_bits_ = std::move(grown);
-  matrix_stride_ = stride;
 }
 
 Status TransitionGraph::AddEdge(LocationId from, LocationId to) {
   if (from >= num_locations() || to >= num_locations()) {
     return Status::InvalidArgument("AddEdge: location id out of range");
   }
-  size_t cell = static_cast<size_t>(from) * matrix_stride_ + to;
-  if (edge_bits_.Test(cell)) return Status::OK();  // idempotent
-  edge_bits_.Set(cell);
+  if (HasEdge(from, to)) return Status::OK();  // idempotent
   out_[from].push_back(to);
   in_[to].push_back(from);
   ++num_edges_;
-  exit_reach_dirty_.store(true, std::memory_order_relaxed);
-  compact_matrix_dirty_.store(true, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -166,35 +56,23 @@ Status TransitionGraph::MarkExit(LocationId loc) {
   if (!is_exit_[loc]) {
     is_exit_[loc] = true;
     exits_.push_back(loc);
-    exit_reach_dirty_.store(true, std::memory_order_relaxed);
   }
   return Status::OK();
 }
 
 bool TransitionGraph::HasEdge(LocationId from, LocationId to) const {
   if (from >= num_locations() || to >= num_locations()) return false;
-  return edge_bits_.Test(static_cast<size_t>(from) * matrix_stride_ + to);
+  const std::vector<LocationId>& row = out_[from];
+  return std::find(row.begin(), row.end(), to) != row.end();
 }
 
-const DynamicBitset& TransitionGraph::EdgeMatrix() const {
-  // Same double-checked pattern as CanReachExit: the acquire load pairs
-  // with the release store in RebuildCompactMatrix.
-  if (compact_matrix_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(compact_matrix_mutex_);
-    if (compact_matrix_dirty_.load(std::memory_order_relaxed)) {
-      RebuildCompactMatrix();
-    }
-  }
-  return compact_matrix_;
-}
-
-void TransitionGraph::RebuildCompactMatrix() const {
+DynamicBitset TransitionGraph::EdgeMatrix() const {
   size_t n = num_locations();
-  compact_matrix_.Assign(n * n, false);
+  DynamicBitset matrix(n * n);
   for (size_t u = 0; u < n; ++u) {
-    for (LocationId v : out_[u]) compact_matrix_.Set(u * n + v);
+    for (LocationId v : out_[u]) matrix.Set(u * n + v);
   }
-  compact_matrix_dirty_.store(false, std::memory_order_release);
+  return matrix;
 }
 
 std::optional<LocationId> TransitionGraph::FindLocation(
@@ -213,55 +91,6 @@ bool TransitionGraph::IsValidPath(std::span<const LocationId> path) const {
     if (!HasEdge(path[i], path[i + 1])) return false;
   }
   return path.back() < num_locations() && is_exit_[path.back()];
-}
-
-bool TransitionGraph::IsValidPathPrefix(
-    std::span<const LocationId> path) const {
-  if (path.empty()) return false;
-  if (path.front() >= num_locations() || !is_entrance_[path.front()]) {
-    return false;
-  }
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    if (!HasEdge(path[i], path[i + 1])) return false;
-  }
-  // A completion to a valid path must exist from the last location.
-  return path.back() < num_locations() && CanReachExit(path.back());
-}
-
-bool TransitionGraph::CanReachExit(LocationId loc) const {
-  // Double-checked rebuild: the acquire load pairs with the release store
-  // at the end of RecomputeExitReachability, so a reader that sees the flag
-  // clear also sees the fully built cache. Racing dirty readers serialize
-  // through the mutex and the winner rebuilds once.
-  if (exit_reach_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(exit_reach_mutex_);
-    if (exit_reach_dirty_.load(std::memory_order_relaxed)) {
-      RecomputeExitReachability();
-    }
-  }
-  return loc < can_reach_exit_.size() && can_reach_exit_.Test(loc);
-}
-
-void TransitionGraph::RecomputeExitReachability() const {
-  size_t n = num_locations();
-  can_reach_exit_.Assign(n, false);
-  std::deque<LocationId> queue;
-  for (LocationId e : exits_) {
-    can_reach_exit_.Set(e);
-    queue.push_back(e);
-  }
-  // Reverse BFS from the exit set.
-  while (!queue.empty()) {
-    LocationId v = queue.front();
-    queue.pop_front();
-    for (LocationId u : in_[v]) {
-      if (!can_reach_exit_.Test(u)) {
-        can_reach_exit_.Set(u);
-        queue.push_back(u);
-      }
-    }
-  }
-  exit_reach_dirty_.store(false, std::memory_order_release);
 }
 
 Status TransitionGraph::Validate() const {

@@ -1,8 +1,6 @@
 #ifndef IDREPAIR_GRAPH_TRANSITION_GRAPH_H_
 #define IDREPAIR_GRAPH_TRANSITION_GRAPH_H_
 
-#include <atomic>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -24,19 +22,14 @@ namespace idrepair {
 ///
 /// A location sequence is a *valid path* iff it starts at an entrance,
 /// follows edges, and ends at an exit (Definition 2.2).
+///
+/// A plain value: it holds only the adjacency data, so it copies and moves
+/// like one, and concurrent const readers need no preparation. State derived
+/// from it (hop-bounded reachability, hops to an exit) lives with its
+/// consumers — graph/reachability.h.
 class TransitionGraph {
  public:
   TransitionGraph() = default;
-
-  // The reachability cache carries a mutex and an atomic dirty flag, so the
-  // compiler-generated copies are unavailable; these hand-written ones copy
-  // the graph data, snapshot the flag, and give the destination a fresh
-  // mutex. Copying/moving while another thread uses the source is not
-  // supported (the usual single-writer rule for mutations).
-  TransitionGraph(const TransitionGraph& other);
-  TransitionGraph& operator=(const TransitionGraph& other);
-  TransitionGraph(TransitionGraph&& other) noexcept;
-  TransitionGraph& operator=(TransitionGraph&& other) noexcept;
 
   /// Adds a location with a unique display name and returns its dense id.
   /// Adding a name that already exists returns the existing id.
@@ -58,7 +51,9 @@ class TransitionGraph {
   size_t num_locations() const { return out_.size(); }
   size_t num_edges() const { return num_edges_; }
 
-  /// True iff the directed edge (from, to) exists.
+  /// True iff the directed edge (from, to) exists. Scans the out-neighbors
+  /// of `from` (transition graphs are sparse: road networks have small
+  /// out-degree).
   bool HasEdge(LocationId from, LocationId to) const;
 
   /// Out-neighbors of `loc` in insertion order. View into graph-owned
@@ -92,20 +87,6 @@ class TransitionGraph {
   /// (Definition 2.2).
   bool IsValidPath(std::span<const LocationId> path) const;
 
-  /// True iff `path` is a prefix of some valid path: non-empty, starts at an
-  /// entrance, every consecutive pair is an edge, and a (possibly empty)
-  /// suffix reaching an exit exists. Used by the pck predicate (§5.2).
-  bool IsValidPathPrefix(std::span<const LocationId> path) const;
-
-  /// True iff some exit is reachable from `loc` (including loc itself being
-  /// an exit). Amortized O(1): the reachability set is cached and rebuilt
-  /// after mutations. Thread-safe for concurrent const callers: the lazy
-  /// rebuild is guarded by a mutex with a double-checked atomic dirty flag,
-  /// so racing readers either see the published cache or serialize through
-  /// one rebuild. (Mutations remain single-threaded, like all non-const
-  /// methods.)
-  bool CanReachExit(LocationId loc) const;
-
   /// Checks structural sanity: at least one location, entrance and exit sets
   /// non-empty.
   Status Validate() const;
@@ -114,28 +95,11 @@ class TransitionGraph {
   /// exists. A pure function of the edge set — the snapshot format stores
   /// it as its own section and cross-checks it against the matrix rebuilt
   /// from the edge list on load, catching payload tampering that a file
-  /// checksum alone cannot attribute.
-  ///
-  /// Lazily rebuilt from the adjacency lists (internal edge membership uses
-  /// a grown row stride, so this compact layout is a derived cache). The
-  /// returned reference is valid until the next mutation; the rebuild is
-  /// mutex-guarded, so concurrent const callers are safe.
-  const DynamicBitset& EdgeMatrix() const;
-
-  /// Materializes the lazily rebuilt caches now, so the sharing point is
-  /// explicit and no shard ever waits on the rebuild mutex. Concurrent
-  /// const readers are safe even without this call (CanReachExit guards its
-  /// rebuild), but the parallel engines still front-load it before
-  /// dispatch.
-  void PrepareForConcurrentUse() const {
-    if (num_locations() > 0) CanReachExit(0);
-  }
+  /// checksum alone cannot attribute. Built from the adjacency lists on
+  /// every call, in O(n^2 / 64 + E).
+  DynamicBitset EdgeMatrix() const;
 
  private:
-  void RecomputeExitReachability() const;
-  void GrowMatrixStride();
-  void RebuildCompactMatrix() const;
-
   std::vector<std::string> names_;
   std::unordered_map<std::string, LocationId> name_to_id_;
   std::vector<std::vector<LocationId>> out_;
@@ -145,30 +109,6 @@ class TransitionGraph {
   std::vector<LocationId> entrances_;
   std::vector<LocationId> exits_;
   size_t num_edges_ = 0;
-
-  // Lazily rebuilt caches (mutable: logically const accessors). The dirty
-  // flag is atomic and the rebuild itself runs under exit_reach_mutex_, so
-  // CanReachExit is safe from concurrent const readers; see the accessor
-  // comment.
-  mutable DynamicBitset can_reach_exit_;
-  mutable std::atomic<bool> exit_reach_dirty_{true};
-  mutable std::mutex exit_reach_mutex_;
-
-  // Dense edge membership for O(1) HasEdge, packed 1 bit per pair: n^2
-  // bits instead of n^2 bytes, so the row scans of IsValidPath stay in
-  // cache even for graphs with a few thousand locations. Rows are laid out
-  // with a geometrically grown stride (cell = from * matrix_stride_ + to)
-  // so AddLocation is amortized O(1); remapping a compact n x n matrix on
-  // every insertion made building a 10k-vertex road network cubic in n.
-  DynamicBitset edge_bits_;
-  size_t matrix_stride_ = 0;
-
-  // The compact (from * n + to) matrix EdgeMatrix() exposes, derived from
-  // the adjacency lists on demand (same double-checked pattern as the
-  // exit-reach cache).
-  mutable DynamicBitset compact_matrix_;
-  mutable std::atomic<bool> compact_matrix_dirty_{true};
-  mutable std::mutex compact_matrix_mutex_;
 };
 
 }  // namespace idrepair

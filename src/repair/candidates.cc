@@ -113,11 +113,13 @@ struct GenerationScratch {
   std::vector<TrajIndex> invalid;
 };
 
-/// Eq. (5) with memoized pair similarities; same tie-breaks and float
-/// order as the public AssignTargetId.
-TrajIndex AssignTargetIdMemo(const TrajectorySet& set,
+/// Eq. (5) over any source of pair similarities: `pair_similarity(i, j)`
+/// returns sim(id(Ti), id(Tj)). One loop for the public entry point and the
+/// memoized generator, so both share the float order and the tie-break.
+template <typename PairSimilarity>
+TrajIndex AssignTargetIdWith(const TrajectorySet& set,
                              Span<const TrajIndex> members,
-                             PairSimilarityMemo& memo) {
+                             PairSimilarity&& pair_similarity) {
   TrajIndex best = members.front();
   double best_score = -1.0;
   for (TrajIndex i : members) {
@@ -127,7 +129,7 @@ TrajIndex AssignTargetIdMemo(const TrajectorySet& set,
       const Trajectory& tj = set.at(j);
       double ratio =
           static_cast<double>(ti.size()) / static_cast<double>(tj.size());
-      score += ratio * memo.Get(i, j);
+      score += ratio * pair_similarity(i, j);
     }
     if (score > best_score) {
       best_score = score;
@@ -150,23 +152,9 @@ struct GenerationShard {
 TrajIndex AssignTargetId(const TrajectorySet& set,
                          Span<const TrajIndex> members,
                          const IdSimilarity& similarity) {
-  TrajIndex best = members.front();
-  double best_score = -1.0;
-  for (TrajIndex i : members) {
-    const Trajectory& ti = set.at(i);
-    double score = 0.0;
-    for (TrajIndex j : members) {
-      const Trajectory& tj = set.at(j);
-      double ratio =
-          static_cast<double>(ti.size()) / static_cast<double>(tj.size());
-      score += ratio * similarity.Similarity(ti.id(), tj.id());
-    }
-    if (score > best_score) {
-      best_score = score;
-      best = i;
-    }
-  }
-  return best;
+  return AssignTargetIdWith(set, members, [&](TrajIndex i, TrajIndex j) {
+    return similarity.Similarity(set.at(i).id(), set.at(j).id());
+  });
 }
 
 Result<CandidateSet> GenerateCandidates(
@@ -191,11 +179,6 @@ Result<CandidateSet> GenerateCandidates(
       seeds.empty() ? 0 : (seeds.size() + grain - 1) / grain;
   std::vector<GenerationShard> slots(num_blocks);
 
-  if (num_blocks > 1 && threads > 1) {
-    // pck consults the transition graph's lazy exit-reachability cache;
-    // materialize it before the blocks share the graph across threads.
-    pred.graph().PrepareForConcurrentUse();
-  }
   ThreadPool* pool = &ThreadPool::Default();
   DynamicScheduleStats sched;
   IDREPAIR_RETURN_NOT_OK(ParallelForDynamic(
@@ -223,7 +206,9 @@ Result<CandidateSet> GenerateCandidates(
               // ω would be 0 (Eq. 3).
               if (invalid.empty()) return;
 
-              TrajIndex target = AssignTargetIdMemo(set, clique, memo);
+              TrajIndex target = AssignTargetIdWith(
+                  set, clique,
+                  [&](TrajIndex i, TrajIndex j) { return memo.Get(i, j); });
               double min_sim = 1.0;
               for (TrajIndex m : clique) {
                 min_sim = std::min(min_sim, memo.Get(target, m));

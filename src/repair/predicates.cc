@@ -4,31 +4,14 @@
 
 namespace idrepair {
 
-namespace {
-
-// Past this many locations the dense O(|V|^3) Floyd–Warshall build stops
-// being viable (a 10k-vertex road network would need ~10^12 relaxations and
-// a 400 MB matrix). Every query the evaluator issues is bounded by θ−1
-// hops, so the sparse BFS build answers them all exactly at O(|V|·ball)
-// cost. Small graphs keep the dense build: it is cheap there and its
-// reachability() accessor stays exact at any hop count.
-constexpr size_t kDenseReachabilityLimit = 512;
-
-ReachabilityMatrix BuildReachability(const TransitionGraph& graph,
-                                     size_t theta) {
-  if (graph.num_locations() <= kDenseReachabilityLimit) {
-    return ReachabilityMatrix::Build(graph);
-  }
-  uint32_t bound = theta == 0 ? 0 : static_cast<uint32_t>(theta) - 1;
-  return ReachabilityMatrix::BuildBounded(graph, bound);
-}
-
-}  // namespace
-
 PredicateEvaluator::PredicateEvaluator(const TransitionGraph& graph,
                                        size_t theta, Timestamp eta)
     : graph_(&graph),
-      reach_(BuildReachability(graph, theta)),
+      // Every query the evaluator issues is bounded by θ−1 hops, so the
+      // hop-ball build at that bound answers them all exactly.
+      reach_(ReachabilityMatrix::BuildBounded(
+          graph, theta == 0 ? 0 : static_cast<uint32_t>(theta) - 1)),
+      hops_to_exit_(HopsToExit(graph)),
       theta_(theta),
       eta_(eta) {}
 
@@ -122,7 +105,8 @@ bool PredicateEvaluator::PckMerged(const std::vector<MergedPoint>& merged,
     if (merged[i].ts >= merged[i + 1].ts) return false;
     if (!graph_->HasEdge(merged[i].loc, merged[i + 1].loc)) return false;
   }
-  return graph_->CanReachExit(merged[prefix_end - 1].loc);
+  return hops_to_exit_[merged[prefix_end - 1].loc] !=
+         ReachabilityMatrix::kUnreachable;
 }
 
 }  // namespace idrepair

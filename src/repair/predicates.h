@@ -25,11 +25,12 @@ namespace idrepair {
 ///    set form a prefix of a valid path? Used to prune clique generation
 ///    (Theorem 5.3).
 ///
-/// The reachability matrix is built once at construction so each cex hop
-/// query is O(1) (the preprocessing of §4.1.1): dense Floyd–Warshall for
-/// paper-scale graphs, the hop-bounded sparse build (bound θ−1 — the only
-/// hop budget the evaluator ever queries) past 512 locations so city-scale
-/// road networks stay feasible.
+/// The state derived from Gt is built once, at construction: the hop-bounded
+/// reachability matrix at bound θ−1 — the only hop budget the evaluator
+/// ever queries — so each cex hop query is cheap (the preprocessing of
+/// §4.1.1), and the hops to an exit that pck's "an exit is still reachable"
+/// check reads (§5.2). After construction the evaluator is immutable and
+/// safe to share across threads.
 class PredicateEvaluator {
  public:
   PredicateEvaluator(const TransitionGraph& graph, size_t theta,
@@ -62,7 +63,6 @@ class PredicateEvaluator {
   bool PckMerged(const std::vector<MergedPoint>& merged,
                  uint32_t num_sources) const;
 
-  const ReachabilityMatrix& reachability() const { return reach_; }
   const TransitionGraph& graph() const { return *graph_; }
   size_t theta() const { return theta_; }
   Timestamp eta() const { return eta_; }
@@ -70,6 +70,7 @@ class PredicateEvaluator {
  private:
   const TransitionGraph* graph_;
   ReachabilityMatrix reach_;
+  std::vector<uint32_t> hops_to_exit_;  // HopsToExit(*graph_)
   size_t theta_;
   Timestamp eta_;
 };

@@ -160,11 +160,15 @@ class IdRepairer : public Repairer {
   const TransitionGraph* graph_;
   RepairOptions options_;
   NormalizedEditSimilarity default_similarity_;
-  // Evaluator shared across Repair() calls: graph and θ/η are fixed per
-  // repairer, so the reachability build (the expensive part on city-scale
-  // graphs) happens once, not once per call. Repair() is const and may run
-  // concurrently on one instance (the daemon serves parallel jobs against
-  // a tenant's engine), hence the call_once.
+  // Evaluator shared across Repair() calls. It holds all the state derived
+  // from Gt (θ−1 reachability, hops to an exit); graph and θ/η are fixed
+  // per repairer, so that build (the expensive part on city-scale graphs)
+  // happens once, not once per call. It is deferred to the first Repair()
+  // so constructing an engine stays cheap. Repair() is const and may run
+  // concurrently on one instance (the daemon runs a request's jobs in
+  // parallel on one engine), hence the call_once; once built the evaluator
+  // is immutable and the graph a plain value, so the jobs share both with
+  // no further preparation.
   mutable std::once_flag pred_once_;
   mutable std::optional<PredicateEvaluator> shared_pred_;
 };

@@ -226,7 +226,7 @@ std::string EncodeSnapshot(const GraphBundle& bundle) {
   {
     std::string body;
     BinaryWriter w(&body);
-    const DynamicBitset& matrix = graph.EdgeMatrix();
+    DynamicBitset matrix = graph.EdgeMatrix();
     w.U64(matrix.size());
     w.U64(matrix.words().size());
     for (uint64_t word : matrix.words()) w.U64(word);
@@ -478,7 +478,7 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
 
   // Cross-check the stored edge matrix against the one the rebuilt graph
   // maintains: catches payload tampering that kept the CRC consistent.
-  const DynamicBitset& matrix = graph.EdgeMatrix();
+  DynamicBitset matrix = graph.EdgeMatrix();
   if (matrix.size() != matrix_bits || matrix.words() != matrix_words) {
     return Status::Corruption(
         "snapshot: edge matrix cross-check failed (matrix section disagrees "

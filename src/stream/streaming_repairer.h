@@ -236,8 +236,8 @@ class StreamingRepairer : public Repairer {
   size_t pending_records_ = 0;
 
   /// The batch pipeline every window goes through. Its evaluator (and the
-  /// Floyd–Warshall closure) is built once, on the first window, and
-  /// shared by every later one.
+  /// reachability state derived from Gt) is built once, on the first
+  /// window, and shared by every later one.
   IdRepairer inner_;
 
   std::vector<Fragment> frags_;

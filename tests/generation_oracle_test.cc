@@ -1,0 +1,287 @@
+// Definitional oracle for phase 1 (candidate generation, §3.2).
+//
+// On random small transition graphs — cycles and self-loops included — it
+// enumerates every subset of at most ζ trajectories, merges each one
+// chronologically, and checks Definition 2.5 (jnb) with the θ/η bounds
+// directly against the edge list and the entrance/exit marks the graph was
+// built from. It shares no code with the generator's pruning or indexing:
+// no PredicateEvaluator, ReachabilityMatrix, HopsToExit, LIG or MCP. The
+// generator must emit exactly the joinable subsets that hold at least one
+// invalid trajectory, with the Eq. (5) target and the Eq. (1) similarity
+// computed straight from the formulas, under every LIG × MCP × thread
+// combination.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "repair/candidates.h"
+
+namespace idrepair {
+namespace {
+
+/// A random instance together with the plain data the oracle reads.
+struct Instance {
+  TransitionGraph graph;
+  std::set<std::pair<LocationId, LocationId>> edges;
+  std::vector<bool> entrance;
+  std::vector<bool> exit;
+  std::vector<TrackingRecord> records;
+  size_t theta = 0;
+  Timestamp eta = 0;
+  size_t zeta = 0;
+  Timestamp time_bin = 0;
+};
+
+Instance MakeInstance(uint64_t seed) {
+  Rng rng(seed);
+  Instance in;
+  size_t n = 3 + rng.UniformIndex(5);
+  for (size_t v = 0; v < n; ++v) {
+    in.graph.AddLocation(std::string("L").append(std::to_string(v)));
+  }
+  for (LocationId u = 0; u < n; ++u) {
+    for (LocationId v = 0; v < n; ++v) {
+      // Self-loops are rarer than other edges but always possible.
+      if (rng.Bernoulli(u == v ? 0.15 : 0.35)) in.edges.emplace(u, v);
+    }
+  }
+  for (const auto& [u, v] : in.edges) {
+    EXPECT_TRUE(in.graph.AddEdge(u, v).ok());
+  }
+  in.entrance.assign(n, false);
+  in.exit.assign(n, false);
+  in.entrance[rng.UniformIndex(n)] = true;
+  in.exit[rng.UniformIndex(n)] = true;
+  for (LocationId v = 0; v < n; ++v) {
+    if (rng.Bernoulli(0.3)) in.entrance[v] = true;
+    if (rng.Bernoulli(0.3)) in.exit[v] = true;
+    if (in.entrance[v]) {
+      EXPECT_TRUE(in.graph.MarkEntrance(v).ok());
+    }
+    if (in.exit[v]) {
+      EXPECT_TRUE(in.graph.MarkExit(v).ok());
+    }
+  }
+
+  in.theta = 3 + rng.UniformIndex(5);
+  in.eta = static_cast<Timestamp>(20 + rng.UniformIndex(60));
+  in.zeta = 2 + rng.UniformIndex(3);
+  const Timestamp bins[] = {5, 15, 60};
+  in.time_bin = bins[rng.UniformIndex(3)];
+
+  // A few entities walk the graph from an entrance; each walk's records
+  // are scattered over 1–3 observed IDs (the ID errors to repair). Noise
+  // trajectories wander anywhere. Timestamp steps of 0 exercise ties.
+  std::vector<std::string> ids;
+  auto fresh_id = [&] {
+    ids.push_back(std::string("id").append(std::to_string(ids.size())));
+    return ids.back();
+  };
+  size_t walks = 1 + rng.UniformIndex(3);
+  for (size_t w = 0; w < walks && ids.size() < 10; ++w) {
+    std::vector<LocationId> starts;
+    for (LocationId v = 0; v < n; ++v) {
+      if (in.entrance[v]) starts.push_back(v);
+    }
+    LocationId loc = starts[rng.UniformIndex(starts.size())];
+    Timestamp ts = static_cast<Timestamp>(rng.UniformIndex(40));
+    size_t len = 2 + rng.UniformIndex(in.theta);
+    std::vector<std::string> walk_ids;
+    size_t pieces = std::min<size_t>(1 + rng.UniformIndex(3), 10 - ids.size());
+    for (size_t p = 0; p < pieces; ++p) walk_ids.push_back(fresh_id());
+    for (size_t i = 0; i < len; ++i) {
+      in.records.push_back(
+          {walk_ids[rng.UniformIndex(walk_ids.size())], loc, ts});
+      std::vector<LocationId> next;
+      for (const auto& [u, v] : in.edges) {
+        if (u == loc) next.push_back(v);
+      }
+      if (next.empty() || (in.exit[loc] && rng.Bernoulli(0.6))) break;
+      loc = next[rng.UniformIndex(next.size())];
+      ts += rng.Bernoulli(0.05) ? 0 : static_cast<Timestamp>(
+                                          1 + rng.UniformIndex(8));
+    }
+  }
+  size_t noise = rng.UniformIndex(3);
+  for (size_t k = 0; k < noise && ids.size() < 10; ++k) {
+    std::string id = fresh_id();
+    size_t len = 1 + rng.UniformIndex(3);
+    for (size_t i = 0; i < len; ++i) {
+      in.records.push_back({id, static_cast<LocationId>(rng.UniformIndex(n)),
+                            static_cast<Timestamp>(rng.UniformIndex(100))});
+    }
+  }
+  return in;
+}
+
+using Point = std::pair<Timestamp, LocationId>;
+
+/// Definition 2.2 plus strictly increasing timestamps, read off the edge
+/// list and the I/O marks; `points` must be in chronological order.
+bool OracleValidPath(const Instance& in, const std::vector<Point>& points) {
+  if (points.empty()) return false;
+  if (!in.entrance[points.front().second]) return false;
+  if (!in.exit[points.back().second]) return false;
+  for (size_t i = 0; i + 1 < points.size(); ++i) {
+    if (points[i].first >= points[i + 1].first) return false;
+    if (in.edges.count({points[i].second, points[i + 1].second}) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// jnb (Definition 2.5) with the θ/η bounds of §2.3: the chronological
+/// merge of the subset's records is a valid path of at most θ records
+/// spanning at most η seconds.
+bool OracleJoinable(const Instance& in, const TrajectorySet& set,
+                    const std::vector<TrajIndex>& subset) {
+  std::vector<Point> merged;
+  for (TrajIndex t : subset) {
+    for (const TrajectoryPoint& p : set.at(t).points()) {
+      merged.emplace_back(p.ts, p.loc);
+    }
+  }
+  // A timestamp tie fails the path check whichever way it is ordered.
+  std::sort(merged.begin(), merged.end());
+  if (merged.size() > in.theta) return false;
+  if (merged.back().first - merged.front().first > in.eta) return false;
+  return OracleValidPath(in, merged);
+}
+
+/// One expected candidate: member set, ivt set, Eq. (5) target ID, and
+/// Eq. (1) similarity.
+using Row = std::tuple<std::vector<TrajIndex>, std::vector<TrajIndex>,
+                       std::string, double>;
+
+/// Eq. (5): the member maximizing Σ_j |Ti|/|Tj| · sim(Ti, Tj), ties to the
+/// earlier member; then Eq. (1): the minimum similarity to that target.
+Row OracleRow(const TrajectorySet& set, const std::vector<TrajIndex>& members,
+              const std::vector<bool>& is_valid,
+              const IdSimilarity& similarity) {
+  TrajIndex target = members.front();
+  double best = -1.0;
+  for (TrajIndex i : members) {
+    double score = 0.0;
+    for (TrajIndex j : members) {
+      score += static_cast<double>(set.at(i).size()) /
+               static_cast<double>(set.at(j).size()) *
+               similarity.Similarity(set.at(i).id(), set.at(j).id());
+    }
+    if (score > best) {
+      best = score;
+      target = i;
+    }
+  }
+  double sim = 1.0;
+  std::vector<TrajIndex> invalid;
+  for (TrajIndex m : members) {
+    sim = std::min(sim,
+                   similarity.Similarity(set.at(target).id(), set.at(m).id()));
+    if (!is_valid[m]) invalid.push_back(m);
+  }
+  return {members, invalid, set.at(target).id(), sim};
+}
+
+/// Every subset of at most ζ trajectories, in lexicographic order.
+void ForEachSubset(size_t n, size_t zeta, std::vector<TrajIndex>& subset,
+                   TrajIndex from,
+                   const std::function<void(const std::vector<TrajIndex>&)>& f) {
+  for (TrajIndex t = from; t < n; ++t) {
+    subset.push_back(t);
+    f(subset);
+    if (subset.size() < zeta) ForEachSubset(n, zeta, subset, t + 1, f);
+    subset.pop_back();
+  }
+}
+
+TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
+  NormalizedEditSimilarity similarity;
+  size_t expected_total = 0;
+  // Candidates joining three or more trajectories.
+  size_t expected_triples = 0;
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Instance in = MakeInstance(seed);
+    TrajectorySet set = TrajectorySet::FromRecords(in.records);
+    ASSERT_LE(set.size(), 10u);
+
+    std::vector<bool> is_valid(set.size());
+    for (TrajIndex i = 0; i < set.size(); ++i) {
+      std::vector<Point> points;
+      for (const TrajectoryPoint& p : set.at(i).points()) {
+        points.emplace_back(p.ts, p.loc);
+      }
+      is_valid[i] = OracleValidPath(in, points);
+    }
+
+    std::map<std::vector<TrajIndex>, Row> expected;
+    std::vector<TrajIndex> subset;
+    ForEachSubset(set.size(), in.zeta, subset, 0,
+                  [&](const std::vector<TrajIndex>& s) {
+                    bool has_ivt = std::any_of(
+                        s.begin(), s.end(),
+                        [&](TrajIndex t) { return !is_valid[t]; });
+                    if (has_ivt && OracleJoinable(in, set, s)) {
+                      expected.emplace(s, OracleRow(set, s, is_valid,
+                                                    similarity));
+                    }
+                  });
+    expected_total += expected.size();
+    for (const auto& [members, row] : expected) {
+      if (members.size() >= 3) ++expected_triples;
+    }
+
+    PredicateEvaluator pred(in.graph, in.theta, in.eta);
+    for (bool lig : {false, true}) {
+      for (bool mcp : {false, true}) {
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE("lig=" + std::to_string(lig) +
+                       " mcp=" + std::to_string(mcp) +
+                       " threads=" + std::to_string(threads));
+          RepairOptions options = RepairOptions()
+                                      .WithTheta(in.theta)
+                                      .WithEta(in.eta)
+                                      .WithZeta(in.zeta)
+                                      .WithTimeBin(in.time_bin)
+                                      .WithLig(lig)
+                                      .WithMcpPruning(mcp)
+                                      .WithThreads(threads);
+          if (threads > 1) {
+            // One seed per block, so the blocks really run in parallel.
+            options.WithMinPartitionGrain(1).WithMinCandidateGrain(1);
+          }
+          TrajectoryGraph gm(set, pred, options);
+          auto generated = GenerateCandidates(set, gm, pred, options,
+                                              similarity, is_valid);
+          ASSERT_TRUE(generated.ok()) << generated.status();
+          std::map<std::vector<TrajIndex>, Row> got;
+          for (size_t r = 0; r < generated->size(); ++r) {
+            std::vector<TrajIndex> members = generated->members(r).ToVector();
+            Row row{members, generated->invalid_members(r).ToVector(),
+                    generated->target_id(r), generated->similarity(r)};
+            EXPECT_TRUE(got.emplace(members, row).second)
+                << "member set emitted twice";
+          }
+          EXPECT_EQ(got, expected);
+        }
+      }
+    }
+  }
+  // The oracle is not vacuous: the instances produce real joins.
+  EXPECT_GT(expected_total, 400u);
+  EXPECT_GT(expected_triples, 50u);
+}
+
+}  // namespace
+}  // namespace idrepair

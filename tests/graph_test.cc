@@ -12,6 +12,35 @@
 namespace idrepair {
 namespace {
 
+// Test-local reference: the hop count of the shortest non-empty walk from
+// `s` to every vertex, by plain BFS — so dist[s] is the shortest cycle
+// through s — and ReachabilityMatrix::kUnreachable where no walk exists.
+std::vector<uint32_t> BfsHops(const TransitionGraph& g, LocationId s) {
+  std::vector<uint32_t> dist(g.num_locations(),
+                             ReachabilityMatrix::kUnreachable);
+  std::vector<LocationId> frontier = {s};
+  for (uint32_t depth = 1; !frontier.empty(); ++depth) {
+    std::vector<LocationId> next;
+    for (LocationId u : frontier) {
+      for (LocationId v : g.OutNeighbors(u)) {
+        if (dist[v] == ReachabilityMatrix::kUnreachable) {
+          dist[v] = depth;
+          next.push_back(v);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return dist;
+}
+
+// A build bounded at |V| holds every shortest hop count: a shortest walk
+// (or cycle) never repeats a vertex, so it has at most |V| edges.
+ReachabilityMatrix FullReachability(const TransitionGraph& g) {
+  return ReachabilityMatrix::BuildBounded(
+      g, static_cast<uint32_t>(g.num_locations()));
+}
+
 // --------------------------------------------------------- TransitionGraph
 
 TEST(TransitionGraphTest, AddLocationAssignsDenseIds) {
@@ -75,16 +104,48 @@ TEST(TransitionGraphTest, AddEdgeByNameResolvesOrFails) {
   EXPECT_EQ(g.AddEdge("A", "Z").code(), StatusCode::kNotFound);
 }
 
-TEST(TransitionGraphTest, EdgeMatrixSurvivesLaterLocationGrowth) {
+TEST(TransitionGraphTest, EdgesSurviveLaterLocationGrowth) {
   TransitionGraph g;
   LocationId a = g.AddLocation("A");
   LocationId b = g.AddLocation("B");
   ASSERT_TRUE(g.AddEdge(a, b).ok());
-  LocationId c = g.AddLocation("C");  // grows the dense matrix
+  LocationId c = g.AddLocation("C");
   EXPECT_TRUE(g.HasEdge(a, b));
   EXPECT_FALSE(g.HasEdge(a, c));
   ASSERT_TRUE(g.AddEdge(b, c).ok());
   EXPECT_TRUE(g.HasEdge(b, c));
+}
+
+TEST(TransitionGraphTest, EdgeMatrixIsCompactRowMajor) {
+  // Bit (from * n + to) is set iff the edge exists — the layout the
+  // snapshot format stores.
+  TransitionGraph g = MakePaperExampleGraph();
+  ASSERT_TRUE(g.AddEdge(4, 4).ok());  // a self-loop lands on the diagonal
+  size_t n = g.num_locations();
+  DynamicBitset matrix = g.EdgeMatrix();
+  ASSERT_EQ(matrix.size(), n * n);
+  for (LocationId u = 0; u < n; ++u) {
+    for (LocationId v = 0; v < n; ++v) {
+      EXPECT_EQ(matrix.Test(u * n + v), g.HasEdge(u, v)) << u << "->" << v;
+    }
+  }
+}
+
+TEST(TransitionGraphTest, CopiesAreIndependentValues) {
+  TransitionGraph original = MakePaperExampleGraph();
+  TransitionGraph copy = original;
+  LocationId f = copy.AddLocation("F");
+  ASSERT_TRUE(copy.AddEdge(4, f).ok());
+  ASSERT_TRUE(copy.MarkExit(f).ok());
+  EXPECT_EQ(original.num_locations(), 5u);
+  EXPECT_EQ(original.num_edges(), 5u);
+  EXPECT_EQ(original.exits(), (std::vector<LocationId>{4}));
+  EXPECT_TRUE(copy.HasEdge(4, f));
+
+  TransitionGraph moved = std::move(copy);
+  EXPECT_EQ(moved.num_locations(), 6u);
+  EXPECT_TRUE(moved.HasEdge(4, f));
+  EXPECT_EQ(moved.FindLocation("F"), std::optional<LocationId>(f));
 }
 
 TEST(TransitionGraphTest, InAndOutNeighbors) {
@@ -151,49 +212,57 @@ TEST(TransitionGraphTest, IsValidPathRejectsViolations) {
   EXPECT_FALSE(g.IsValidPath(empty));
 }
 
-TEST(TransitionGraphTest, IsValidPathPrefix) {
+// -------------------------------------------------------------- HopsToExit
+
+TEST(HopsToExitTest, ShortestHopsOnPaperGraph) {
+  // A=0, B=1, C=2, D=3, E=4; E is the only exit.
   TransitionGraph g = MakePaperExampleGraph();
-  std::vector<LocationId> ab = {0, 1};
-  std::vector<LocationId> a = {0};
-  std::vector<LocationId> bd = {1, 3};      // starts mid-graph
-  std::vector<LocationId> ad = {0, 3};      // missing edge
-  std::vector<LocationId> full = {0, 1, 2, 3, 4};
-  EXPECT_TRUE(g.IsValidPathPrefix(ab));
-  EXPECT_TRUE(g.IsValidPathPrefix(a));
-  EXPECT_TRUE(g.IsValidPathPrefix(full));
-  EXPECT_FALSE(g.IsValidPathPrefix(bd));
-  EXPECT_FALSE(g.IsValidPathPrefix(ad));
+  EXPECT_EQ(HopsToExit(g), (std::vector<uint32_t>{3, 2, 2, 1, 0}));
 }
 
-TEST(TransitionGraphTest, PrefixRequiresExitStillReachable) {
+TEST(HopsToExitTest, DeadEndsAreUnreachable) {
   TransitionGraph g;
   LocationId a = g.AddLocation("A");
   LocationId b = g.AddLocation("B");
   LocationId dead = g.AddLocation("dead");
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   ASSERT_TRUE(g.AddEdge(a, dead).ok());
+  ASSERT_TRUE(g.AddEdge(dead, dead).ok());  // a self-loop reaches nothing
   ASSERT_TRUE(g.MarkEntrance(a).ok());
   ASSERT_TRUE(g.MarkExit(b).ok());
-  std::vector<LocationId> into_dead = {a, dead};
-  EXPECT_FALSE(g.IsValidPathPrefix(into_dead));
+  auto hops = HopsToExit(g);
+  EXPECT_EQ(hops[a], 1u);
+  EXPECT_EQ(hops[b], 0u);
+  EXPECT_EQ(hops[dead], ReachabilityMatrix::kUnreachable);
 }
 
-TEST(TransitionGraphTest, CanReachExitUpdatesAfterMutation) {
-  TransitionGraph g;
-  LocationId a = g.AddLocation("A");
-  LocationId b = g.AddLocation("B");
-  ASSERT_TRUE(g.MarkExit(b).ok());
-  EXPECT_FALSE(g.CanReachExit(a));
-  EXPECT_TRUE(g.CanReachExit(b));
-  ASSERT_TRUE(g.AddEdge(a, b).ok());
-  EXPECT_TRUE(g.CanReachExit(a));
+TEST(HopsToExitTest, MatchesNearestExitByForwardBfs) {
+  // Property, on cyclic graphs with several exits: the reverse multi-source
+  // search equals the minimum forward BFS distance to any exit.
+  Rng rng(7);
+  for (int trial = 0; trial < 10; ++trial) {
+    TransitionGraph g = MakeChainGraph(9);
+    AddRandomEdges(g, 10, rng);
+    ASSERT_TRUE(g.MarkExit(static_cast<LocationId>(rng.UniformIndex(9))).ok());
+    auto hops = HopsToExit(g);
+    for (LocationId v = 0; v < g.num_locations(); ++v) {
+      uint32_t want = ReachabilityMatrix::kUnreachable;
+      if (g.IsExit(v)) {
+        want = 0;
+      } else {
+        auto dist = BfsHops(g, v);
+        for (LocationId e : g.exits()) want = std::min(want, dist[e]);
+      }
+      EXPECT_EQ(hops[v], want) << "trial=" << trial << " v=" << v;
+    }
+  }
 }
 
 // ------------------------------------------------------ ReachabilityMatrix
 
 TEST(ReachabilityTest, HopCountsOnPaperGraph) {
   TransitionGraph g = MakePaperExampleGraph();
-  auto m = ReachabilityMatrix::Build(g);
+  auto m = FullReachability(g);
   EXPECT_EQ(m.Hops(0, 1), 1u);  // A->B
   EXPECT_EQ(m.Hops(0, 2), 2u);  // A->B->C
   EXPECT_EQ(m.Hops(0, 3), 2u);  // A->B->D
@@ -204,7 +273,7 @@ TEST(ReachabilityTest, HopCountsOnPaperGraph) {
 
 TEST(ReachabilityTest, DiagonalIsUnreachableInAcyclicGraph) {
   TransitionGraph g = MakePaperExampleGraph();
-  auto m = ReachabilityMatrix::Build(g);
+  auto m = FullReachability(g);
   for (LocationId v = 0; v < g.num_locations(); ++v) {
     EXPECT_EQ(m.Hops(v, v), ReachabilityMatrix::kUnreachable);
   }
@@ -218,7 +287,7 @@ TEST(ReachabilityTest, DiagonalIsShortestCycleLength) {
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   ASSERT_TRUE(g.AddEdge(b, c).ok());
   ASSERT_TRUE(g.AddEdge(c, a).ok());
-  auto m = ReachabilityMatrix::Build(g);
+  auto m = FullReachability(g);
   EXPECT_EQ(m.Hops(a, a), 3u);
   EXPECT_EQ(m.Hops(b, b), 3u);
   EXPECT_EQ(m.Hops(c, c), 3u);
@@ -228,47 +297,28 @@ TEST(ReachabilityTest, SelfLoopGivesCycleLengthOne) {
   TransitionGraph g;
   LocationId a = g.AddLocation("A");
   ASSERT_TRUE(g.AddEdge(a, a).ok());
-  auto m = ReachabilityMatrix::Build(g);
+  auto m = FullReachability(g);
   EXPECT_EQ(m.Hops(a, a), 1u);
 }
 
 TEST(ReachabilityTest, ReachableRespectsHopBudget) {
   TransitionGraph g = MakePaperExampleGraph();
-  auto m = ReachabilityMatrix::Build(g);
+  auto m = FullReachability(g);
   EXPECT_TRUE(m.Reachable(0, 4, 3));   // A->E in 3 hops
   EXPECT_FALSE(m.Reachable(0, 4, 2));  // not in 2
-  EXPECT_FALSE(m.Reachable(4, 0, 100));
+  EXPECT_FALSE(m.Reachable(4, 0, m.bound()));  // E reaches nothing
 }
 
 TEST(ReachabilityTest, MatchesBfsOnRandomDags) {
-  // Property: Floyd–Warshall hop counts equal a per-source BFS.
+  // Property: the full build's hop counts equal a per-source BFS.
   Rng rng(99);
   for (int trial = 0; trial < 10; ++trial) {
     TransitionGraph g = MakeChainGraph(8);
     AddRandomForwardEdges(g, 6, rng);
-    auto m = ReachabilityMatrix::Build(g);
     size_t n = g.num_locations();
+    auto m = FullReachability(g);
     for (LocationId s = 0; s < n; ++s) {
-      // BFS over non-empty walks from s.
-      std::vector<uint32_t> dist(n, ReachabilityMatrix::kUnreachable);
-      std::vector<LocationId> frontier = {s};
-      uint32_t depth = 0;
-      std::vector<bool> visited(n, false);
-      while (!frontier.empty()) {
-        ++depth;
-        std::vector<LocationId> next;
-        for (LocationId u : frontier) {
-          for (LocationId v : g.OutNeighbors(u)) {
-            if (dist[v] == ReachabilityMatrix::kUnreachable) {
-              dist[v] = depth;
-              next.push_back(v);
-            }
-          }
-        }
-        frontier = std::move(next);
-        if (depth > n + 1) break;
-      }
-      (void)visited;
+      auto dist = BfsHops(g, s);
       for (LocationId t = 0; t < n; ++t) {
         EXPECT_EQ(m.Hops(s, t), dist[t]) << "s=" << s << " t=" << t;
       }
@@ -276,34 +326,33 @@ TEST(ReachabilityTest, MatchesBfsOnRandomDags) {
   }
 }
 
-TEST(ReachabilityTest, BoundedBuildMatchesDenseWithinBound) {
-  // Property: for every hop budget <= the build bound, the sparse BFS
-  // build answers Hops/Reachable exactly like the dense Floyd–Warshall —
-  // including the diagonal-as-shortest-cycle semantics — on both cyclic and
-  // acyclic shapes. This is the contract that lets PredicateEvaluator swap
-  // builds on city-scale graphs.
+TEST(ReachabilityTest, BoundedBuildMatchesBfsWithinBound) {
+  // Property: for every hop budget <= the build bound, Hops/Reachable agree
+  // with a per-source BFS — including the diagonal-as-shortest-cycle
+  // semantics — on cyclic shapes, and everything past the bound reads
+  // kUnreachable. This is the contract PredicateEvaluator's θ−1 build
+  // relies on.
   Rng rng(123);
   for (int trial = 0; trial < 8; ++trial) {
     TransitionGraph g = MakeChainGraph(9);
     AddRandomEdges(g, 10, rng);  // backward edges create cycles
-    auto dense = ReachabilityMatrix::Build(g);
+    size_t n = g.num_locations();
     for (uint32_t bound : {0u, 1u, 3u, 5u, 12u}) {
-      auto sparse = ReachabilityMatrix::BuildBounded(g, bound);
-      EXPECT_FALSE(sparse.dense());
-      EXPECT_EQ(sparse.bound(), bound);
-      size_t n = g.num_locations();
+      auto m = ReachabilityMatrix::BuildBounded(g, bound);
+      EXPECT_EQ(m.bound(), bound);
       for (LocationId s = 0; s < n; ++s) {
+        auto dist = BfsHops(g, s);
         for (LocationId t = 0; t < n; ++t) {
-          uint32_t want = dense.Hops(s, t);
-          uint32_t got = sparse.Hops(s, t);
+          uint32_t want = dist[t];
           if (want != ReachabilityMatrix::kUnreachable && want <= bound) {
-            EXPECT_EQ(got, want) << "s=" << s << " t=" << t;
+            EXPECT_EQ(m.Hops(s, t), want) << "s=" << s << " t=" << t;
           } else {
-            EXPECT_EQ(got, ReachabilityMatrix::kUnreachable)
+            EXPECT_EQ(m.Hops(s, t), ReachabilityMatrix::kUnreachable)
                 << "s=" << s << " t=" << t << " bound=" << bound;
           }
           for (uint32_t h = 0; h <= bound; ++h) {
-            EXPECT_EQ(sparse.Reachable(s, t, h), dense.Reachable(s, t, h))
+            EXPECT_EQ(m.Reachable(s, t, h),
+                      want != ReachabilityMatrix::kUnreachable && want <= h)
                 << "s=" << s << " t=" << t << " h=" << h;
           }
         }
@@ -455,8 +504,9 @@ TEST(GeneratorsTest, GridNetworkValidates) {
   EXPECT_EQ(g.entrances().size(), 3u);
   EXPECT_EQ(g.exits().size(), 3u);
   // Every vertex can reach an exit (east column is absorbing).
+  auto hops = HopsToExit(g);
   for (LocationId v = 0; v < g.num_locations(); ++v) {
-    EXPECT_TRUE(g.CanReachExit(v)) << g.LocationName(v);
+    EXPECT_NE(hops[v], ReachabilityMatrix::kUnreachable) << g.LocationName(v);
   }
 }
 

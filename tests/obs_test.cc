@@ -346,7 +346,14 @@ TEST_F(ObsTest, MetricsScraperAppendsSelfDelimitingBlocks) {
     options.interval_ms = 20;
     auto scraper = obs::MetricsScraper::Start(options);
     ASSERT_TRUE(scraper.ok()) << scraper.status();
-    std::this_thread::sleep_for(std::chrono::milliseconds(70));
+    // Wait for the first timer tick by polling under a generous deadline,
+    // not by sleeping a fixed time: a busy machine only slows the test.
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((*scraper)->scrapes() < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE((*scraper)->scrapes(), 1u) << "no timer tick within 30 s";
     (*scraper)->Stop();
     (*scraper)->Stop();  // idempotent
     EXPECT_TRUE((*scraper)->last_error().ok());

@@ -147,8 +147,9 @@ TEST_P(SeededPropertyTest, ReachabilityHandlesCycles) {
   Rng rng(GetParam() ^ 0x51de);
   TransitionGraph g = MakeChainGraph(7);
   AddRandomEdges(g, 5, rng);  // may add backward edges -> cycles
-  auto m = ReachabilityMatrix::Build(g);
   size_t n = g.num_locations();
+  // Bounded at |V|: every shortest walk or cycle fits.
+  auto m = ReachabilityMatrix::BuildBounded(g, static_cast<uint32_t>(n));
   for (LocationId s = 0; s < n; ++s) {
     std::vector<uint32_t> dist(n, ReachabilityMatrix::kUnreachable);
     std::vector<LocationId> frontier = {s};
@@ -295,18 +296,19 @@ TEST_P(SeededPropertyTest, StreamingBackpressureConservesRecords) {
 }
 
 // Valid paths sampled by the generator always satisfy IsValidPath, and
-// their prefixes satisfy IsValidPathPrefix.
-TEST_P(SeededPropertyTest, SampledPathPrefixesAreValidPrefixes) {
+// each sampled path's suffix is a witness bounding HopsToExit: from the
+// i-th location an exit is at most |path| - 1 - i hops away.
+TEST_P(SeededPropertyTest, SampledPathSuffixesBoundHopsToExit) {
   TransitionGraph g = MakeGridNetwork(3, 4);
   auto sampler = ValidPathSampler::Create(g, 7);
   ASSERT_TRUE(sampler.ok());
+  auto hops = HopsToExit(g);
   Rng rng(GetParam() ^ 0x7777);
   for (int i = 0; i < 30; ++i) {
     const auto& path = sampler->Sample(rng);
     EXPECT_TRUE(g.IsValidPath(path));
-    for (size_t len = 1; len <= path.size(); ++len) {
-      EXPECT_TRUE(g.IsValidPathPrefix(
-          std::span<const LocationId>(path.data(), len)));
+    for (size_t pos = 0; pos < path.size(); ++pos) {
+      EXPECT_LE(hops[path[pos]], path.size() - 1 - pos);
     }
   }
 }
