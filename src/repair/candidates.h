@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/default_init_vector.h"
 #include "common/span.h"
 #include "repair/cliques.h"
 #include "repair/member_set_dictionary.h"
@@ -24,12 +25,18 @@ namespace idrepair {
 /// plus ~48 bytes of vector headers per candidate with two 4-byte set ids
 /// into a flat pooled arena — the storage-layer contract is DESIGN.md §9.
 ///
+/// The target column is a 4-byte NameId per row into a per-set table of
+/// target names: Eq. (5) always picks a member's ID, so a set holds each
+/// distinct target once (per generation block) instead of one string per
+/// row.
+///
 /// Set accessors return Span views into the arena; views are invalidated by
-/// Append/AppendFrom (never by score fills), so hold no view across a
+/// Append/Concatenate (never by score fills), so hold no view across a
 /// mutation.
 class CandidateSet {
  public:
   using SetId = MemberSetDictionary::SetId;
+  using NameId = uint32_t;
 
   CandidateSet() = default;
 
@@ -59,7 +66,9 @@ class CandidateSet {
 
   /// Target ID r (always the ID of one member, per the paper: repairs never
   /// invent new values).
-  const std::string& target_id(size_t r) const { return target_ids_[r]; }
+  const std::string& target_id(size_t r) const {
+    return names_[targets_[r]];
+  }
 
   /// sim(R) of Eq. (1): minimum member-to-target similarity.
   double similarity(size_t r) const { return similarity_[r]; }
@@ -75,15 +84,39 @@ class CandidateSet {
     effectiveness_[r] = effectiveness;
   }
 
-  /// Appends one candidate. Both sets must be sorted ascending; `invalid`
-  /// must be a subset of `members`. Returns the new row index.
+  /// Adds `name` to the target-name table and returns its id. Names are
+  /// not deduplicated here; a caller that repeats a target reuses the id.
+  NameId AddTargetName(std::string name);
+
+  /// Appends one candidate whose target is name `target` of this set. Both
+  /// sets must be sorted ascending; `invalid` must be a subset of
+  /// `members`. Returns the new row index.
   size_t Append(Span<const TrajIndex> members, Span<const TrajIndex> invalid,
-                std::string target_id, double similarity);
+                NameId target, double similarity);
 
-  /// Appends row `r` of `other` verbatim (re-interning its sets into this
-  /// set's dictionary). The deterministic shard-order merge primitive.
-  size_t AppendFrom(const CandidateSet& other, size_t r);
+  /// Appends one candidate with a fresh target-name entry.
+  size_t Append(Span<const TrajIndex> members, Span<const TrajIndex> invalid,
+                std::string target_id, double similarity) {
+    return Append(members, invalid, AddTargetName(std::move(target_id)),
+                  similarity);
+  }
 
+  /// Concatenates `blocks` in order, consuming them: the rows of block b
+  /// follow those of blocks 0..b-1 with every column (sets, target,
+  /// similarity, scores) unchanged. Each block's dictionary and name table
+  /// are appended with an id offset, not re-interned, so a set or name
+  /// present in two blocks is stored twice; dedup holds within a block
+  /// only, and a later Append does not dedup against copied sets. The
+  /// serial work is O(blocks) plus moving the name strings: the output
+  /// columns are sized once, then up to `threads` pool workers (one below
+  /// ~16k rows, where a dispatch costs more than the copy) each copy a
+  /// contiguous run of blocks into place and free them. A lone non-empty
+  /// block is moved, not copied.
+  static Result<CandidateSet> Concatenate(std::vector<CandidateSet>&& blocks,
+                                          int threads = 1);
+
+  /// Reserves room for `rows` rows and as many target names (the string
+  /// Append adds one name per row).
   void Reserve(size_t rows);
 
   /// Drops the dictionary's dedup index once the set is fully built (a
@@ -94,17 +127,19 @@ class CandidateSet {
 
   const MemberSetDictionary& dict() const { return dict_; }
 
-  /// Heap bytes of every column plus the pooled dictionary.
+  /// Heap bytes of every column, the name table (out-of-line string
+  /// payloads included) and the pooled dictionary.
   size_t MemoryBytes() const;
 
  private:
   MemberSetDictionary dict_;
-  std::vector<SetId> member_sets_;
-  std::vector<SetId> invalid_sets_;
-  std::vector<std::string> target_ids_;
-  std::vector<double> similarity_;
-  std::vector<uint32_t> rarity_;
-  std::vector<double> effectiveness_;
+  DefaultInitVector<SetId> member_sets_;
+  DefaultInitVector<SetId> invalid_sets_;
+  DefaultInitVector<NameId> targets_;
+  std::vector<std::string> names_;
+  DefaultInitVector<double> similarity_;
+  DefaultInitVector<uint32_t> rarity_;
+  DefaultInitVector<double> effectiveness_;
 };
 
 /// Chooses the target ID for a joinable subset by Eq. (5): the member ID
@@ -168,9 +203,14 @@ struct GenerationStats {
 /// worker that claimed it, so one giant component no longer serializes
 /// behind a fixed range split. Each block enumerates, jnb-checks, and
 /// scores its subtrees sequentially (AssignTargetId tie-breaks and the
-/// sim(R) minimum are per-clique, so no cross-block float order exists);
-/// block outputs and stats are merged in fixed block order, making output
-/// bit-identical at every thread count and any claim schedule. The
+/// sim(R) minimum are per-clique, so no cross-block float order exists)
+/// into its own CandidateSet. The block sets are then joined by
+/// CandidateSet::Concatenate in fixed block order and the stats folded in
+/// the same order, making every column bit-identical at every thread count
+/// and any claim schedule. No set is re-interned after the blocks finish:
+/// member sets never repeat across blocks (a member set's smallest element
+/// is the seed that roots it, and each seed belongs to one block), while an
+/// ivt set or target name used by two blocks is stored once per block. The
 /// pairwise-similarity memo caches a pure function of the two ID strings
 /// (cached and recomputed values are the same doubles); its table and the
 /// invalid-member buffer live in pool-owned per-thread scratch, reused

@@ -1,5 +1,7 @@
 #include "repair/member_set_dictionary.h"
 
+#include <algorithm>
+
 namespace idrepair {
 
 uint64_t MemberSetDictionary::HashSet(Span<const TrajIndex> set) {
@@ -30,6 +32,21 @@ MemberSetDictionary::SetId MemberSetDictionary::Intern(
   offsets_.push_back(pool_.size());
   if (found == nullptr) index_.Insert(hash, id);
   return id;
+}
+
+void MemberSetDictionary::Grow(size_t sets, size_t entries) {
+  offsets_.resize(offsets_.size() + sets);
+  pool_.resize(pool_.size() + entries);
+}
+
+void MemberSetDictionary::CopyAt(const MemberSetDictionary& other,
+                                 size_t first_set, size_t first_entry) {
+  std::copy(other.pool_.begin(), other.pool_.end(),
+            pool_.begin() + first_entry);
+  // offsets_[first_set] (this set's start) is the previous copy's end.
+  for (size_t k = 1; k < other.offsets_.size(); ++k) {
+    offsets_[first_set + k] = other.offsets_[k] + first_entry;
+  }
 }
 
 size_t MemberSetDictionary::MemoryBytes() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/default_init_vector.h"
 #include "common/flat_hash.h"
 #include "common/span.h"
 #include "traj/trajectory_set.h"
@@ -20,7 +21,11 @@ namespace idrepair {
 /// slack, and copies all disappear).
 ///
 /// Ids are assigned in first-intern order, so a dictionary populated by a
-/// deterministic candidate stream is itself deterministic. Returned spans
+/// deterministic candidate stream is itself deterministic. CopyAt appends
+/// other dictionaries' sets after this one's without re-interning them, so
+/// a dictionary built by interning per block and copying the blocks in
+/// block order has first-intern order within each block, and the blocks'
+/// id ranges follow one another in block order. Returned spans
 /// point into the arena and stay valid until the dictionary is destroyed
 /// (the arena never shrinks or reorders; growth uses offset indexing, so
 /// reallocation does not invalidate ids — it does invalidate spans, hence
@@ -37,6 +42,23 @@ class MemberSetDictionary {
   /// entry rather than risking a content mix-up — correctness never depends
   /// on the dedup hit rate.
   SetId Intern(Span<const TrajIndex> set);
+
+  /// Bulk concatenation, step 1: appends room for `sets` more sets holding
+  /// `entries` elements in total, left unwritten until CopyAt fills it.
+  /// Invalidates views.
+  void Grow(size_t sets, size_t entries);
+
+  /// Bulk concatenation, step 2: writes every set of `other`, in its id
+  /// order, into room made by Grow — `other`'s set k becomes set
+  /// `first_set + k`, its elements starting at arena position
+  /// `first_entry`. Callers fill the grown room front to back without gaps
+  /// (the first copy starts at the pre-Grow num_sets() and
+  /// pool_entries()). Nothing is re-interned: a set pooled in both
+  /// dictionaries is stored twice, and copied sets are not indexed, so a
+  /// later Intern does not dedup against them. Copies into disjoint ranges
+  /// may run concurrently.
+  void CopyAt(const MemberSetDictionary& other, size_t first_set,
+              size_t first_entry);
 
   /// The pooled set for `id`. Valid until the next Intern call.
   Span<const TrajIndex> Get(SetId id) const {
@@ -63,8 +85,8 @@ class MemberSetDictionary {
  private:
   static uint64_t HashSet(Span<const TrajIndex> set);
 
-  std::vector<TrajIndex> pool_;
-  std::vector<uint64_t> offsets_ = {0};
+  DefaultInitVector<TrajIndex> pool_;
+  DefaultInitVector<uint64_t> offsets_ = {0};
   // hash -> id of the first set seen with that hash. Best-effort: a second
   // distinct set with the same hash is pooled without an index entry. Flat
   // open-addressing table — Intern runs once per candidate set column, so

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -48,7 +49,13 @@ class CandidatesFixture : public ::testing::Test {
                                           mb.end());
     });
     CandidateSet sorted;
-    for (size_t r : order) sorted.AppendFrom(candidates, r);
+    for (size_t r : order) {
+      size_t row = sorted.Append(candidates.members(r),
+                                 candidates.invalid_members(r),
+                                 candidates.target_id(r),
+                                 candidates.similarity(r));
+      sorted.set_scores(row, candidates.rarity(r), candidates.effectiveness(r));
+    }
     return sorted;
   }
 
@@ -380,6 +387,183 @@ TEST_F(CandidatesFixture, TargetIdIsAlwaysAMemberId) {
     }
     EXPECT_TRUE(found) << candidates.target_id(r);
   }
+}
+
+// ------------------------------------------------------- concatenation
+
+// One candidate row with every column the set stores.
+struct RowSpec {
+  std::vector<TrajIndex> members;
+  std::vector<TrajIndex> invalid;
+  std::string target;
+  double similarity;
+  uint32_t rarity;
+  double effectiveness;
+};
+
+// Builds one block the way the generator does: each distinct target name
+// is added once and reused by id.
+CandidateSet BuildBlock(const std::vector<RowSpec>& rows) {
+  CandidateSet block;
+  std::map<std::string, CandidateSet::NameId> names;
+  for (const RowSpec& row : rows) {
+    auto it = names.find(row.target);
+    if (it == names.end()) {
+      it = names.emplace(row.target, block.AddTargetName(row.target)).first;
+    }
+    size_t r = block.Append(row.members, row.invalid, it->second,
+                            row.similarity);
+    block.set_scores(r, row.rarity, row.effectiveness);
+  }
+  return block;
+}
+
+void ExpectSameRows(const CandidateSet& got, const CandidateSet& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    EXPECT_EQ(got.members(r), want.members(r));
+    EXPECT_EQ(got.invalid_members(r), want.invalid_members(r));
+    EXPECT_EQ(got.num_members(r), want.num_members(r));
+    EXPECT_EQ(got.num_invalid(r), want.num_invalid(r));
+    EXPECT_EQ(got.target_id(r), want.target_id(r));
+    EXPECT_EQ(got.similarity(r), want.similarity(r));
+    EXPECT_EQ(got.rarity(r), want.rarity(r));
+    EXPECT_EQ(got.effectiveness(r), want.effectiveness(r));
+  }
+}
+
+// Blocks shaped like the generator's: member sets never repeat across
+// blocks (each block's sets hold its own smallest seed), but ivt sets and
+// target names do, and some blocks root no candidate at all — at the
+// start, in the middle and at the end.
+std::vector<std::vector<RowSpec>> ConcatenationStream() {
+  return {
+      {},
+      {{{0, 1}, {1}, "alpha", 0.5, 3, 1.25},
+       {{0, 2}, {0, 2}, "alpha", 0.25, 1, 0.75},
+       {{0, 1, 2}, {1}, "bravo", 0.125, 2, 0.5}},
+      {},
+      {},
+      {{{1, 2}, {1}, "alpha", 0.75, 4, 2.0},
+       {{1, 3}, {1, 3}, "a-twenty-char-target", 0.5, 1, 1.5}},
+      {{{2, 3}, {2, 3}, "charlie", 1.0, 2, 1.0},
+       {{2, 4}, {1, 3}, "alpha", 0.375, 5, 0.25}},
+      {},
+  };
+}
+
+TEST(CandidateConcatenationTest, EqualsRowByRowAppendOfTheSameStream) {
+  const auto stream = ConcatenationStream();
+  CandidateSet reference;
+  for (const auto& block : stream) {
+    for (const RowSpec& row : block) {
+      size_t r = reference.Append(row.members, row.invalid, row.target,
+                                  row.similarity);
+      reference.set_scores(r, row.rarity, row.effectiveness);
+    }
+  }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<CandidateSet> blocks;
+    size_t block_sets = 0;
+    for (const auto& rows : stream) {
+      blocks.push_back(BuildBlock(rows));
+      block_sets += blocks.back().dict().num_sets();
+    }
+    auto joined = CandidateSet::Concatenate(std::move(blocks), threads);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    EXPECT_TRUE(blocks.empty());
+    ExpectSameRows(*joined, reference);
+
+    // No re-interning: every block's sets are kept, so the ivt sets {1}
+    // and {1, 3} that two blocks share are pooled twice.
+    EXPECT_EQ(joined->dict().num_sets(), block_sets);
+    EXPECT_EQ(reference.dict().num_sets() + 2, block_sets);
+
+    // Freeze leaves every row readable and, with no dedup index left to
+    // shed, the footprint unchanged; that footprint is exactly the content,
+    // since each column was sized once.
+    size_t bytes = joined->MemoryBytes();
+    joined->Freeze();
+    ExpectSameRows(*joined, reference);
+    EXPECT_EQ(joined->MemoryBytes(), bytes);
+    size_t names = 6;  // alpha, bravo | alpha, twenty | charlie, alpha
+    size_t rows = reference.size();
+    size_t content =
+        rows * (2 * sizeof(CandidateSet::SetId) +
+                sizeof(CandidateSet::NameId) + 2 * sizeof(double) +
+                sizeof(uint32_t)) +
+        names * sizeof(std::string) + (20 + 1) +
+        joined->dict().pool_entries() * sizeof(TrajIndex) +
+        (joined->dict().num_sets() + 1) * sizeof(uint64_t);
+    EXPECT_EQ(joined->MemoryBytes(), content);
+  }
+}
+
+// Enough rows that the copies run on pool workers, not inline.
+TEST(CandidateConcatenationTest, LargeBlocksCopiedOnThePoolMatchAppend) {
+  std::vector<std::vector<RowSpec>> stream(9);
+  for (size_t b = 0; b < stream.size(); ++b) {
+    if (b % 4 == 2) continue;  // a few empty blocks between full ones
+    for (TrajIndex i = 0; i < 4000; ++i) {
+      TrajIndex own = static_cast<TrajIndex>(100000 + b * 10000 + i);
+      stream[b].push_back({{i % 50, own},
+                           {i % 50},
+                           "id" + std::to_string(i % 7),
+                           1.0 / (1 + i),
+                           i % 5,
+                           0.5 * i});
+    }
+  }
+  CandidateSet reference;
+  std::vector<CandidateSet> blocks;
+  for (const auto& rows : stream) {
+    blocks.push_back(BuildBlock(rows));
+    for (const RowSpec& row : rows) {
+      size_t r = reference.Append(row.members, row.invalid, row.target,
+                                  row.similarity);
+      reference.set_scores(r, row.rarity, row.effectiveness);
+    }
+  }
+  ASSERT_GE(reference.size(), 16384u);
+  auto joined = CandidateSet::Concatenate(std::move(blocks), 4);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  ExpectSameRows(*joined, reference);
+}
+
+TEST(CandidateConcatenationTest, OneNonEmptyBlockIsMovedAndEmptyBlocksVanish) {
+  const auto stream = ConcatenationStream();
+  CandidateSet reference = BuildBlock(stream[1]);
+  std::vector<CandidateSet> blocks;
+  blocks.push_back(CandidateSet());
+  blocks.push_back(BuildBlock(stream[1]));
+  blocks.push_back(CandidateSet());
+  auto joined = CandidateSet::Concatenate(std::move(blocks), 4);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  ExpectSameRows(*joined, reference);
+  EXPECT_EQ(joined->MemoryBytes(), reference.MemoryBytes());
+
+  std::vector<CandidateSet> empty_blocks(3);
+  auto nothing = CandidateSet::Concatenate(std::move(empty_blocks), 4);
+  ASSERT_TRUE(nothing.ok()) << nothing.status();
+  EXPECT_TRUE(nothing->empty());
+  auto no_blocks = CandidateSet::Concatenate({});
+  ASSERT_TRUE(no_blocks.ok()) << no_blocks.status();
+  EXPECT_TRUE(no_blocks->empty());
+}
+
+// A 20-character ID is past libstdc++'s 15-character small-string buffer,
+// so its payload lives on the heap and must be counted.
+TEST(CandidateSetMemoryTest, CountsHeapPayloadOfLongTargetIds) {
+  const std::vector<TrajIndex> members = {0, 1};
+  CandidateSet short_id;
+  short_id.Append(members, members, "GL21348", 0.5);
+  CandidateSet long_id;
+  long_id.Append(members, members, "GL21348-0123456789ab", 0.5);
+  ASSERT_EQ(long_id.target_id(0).size(), 20u);
+  EXPECT_GE(long_id.MemoryBytes(),
+            short_id.MemoryBytes() + long_id.target_id(0).capacity() + 1);
 }
 
 TEST_F(CandidatesFixture, RarityIsMinCoverDegreeOfInvalidMembers) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/grain.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
 #include "repair/repair_graph.h"
@@ -383,6 +384,60 @@ TEST(StorageLayerTest, CsrAndInterningCutCandidatePlusGraphBytes4x) {
                         << actual_bytes << " B (" << ratio << "x)";
   // Sanity on the instance shape: it really is one dense conflict workload.
   EXPECT_GT(built->num_edges(), 10000u);
+}
+
+// GenerateCandidates concatenates its per-block outputs without
+// re-interning, so an ivt set or a target name used by several blocks is
+// stored once per block. On one dense chain component at grain 1 (a block
+// per seed, the most blocks possible) the frozen candidate set may take at
+// most 10% more bytes than the same generation as one single block. The
+// single block keeps its append-growth slack while a concatenation is
+// sized exactly, so the pooled sets and elements are also held to 10%
+// apart from any slack.
+TEST(StorageLayerTest, BlockConcatenationCostsAtMostTenPercentOverOneBlock) {
+  TransitionGraph graph = MakeRealLikeGraph();
+  SyntheticConfig config;
+  config.num_trajectories = 210;
+  config.window_seconds = 2400;  // dense: one chain component under η
+  config.max_path_len = 4;
+  config.seed = 4242;
+  auto ds = GenerateSyntheticDataset(graph, config);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  TrajectorySet set = ds->BuildObservedTrajectories();
+  RepairOptions options = RepairOptions().WithTheta(4).WithEta(600);
+  PredicateEvaluator pred(graph, options.theta, options.eta);
+  NormalizedEditSimilarity similarity;
+  std::vector<bool> is_valid(set.size());
+  for (TrajIndex i = 0; i < set.size(); ++i) {
+    is_valid[i] = set.at(i).IsValid(graph);
+  }
+
+  auto generate = [&](int threads, size_t grain) {
+    RepairOptions o = options;
+    o.WithThreads(threads).WithMinCandidateGrain(grain);
+    TrajectoryGraph gm(set, pred, o);
+    auto generated =
+        GenerateCandidates(set, gm, pred, o, similarity, is_valid);
+    EXPECT_TRUE(generated.ok()) << generated.status();
+    CandidateSet candidates = std::move(generated).value();
+    candidates.Freeze();
+    return candidates;
+  };
+  auto ratio = [](size_t a, size_t b) {
+    return static_cast<double>(a) / static_cast<double>(b);
+  };
+  CandidateSet one_block = generate(1, kGrainAuto);
+  CandidateSet per_seed = generate(4, 1);
+  ASSERT_EQ(per_seed.size(), one_block.size());
+  ASSERT_GT(one_block.size(), 1000u) << "workload too easy to be a test";
+  EXPECT_LE(ratio(per_seed.MemoryBytes(), one_block.MemoryBytes()), 1.10)
+      << per_seed.MemoryBytes() << " B at grain 1 vs "
+      << one_block.MemoryBytes() << " B as one block";
+  EXPECT_LE(ratio(per_seed.dict().num_sets(), one_block.dict().num_sets()),
+            1.10);
+  EXPECT_LE(ratio(per_seed.dict().pool_entries(),
+                  one_block.dict().pool_entries()),
+            1.10);
 }
 
 }  // namespace

@@ -8,12 +8,15 @@
 // no PredicateEvaluator, ReachabilityMatrix, HopsToExit, LIG or MCP. The
 // generator must emit exactly the joinable subsets that hold at least one
 // invalid trajectory, with the Eq. (5) target and the Eq. (1) similarity
-// computed straight from the formulas, under every LIG × MCP × thread
-// combination.
+// computed straight from the formulas, under every LIG × MCP × thread ×
+// grain combination. Over the whole candidate set, rarity (Eq. 2, under both
+// aggregations) and effectiveness ω (Eq. 3) must match the formulas applied
+// to the oracle's own member lists.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/grain.h"
 #include "repair/candidates.h"
 
 namespace idrepair {
@@ -193,6 +197,34 @@ Row OracleRow(const TrajectorySet& set, const std::vector<TrajIndex>& members,
   return {members, invalid, set.at(target).id(), sim};
 }
 
+/// Rarity (Eq. 2) and effectiveness ω (Eq. 3) of one expected candidate.
+using Score = std::pair<uint32_t, double>;
+
+/// Eq. (2) and (3) over the whole expected candidate set: d(T) counts the
+/// candidates whose ivt holds T, ra(R) is the minimum (or maximum) of d
+/// over ivt(R), and ω(R) = sim(R) + λ · log(|ivt(R)|) / log(ra(R) + offset).
+std::map<std::vector<TrajIndex>, Score> OracleScores(
+    const std::map<std::vector<TrajIndex>, Row>& expected, bool max_rarity,
+    double lambda, uint32_t offset) {
+  std::map<TrajIndex, uint32_t> degree;
+  for (const auto& [members, row] : expected) {
+    for (TrajIndex t : std::get<1>(row)) ++degree[t];
+  }
+  std::map<std::vector<TrajIndex>, Score> scores;
+  for (const auto& [members, row] : expected) {
+    const std::vector<TrajIndex>& ivt = std::get<1>(row);
+    uint32_t ra = degree[ivt.front()];
+    for (TrajIndex t : ivt) {
+      ra = max_rarity ? std::max(ra, degree[t]) : std::min(ra, degree[t]);
+    }
+    double omega = std::get<3>(row) +
+                   lambda * std::log(static_cast<double>(ivt.size())) /
+                       std::log(static_cast<double>(ra + offset));
+    scores.emplace(members, Score{ra, omega});
+  }
+  return scores;
+}
+
 /// Every subset of at most ζ trajectories, in lexicographic order.
 void ForEachSubset(size_t n, size_t zeta, std::vector<TrajIndex>& subset,
                    TrajIndex from,
@@ -242,38 +274,70 @@ TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
       if (members.size() >= 3) ++expected_triples;
     }
 
+    // λ and the log-base offset vary with the seed so Eq. (3) is checked
+    // off its defaults too.
+    const double lambda = seed % 2 == 0 ? 0.5 : 1.0;
+    const uint32_t offset = 1 + static_cast<uint32_t>((seed / 2) % 2);
+    const std::map<std::vector<TrajIndex>, Score> expected_scores[] = {
+        OracleScores(expected, false, lambda, offset),
+        OracleScores(expected, true, lambda, offset)};
+
+    // Grain 1 gives one block per seed (many blocks, some rooting no
+    // candidate), 3 a few, auto the cost model's pick, and set.size() —
+    // at least the number of seeds — a single block.
     PredicateEvaluator pred(in.graph, in.theta, in.eta);
     for (bool lig : {false, true}) {
       for (bool mcp : {false, true}) {
         for (int threads : {1, 4}) {
-          SCOPED_TRACE("lig=" + std::to_string(lig) +
-                       " mcp=" + std::to_string(mcp) +
-                       " threads=" + std::to_string(threads));
-          RepairOptions options = RepairOptions()
-                                      .WithTheta(in.theta)
-                                      .WithEta(in.eta)
-                                      .WithZeta(in.zeta)
-                                      .WithTimeBin(in.time_bin)
-                                      .WithLig(lig)
-                                      .WithMcpPruning(mcp)
-                                      .WithThreads(threads);
-          if (threads > 1) {
-            // One seed per block, so the blocks really run in parallel.
-            options.WithMinPartitionGrain(1).WithMinCandidateGrain(1);
+          for (size_t grain : {size_t{1}, size_t{3}, kGrainAuto, set.size()}) {
+            SCOPED_TRACE("lig=" + std::to_string(lig) +
+                         " mcp=" + std::to_string(mcp) +
+                         " threads=" + std::to_string(threads) +
+                         " grain=" + std::to_string(grain));
+            RepairOptions options = RepairOptions()
+                                        .WithTheta(in.theta)
+                                        .WithEta(in.eta)
+                                        .WithZeta(in.zeta)
+                                        .WithTimeBin(in.time_bin)
+                                        .WithLambda(lambda)
+                                        .WithRarityBaseOffset(offset)
+                                        .WithLig(lig)
+                                        .WithMcpPruning(mcp)
+                                        .WithThreads(threads)
+                                        .WithMinCandidateGrain(grain);
+            if (threads > 1) options.WithMinPartitionGrain(1);
+            TrajectoryGraph gm(set, pred, options);
+            auto generated = GenerateCandidates(set, gm, pred, options,
+                                                similarity, is_valid);
+            ASSERT_TRUE(generated.ok()) << generated.status();
+            std::map<std::vector<TrajIndex>, Row> got;
+            for (size_t r = 0; r < generated->size(); ++r) {
+              std::vector<TrajIndex> members =
+                  generated->members(r).ToVector();
+              Row row{members, generated->invalid_members(r).ToVector(),
+                      generated->target_id(r), generated->similarity(r)};
+              EXPECT_TRUE(got.emplace(members, row).second)
+                  << "member set emitted twice";
+            }
+            ASSERT_EQ(got, expected);
+
+            for (bool max_rarity : {false, true}) {
+              SCOPED_TRACE("max_rarity=" + std::to_string(max_rarity));
+              options.WithRarityAggregation(max_rarity
+                                                ? RarityAggregation::kMax
+                                                : RarityAggregation::kMin);
+              ASSERT_TRUE(
+                  ComputeEffectiveness(*generated, options, set.size()).ok());
+              const auto& want = expected_scores[max_rarity ? 1 : 0];
+              for (size_t r = 0; r < generated->size(); ++r) {
+                const Score& score =
+                    want.at(generated->members(r).ToVector());
+                EXPECT_EQ(generated->rarity(r), score.first);
+                EXPECT_NEAR(generated->effectiveness(r), score.second,
+                            1e-12);
+              }
+            }
           }
-          TrajectoryGraph gm(set, pred, options);
-          auto generated = GenerateCandidates(set, gm, pred, options,
-                                              similarity, is_valid);
-          ASSERT_TRUE(generated.ok()) << generated.status();
-          std::map<std::vector<TrajIndex>, Row> got;
-          for (size_t r = 0; r < generated->size(); ++r) {
-            std::vector<TrajIndex> members = generated->members(r).ToVector();
-            Row row{members, generated->invalid_members(r).ToVector(),
-                    generated->target_id(r), generated->similarity(r)};
-            EXPECT_TRUE(got.emplace(members, row).second)
-                << "member set emitted twice";
-          }
-          EXPECT_EQ(got, expected);
         }
       }
     }
