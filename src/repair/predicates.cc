@@ -2,7 +2,24 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
+
 namespace idrepair {
+
+const PredicateEvaluator& LazyPredicateEvaluator::Get() const {
+  std::call_once(once_, [this] {
+    evaluator_.emplace(*graph_, theta_, eta_);
+    if (obs::Enabled()) {
+      static obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+          "idrepair_predicate_evaluator_builds_total",
+          obs::Stability::kRuntime,
+          "PredicateEvaluator builds by LazyPredicateEvaluator (one per "
+          "engine, or per registered graph in the daemon)");
+      builds->Increment();
+    }
+  });
+  return *evaluator_;
+}
 
 PredicateEvaluator::PredicateEvaluator(const TransitionGraph& graph,
                                        size_t theta, Timestamp eta)

@@ -1,6 +1,8 @@
 #ifndef IDREPAIR_REPAIR_PREDICATES_H_
 #define IDREPAIR_REPAIR_PREDICATES_H_
 
+#include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,6 +75,36 @@ class PredicateEvaluator {
   std::vector<uint32_t> hops_to_exit_;  // HopsToExit(*graph_)
   size_t theta_;
   Timestamp eta_;
+};
+
+/// One PredicateEvaluator for a fixed graph and θ/η, built on the first
+/// Get() and shared by every caller after it. The build is the expensive
+/// part on city-scale graphs, so an engine, or every engine a daemon runs
+/// over one registered graph, pays it once. Construction does no graph
+/// work and no allocation. Get() is thread-safe: concurrent first callers
+/// wait for the one build, and the built evaluator is immutable.
+///
+/// The graph must outlive the holder. The once_flag makes the holder
+/// neither copyable nor movable, so borrowers can keep a reference to it.
+class LazyPredicateEvaluator {
+ public:
+  LazyPredicateEvaluator(const TransitionGraph& graph, size_t theta,
+                         Timestamp eta)
+      : graph_(&graph), theta_(theta), eta_(eta) {}
+
+  /// The evaluator, built on the first call.
+  const PredicateEvaluator& Get() const;
+
+  const TransitionGraph& graph() const { return *graph_; }
+  size_t theta() const { return theta_; }
+  Timestamp eta() const { return eta_; }
+
+ private:
+  const TransitionGraph* graph_;
+  size_t theta_;
+  Timestamp eta_;
+  mutable std::once_flag once_;
+  mutable std::optional<PredicateEvaluator> evaluator_;
 };
 
 }  // namespace idrepair

@@ -1,6 +1,7 @@
 #include "repair/repairer.h"
 
 #include <optional>
+#include <string>
 
 #include "common/stopwatch.h"
 #include "fault/deadline.h"
@@ -93,12 +94,30 @@ struct RepairInstruments {
 }  // namespace
 
 IdRepairer::IdRepairer(const TransitionGraph& graph, RepairOptions options)
-    : graph_(&graph), options_(std::move(options)) {}
+    : options_(std::move(options)),
+      own_evaluator_(graph, options_.theta, options_.eta),
+      evaluator_(&own_evaluator_) {}
+
+IdRepairer::IdRepairer(const LazyPredicateEvaluator& evaluator,
+                       RepairOptions options)
+    : options_(std::move(options)),
+      own_evaluator_(evaluator.graph(), options_.theta, options_.eta),
+      evaluator_(&evaluator) {}
 
 Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
                                         const RepairSelector* selector) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
-  IDREPAIR_RETURN_NOT_OK(graph_->Validate());
+  if (options_.theta != evaluator_->theta() ||
+      options_.eta != evaluator_->eta()) {
+    return Status::InvalidArgument(
+        "repair options (theta " + std::to_string(options_.theta) +
+        ", eta " + std::to_string(options_.eta) +
+        ") differ from the shared evaluator's (theta " +
+        std::to_string(evaluator_->theta()) + ", eta " +
+        std::to_string(evaluator_->eta()) + ")");
+  }
+  const TransitionGraph& graph = evaluator_->graph();
+  IDREPAIR_RETURN_NOT_OK(graph.Validate());
   obs::ApplyOptions(options_.obs);
   RepairInstruments& inst = RepairInstruments::Get();
   obs::TraceSpan run_span("repair.run");
@@ -148,15 +167,12 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
 
   std::vector<bool> is_valid(set.size(), false);
   for (TrajIndex i = 0; i < set.size(); ++i) {
-    is_valid[i] = set.at(i).IsValid(*graph_);
+    is_valid[i] = set.at(i).IsValid(graph);
     if (!is_valid[i]) ++result.stats.num_invalid;
   }
 
   // ---- Phase 1: candidate repair generation (§3.2) ----
-  std::call_once(pred_once_, [&] {
-    shared_pred_.emplace(*graph_, options_.theta, options_.eta);
-  });
-  const PredicateEvaluator& pred = *shared_pred_;
+  const PredicateEvaluator& pred = evaluator_->Get();
   std::optional<TrajectoryGraph> gm_storage;
   {
     obs::PhaseScope phase("repair.gm", &result.stats.seconds_gm,

@@ -1,8 +1,6 @@
 #ifndef IDREPAIR_REPAIR_REPAIRER_H_
 #define IDREPAIR_REPAIR_REPAIRER_H_
 
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -141,6 +139,12 @@ class IdRepairer : public Repairer {
   /// time.
   IdRepairer(const TransitionGraph& graph, RepairOptions options);
 
+  /// Borrows `evaluator` and its graph, which must outlive the repairer.
+  /// Engines over one holder share one evaluator build; the daemon builds
+  /// its engines this way from a registered graph's holder. Repair returns
+  /// InvalidArgument when options' θ/η differ from the holder's.
+  IdRepairer(const LazyPredicateEvaluator& evaluator, RepairOptions options);
+
   /// Runs the full pipeline on `set`. When `selector` is non-null it
   /// overrides options.selection (used by the Fig 15 harness to plug in the
   /// oracle).
@@ -154,23 +158,22 @@ class IdRepairer : public Repairer {
   std::string_view name() const override { return "core"; }
 
   const RepairOptions& options() const { return options_; }
-  const TransitionGraph& graph() const { return *graph_; }
+  const TransitionGraph& graph() const { return evaluator_->graph(); }
 
  private:
-  const TransitionGraph* graph_;
   RepairOptions options_;
   NormalizedEditSimilarity default_similarity_;
-  // Evaluator shared across Repair() calls. It holds all the state derived
-  // from Gt (θ−1 reachability, hops to an exit); graph and θ/η are fixed
-  // per repairer, so that build (the expensive part on city-scale graphs)
-  // happens once, not once per call. It is deferred to the first Repair()
-  // so constructing an engine stays cheap. Repair() is const and may run
-  // concurrently on one instance (the daemon runs a request's jobs in
-  // parallel on one engine), hence the call_once; once built the evaluator
-  // is immutable and the graph a plain value, so the jobs share both with
-  // no further preparation.
-  mutable std::once_flag pred_once_;
-  mutable std::optional<PredicateEvaluator> shared_pred_;
+  // The evaluator every Repair() call reads: all the state derived from Gt
+  // (θ−1 reachability, hops to an exit), built on the first Repair() so
+  // constructing an engine stays cheap. The first constructor points
+  // evaluator_ at own_evaluator_, so the build happens once per engine;
+  // the borrowing one points it at the caller's holder, so the build
+  // happens once per holder — once per registered graph in the daemon,
+  // whose requests each build an engine and run their jobs on it in
+  // parallel. Repair() is const and may run concurrently; the holder's
+  // Get() is thread-safe and the built evaluator immutable.
+  LazyPredicateEvaluator own_evaluator_;
+  const LazyPredicateEvaluator* evaluator_;
 };
 
 /// Applies `rewrites` to the records of `set` and regroups, yielding the

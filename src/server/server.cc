@@ -365,7 +365,10 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
   }
   if (req.use_corpus) options.resident_lig = bundle->lig.get();
 
-  IdRepairer engine(bundle->graph, options);
+  // Borrowing the bundle's holder makes the evaluator build once per
+  // registered epoch: the first request on a bundle pays for it, and every
+  // later request (and every concurrent job of this one) reuses it.
+  IdRepairer engine(bundle->evaluator, options);
 
   std::vector<std::optional<Result<RepairResult>>> slots(jobs);
   std::vector<TrajectorySet> sets(jobs);

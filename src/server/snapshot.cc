@@ -38,6 +38,14 @@ void AppendSection(std::string* payload, uint32_t tag,
 
 }  // namespace
 
+GraphBundle::GraphBundle(std::string name, uint64_t version,
+                         TransitionGraph graph, RepairOptions options)
+    : name(std::move(name)),
+      version(version),
+      graph(std::move(graph)),
+      options(std::move(options)),
+      evaluator(this->graph, this->options.theta, this->options.eta) {}
+
 std::vector<TrackingRecord> GraphBundle::CorpusRecords() const {
   std::vector<TrackingRecord> records;
   if (corpus == nullptr) return records;
@@ -52,9 +60,10 @@ std::vector<TrackingRecord> GraphBundle::CorpusRecords() const {
 
 namespace {
 
-/// Validation and assembly shared by MakeBundle and the snapshot loader;
-/// leaves `lig` null so the loader can adopt the persisted index instead
-/// of building one it would immediately discard.
+/// Validation and assembly shared by MakeBundle and the snapshot loader,
+/// so both hand out a bundle whose evaluator holder is constructed but not
+/// yet built. Leaves `lig` null so the loader can adopt the persisted
+/// index instead of building one it would immediately discard.
 Result<std::shared_ptr<GraphBundle>> AssembleBundle(
     std::string name, uint64_t version, TransitionGraph graph,
     RepairOptions options, std::vector<TrackingRecord> corpus_records) {
@@ -66,23 +75,20 @@ Result<std::shared_ptr<GraphBundle>> AssembleBundle(
   }
   IDREPAIR_RETURN_NOT_OK(graph.Validate());
   IDREPAIR_RETURN_NOT_OK(options.Validate());
-  auto bundle = std::make_shared<GraphBundle>();
-  bundle->name = std::move(name);
-  bundle->version = version;
-  bundle->graph = std::move(graph);
+  for (const TrackingRecord& rec : corpus_records) {
+    if (rec.loc >= graph.num_locations()) {
+      return Status::InvalidArgument(
+          "corpus record references unknown location id " +
+          std::to_string(rec.loc));
+    }
+  }
   // Pointers and process-local knobs never live in a bundle: bundles are
   // shared across connections and snapshots.
   options.similarity = nullptr;
   options.resident_lig = nullptr;
-  bundle->options = options;
+  auto bundle = std::make_shared<GraphBundle>(std::move(name), version,
+                                              std::move(graph), options);
   if (!corpus_records.empty()) {
-    for (const TrackingRecord& rec : corpus_records) {
-      if (rec.loc >= bundle->graph.num_locations()) {
-        return Status::InvalidArgument(
-            "corpus record references unknown location id " +
-            std::to_string(rec.loc));
-      }
-    }
     bundle->corpus = std::make_unique<TrajectorySet>(
         TrajectorySet::FromRecords(corpus_records));
   }

@@ -11,6 +11,7 @@
 #include "graph/transition_graph.h"
 #include "lig/length_indexed_grids.h"
 #include "repair/options.h"
+#include "repair/predicates.h"
 #include "server/wire_format.h"
 #include "traj/tracking_record.h"
 #include "traj/trajectory_set.h"
@@ -19,12 +20,19 @@ namespace idrepair {
 namespace server {
 
 /// One registry entry: a named transition graph, the repair options it was
-/// registered with, and (optionally) a resident corpus with its prebuilt
-/// LIG index. Bundles are immutable after construction and shared through
+/// registered with, the graph's lazily built predicate evaluator, and
+/// (optionally) a resident corpus with its prebuilt LIG index. Bundles are
+/// immutable after construction and shared through
 /// shared_ptr<const GraphBundle> — the epoch mechanism of GraphRegistry:
 /// replacing an entry swaps the pointer, and in-flight repairs holding the
 /// old bundle finish on the old version.
+///
+/// `evaluator` points into `graph`, so a bundle is never copied or moved
+/// after assembly; the holder's once_flag makes either a compile error.
 struct GraphBundle {
+  GraphBundle(std::string name, uint64_t version, TransitionGraph graph,
+              RepairOptions options);
+
   std::string name;
   /// Registry epoch of this bundle, monotonically increasing per name.
   uint64_t version = 1;
@@ -33,6 +41,10 @@ struct GraphBundle {
   /// `resident_lig` are process-local and never persisted; a snapshot
   /// round-trip resets them to defaults.
   RepairOptions options;
+  /// The evaluator over `graph` at the registered θ/η. Built by the first
+  /// repair on this bundle, not at registration, and shared by every repair
+  /// after it: one build per epoch, since a re-registration is a new bundle.
+  LazyPredicateEvaluator evaluator;
   /// Resident corpus (heap-allocated so the LIG's back-reference survives
   /// bundle moves), or null when the tenant registered a graph only.
   std::unique_ptr<TrajectorySet> corpus;

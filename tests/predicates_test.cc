@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "gen/real_like.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "repair/predicates.h"
+#include "repair/repairer.h"
 #include "test_util.h"
 #include "traj/merge.h"
 
@@ -274,6 +284,90 @@ TEST_F(RunningExampleFixture, PckIsNecessaryForJnb) {
       EXPECT_TRUE(pred_.Pck(span));
     }
   }
+}
+
+// ------------------------------------------------- LazyPredicateEvaluator
+
+uint64_t EvaluatorBuilds() {
+  for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
+    if (m.name == "idrepair_predicate_evaluator_builds_total") {
+      return m.counter_value;
+    }
+  }
+  return 0;
+}
+
+void ExpectSameRepair(const RepairResult& got, const RepairResult& want) {
+  EXPECT_EQ(got.selected, want.selected);
+  EXPECT_EQ(got.rewrites, want.rewrites);
+  // Ω compared exactly: the shared evaluator must not perturb a single bit.
+  EXPECT_EQ(got.total_effectiveness, want.total_effectiveness);
+  EXPECT_EQ(got.repaired.trajectories(), want.repaired.trajectories());
+}
+
+// Engines that borrow one holder, racing on its first Get() from four
+// threads, repair exactly as an engine with its own evaluator does, and
+// the holder builds its evaluator once for all of them.
+TEST(LazyPredicateEvaluatorTest, FourThreadsOfBorrowingEnginesMatchFreshOne) {
+  auto dataset = MakeScaledRealLikeDataset(300, 0.2, 7);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  const TransitionGraph& graph = dataset->graph;
+  const TrajectorySet set = dataset->BuildObservedTrajectories();
+  const RepairOptions options = RepairOptions().WithTheta(4).WithEta(600);
+
+  auto want = IdRepairer(graph, options).Repair(set);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_FALSE(want->rewrites.empty());  // the comparison has teeth
+
+  obs::SetEnabled(true);
+  const uint64_t builds_before = EvaluatorBuilds();
+  LazyPredicateEvaluator shared(graph, options.theta, options.eta);
+  constexpr int kThreads = 4;
+  std::vector<std::optional<Result<RepairResult>>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      IdRepairer engine(shared, options);
+      start.arrive_and_wait();
+      got[t].emplace(engine.Repair(set));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(EvaluatorBuilds() - builds_before, 1u);
+
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ASSERT_TRUE(got[t]->ok()) << got[t]->status();
+    ExpectSameRepair(**got[t], *want);
+  }
+  // Later engines over the same holder reuse the build.
+  auto again = IdRepairer(shared, options).Repair(set);
+  ASSERT_TRUE(again.ok()) << again.status();
+  ExpectSameRepair(*again, *want);
+  EXPECT_EQ(EvaluatorBuilds() - builds_before, 1u);
+}
+
+TEST(LazyPredicateEvaluatorTest, MismatchedThetaOrEtaIsInvalidArgument) {
+  TransitionGraph graph = MakePaperExampleGraph();
+  const RepairOptions options = RunningExampleOptions();
+  LazyPredicateEvaluator shared(graph, options.theta, options.eta);
+  const TrajectorySet set = MakeTable2Trajectories();
+
+  RepairOptions other_theta = options;
+  other_theta.theta = options.theta - 1;
+  RepairOptions other_eta = options;
+  other_eta.eta = options.eta + 1;
+  for (const RepairOptions& mismatched : {other_theta, other_eta}) {
+    auto result = IdRepairer(shared, mismatched).Repair(set);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+  }
+  // The holder is still usable by an engine whose options match it.
+  auto ok = IdRepairer(shared, options).Repair(set);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->rewrites.size(), 1u);
 }
 
 }  // namespace

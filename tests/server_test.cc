@@ -11,17 +11,28 @@
 //  * admission control sheds whole requests with ResourceExhausted, and a
 //    per-request budget lands on the engines' graceful-degradation path;
 //  * garbage on the wire drops that connection with a clean Status and the
-//    daemon keeps serving everyone else.
+//    daemon keeps serving everyone else;
+//  * a bundle's predicate evaluator is built once per registered epoch, by
+//    the first repair on it, and a re-registration gets a fresh one;
+//  * SIGKILLing a child `idrepair_cli serve` in the middle of a snapshot
+//    save leaves the previous snapshot loadable and byte-identical.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/synthetic.h"
@@ -35,6 +46,8 @@
 #include "server/server.h"
 #include "server/snapshot.h"
 #include "test_util.h"
+
+extern char** environ;
 
 namespace idrepair {
 namespace server {
@@ -609,12 +622,291 @@ TEST(ServerE2ETest, WireGarbageDropsConnectionButDaemonSurvives) {
   (*srv)->Stop();
 }
 
+TEST(ServerE2ETest, BundleEvaluatorIsBuiltOncePerEpoch) {
+  obs::SetEnabled(true);
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  auto admin = RepairClient::Connect((*srv)->address());
+  ASSERT_TRUE(admin.ok()) << admin.status();
+  ASSERT_TRUE(admin->RegisterGraph(PaperRegisterRequest("paper", false)).ok());
+
+  auto all = testutil::MakeTable1Records();
+  RepairRequest single;
+  single.name = "paper";
+  single.batches.push_back(all);
+  RepairRequest multi;
+  multi.name = "paper";
+  multi.batches = {all, {all.begin(), all.begin() + 3}, all};
+
+  // Four connections race their first requests onto the fresh bundle, then
+  // each sends a multi-batch one whose jobs run in parallel.
+  const uint64_t builds_before =
+      CounterValue("idrepair_predicate_evaluator_builds_total");
+  constexpr int kConnections = 4;
+  std::vector<std::vector<std::vector<TrackingRecord>>> replies(kConnections);
+  std::latch start(kConnections);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = RepairClient::Connect((*srv)->address());
+      start.arrive_and_wait();
+      if (!client.ok()) return;
+      for (const RepairRequest* req : {&single, &multi}) {
+        auto reply = client->Repair(*req);
+        if (!reply.ok()) return;
+        for (const BatchReply& batch : reply->batches) {
+          replies[c].push_back(batch.repaired);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(CounterValue("idrepair_predicate_evaluator_builds_total") -
+                builds_before,
+            1u);
+
+  const auto want_all = LocalRepair(all, testutil::RunningExampleOptions(),
+                                    MakePaperExampleGraph());
+  const auto want_prefix =
+      LocalRepair({all.begin(), all.begin() + 3},
+                  testutil::RunningExampleOptions(), MakePaperExampleGraph());
+  for (int c = 0; c < kConnections; ++c) {
+    SCOPED_TRACE("connection " + std::to_string(c));
+    ASSERT_EQ(replies[c].size(), 4u);
+    EXPECT_EQ(replies[c][0], want_all);
+    EXPECT_EQ(replies[c][1], want_all);
+    EXPECT_EQ(replies[c][2], want_prefix);
+    EXPECT_EQ(replies[c][3], want_all);
+  }
+
+  // A re-registration is a new epoch with its own evaluator, built by its
+  // first repair and then reused.
+  ASSERT_TRUE(admin->RegisterGraph(PaperRegisterRequest("paper", false)).ok());
+  const uint64_t builds_epoch2 =
+      CounterValue("idrepair_predicate_evaluator_builds_total");
+  ASSERT_TRUE(admin->Repair(single).ok());
+  ASSERT_TRUE(admin->Repair(multi).ok());
+  EXPECT_EQ(CounterValue("idrepair_predicate_evaluator_builds_total") -
+                builds_epoch2,
+            1u);
+  (*srv)->Stop();
+}
+
+// Re-registering a name with a different θ must repair under the new θ: an
+// evaluator that outlived its epoch would either keep the old θ's answers
+// or be rejected for disagreeing with the new options.
+TEST(ServerE2ETest, ReRegistrationRepairsUnderTheNewEpochOptions) {
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  auto client = RepairClient::Connect((*srv)->address());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  const auto records = testutil::MakeTable1Records();
+  RepairRequest req;
+  req.name = "g";
+  req.batches.push_back(records);
+
+  RegisterGraphRequest first = PaperRegisterRequest("g", false);
+  ASSERT_TRUE(client->RegisterGraph(first).ok());
+  auto before = client->Repair(req);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->batches.size(), 1u);
+  EXPECT_EQ(before->batches[0].repaired,
+            LocalRepair(records, first.options, MakePaperExampleGraph()));
+
+  // θ=2 forbids every join of Table 1 (each would hold 3 or more records).
+  RegisterGraphRequest second = PaperRegisterRequest("g", false);
+  second.options.theta = 2;
+  auto registered = client->RegisterGraph(second);
+  ASSERT_TRUE(registered.ok()) << registered.status();
+  EXPECT_EQ(registered->version, 2u);
+  const auto want =
+      LocalRepair(records, second.options, MakePaperExampleGraph());
+  ASSERT_NE(want, before->batches[0].repaired);
+
+  auto after = client->Repair(req);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_EQ(after->batches.size(), 1u);
+  EXPECT_TRUE(after->batches[0].completion.ok())
+      << after->batches[0].completion;
+  EXPECT_EQ(after->batches[0].repaired, want);
+  (*srv)->Stop();
+}
+
 TEST(ServerE2ETest, StopIsIdempotentAndDestructorIsSafeAfterStop) {
   auto srv = StartLoopbackServer();
   ASSERT_TRUE(srv.ok()) << srv.status();
   (*srv)->Stop();
   (*srv)->Stop();
   srv->reset();  // destructor after explicit Stop
+}
+
+// ---- A child daemon process --------------------------------------------
+
+/// `idrepair_cli serve --listen unix:<socket> <extra...>` as a child
+/// process, stdout discarded. The destructor SIGKILLs and reaps a child
+/// still running, so a failing test never leaves one behind.
+class ChildDaemon {
+ public:
+  ChildDaemon(const std::string& socket, std::vector<std::string> extra)
+      : address_("unix:" + socket) {
+    std::vector<std::string> args = {IDREPAIR_CLI_PATH, "serve", "--listen",
+                                     address_};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
+                                     O_WRONLY, 0);
+    if (posix_spawn(&pid_, argv[0], &actions, nullptr, argv.data(),
+                    environ) != 0) {
+      pid_ = -1;
+    }
+    posix_spawn_file_actions_destroy(&actions);
+  }
+  ~ChildDaemon() { Kill(); }
+  ChildDaemon(const ChildDaemon&) = delete;
+  ChildDaemon& operator=(const ChildDaemon&) = delete;
+
+  bool running() const { return pid_ > 0; }
+  const std::string& address() const { return address_; }
+
+  /// Connects, retrying until the child listens (or 60 s pass).
+  Result<RepairClient> Connect() const {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (true) {
+      auto client = RepairClient::Connect(address_);
+      if (client.ok() || std::chrono::steady_clock::now() > deadline) {
+        return client;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+
+  /// SIGKILL, then reap. Returns the wait status (0 if not running).
+  int Kill() {
+    if (pid_ <= 0) return 0;
+    ::kill(pid_, SIGKILL);
+    return Reap();
+  }
+
+  /// Reaps a child that is exiting on its own. Returns the wait status.
+  int Reap() {
+    int status = 0;
+    while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
+    }
+    pid_ = -1;
+    return status;
+  }
+
+ private:
+  std::string address_;
+  pid_t pid_ = -1;
+};
+
+// A crash between the temp write and the rename of a snapshot save must
+// leave the previous snapshot in place: the child daemon is SIGKILLed
+// while its second save sleeps at the io.snapshot.save failpoint, and a
+// restarted daemon loads the first snapshot and repairs byte-identically.
+TEST(ServerProcessTest, SigkillMidSnapshotSaveKeepsThePreviousSnapshot) {
+  TempDir dir("sigkill_save");
+  const std::string socket = (dir.path() / "d.sock").string();
+  const fs::path snapshots = dir.path() / "snaps";
+  const fs::path live = snapshots / GraphRegistry::SnapshotFileName("paper");
+  const fs::path temp = live.string() + kSnapshotTempSuffix;
+  SnapshotRequest snap;
+  snap.dir = snapshots.string();
+  RepairRequest corpus_repair;
+  corpus_repair.name = "paper";
+  corpus_repair.use_corpus = true;
+
+  std::vector<TrackingRecord> before_kill;
+  {
+    // The first save (hit 1) runs through; the second sleeps for a minute
+    // after writing its temp file, long enough to be killed there.
+    ChildDaemon child(socket, {"--failpoints",
+                               "io.snapshot.save=delay,on_hit=2,"
+                               "delay_us=60000000"});
+    ASSERT_TRUE(child.running());
+    auto client = child.Connect();
+    ASSERT_TRUE(client.ok()) << client.status();
+    ASSERT_TRUE(
+        client->RegisterGraph(PaperRegisterRequest("paper", true)).ok());
+    auto reply = client->Repair(corpus_repair);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    before_kill = reply->batches.at(0).repaired;
+    auto saved = client->Snapshot(snap);
+    ASSERT_TRUE(saved.ok()) << saved.status();
+    ASSERT_TRUE(fs::exists(live));
+    ASSERT_FALSE(fs::exists(temp));
+
+    // Epoch 2 repairs differently (θ=2 forbids every join of Table 1), so
+    // loading its bytes by mistake would show in the repair after the
+    // restart.
+    RegisterGraphRequest second = PaperRegisterRequest("paper", true);
+    second.options.theta = 2;
+    ASSERT_TRUE(client->RegisterGraph(second).ok());
+    auto epoch2 = client->Repair(corpus_repair);
+    ASSERT_TRUE(epoch2.ok()) << epoch2.status();
+    ASSERT_NE(epoch2->batches.at(0).repaired, before_kill);
+
+    Status blocked_save;
+    std::thread saver([&] {
+      auto c = RepairClient::Connect(child.address());
+      blocked_save = c.ok() ? c->Snapshot(snap).status() : c.status();
+    });
+    // Snapshot bytes are deterministic, so the temp file is complete once
+    // it holds as many bytes as epoch 2 encodes to; the save then sleeps
+    // at the failpoint, before its rename.
+    auto epoch2_bundle =
+        MakeBundle("paper", 2, MakePaperExampleGraph(), second.options,
+                   testutil::MakeTable1Records());
+    ASSERT_TRUE(epoch2_bundle.ok()) << epoch2_bundle.status();
+    const uintmax_t temp_bytes = EncodeSnapshot(**epoch2_bundle).size();
+    auto temp_complete = [&] {
+      std::error_code ec;
+      return fs::file_size(temp, ec) == temp_bytes && !ec;
+    };
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!temp_complete() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool temp_written = temp_complete();
+    int status = child.Kill();
+    saver.join();
+    ASSERT_TRUE(temp_written) << "the second save never reached its rename";
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+    EXPECT_FALSE(blocked_save.ok());  // the reply died with the child
+  }
+  // The crash lost only the rename: the temp file holds all of epoch 2.
+  auto stranded = ReadSnapshotFile(temp.string());
+  ASSERT_TRUE(stranded.ok()) << stranded.status();
+  EXPECT_EQ((*stranded)->version, 2u);
+
+  auto previous = ReadSnapshotFile(live.string());
+  ASSERT_TRUE(previous.ok()) << previous.status();
+  EXPECT_EQ((*previous)->version, 1u);
+
+  fs::remove(socket);
+  ChildDaemon restarted(socket, {"--load-dir", snapshots.string()});
+  ASSERT_TRUE(restarted.running());
+  auto client = restarted.Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto stats = client->Stats(StatsRequest{});
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_EQ(stats->entries.size(), 1u);
+  EXPECT_EQ(stats->entries[0].version, 1u);
+  auto reply = client->Repair(corpus_repair);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->batches.at(0).repaired, before_kill);
+  EXPECT_EQ(before_kill, LocalRepair(testutil::MakeTable1Records(),
+                                     testutil::RunningExampleOptions(),
+                                     MakePaperExampleGraph()));
+  ASSERT_TRUE(client->Shutdown().ok());
+  int status = restarted.Reap();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
 }
 
 }  // namespace

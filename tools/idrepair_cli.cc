@@ -27,6 +27,7 @@
 //                         [--snapshot-dir DIR] [--max-inflight N]
 //                         [--default-deadline-ms N] [--threads N]
 //                         [--metrics-out FILE] [--metrics-interval MS]
+//                         [--failpoints SPEC]
 //   idrepair_cli client register --connect ADDR --name NAME --graph g.txt
 //                         [--records corpus.csv] [--theta N] [--eta S] ...
 //   idrepair_cli client repair   --connect ADDR --name NAME
@@ -209,17 +210,18 @@ int FailWith(const Status& status) {
   return 1;
 }
 
+/// Arms --failpoints, when given. Callers do this before any I/O so the
+/// io.* sites see the load path too.
+Status ArmFailpointsFlag(const FlagParser& flags) {
+  if (!flags.Has("failpoints")) return Status::OK();
+  return fault::ArmFromString(flags.GetString("failpoints"));
+}
+
 int RunRepair(const FlagParser& flags) {
   for (const char* key : {"graph", "records", "out"}) {
     if (Status s = RequireFlag(flags, key); !s.ok()) return FailWith(s);
   }
-  // Arm failpoints before any I/O so the io.* sites see the load path too.
-  if (flags.Has("failpoints")) {
-    if (Status s = fault::ArmFromString(flags.GetString("failpoints"));
-        !s.ok()) {
-      return FailWith(s);
-    }
-  }
+  if (Status s = ArmFailpointsFlag(flags); !s.ok()) return FailWith(s);
   auto graph = ReadTransitionGraphFile(flags.GetString("graph"));
   if (!graph.ok()) return FailWith(graph.status());
   auto records = ReadRecordsCsvFile(flags.GetString("records"), *graph);
@@ -423,6 +425,7 @@ int RunServe(const FlagParser& flags) {
   options.max_inflight = static_cast<uint64_t>(*max_inflight);
   options.default_deadline_ms = *default_deadline;
   options.exec_threads = static_cast<int>(*threads);
+  if (Status s = ArmFailpointsFlag(flags); !s.ok()) return FailWith(s);
 
   if (flags.Has("metrics-out")) obs::SetEnabled(true);
   std::unique_ptr<obs::MetricsScraper> scraper;
