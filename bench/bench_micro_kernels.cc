@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks for the pipeline's hot kernels: edit
-// distance, the cex predicate, LIG candidate queries, clique enumeration,
-// and the selection heuristics.
+// distance, the cex predicate, LIG builds and candidate queries, clique
+// enumeration, and the selection heuristics.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "gen/real_like.h"
+#include "gen/synthetic.h"
+#include "graph/generators.h"
 #include "lig/length_indexed_grids.h"
 #include "repair/candidates.h"
 #include "repair/repair_graph.h"
@@ -85,30 +87,47 @@ void BM_CexPredicate(benchmark::State& state) {
 }
 BENCHMARK(BM_CexPredicate);
 
+/// The LIG arms' input: the 1,000-entity workload above (weeks:0), or the
+/// sparse_fleet-shaped one (weeks:8) — 16,000 synthetic trajectories over
+/// an eight-week timeline, where the time axis is long and mostly empty.
+const TrajectorySet& LigSet(const benchmark::State& state) {
+  if (state.range(0) == 0) return Workload::Get().set;
+  static const TrajectorySet* weeks = [] {
+    SyntheticConfig config;
+    config.num_trajectories = 16000;
+    config.window_seconds = 8 * 7 * 86400;
+    config.max_path_len = 4;
+    config.seed = 2025;
+    auto ds = GenerateSyntheticDataset(MakeRealLikeGraph(), config);
+    return new TrajectorySet(ds->BuildObservedTrajectories());
+  }();
+  return *weeks;
+}
+
 void BM_LigBuild(benchmark::State& state) {
-  const Workload& w = Workload::Get();
+  const TrajectorySet& set = LigSet(state);
   LengthIndexedGrids::Options o{4, 600, 60};
   for (auto _ : state) {
-    LengthIndexedGrids lig(w.set, o);
+    LengthIndexedGrids lig(set, o);
     benchmark::DoNotOptimize(lig.num_indexed());
   }
 }
-BENCHMARK(BM_LigBuild);
+BENCHMARK(BM_LigBuild)->ArgName("weeks")->Arg(0)->Arg(8);
 
 void BM_LigQuery(benchmark::State& state) {
-  const Workload& w = Workload::Get();
+  const TrajectorySet& set = LigSet(state);
   LengthIndexedGrids::Options o{4, 600, 60};
-  LengthIndexedGrids lig(w.set, o);
+  LengthIndexedGrids lig(set, o);
   std::vector<TrajIndex> out;
   TrajIndex k = 0;
   for (auto _ : state) {
     out.clear();
     lig.CollectCandidates(k, &out);
     benchmark::DoNotOptimize(out.size());
-    k = (k + 1) % w.set.size();
+    k = (k + 1) % set.size();
   }
 }
-BENCHMARK(BM_LigQuery);
+BENCHMARK(BM_LigQuery)->ArgName("weeks")->Arg(0)->Arg(8);
 
 void BM_TrajectoryGraphBuild(benchmark::State& state) {
   const Workload& w = Workload::Get();

@@ -12,7 +12,7 @@ namespace idrepair {
 
 /// A non-owning view of a contiguous element range — the data-plane return
 /// type of every hot accessor (graph neighbor lists, candidate member sets,
-/// LIG buckets). Unlike returning `const std::vector<T>&`, a Span keeps the
+/// repair-graph conflicts). Unlike returning `const std::vector<T>&`, a Span keeps the
 /// container layout out of the public contract, so the storage behind an
 /// accessor can move to a CSR arena or an interned pool without touching
 /// callers.

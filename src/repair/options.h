@@ -11,8 +11,6 @@
 
 namespace idrepair {
 
-class LengthIndexedGrids;
-
 /// Which heuristic picks the compatible repair set from the repair graph
 /// (§4.2, §6.5.1). kExact solves the weighted-independent-set problem
 /// optimally (exponential worst case; use on small inputs only).
@@ -81,16 +79,6 @@ struct RepairOptions {
   /// builds verify this at every use.
   const IdSimilarity* similarity = nullptr;
 
-  /// A prebuilt LIG index the engine may reuse instead of rebuilding one
-  /// per Repair() call — the daemon's load-not-rebuild path for repairs
-  /// over a registered resident corpus. Not owned (same contract as
-  /// `similarity`). The index is consulted only when the set being
-  /// repaired *is* the object the index was built over (pointer identity
-  /// against LengthIndexedGrids::indexed_set()) and the θ/η/time_bin knobs
-  /// match; any mismatch silently falls back to a fresh build, so results
-  /// are identical either way.
-  const LengthIndexedGrids* resident_lig = nullptr;
-
   /// Parallel-execution knobs (thread count, task granularity), consumed
   /// by every engine: trajectory-graph sharding, candidate generation,
   /// selection, streaming flushes.
@@ -130,10 +118,6 @@ struct RepairOptions {
   }
   RepairOptions& WithSimilarity(const IdSimilarity* v) {
     similarity = v;
-    return *this;
-  }
-  RepairOptions& WithResidentLig(const LengthIndexedGrids* v) {
-    resident_lig = v;
     return *this;
   }
   RepairOptions& WithThreads(int v) {

@@ -1,12 +1,11 @@
 #include "repair/trajectory_graph.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
-#include "obs/metrics.h"
+#include "lig/length_indexed_grids.h"
 #include "obs/trace.h"
 
 namespace idrepair {
@@ -47,25 +46,7 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
     lig_opts.theta = options.theta;
     lig_opts.eta = options.eta;
     lig_opts.time_bin = options.time_bin;
-    // Reuse a resident index only when it was built over this exact set
-    // with these exact knobs; the fresh build below is byte-identical in
-    // that case, so reuse can never change the graph.
-    std::optional<LengthIndexedGrids> local;
-    const LengthIndexedGrids* index = options.resident_lig;
-    if (index != nullptr && &index->indexed_set() == &set &&
-        index->options().theta == lig_opts.theta &&
-        index->options().eta == lig_opts.eta &&
-        index->options().time_bin == lig_opts.time_bin) {
-      if (obs::Enabled()) {
-        static obs::Counter* reused = obs::MetricsRegistry::Global().GetCounter(
-            "idrepair_gm_resident_lig_reuse_total", obs::Stability::kRuntime,
-            "Gm builds that reused a resident (snapshot-loaded) LIG index");
-        reused->Increment();
-      }
-    } else {
-      local.emplace(set, lig_opts);
-      index = &*local;
-    }
+    const LengthIndexedGrids index(set, lig_opts);
     (void)ParallelFor(
         &ThreadPool::Default(), shards,
         [&](size_t shard, size_t begin, size_t end) {
@@ -75,7 +56,7 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
           for (TrajIndex i = static_cast<TrajIndex>(begin); i < end; ++i) {
             if (!feasible_[i]) continue;
             candidates.clear();
-            index->CollectCandidates(i, &candidates);
+            index.CollectCandidates(i, &candidates);
             for (TrajIndex j : candidates) {
               if (j <= i || !feasible_[j]) continue;  // each pair once
               ++out.candidate_pairs;

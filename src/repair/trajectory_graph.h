@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lig/length_indexed_grids.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
 #include "traj/trajectory_set.h"

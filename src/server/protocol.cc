@@ -364,7 +364,6 @@ std::string EncodeStatsReply(const StatsReply& reply) {
     w.U64(entry.num_locations);
     w.U64(entry.num_edges);
     w.U64(entry.corpus_trajectories);
-    w.U64(entry.lig_indexed);
     w.I64(entry.use_count);
   }
   w.U64(reply.admission.admitted);
@@ -389,7 +388,6 @@ Status DecodeStatsReply(BinaryReader* r, StatsReply* reply) {
     entry.num_locations = static_cast<size_t>(r->U64());
     entry.num_edges = static_cast<size_t>(r->U64());
     entry.corpus_trajectories = static_cast<size_t>(r->U64());
-    entry.lig_indexed = static_cast<size_t>(r->U64());
     entry.use_count = static_cast<long>(r->I64());
     reply->entries.push_back(std::move(entry));
   }

@@ -89,7 +89,7 @@ struct RegisterGraphRequest {
   /// human-auditable graph encoding everywhere.
   std::string graph_text;
   RepairOptions options;  // persistable fields only travel
-  /// Optional resident corpus to pin (and LIG-index) with the graph.
+  /// Optional resident corpus to pin with the graph.
   std::vector<TrackingRecord> corpus;
 };
 
@@ -112,8 +112,7 @@ struct RepairRequest {
   /// Per-request budget, mapped onto RepairOptions::deadline_ms (graceful
   /// degradation); 0 keeps the bundle's registered deadline.
   int64_t budget_ms = 0;
-  /// Repair the registered resident corpus (load-not-rebuild: the bundle's
-  /// snapshot-loaded LIG index is reused) instead of shipping batches.
+  /// Repair the registered resident corpus instead of shipping batches.
   bool use_corpus = false;
   /// Independent record batches; each is repaired as its own trajectory
   /// set, dispatched onto the exec pool.

@@ -84,7 +84,6 @@ std::vector<GraphRegistry::EntryInfo> GraphRegistry::List() const {
     info.num_edges = bundle->graph.num_edges();
     info.corpus_trajectories =
         bundle->corpus != nullptr ? bundle->corpus->size() : 0;
-    info.lig_indexed = bundle->lig != nullptr ? bundle->lig->num_indexed() : 0;
     info.use_count = bundle.use_count() - 1;  // exclude the registry's own
     infos.push_back(std::move(info));
   }

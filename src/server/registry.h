@@ -35,7 +35,6 @@ class GraphRegistry {
     size_t num_locations = 0;
     size_t num_edges = 0;
     size_t corpus_trajectories = 0;
-    size_t lig_indexed = 0;
     /// Outstanding bundle references beyond the registry's own (in-flight
     /// repairs still pinning this or an older epoch are not counted here —
     /// this is the *current* bundle's use count).
@@ -47,7 +46,7 @@ class GraphRegistry {
   GraphRegistry& operator=(const GraphRegistry&) = delete;
 
   /// Registers (or replaces) an entry, assigning version
-  /// previous_version + 1 (1 for a new name). Building the bundle — LIG
+  /// previous_version + 1 (1 for a new name). Building the bundle — corpus
   /// included — happens under the exclusive lock; registration is the
   /// rare admin path, repairs are the hot one.
   Result<uint64_t> Register(std::string name, TransitionGraph graph,

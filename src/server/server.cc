@@ -363,7 +363,6 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
   } else if (options.deadline_ms == 0 && options_.default_deadline_ms > 0) {
     options.deadline_ms = options_.default_deadline_ms;
   }
-  if (req.use_corpus) options.resident_lig = bundle->lig.get();
 
   // Borrowing the bundle's holder makes the evaluator build once per
   // registered epoch: the first request on a bundle pays for it, and every
@@ -372,39 +371,44 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
 
   std::vector<std::optional<Result<RepairResult>>> slots(jobs);
   std::vector<TrajectorySet> sets(jobs);
-  if (req.use_corpus) {
-    // The resident set itself — pointer identity is what lets the engine
-    // adopt the snapshot-loaded LIG instead of rebuilding it.
-  } else {
+  if (!req.use_corpus) {
     for (size_t i = 0; i < jobs; ++i) {
       sets[i] = TrajectorySet::FromRecords(req.batches[i]);
     }
   }
 
+  auto release = [this] {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::Enabled()) {
+      ServerMetrics& m = ServerMetrics::Get();
+      m.completed->Increment();
+      m.inflight->Set(inflight_.load(std::memory_order_relaxed));
+    }
+  };
   TaskGroup group(&ThreadPool::Default());
   for (size_t i = 0; i < jobs; ++i) {
-    group.Spawn([this, i, &slots, &sets, &engine, &req, &bundle] {
+    group.Spawn([i, &slots, &sets, &engine, &req, &bundle, &release] {
       const TrajectorySet& set =
           req.use_corpus ? *bundle->corpus : sets[i];
       slots[i].emplace(engine.Repair(set));
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::Enabled()) {
-        ServerMetrics& m = ServerMetrics::Get();
-        m.completed->Increment();
-        m.inflight->Set(inflight_.load(std::memory_order_relaxed));
-      }
+      release();
       return Status::OK();  // per-batch errors travel in the slot
     });
   }
-  (void)group.Wait();
+  // The group skips a task once it is cancelled or its run failpoint
+  // fires; such a batch never reached its release(), so release it here.
+  Status group_status = group.Wait();
 
   RepairReply reply;
   reply.batches.reserve(jobs);
   for (size_t i = 0; i < jobs; ++i) {
     BatchReply batch;
     if (!slots[i].has_value()) {
-      batch.completion = Status::Internal("batch task never ran");
+      release();
+      batch.completion = group_status.ok()
+                             ? Status::Internal("batch task never ran")
+                             : group_status;
     } else if (!slots[i]->ok()) {
       batch.completion = slots[i]->status();
     } else {

@@ -22,7 +22,7 @@ struct ServerOptions {
   /// tcp port 0 binds an ephemeral port, reported by address()).
   std::string listen = "tcp:127.0.0.1:0";
   /// Snapshot directory loaded (via GraphRegistry::LoadDir) before the
-  /// server accepts connections — the load-not-rebuild startup path.
+  /// server accepts connections.
   /// Empty starts with an empty registry.
   std::string load_dir;
   /// Default directory of the Snapshot request; empty makes an explicit

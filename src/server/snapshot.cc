@@ -26,7 +26,6 @@ constexpr uint32_t kSecEdges = 3;
 constexpr uint32_t kSecMatrix = 4;
 constexpr uint32_t kSecOptions = 5;
 constexpr uint32_t kSecCorpus = 6;
-constexpr uint32_t kSecLig = 7;
 
 void AppendSection(std::string* payload, uint32_t tag,
                    const std::string& body) {
@@ -58,15 +57,9 @@ std::vector<TrackingRecord> GraphBundle::CorpusRecords() const {
   return records;
 }
 
-namespace {
-
-/// Validation and assembly shared by MakeBundle and the snapshot loader,
-/// so both hand out a bundle whose evaluator holder is constructed but not
-/// yet built. Leaves `lig` null so the loader can adopt the persisted
-/// index instead of building one it would immediately discard.
-Result<std::shared_ptr<GraphBundle>> AssembleBundle(
-    std::string name, uint64_t version, TransitionGraph graph,
-    RepairOptions options, std::vector<TrackingRecord> corpus_records) {
+Result<BundlePtr> MakeBundle(std::string name, uint64_t version,
+                             TransitionGraph graph, RepairOptions options,
+                             std::vector<TrackingRecord> corpus_records) {
   if (name.empty()) {
     return Status::InvalidArgument("bundle name must be non-empty");
   }
@@ -85,36 +78,11 @@ Result<std::shared_ptr<GraphBundle>> AssembleBundle(
   // Pointers and process-local knobs never live in a bundle: bundles are
   // shared across connections and snapshots.
   options.similarity = nullptr;
-  options.resident_lig = nullptr;
   auto bundle = std::make_shared<GraphBundle>(std::move(name), version,
                                               std::move(graph), options);
   if (!corpus_records.empty()) {
     bundle->corpus = std::make_unique<TrajectorySet>(
         TrajectorySet::FromRecords(corpus_records));
-  }
-  return bundle;
-}
-
-LengthIndexedGrids::Options LigOptionsOf(const RepairOptions& options) {
-  LengthIndexedGrids::Options lig_opts;
-  lig_opts.theta = options.theta;
-  lig_opts.eta = options.eta;
-  lig_opts.time_bin = options.time_bin;
-  return lig_opts;
-}
-
-}  // namespace
-
-Result<BundlePtr> MakeBundle(std::string name, uint64_t version,
-                             TransitionGraph graph, RepairOptions options,
-                             std::vector<TrackingRecord> corpus_records) {
-  auto assembled = AssembleBundle(std::move(name), version, std::move(graph),
-                                  options, std::move(corpus_records));
-  IDREPAIR_RETURN_NOT_OK(assembled.status());
-  std::shared_ptr<GraphBundle> bundle = std::move(assembled).value();
-  if (bundle->corpus != nullptr) {
-    bundle->lig = std::make_unique<LengthIndexedGrids>(
-        *bundle->corpus, LigOptionsOf(bundle->options));
   }
   return BundlePtr(std::move(bundle));
 }
@@ -245,29 +213,10 @@ std::string EncodeSnapshot(const GraphBundle& bundle) {
     AppendSection(&payload, kSecOptions, body);
   }
   if (bundle.corpus != nullptr) {
-    {
-      std::string body;
-      BinaryWriter w(&body);
-      EncodeRecords(&w, bundle.CorpusRecords());
-      AppendSection(&payload, kSecCorpus, body);
-    }
-    {
-      std::string body;
-      BinaryWriter w(&body);
-      LengthIndexedGrids::Parts parts = bundle.lig->ToParts();
-      w.U64(parts.options.theta);
-      w.I64(parts.options.eta);
-      w.I64(parts.options.time_bin);
-      w.I64(parts.base_time);
-      w.U64(parts.num_bins);
-      w.U64(parts.band);
-      w.U64(parts.num_indexed);
-      w.U64(parts.cell_offsets.size());
-      for (uint32_t off : parts.cell_offsets) w.U32(off);
-      w.U64(parts.cell_entries.size());
-      for (TrajIndex entry : parts.cell_entries) w.U32(entry);
-      AppendSection(&payload, kSecLig, body);
-    }
+    std::string body;
+    BinaryWriter w(&body);
+    EncodeRecords(&w, bundle.CorpusRecords());
+    AppendSection(&payload, kSecCorpus, body);
   }
 
   std::string out;
@@ -321,9 +270,6 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
   std::vector<uint64_t> matrix_words;
   RepairOptions options;
   std::vector<TrackingRecord> corpus_records;
-  bool have_corpus = false;
-  bool have_lig = false;
-  LengthIndexedGrids::Parts lig_parts;
 
   BinaryReader r(payload);
   uint32_t last_tag = 0;
@@ -336,7 +282,7 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
       return Status::Corruption("snapshot: section tags out of order");
     }
     last_tag = tag;
-    if (tag > kSecLig) {
+    if (tag > kSecCorpus) {
       return Status::Corruption("snapshot: unknown section tag " +
                                 std::to_string(tag));
     }
@@ -403,37 +349,7 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
         break;
       case kSecCorpus:
         corpus_records = DecodeRecords(&body);
-        have_corpus = true;
         break;
-      case kSecLig: {
-        lig_parts.options.theta = static_cast<size_t>(body.U64());
-        lig_parts.options.eta = body.I64();
-        lig_parts.options.time_bin = body.I64();
-        lig_parts.base_time = body.I64();
-        lig_parts.num_bins = body.U64();
-        lig_parts.band = body.U64();
-        lig_parts.num_indexed = body.U64();
-        uint64_t num_offsets = body.U64();
-        if (!body.ok() || num_offsets > body.remaining() / 4) {
-          return Status::Corruption(
-              "snapshot: lig offset count overflows body");
-        }
-        lig_parts.cell_offsets.reserve(static_cast<size_t>(num_offsets));
-        for (uint64_t i = 0; i < num_offsets && body.ok(); ++i) {
-          lig_parts.cell_offsets.push_back(body.U32());
-        }
-        uint64_t num_entries = body.U64();
-        if (!body.ok() || num_entries > body.remaining() / 4) {
-          return Status::Corruption(
-              "snapshot: lig entry count overflows body");
-        }
-        lig_parts.cell_entries.reserve(static_cast<size_t>(num_entries));
-        for (uint64_t i = 0; i < num_entries && body.ok(); ++i) {
-          lig_parts.cell_entries.push_back(body.U32());
-        }
-        have_lig = true;
-        break;
-      }
       default:
         break;  // unreachable: tag range checked above
     }
@@ -446,9 +362,6 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
                                  (1u << kSecOptions);
   if ((seen_mask & kRequired) != kRequired) {
     return Status::Corruption("snapshot: missing required section");
-  }
-  if (have_lig && !have_corpus) {
-    return Status::Corruption("snapshot: lig section without corpus section");
   }
 
   // Rebuild the graph from the vertex table and edge list.
@@ -491,39 +404,13 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
         "with edge list)");
   }
 
-  auto assembled = AssembleBundle(std::move(name), bundle_version,
-                                  std::move(graph), options,
-                                  std::move(corpus_records));
+  auto assembled = MakeBundle(std::move(name), bundle_version,
+                              std::move(graph), options,
+                              std::move(corpus_records));
   if (!assembled.ok()) {
     return Status::Corruption("snapshot: " + assembled.status().message());
   }
-  std::shared_ptr<GraphBundle> bundle = std::move(assembled).value();
-
-  if (have_lig) {
-    // Load-not-rebuild: adopt the persisted index (validated structurally
-    // by FromParts) instead of rebuilding it from the corpus.
-    if (bundle->corpus == nullptr) {
-      return Status::Corruption("snapshot: lig section but empty corpus");
-    }
-    if (lig_parts.options.theta != bundle->options.theta ||
-        lig_parts.options.eta != bundle->options.eta ||
-        lig_parts.options.time_bin != bundle->options.time_bin) {
-      return Status::Corruption(
-          "snapshot: lig section options disagree with bundle options");
-    }
-    auto lig = LengthIndexedGrids::FromParts(*bundle->corpus,
-                                             std::move(lig_parts));
-    if (!lig.ok()) {
-      return Status::Corruption("snapshot: " + lig.status().message());
-    }
-    bundle->lig = std::move(lig).value();
-  } else if (bundle->corpus != nullptr) {
-    // Pre-lig-section snapshots of a corpus-bearing bundle do not occur in
-    // files this code writes, but decoding stays total: rebuild.
-    bundle->lig = std::make_unique<LengthIndexedGrids>(
-        *bundle->corpus, LigOptionsOf(bundle->options));
-  }
-  return BundlePtr(std::move(bundle));
+  return assembled;
 }
 
 namespace {

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "graph/transition_graph.h"
-#include "lig/length_indexed_grids.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
 #include "server/wire_format.h"
@@ -21,7 +20,7 @@ namespace server {
 
 /// One registry entry: a named transition graph, the repair options it was
 /// registered with, the graph's lazily built predicate evaluator, and
-/// (optionally) a resident corpus with its prebuilt LIG index. Bundles are
+/// (optionally) a resident corpus. Bundles are
 /// immutable after construction and shared through
 /// shared_ptr<const GraphBundle> — the epoch mechanism of GraphRegistry:
 /// replacing an entry swaps the pointer, and in-flight repairs holding the
@@ -37,21 +36,17 @@ struct GraphBundle {
   /// Registry epoch of this bundle, monotonically increasing per name.
   uint64_t version = 1;
   TransitionGraph graph;
-  /// The registered defaults. `similarity`, `exec`, `obs`, and
-  /// `resident_lig` are process-local and never persisted; a snapshot
-  /// round-trip resets them to defaults.
+  /// The registered defaults. `similarity`, `exec`, and `obs` are
+  /// process-local and never persisted; a snapshot round-trip resets them
+  /// to defaults.
   RepairOptions options;
   /// The evaluator over `graph` at the registered θ/η. Built by the first
   /// repair on this bundle, not at registration, and shared by every repair
   /// after it: one build per epoch, since a re-registration is a new bundle.
   LazyPredicateEvaluator evaluator;
-  /// Resident corpus (heap-allocated so the LIG's back-reference survives
-  /// bundle moves), or null when the tenant registered a graph only.
+  /// Resident corpus, or null when the tenant registered a graph only. A
+  /// corpus repair builds its LIG like any other Gm build.
   std::unique_ptr<TrajectorySet> corpus;
-  /// LIG index over *corpus with the bundle's θ/η/time_bin; null iff
-  /// corpus is null. Loaded from snapshot sections at startup — not
-  /// rebuilt — and handed to engines via RepairOptions::resident_lig.
-  std::unique_ptr<LengthIndexedGrids> lig;
 
   /// Flattens the resident corpus back to records, in trajectory order.
   /// Deterministic, and FromRecords of the result reproduces the corpus —
@@ -62,18 +57,18 @@ struct GraphBundle {
 using BundlePtr = std::shared_ptr<const GraphBundle>;
 
 /// Validates and assembles a bundle: graph structural sanity, option
-/// sanity, corpus record location bounds; builds the corpus set and its
-/// LIG index when `corpus_records` is non-empty.
+/// sanity, corpus record location bounds; builds the corpus set when
+/// `corpus_records` is non-empty.
 Result<BundlePtr> MakeBundle(std::string name, uint64_t version,
                              TransitionGraph graph, RepairOptions options,
                              std::vector<TrackingRecord> corpus_records);
 
-// ---- Snapshot file format (v1) -------------------------------------
+// ---- Snapshot file format (v2) -------------------------------------
 //
 // A snapshot is a 24-byte header followed by a CRC-protected payload:
 //
 //   u32 magic   'IDRS' (0x53524449 little-endian)
-//   u32 version  1
+//   u32 version  2
 //   u64 payload_size        (exact byte count; no trailing garbage)
 //   u32 payload_crc32       (IEEE CRC-32 of the payload bytes)
 //   u32 reserved            (0)
@@ -88,15 +83,17 @@ Result<BundlePtr> MakeBundle(std::string name, uint64_t version,
 //               against the matrix rebuilt from section 3
 //   5 options   the registered RepairOptions (persistable fields only)
 //   6 corpus    resident corpus records (optional)
-//   7 lig       LengthIndexedGrids::Parts over the corpus (optional,
-//               requires section 6) — the load-not-rebuild payload
+//
+// Version 1 also carried a section 7 with the corpus's LIG arena; version
+// 2 dropped it (a corpus repair builds its own LIG), so v1 files fail the
+// version check.
 //
 // Loaders reject bad magic, unknown versions, truncation, trailing bytes,
 // CRC mismatches, unknown or out-of-order sections, and any structural
 // inconsistency between sections, always with a clean Status.
 
 inline constexpr uint32_t kSnapshotMagic = 0x53524449u;  // "IDRS"
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr size_t kSnapshotHeaderBytes = 24;
 
 /// Serializes a bundle to snapshot bytes.

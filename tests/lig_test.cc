@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "gen/real_like.h"
@@ -201,6 +204,132 @@ TEST(LigTest, BoundarySpansIndexAndProbeConsistently) {
   EXPECT_EQ(got.count(idx.at("over_theta")), 0u);
   EXPECT_EQ(got.count(idx.at("over_eta")), 0u);
   EXPECT_EQ(got.count(idx.at("bin_edge")), 0u);
+}
+
+// ---- Brute-force oracle ----
+
+/// The grid's answer for probe `k`, computed pair by pair with no index:
+/// every other trajectory that the grid would index (non-empty, at most θ
+/// records, span at most η) and whose length fits θ − |Tk| and whose start
+/// and end bins both lie in the probe's bin window [bin(Tk.end − η),
+/// bin(Tk.start + η)], ordered by (length, start bin, end − start bins,
+/// index) — the order the index reports.
+std::vector<TrajIndex> OracleCandidates(const TrajectorySet& set,
+                                        const LengthIndexedGrids::Options& o,
+                                        TrajIndex k) {
+  Timestamp base = 0;
+  bool any = false;
+  for (const Trajectory& t : set.trajectories()) {
+    if (t.empty()) continue;
+    base = any ? std::min(base, t.start_time()) : t.start_time();
+    any = true;
+  }
+  const Timestamp tb = std::max<Timestamp>(1, o.time_bin);
+  auto bin = [&](Timestamp ts) { return (ts - base) / tb; };
+  const Trajectory& probe = set.at(k);
+  if (probe.empty() || probe.size() >= o.theta) return {};
+  Timestamp lo = probe.end_time() - o.eta;
+  Timestamp hi = probe.start_time() + o.eta;
+  if (lo > hi) return {};
+  Timestamp lo_bin = lo < base ? 0 : bin(lo);
+  Timestamp hi_bin = bin(hi);
+  std::vector<std::tuple<size_t, Timestamp, Timestamp, TrajIndex>> hits;
+  for (TrajIndex j = 0; j < set.size(); ++j) {
+    const Trajectory& t = set.at(j);
+    if (j == k || t.empty() || t.size() > o.theta) continue;
+    if (t.TimeSpan() > o.eta) continue;
+    if (t.size() > o.theta - probe.size()) continue;
+    Timestamp sbin = bin(t.start_time());
+    Timestamp ebin = bin(t.end_time());
+    if (sbin < lo_bin || ebin > hi_bin) continue;
+    hits.emplace_back(t.size(), sbin, ebin - sbin, j);
+  }
+  std::sort(hits.begin(), hits.end());
+  std::vector<TrajIndex> out;
+  for (const auto& hit : hits) out.push_back(std::get<3>(hit));
+  return out;
+}
+
+/// A random set over a `timeline`-second span: trajectories of 1..θ+1
+/// records and spans up to 1.25·η, clustered around random anchors so the
+/// probes' windows overlap, plus length-(θ−1) probes pinned to the first
+/// and the last time bin.
+TrajectorySet MakeRandomSet(Rng* rng, const LengthIndexedGrids::Options& o,
+                            Timestamp timeline) {
+  std::vector<TrackingRecord> records;
+  auto add = [&](const std::string& id, size_t len, Timestamp start,
+                 Timestamp span) {
+    for (size_t r = 0; r < len; ++r) {
+      Timestamp ts = start;
+      if (len > 1) ts += r + 1 == len ? span : rng->UniformInt(0, span);
+      records.push_back({id, static_cast<LocationId>(r % 5), ts});
+    }
+  };
+  std::vector<Timestamp> anchors = {0, timeline};
+  for (int a = 0; a < 6; ++a) anchors.push_back(rng->UniformInt(0, timeline));
+  for (int t = 0; t < 240; ++t) {
+    Timestamp anchor = anchors[rng->UniformIndex(anchors.size())];
+    Timestamp start = std::clamp<Timestamp>(
+        anchor + rng->UniformInt(-2 * o.eta, 2 * o.eta), 0, timeline);
+    size_t len = 1 + rng->UniformIndex(o.theta + 1);
+    Timestamp span = len == 1 ? 0 : rng->UniformInt(0, o.eta + o.eta / 4);
+    std::string id = "r";
+    id += std::to_string(t);
+    add(id, len, start, span);
+  }
+  // First-bin and last-bin probes of length θ−1, and a peer for each.
+  add("first", o.theta - 1, 0, o.eta / 2);
+  add("first_peer", 1, o.eta / 3, 0);
+  add("last", o.theta - 1, timeline + o.eta - o.eta / 2, o.eta / 2);
+  add("last_peer", 1, timeline + o.eta, 0);
+  return TrajectorySet::FromRecords(records);
+}
+
+// Every probe's answer equals, as an ordered sequence, a pair-by-pair scan
+// of the grid's criteria — for bins of one second to ten minutes, and on
+// one-hour and eight-week timelines, where most of the time axis is empty.
+TEST(LigTest, ProbeAnswersMatchBruteForceGridScan) {
+  constexpr Timestamp kHour = 3600;
+  constexpr Timestamp kEightWeeks = 8 * 7 * 24 * kHour;
+  struct Arm {
+    Timestamp time_bin;
+    Timestamp timeline;
+  };
+  const Arm arms[] = {
+      {1, kHour}, {7, kHour}, {60, kHour}, {60, kEightWeeks},
+      {600, kEightWeeks},
+  };
+  uint64_t seed = 1;
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE("time_bin " + std::to_string(arm.time_bin) + ", timeline " +
+                 std::to_string(arm.timeline));
+    LengthIndexedGrids::Options o;
+    o.theta = 4;
+    o.eta = 600;
+    o.time_bin = arm.time_bin;
+    Rng rng(seed++);
+    TrajectorySet set = MakeRandomSet(&rng, o, arm.timeline);
+    LengthIndexedGrids lig(set, o);
+    size_t nonempty = 0;
+    std::vector<TrajIndex> got;
+    for (TrajIndex k = 0; k < set.size(); ++k) {
+      got.clear();
+      lig.CollectCandidates(k, &got);
+      ASSERT_EQ(got, OracleCandidates(set, o, k)) << "probe " << set.at(k).id();
+      if (!got.empty()) ++nonempty;
+    }
+    // The probes are not vacuous: the pinned first- and last-bin probes see
+    // their peers, and many random probes see someone.
+    auto idx = set.BuildIdIndex();
+    for (const auto& [probe, peer] :
+         {std::pair{"first", "first_peer"}, std::pair{"last", "last_peer"}}) {
+      got.clear();
+      lig.CollectCandidates(idx.at(probe), &got);
+      EXPECT_NE(std::find(got.begin(), got.end(), idx.at(peer)), got.end())
+          << probe;
+    }
+    EXPECT_GT(nonempty, set.size() / 4);
+  }
 }
 
 }  // namespace

@@ -77,33 +77,37 @@ TEST_P(SeededPropertyTest, PckIsNecessaryForJnb) {
 }
 
 // The LIG grid criteria are necessary for cex: no cex-positive pair may be
-// filtered out by the index.
+// filtered out by the index — on a one-hour window and on an eight-week one.
 TEST_P(SeededPropertyTest, LigIsNecessaryForCex) {
   TransitionGraph graph = MakeRealLikeGraph();
-  SyntheticConfig config;
-  config.num_trajectories = 80;
-  config.max_path_len = 4;
-  config.seed = GetParam() ^ 0xbeef;
-  auto ds = GenerateSyntheticDataset(graph, config);
-  ASSERT_TRUE(ds.ok());
-  TrajectorySet set = ds->BuildObservedTrajectories();
-  PredicateEvaluator pred(graph, 4, 600);
-  LengthIndexedGrids::Options lig_opts{4, 600, 60};
-  LengthIndexedGrids lig(set, lig_opts);
-  std::vector<TrajIndex> out;
-  for (TrajIndex i = 0; i < set.size(); ++i) {
-    out.clear();
-    lig.CollectCandidates(i, &out);
-    std::set<TrajIndex> candidates(out.begin(), out.end());
-    for (TrajIndex j = 0; j < set.size(); ++j) {
-      if (i == j) continue;
-      if (!pred.InternallyFeasible(set.at(i)) ||
-          !pred.InternallyFeasible(set.at(j))) {
-        continue;
-      }
-      if (pred.Cex(set.at(i), set.at(j))) {
-        EXPECT_TRUE(candidates.count(j) > 0)
-            << "LIG dropped cex pair " << i << "," << j;
+  for (Timestamp window : {Timestamp{3600}, Timestamp{8 * 7 * 24 * 3600}}) {
+    SCOPED_TRACE("window_seconds " + std::to_string(window));
+    SyntheticConfig config;
+    config.num_trajectories = 80;
+    config.max_path_len = 4;
+    config.window_seconds = window;
+    config.seed = GetParam() ^ 0xbeef;
+    auto ds = GenerateSyntheticDataset(graph, config);
+    ASSERT_TRUE(ds.ok());
+    TrajectorySet set = ds->BuildObservedTrajectories();
+    PredicateEvaluator pred(graph, 4, 600);
+    LengthIndexedGrids::Options lig_opts{4, 600, 60};
+    LengthIndexedGrids lig(set, lig_opts);
+    std::vector<TrajIndex> out;
+    for (TrajIndex i = 0; i < set.size(); ++i) {
+      out.clear();
+      lig.CollectCandidates(i, &out);
+      std::set<TrajIndex> candidates(out.begin(), out.end());
+      for (TrajIndex j = 0; j < set.size(); ++j) {
+        if (i == j) continue;
+        if (!pred.InternallyFeasible(set.at(i)) ||
+            !pred.InternallyFeasible(set.at(j))) {
+          continue;
+        }
+        if (pred.Cex(set.at(i), set.at(j))) {
+          EXPECT_TRUE(candidates.count(j) > 0)
+              << "LIG dropped cex pair " << i << "," << j;
+        }
       }
     }
   }

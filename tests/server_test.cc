@@ -6,9 +6,9 @@
 //  * registry replacement is epoch-style: in-flight holders of the old
 //    bundle keep a fully usable graph while new acquires see the new one;
 //  * register -> snapshot -> kill -> restart --load-dir reproduces the
-//    exact same repair output as the original process (load-not-rebuild,
-//    attested by the resident-LIG reuse counter);
-//  * admission control sheds whole requests with ResourceExhausted, and a
+//    exact same repair output as the original process;
+//  * admission control sheds whole requests with ResourceExhausted, a
+//    batch the task group skips still releases its admission slot, and a
 //    per-request budget lands on the engines' graceful-degradation path;
 //  * garbage on the wire drops that connection with a clean Status and the
 //    daemon keeps serving everyone else;
@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "fault/failpoint.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
@@ -199,7 +200,7 @@ TEST(GraphRegistryTest, SaveAndLoadDirRoundTrip) {
   EXPECT_EQ(loaded.size(), 2u);
   auto alpha = loaded.Acquire("alpha");
   ASSERT_TRUE(alpha.ok());
-  ASSERT_NE((*alpha)->lig, nullptr);
+  ASSERT_NE((*alpha)->corpus, nullptr);
   EXPECT_EQ((*alpha)->corpus->total_records(), 7u);
 
   // A corrupt file in the directory fails the whole load with a clean
@@ -316,16 +317,13 @@ TEST(ServerE2ETest, MultiBatchRepairKeepsRequestOrder) {
   (*srv)->Stop();
 }
 
-TEST(ServerE2ETest, CorpusRepairReusesResidentLigIndex) {
-  obs::SetEnabled(true);
+TEST(ServerE2ETest, CorpusRepairMatchesLocalRun) {
   auto srv = StartLoopbackServer();
   ASSERT_TRUE(srv.ok()) << srv.status();
   auto client = RepairClient::Connect((*srv)->address());
   ASSERT_TRUE(client.ok()) << client.status();
   ASSERT_TRUE(client->RegisterGraph(PaperRegisterRequest("paper", true)).ok());
 
-  uint64_t reuses_before =
-      CounterValue("idrepair_gm_resident_lig_reuse_total");
   RepairRequest req;
   req.name = "paper";
   req.use_corpus = true;
@@ -336,9 +334,6 @@ TEST(ServerE2ETest, CorpusRepairReusesResidentLigIndex) {
             LocalRepair(testutil::MakeTable1Records(),
                         testutil::RunningExampleOptions(),
                         MakePaperExampleGraph()));
-  // The run consulted the bundle's prebuilt index instead of rebuilding.
-  EXPECT_GT(CounterValue("idrepair_gm_resident_lig_reuse_total"),
-            reuses_before);
   (*srv)->Stop();
 }
 
@@ -427,6 +422,77 @@ TEST(ServerE2ETest, AdmissionControlShedsWholeRequests) {
   auto ok = client->Repair(empty);
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_TRUE(ok->batches.empty());
+  (*srv)->Stop();
+}
+
+// A batch task the group skips (its run failpoint fired, or the group was
+// cancelled by another batch's failure) never reaches the code that
+// releases its admission slot inside the task; the server must release it
+// anyway, or every such request shrinks max_inflight for good.
+TEST(ServerE2ETest, SkippedBatchTasksReleaseTheirAdmissionSlots) {
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  auto client = RepairClient::Connect((*srv)->address());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ASSERT_TRUE(
+      client->RegisterGraph(PaperRegisterRequest("paper", false)).ok());
+
+  auto all = testutil::MakeTable1Records();
+  std::vector<std::vector<TrackingRecord>> batches = {
+      all,
+      {all.begin(), all.begin() + 3},
+      {all.begin() + 3, all.end()},
+  };
+  RepairRequest req;
+  req.name = "paper";
+  req.batches = batches;
+
+  fault::FaultSpec spec;
+  spec.fire_on_hit = 1;
+  spec.code = StatusCode::kIoError;
+  ASSERT_TRUE(fault::FailPointRegistry::Global()
+                  .Arm("exec.task_group.run", spec)
+                  .ok());
+  auto faulted = client->Repair(req);
+  fault::FailPointRegistry::Global().DisarmAll();
+  ASSERT_TRUE(faulted.ok()) << faulted.status();
+  ASSERT_EQ(faulted->batches.size(), batches.size());
+  // The first batch task to start takes the fault and never runs; tasks
+  // that had not started by then are skipped. Either way the batch reports
+  // the group's error, and a batch that did run is still exact.
+  size_t failed = 0;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    const BatchReply& batch = faulted->batches[i];
+    if (batch.completion.ok()) {
+      EXPECT_EQ(batch.repaired,
+                LocalRepair(batches[i], testutil::RunningExampleOptions(),
+                            MakePaperExampleGraph()));
+    } else {
+      EXPECT_EQ(batch.completion.code(), StatusCode::kIoError)
+          << batch.completion;
+      ++failed;
+    }
+  }
+  EXPECT_GE(failed, 1u);
+  AdmissionStats stats = (*srv)->admission();
+  EXPECT_EQ(stats.inflight, 0);
+  EXPECT_EQ(stats.admitted, batches.size());
+  EXPECT_EQ(stats.completed, batches.size());
+
+  // The next request is admitted and repaired exactly.
+  auto reply = client->Repair(req);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->batches.size(), batches.size());
+  for (size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    EXPECT_TRUE(reply->batches[i].completion.ok())
+        << reply->batches[i].completion;
+    EXPECT_EQ(reply->batches[i].repaired,
+              LocalRepair(batches[i], testutil::RunningExampleOptions(),
+                          MakePaperExampleGraph()));
+  }
+  EXPECT_EQ((*srv)->admission().inflight, 0);
   (*srv)->Stop();
 }
 

@@ -17,7 +17,6 @@
 #include "fault/failpoint.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
-#include "lig/length_indexed_grids.h"
 #include "repair/repairer.h"
 #include "server/registry.h"
 #include "server/snapshot.h"
@@ -109,32 +108,26 @@ TEST(SnapshotTest, DecodedBundlePreservesEveryField) {
   EXPECT_EQ(b.options.eta, 1200);
   ASSERT_NE(b.corpus, nullptr);
   EXPECT_EQ(b.corpus->total_records(), 7u);
-  ASSERT_NE(b.lig, nullptr);
-  // The loaded LIG indexes the loaded corpus object — the pointer identity
-  // RepairOptions::resident_lig reuse hinges on.
-  EXPECT_EQ(&b.lig->indexed_set(), b.corpus.get());
 }
 
-TEST(SnapshotTest, LoadedLigRepairsIdenticallyToFreshBuild) {
+TEST(SnapshotTest, LoadedCorpusRepairsIdenticallyToTheOriginal) {
   auto bundle = MakePaperBundle();
   ASSERT_TRUE(bundle.ok()) << bundle.status();
   auto loaded = DecodeSnapshot(EncodeSnapshot(**bundle));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-  RepairOptions with_resident = (*loaded)->options;
-  with_resident.resident_lig = (*loaded)->lig.get();
-  IdRepairer resident_engine((*loaded)->graph, with_resident);
-  auto resident = resident_engine.Repair(*(*loaded)->corpus);
-  ASSERT_TRUE(resident.ok()) << resident.status();
+  IdRepairer loaded_engine((*loaded)->graph, (*loaded)->options);
+  auto from_loaded = loaded_engine.Repair(*(*loaded)->corpus);
+  ASSERT_TRUE(from_loaded.ok()) << from_loaded.status();
 
-  IdRepairer fresh_engine((*bundle)->graph, (*bundle)->options);
-  auto fresh = fresh_engine.Repair(*(*bundle)->corpus);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  IdRepairer original_engine((*bundle)->graph, (*bundle)->options);
+  auto original = original_engine.Repair(*(*bundle)->corpus);
+  ASSERT_TRUE(original.ok()) << original.status();
 
-  EXPECT_EQ(resident->repaired.trajectories(),
-            fresh->repaired.trajectories());
-  EXPECT_EQ(resident->rewrites, fresh->rewrites);
-  EXPECT_EQ(resident->selected, fresh->selected);
+  EXPECT_EQ(from_loaded->repaired.trajectories(),
+            original->repaired.trajectories());
+  EXPECT_EQ(from_loaded->rewrites, original->rewrites);
+  EXPECT_EQ(from_loaded->selected, original->selected);
 }
 
 TEST(SnapshotTest, FileRoundTripMatchesInMemoryBytes) {
@@ -223,15 +216,21 @@ TEST(SnapshotTest, BadMagicIsRejected) {
 }
 
 TEST(SnapshotTest, WrongVersionIsRejected) {
+  // Version 2 dropped version 1's LIG section; a v1 file is refused by the
+  // version check, not half-read.
+  static_assert(kSnapshotVersion == 2);
   auto bundle = MakePaperBundle();
   ASSERT_TRUE(bundle.ok()) << bundle.status();
-  std::string bytes = EncodeSnapshot(**bundle);
-  uint32_t version = 2;
-  std::memcpy(bytes.data() + 4, &version, sizeof(version));
-  auto r = DecodeSnapshot(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("version"), std::string::npos)
-      << r.status();
+  for (uint32_t version : {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = EncodeSnapshot(**bundle);
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    auto r = DecodeSnapshot(bytes);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(r.status().message().find("version"), std::string::npos)
+        << r.status();
+  }
 }
 
 TEST(SnapshotTest, CrcMismatchIsRejected) {
@@ -328,39 +327,25 @@ TEST(SnapshotTest, EveryPayloadByteFlipIsRejectedOrDecodesToAFixedPoint) {
   EXPECT_GT(rejected, accepted);
 }
 
-TEST(SnapshotTest, LigSectionMismatchedOptionsIsRejected) {
-  // FromParts is the snapshot's trust boundary for the LIG arena; feed it
-  // structurally broken Parts directly.
-  auto set = testutil::MakeTable2Trajectories();
-  LengthIndexedGrids::Options options;
-  options.theta = 5;
-  options.eta = 1200;
-  LengthIndexedGrids lig(set, options);
-  LengthIndexedGrids::Parts good = lig.ToParts();
-
-  {
-    LengthIndexedGrids::Parts bad = good;
-    bad.cell_offsets.pop_back();
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  {
-    LengthIndexedGrids::Parts bad = good;
-    if (!bad.cell_offsets.empty()) bad.cell_offsets[0] = 1;
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  {
-    LengthIndexedGrids::Parts bad = good;
-    bad.num_indexed += 1;
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  {
-    LengthIndexedGrids::Parts bad = good;
-    for (auto& e : bad.cell_entries) e = 1000;  // out of range for the set
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  auto ok = LengthIndexedGrids::FromParts(set, std::move(good));
-  ASSERT_TRUE(ok.ok()) << ok.status();
-  EXPECT_EQ(&(*ok)->indexed_set(), &set);
+TEST(SnapshotTest, UnknownSectionTagIsRejected) {
+  auto bundle = MakePaperBundle();
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  std::string bytes = EncodeSnapshot(**bundle);
+  ASSERT_NE(FindSection(bytes, 6).second, 0u) << "corpus section missing";
+  // Tag 7 held version 1's LIG arena; in version 2 it is unknown. Append
+  // one after the corpus section, in ascending order, with a valid CRC.
+  uint32_t tag = 7;
+  uint64_t len = 4;
+  bytes.append(reinterpret_cast<const char*>(&tag), sizeof(tag));
+  bytes.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  bytes.append(4, '\0');
+  RestampHeader(&bytes);
+  auto r = DecodeSnapshot(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("unknown section tag 7"),
+            std::string::npos)
+      << r.status();
 }
 
 TEST(SnapshotTest, MakeBundleValidatesInputs) {

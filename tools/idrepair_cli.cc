@@ -573,8 +573,8 @@ int RunClient(const std::string& action, const FlagParser& flags) {
       std::cout << entry.name << " v" << entry.version << ": "
                 << entry.num_locations << " locations, " << entry.num_edges
                 << " edges, " << entry.corpus_trajectories
-                << " corpus trajectories, " << entry.lig_indexed
-                << " LIG-indexed, " << entry.use_count << " in use\n";
+                << " corpus trajectories, " << entry.use_count
+                << " in use\n";
     }
     const server::AdmissionStats& a = reply->admission;
     std::cout << "admission: admitted=" << a.admitted << " rejected="
