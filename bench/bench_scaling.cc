@@ -151,9 +151,9 @@ int main() {
 
   // ------------------------------------------- selection-phase scaling
   // Phase 2 in isolation: a dense-window workload under DMIN, which
-  // materializes the repair graph — the surface sharded by
-  // --selection-grain — and then runs the serial tournament-tree degree
-  // pick, which walks Gr once and costs a small fraction of the build.
+  // materializes the repair graph — a surface sharded by --grain — and
+  // then runs the serial tournament-tree degree pick, which walks Gr once
+  // and costs a small fraction of the build.
   // Gr edge count grows superlinearly with window density (300
   // trajectories here already mean ~2M conflict edges), so the workload
   // stays moderate. sel_ms is Phase 2 wall time only, so its speedup is
@@ -162,7 +162,7 @@ int main() {
   if (!Generate(graph, 300, 3600, 2026, &set)) return 1;
   RepairOptions dmin = options;
   dmin.selection = SelectionAlgorithm::kDmin;
-  dmin.exec.min_selection_grain = 64;
+  dmin.exec.grain = 64;
   report.Header({"threads", "gr_edges", "sel_ms", "wall_ms", "sel_speedup",
                  "identical"});
   if (!SweepThreads(graph, dmin, set, &RepairStats::seconds_selection,

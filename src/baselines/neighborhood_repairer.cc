@@ -56,7 +56,6 @@ struct NeighborhoodInstruments {
 Result<RepairResult> NeighborhoodRepairer::Repair(
     const TrajectorySet& set) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
-  obs::ApplyOptions(options_.obs);
   if (obs::Enabled()) NeighborhoodInstruments::Get().attempts->Increment();
   Stopwatch watch;
   RepairResult result;

@@ -41,12 +41,14 @@ Result<FlagParser> FlagParser::Parse(
 
 std::string FlagParser::GetString(const std::string& key,
                                   const std::string& fallback) const {
+  read_.insert(key);
   auto it = flags_.find(key);
   return it == flags_.end() ? fallback : it->second;
 }
 
 Result<int64_t> FlagParser::GetInt(const std::string& key,
                                    int64_t fallback) const {
+  read_.insert(key);
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
   int64_t value = 0;
@@ -61,6 +63,7 @@ Result<int64_t> FlagParser::GetInt(const std::string& key,
 
 Result<double> FlagParser::GetDouble(const std::string& key,
                                      double fallback) const {
+  read_.insert(key);
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
   // std::from_chars for double is incomplete in some libstdc++ versions;
@@ -73,6 +76,14 @@ Result<double> FlagParser::GetDouble(const std::string& key,
                                    " expects a number, got '" + s + "'");
   }
   return value;
+}
+
+std::vector<std::string> FlagParser::Unread() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : flags_) {
+    if (read_.count(key) == 0) unread.push_back(key);
+  }
+  return unread;
 }
 
 }  // namespace idrepair

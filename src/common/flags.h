@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,11 @@ namespace idrepair {
 
 /// Minimal command-line parser for the CLI tool: positional arguments plus
 /// `--key=value` / `--key value` flags and boolean `--switch` flags.
+///
+/// The parser remembers which keys a Has() or Get*() call asked for, so a
+/// command that reads every flag it accepts up front can reject the rest
+/// (Unread()) instead of running with defaults past a typo or a retired
+/// flag.
 class FlagParser {
  public:
   /// Parses argv (excluding argv[0]). A token starting with "--" is a flag;
@@ -23,7 +29,10 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  bool Has(const std::string& key) const { return flags_.count(key) > 0; }
+  bool Has(const std::string& key) const {
+    read_.insert(key);
+    return flags_.count(key) > 0;
+  }
 
   /// String flag with default.
   std::string GetString(const std::string& key,
@@ -38,9 +47,15 @@ class FlagParser {
   /// Boolean switch (present => true).
   bool GetBool(const std::string& key) const { return Has(key); }
 
+  /// The flags given on the command line whose key no Has() or Get*() call
+  /// has asked for yet, in key order.
+  std::vector<std::string> Unread() const;
+
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  /// Keys asked for so far; mutable because asking is a const lookup.
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace idrepair

@@ -19,29 +19,13 @@ struct ExecOptions {
   /// bit-identically.
   int num_threads = 0;
 
-  /// Minimum number of work items (trajectories, vertices) per parallel
-  /// task. Shards smaller than this are merged with their neighbor so tiny
-  /// inputs never pay dispatch overhead.
-  size_t min_partition_grain = 64;
-
-  /// Number of clique-enumeration seed vertices (and, for the rarity
-  /// pass, candidate repairs) per work item of intra-component candidate
-  /// generation. kGrainAuto (the default) lets the cost model in
-  /// exec/grain.h pick from the work-item count and thread budget; any
-  /// positive value is an unconditional override. Seeds root whole search
-  /// subtrees, so they are coarser work items than trajectories; a smaller
-  /// grain keeps one hot clique from serializing the phase while small
-  /// components still run inline.
-  size_t min_candidate_grain = kGrainAuto;
-
-  /// Number of selection-phase work items (candidates to sort, repair-graph
-  /// vertices to build) per shard.
-  /// kGrainAuto (the default) defers to the cost model with the selection
-  /// calibration; any positive value overrides it. Selection work items are
-  /// much cheaper than clique seeds — a comparison or a flag write — so the
-  /// calibrated grain is coarser: below it the dispatch overhead exceeds
-  /// the work, and typical inputs stay on the serial reference path.
-  size_t min_selection_grain = kGrainAuto;
+  /// Work items per parallel shard, for every phase: trajectory-graph
+  /// probe vertices, clique-enumeration seeds (and candidates in the rarity
+  /// pass), and selection indices. kGrainAuto (the default) lets the cost
+  /// model in exec/grain.h pick each phase's grain from its item count,
+  /// thread budget and calibration; any positive value is an unconditional
+  /// override for every phase. No grain ever changes an output byte.
+  size_t grain = kGrainAuto;
 
   /// `num_threads` with the 0 default resolved against the hardware.
   int ResolvedThreads() const {
@@ -54,13 +38,8 @@ struct ExecOptions {
     if (num_threads < 0) {
       return Status::InvalidArgument("exec.num_threads must be >= 0");
     }
-    if (min_partition_grain == 0) {
-      return Status::InvalidArgument(
-          "exec.min_partition_grain must be >= 1");
-    }
-    // min_candidate_grain / min_selection_grain: every size_t is valid —
-    // kGrainAuto (0) selects the cost model, anything else is an explicit
-    // per-shard item floor.
+    // grain: every size_t is valid — kGrainAuto (0) selects the cost
+    // model, anything else is an explicit per-shard item count.
     return Status::OK();
   }
 };

@@ -9,9 +9,9 @@
 namespace idrepair {
 
 /// Sentinel grain value meaning "let the cost model pick" (CLI spelling:
-/// `auto`). Stored in the ExecOptions grain fields, where it is the
-/// default; any positive value is an explicit override that wins over the
-/// model unconditionally.
+/// `auto`). Stored in ExecOptions::grain, where it is the default; any
+/// positive value is an explicit override that wins over the model
+/// unconditionally.
 inline constexpr size_t kGrainAuto = 0;
 
 /// How many shards per thread the auto model aims for. More shards than
@@ -26,9 +26,13 @@ inline constexpr size_t kAutoShardsPerThread = 4;
 /// Measured on the tier-1 bench workloads (see DESIGN.md §10): a clique
 /// seed roots a whole search subtree, so even a handful amortize a
 /// dispatch; selection items are a comparison or a flag write, so
-/// thousands are needed before the pool pays for itself.
+/// thousands are needed before the pool pays for itself. A trajectory-graph
+/// probe vertex costs one LIG probe plus its cex checks; since the Gm build
+/// makes at most one shard per thread (SplitRange), its auto grain shards
+/// exactly as a fixed grain of 64 (pinned in exec_test).
 inline constexpr size_t kCandidateGrainCalibration = 4;
 inline constexpr size_t kSelectionGrainCalibration = 512;
+inline constexpr size_t kPartitionGrainCalibration = 64;
 
 /// The auto cost model as a pure function: the grain (items per shard)
 /// for `items` work items on `threads` threads with the given calibration

@@ -57,7 +57,7 @@ struct SyntheticConfig {
   /// instead of silently producing a degenerate dataset.
   Status Validate() const;
 
-  /// Validate() as a terminal step, mirroring RepairOptions::Validated():
+  /// Validate() as a terminal step that returns the config by value:
   ///   auto config = raw_config.Validated();
   ///   if (!config.ok()) return config.status();
   Result<SyntheticConfig> Validated() const {

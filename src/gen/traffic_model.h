@@ -68,12 +68,6 @@ struct TrafficConfig {
   uint64_t seed = 1;
 
   Status Validate() const;
-
-  /// Status-returning self-check, mirroring RepairOptions::Validated().
-  Result<TrafficConfig> Validated() const {
-    IDREPAIR_RETURN_NOT_OK(Validate());
-    return *this;
-  }
 };
 
 /// Samples a clean (error-free) labeled dataset of `config.num_trips` trips

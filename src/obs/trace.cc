@@ -204,11 +204,5 @@ TraceSpan::~TraceSpan() {
   sink_->Record(event);
 }
 
-void ApplyOptions(const ObsOptions& options) {
-  if (!options.enabled) return;
-  TraceSink::Global().SetCapacity(options.trace_capacity);
-  SetEnabled(true);
-}
-
 }  // namespace obs
 }  // namespace idrepair

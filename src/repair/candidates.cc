@@ -255,7 +255,7 @@ Result<CandidateSet> GenerateCandidates(
   // not a fixed range-mate. One seed owns the whole subtree of cliques it
   // roots, which is exactly the intra-component unit of work.
   const int threads = options.exec.ResolvedThreads();
-  const size_t grain = ResolveGrain(options.exec.min_candidate_grain,
+  const size_t grain = ResolveGrain(options.exec.grain,
                                     seeds.size(), threads,
                                     kCandidateGrainCalibration);
   const size_t num_blocks =
@@ -334,7 +334,7 @@ Status ComputeEffectiveness(CandidateSet& candidates,
   const int threads = options.exec.ResolvedThreads();
   auto shards = SplitRange(
       candidates.size(), threads,
-      ResolveGrain(options.exec.min_candidate_grain, candidates.size(),
+      ResolveGrain(options.exec.grain, candidates.size(),
                    threads, kCandidateGrainCalibration));
 
   // d(T): how many candidate repairs cover each invalid trajectory. Each

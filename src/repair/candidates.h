@@ -197,7 +197,7 @@ struct GenerationStats {
 /// selected (Example 4.2).
 ///
 /// Runs over the clique-enumeration seed vertices on the shared exec pool,
-/// split into fixed blocks of `options.exec.min_candidate_grain` seeds
+/// split into fixed blocks of `options.exec.grain` seeds
 /// (kGrainAuto selects the cost model in exec/grain.h) that workers CLAIM
 /// dynamically — a seed rooting a heavy clique subtree delays only the
 /// worker that claimed it, so one giant component no longer serializes
@@ -236,14 +236,14 @@ Result<CandidateSet> GenerateCandidates(
 /// `options.rarity_aggregation`, and
 /// ω = sim + λ · log_{rarity + rarity_base_offset}(|ivt|).
 ///
-/// Shares the generator's sharding (`options.exec`, min_candidate_grain,
-/// here over candidates): the degree pass accumulates into per-shard count
-/// arrays reduced in index order, and the scoring pass writes each
-/// candidate's own fields — both bit-identical at every thread count
-/// (degree sums are integers; ω is computed per candidate from its shard-
-/// independent inputs). A propagated shard error leaves `candidates` with
-/// possibly part-filled rarity/effectiveness fields; callers must discard
-/// the set on error.
+/// Shares the generator's sharding (`options.exec.grain` and its
+/// calibration, here over candidates): the degree pass accumulates into
+/// per-shard count arrays reduced in index order, and the scoring pass
+/// writes each candidate's own fields — both bit-identical at every thread
+/// count (degree sums are integers; ω is computed per candidate from its
+/// shard-independent inputs). A propagated shard error leaves `candidates`
+/// with possibly part-filled rarity/effectiveness fields; callers must
+/// discard the set on error.
 Status ComputeEffectiveness(CandidateSet& candidates,
                             const RepairOptions& options, size_t num_trajs);
 

@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "exec/exec_options.h"
-#include "obs/obs.h"
 #include "sim/similarity.h"
 #include "traj/tracking_record.h"
 
@@ -32,14 +31,10 @@ enum class RarityAggregation {
 /// synthetic-dataset defaults (§6.3); the real-dataset experiments use
 /// θ=4, η=600, ζ=4, λ=0.5 (§6.1.1).
 ///
-/// Construction: either fill fields directly, or chain the With* setters
-/// and finish with Validated(), which surfaces configuration errors at
-/// construction time instead of inside the first Repair() call:
-///
-///   auto options = RepairOptions()
-///                      .WithTheta(4).WithEta(600).WithThreads(8)
-///                      .Validated();
-///   if (!options.ok()) { ... }
+/// A plain value: assign the fields, then call Validate() to surface
+/// configuration errors before the first Repair() call. It holds only what
+/// changes what a repair computes or how it is scheduled; observability is
+/// process-wide state that the caller switches on (obs::SetEnabled).
 ///
 /// ### Ownership contract
 /// RepairOptions never owns pointed-to collaborators. In particular,
@@ -84,10 +79,6 @@ struct RepairOptions {
   /// selection, streaming flushes.
   ExecOptions exec;
 
-  /// Runtime-observability knobs (metrics + trace spans), consumed by every
-  /// engine via obs::ApplyOptions at Repair entry. Never affects results.
-  ObsOptions obs;
-
   /// Wall-clock budget for one Repair() call, milliseconds; 0 disables.
   /// When the budget runs out mid-run the engine degrades gracefully: it
   /// stops starting new work at the next safe boundary (phase, selection
@@ -95,63 +86,6 @@ struct RepairOptions {
   /// unrepaired, and returns a well-formed partial RepairResult whose
   /// `completion` Status is DeadlineExceeded (see repairer.h).
   int64_t deadline_ms = 0;
-
-  // ---- Fluent construction -----------------------------------------
-  RepairOptions& WithTheta(size_t v) { theta = v; return *this; }
-  RepairOptions& WithEta(Timestamp v) { eta = v; return *this; }
-  RepairOptions& WithZeta(size_t v) { zeta = v; return *this; }
-  RepairOptions& WithLambda(double v) { lambda = v; return *this; }
-  RepairOptions& WithTimeBin(Timestamp v) { time_bin = v; return *this; }
-  RepairOptions& WithLig(bool v) { use_lig = v; return *this; }
-  RepairOptions& WithMcpPruning(bool v) { use_mcp_pruning = v; return *this; }
-  RepairOptions& WithRarityBaseOffset(uint32_t v) {
-    rarity_base_offset = v;
-    return *this;
-  }
-  RepairOptions& WithRarityAggregation(RarityAggregation v) {
-    rarity_aggregation = v;
-    return *this;
-  }
-  RepairOptions& WithSelection(SelectionAlgorithm v) {
-    selection = v;
-    return *this;
-  }
-  RepairOptions& WithSimilarity(const IdSimilarity* v) {
-    similarity = v;
-    return *this;
-  }
-  RepairOptions& WithThreads(int v) {
-    exec.num_threads = v;
-    return *this;
-  }
-  RepairOptions& WithMinPartitionGrain(size_t v) {
-    exec.min_partition_grain = v;
-    return *this;
-  }
-  RepairOptions& WithMinCandidateGrain(size_t v) {
-    exec.min_candidate_grain = v;
-    return *this;
-  }
-  RepairOptions& WithMinSelectionGrain(size_t v) {
-    exec.min_selection_grain = v;
-    return *this;
-  }
-  RepairOptions& WithObsEnabled(bool v) {
-    obs.enabled = v;
-    return *this;
-  }
-  RepairOptions& WithTraceCapacity(size_t v) {
-    obs.trace_capacity = v;
-    return *this;
-  }
-  RepairOptions& WithMetricsIntervalMs(int64_t v) {
-    obs.metrics_interval_ms = v;
-    return *this;
-  }
-  RepairOptions& WithDeadlineMs(int64_t v) {
-    deadline_ms = v;
-    return *this;
-  }
 
   /// Rejects nonsensical parameter combinations.
   Status Validate() const {
@@ -172,15 +106,7 @@ struct RepairOptions {
       return Status::InvalidArgument("deadline_ms must be >= 0");
     }
     IDREPAIR_RETURN_NOT_OK(exec.Validate());
-    IDREPAIR_RETURN_NOT_OK(obs.Validate());
     return Status::OK();
-  }
-
-  /// Validate() as a terminal step of a With* chain: returns the finished
-  /// options by value, or the validation error.
-  Result<RepairOptions> Validated() const {
-    IDREPAIR_RETURN_NOT_OK(Validate());
-    return *this;
   }
 };
 

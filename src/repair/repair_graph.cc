@@ -70,7 +70,7 @@ Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
   const int threads = exec.ResolvedThreads();
   auto shards = SplitRange(
       candidates.size(), threads,
-      ResolveGrain(exec.min_selection_grain, candidates.size(), threads,
+      ResolveGrain(exec.grain, candidates.size(), threads,
                    kSelectionGrainCalibration));
   std::vector<uint32_t> degree(candidates.size(), 0);
 

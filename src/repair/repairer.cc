@@ -118,7 +118,6 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
   }
   const TransitionGraph& graph = evaluator_->graph();
   IDREPAIR_RETURN_NOT_OK(graph.Validate());
-  obs::ApplyOptions(options_.obs);
   RepairInstruments& inst = RepairInstruments::Get();
   obs::TraceSpan run_span("repair.run");
   const IdSimilarity& base_similarity = options_.similarity != nullptr

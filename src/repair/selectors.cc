@@ -78,7 +78,7 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
 
   const int threads = exec.ResolvedThreads();
   auto shards = SplitRange(n, threads,
-                           ResolveGrain(exec.min_selection_grain, n, threads,
+                           ResolveGrain(exec.grain, n, threads,
                                         kSelectionGrainCalibration));
   if (shards.size() <= 1) {
     if (n != 0) IDREPAIR_FAULT_INJECT("repair.selection.shard");

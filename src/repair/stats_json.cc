@@ -67,8 +67,6 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
   w.BeginObject();
   w.Key("engine");
   w.String(engine);
-  w.Key("threads");
-  w.Int(options.exec.num_threads);
   w.Key("options");
   w.BeginObject();
   w.Key("theta");
@@ -89,20 +87,10 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
   w.String(SelectionName(options.selection));
   w.Key("num_threads");
   w.Int(options.exec.num_threads);
-  w.Key("min_partition_grain");
-  w.Uint(options.exec.min_partition_grain);
-  w.Key("min_candidate_grain");
-  w.Uint(options.exec.min_candidate_grain);
-  w.Key("min_selection_grain");
-  w.Uint(options.exec.min_selection_grain);
-  w.Key("obs_enabled");
-  w.Bool(options.obs.enabled);
-  w.Key("trace_capacity");
-  w.Uint(options.obs.trace_capacity);
+  w.Key("grain");
+  w.Uint(options.exec.grain);
   w.Key("deadline_ms");
   w.Int(options.deadline_ms);
-  w.Key("metrics_interval_ms");
-  w.Int(options.obs.metrics_interval_ms);
   w.EndObject();
   w.Key("stats");
   w.BeginObject();

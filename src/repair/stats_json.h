@@ -25,7 +25,10 @@ void WriteMetricsJson(JsonWriter& w);
 /// injection footprint and — when obs is on — a metrics snapshot, as one
 /// JSON object. The key set and order are pinned by stats_json_test.cc;
 /// consumers parse this file, so additions go at the end of their object
-/// and removals are breaking.
+/// and removals are breaking. Keys have been removed on purpose, once, in
+/// a single change: the top-level copy of `options.num_threads`, the three
+/// observability switches that left RepairOptions, and the three per-phase
+/// grains, now one `grain` (0 = auto).
 void WriteStatsJson(std::ostream& out, std::string_view engine,
                     const RepairOptions& options, const RepairResult& result);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/grain.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "lig/length_indexed_grids.h"
@@ -37,8 +38,11 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
 
   // Shard the pairwise/LIG cex-evaluation loop over the probe vertex i.
   // Shard boundaries depend only on (n, threads, grain), never on timing.
-  auto shards = SplitRange(n, options.exec.ResolvedThreads(),
-                           options.exec.min_partition_grain);
+  const int threads = options.exec.ResolvedThreads();
+  auto shards = SplitRange(
+      n, threads,
+      ResolveGrain(options.exec.grain, n, threads,
+                   kPartitionGrainCalibration));
   std::vector<ShardScratch> scratch(shards.size());
 
   if (options.use_lig) {

@@ -96,7 +96,6 @@ StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
       options_(std::move(options)),
       stream_options_(stream_options),
       inner_(graph, options_) {
-  obs::ApplyOptions(options_.obs);
   // Emitted fragments must at least be inert (no future record can join a
   // fragment whose start is more than η behind the watermark), so the
   // horizon is clamped to one η.
@@ -499,7 +498,6 @@ Result<RepairResult> StreamingRepairer::Repair(
     const TrajectorySet& set) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
   IDREPAIR_RETURN_NOT_OK(graph_->Validate());
-  obs::ApplyOptions(options_.obs);
   if (obs::Enabled()) StreamInstruments::Get().batch_attempts->Increment();
   fault::Deadline deadline = fault::Deadline::FromMillis(options_.deadline_ms);
   Stopwatch total;
@@ -519,28 +517,25 @@ Result<RepairResult> StreamingRepairer::Repair(
                             std::tie(b.ts, b.id, b.loc);
                    });
 
-  // Replay with a Poll() every `window_slide` of stream time (η unless
-  // overridden) — the cadence a live consumer would use — then drain the
-  // tail. A bounded buffer inserts an extra Poll() instead of rejecting:
-  // an offline replay is its own consumer, so backpressure means "drain
-  // now", not "drop". The deadline is probed at those same boundaries:
-  // once it expires, replay stops and the unprocessed remainder passes
-  // through unrepaired, grouped by observed ID.
+  // Replay with a Poll() every η of stream time — the cadence a live
+  // consumer would use — then drain the tail. A bounded buffer inserts an
+  // extra Poll() instead of rejecting: an offline replay is its own
+  // consumer, so backpressure means "drain now", not "drop". The deadline
+  // is probed at those same boundaries: once it expires, replay stops and
+  // the unprocessed remainder passes through unrepaired, grouped by
+  // observed ID.
   RepairOptions replay_options = options_;
   replay_options.deadline_ms = 0;  // budget enforced here, per replay batch
   StreamOptions replay_stream = stream_options_;
   replay_stream.max_buffered = 0;  // handled via the extra polls below
   StreamingRepairer scratch(*graph_, replay_options, replay_stream);
-  const Timestamp slide = stream_options_.window_slide > 0
-                              ? stream_options_.window_slide
-                              : options_.eta;
   std::vector<Trajectory> emitted;
   Status degraded = Status::OK();
   Timestamp last_poll = records.empty() ? 0 : records.front().ts;
   size_t next = 0;
   for (; next < records.size(); ++next) {
     IDREPAIR_RETURN_NOT_OK(scratch.Append(records[next]));
-    bool due = scratch.watermark() - last_poll > slide;
+    bool due = scratch.watermark() - last_poll > options_.eta;
     bool full = stream_options_.max_buffered > 0 &&
                 scratch.pending_records() >= stream_options_.max_buffered;
     if (due || full) {

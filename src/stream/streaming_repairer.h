@@ -28,9 +28,6 @@ struct StreamOptions {
   /// adapter never rejects; it inserts an extra Poll() instead (an offline
   /// replay can always drain itself). 0 means unbounded.
   size_t max_buffered = 0;
-  /// Poll cadence of the batch adapter's replay, in stream seconds. 0 means
-  /// η — the cadence a live consumer would use.
-  Timestamp window_slide = 0;
 };
 
 /// Online ID repair over a record stream — the paper's §8 future-work
@@ -71,9 +68,9 @@ struct StreamOptions {
 ///
 /// As a batch Repairer (the polymorphic engine interface), a streaming
 /// instance replays the whole set through a scratch stream in timestamp
-/// order with a Poll() every `window_slide` of stream time — so the batch
-/// call exercises the genuine incremental path, flushes included, rather
-/// than degenerating to one big Finish(). Component repairs run on the
+/// order with a Poll() every η of stream time — so the batch call
+/// exercises the genuine incremental path, flushes included, rather than
+/// degenerating to one big Finish(). Component repairs run on the
 /// shared exec pool via the inner IdRepairer (RepairOptions::exec).
 class StreamingRepairer : public Repairer {
  public:

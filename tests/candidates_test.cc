@@ -162,7 +162,7 @@ TEST_F(CandidatesFixture, GenerationStatsSumIdenticallyAcrossThreadCounts) {
   GenerationStats reference;
   for (int threads : {1, 2, 8}) {
     options_.exec.num_threads = threads;
-    options_.exec.min_candidate_grain = 1;  // every seed its own shard
+    options_.exec.grain = 1;  // every seed its own shard
     Generate();
     EXPECT_EQ(stats_.jnb_checks, 4u) << threads << " threads";
     EXPECT_EQ(stats_.joinable_subsets, 3u) << threads << " threads";
@@ -220,7 +220,7 @@ TEST(ParallelGenerationTest, SingleGiantComponentIsBitIdenticalAcrossThreads) {
   for (int threads : {1, 2, 8}) {
     RepairOptions o = options;
     o.exec.num_threads = threads;
-    o.exec.min_candidate_grain = 4;  // many shards even at 2 threads
+    o.exec.grain = 4;  // many shards even at 2 threads
     TrajectoryGraph gm(set, pred, o);
     GenerationStats stats;
     auto generated =
@@ -311,7 +311,7 @@ TEST(ParallelGenerationTest, RandomizedGrainsAreBitIdenticalToSerial) {
     for (int threads : {1, 2, 4, 8}) {
       RepairOptions o = options;
       o.exec.num_threads = threads;
-      o.exec.min_candidate_grain = grain;
+      o.exec.grain = grain;
       TrajectoryGraph gm(set, pred, o);
       GenerationStats stats;
       auto generated =
@@ -360,7 +360,7 @@ TEST(ParallelGenerationTest, RandomizedGrainsAreBitIdenticalToSerial) {
     for (GenerationStats* stats : {&first, &second}) {
       RepairOptions o = options;
       o.exec.num_threads = 8;
-      o.exec.min_candidate_grain = grain;
+      o.exec.grain = grain;
       TrajectoryGraph gm(set, pred, o);
       auto generated =
           GenerateCandidates(set, gm, pred, o, similarity, is_valid, stats);

@@ -322,7 +322,7 @@ TEST_F(ChaosTest, ErrorInjectionPropagatesCleanlyAndLeavesNoResidue) {
   }
 }
 
-// Selection-phase faults at real parallel grain: --selection-grain 1 at
+// Selection-phase faults at real parallel grain: --grain 1 at
 // eight threads makes the effectiveness-sort shards, graph shards, and
 // invalidation fan-out genuinely parallel, and an error injected at either
 // selection site must still surface as one clean non-OK Result (first
@@ -332,7 +332,7 @@ TEST_F(ChaosTest, ErrorInjectionPropagatesCleanlyAndLeavesNoResidue) {
 TEST_F(ChaosTest, SelectionFaultsPropagateCleanlyAtParallelGrain) {
   const Scenario base = MakeScenarios().front();
   Scenario fine = base;
-  fine.options.exec.min_selection_grain = 1;
+  fine.options.exec.grain = 1;
   for (const char* site :
        {"repair.selection.shard", "repair.selection.commit"}) {
     SCOPED_TRACE(site);

@@ -82,7 +82,7 @@ std::vector<Scenario> MakeScenarios() {
   return scenarios;
 }
 
-// Selection-grain torture: --selection-grain 1 forces every selection
+// Selection-grain torture: --grain 1 forces every selection
 // stage (effectiveness-sort shards, repair-graph shards, invalidation
 // fan-out) onto the pool even for small components, and the result must
 // still match a single-thread default-grain core run byte for byte — for
@@ -105,7 +105,7 @@ TEST(DifferentialTest, SelectionGrainOneIsByteIdenticalAcrossThreads) {
                      std::to_string(threads));
         RepairOptions options = reference_options;
         options.exec.num_threads = threads;
-        options.exec.min_selection_grain = 1;
+        options.exec.grain = 1;
         auto result = MakeEngineByName("core", s.graph, options)->Repair(s.set);
         ASSERT_TRUE(result.ok()) << result.status();
         EXPECT_EQ(result->selected, reference->selected);
@@ -284,7 +284,7 @@ TEST(StorageLayerTest, CsrAdjacencyMatchesBruteForceDefinition) {
   for (int threads : {1, 2, 8}) {
     ExecOptions exec;
     exec.num_threads = threads;
-    exec.min_selection_grain = 1;
+    exec.grain = 1;
     auto built = RepairGraph::Build(candidates, num_trajs, exec);
     ASSERT_TRUE(built.ok()) << built.status();
     size_t edges = 0;
@@ -404,7 +404,9 @@ TEST(StorageLayerTest, BlockConcatenationCostsAtMostTenPercentOverOneBlock) {
   auto ds = GenerateSyntheticDataset(graph, config);
   ASSERT_TRUE(ds.ok()) << ds.status();
   TrajectorySet set = ds->BuildObservedTrajectories();
-  RepairOptions options = RepairOptions().WithTheta(4).WithEta(600);
+  RepairOptions options;
+  options.theta = 4;
+  options.eta = 600;
   PredicateEvaluator pred(graph, options.theta, options.eta);
   NormalizedEditSimilarity similarity;
   std::vector<bool> is_valid(set.size());
@@ -414,7 +416,8 @@ TEST(StorageLayerTest, BlockConcatenationCostsAtMostTenPercentOverOneBlock) {
 
   auto generate = [&](int threads, size_t grain) {
     RepairOptions o = options;
-    o.WithThreads(threads).WithMinCandidateGrain(grain);
+    o.exec.num_threads = threads;
+    o.exec.grain = grain;
     TrajectoryGraph gm(set, pred, o);
     auto generated =
         GenerateCandidates(set, gm, pred, o, similarity, is_valid);

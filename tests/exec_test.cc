@@ -29,9 +29,6 @@ TEST(ExecOptionsTest, ResolvesAndValidates) {
   EXPECT_EQ(exec.ResolvedThreads(), 4);
   exec.num_threads = -1;
   EXPECT_FALSE(exec.Validate().ok());
-  exec.num_threads = 0;
-  exec.min_partition_grain = 0;
-  EXPECT_FALSE(exec.Validate().ok());
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
@@ -365,9 +362,24 @@ TEST(GrainTest, ExplicitRequestOverridesTheModel) {
 
 TEST(GrainTest, ExecOptionsDefaultToAuto) {
   ExecOptions exec;
-  EXPECT_EQ(exec.min_candidate_grain, kGrainAuto);
-  EXPECT_EQ(exec.min_selection_grain, kGrainAuto);
+  EXPECT_EQ(exec.grain, kGrainAuto);
   EXPECT_TRUE(exec.Validate().ok());
+}
+
+TEST(GrainTest, AutoGmShardsEqualTheFixedFloorOf64) {
+  // The trajectory-graph build shards through the auto model with the
+  // partition calibration. SplitRange makes at most one shard per thread,
+  // so at auto the Gm build must shard exactly as a fixed grain of 64 for
+  // every input size and thread count.
+  EXPECT_EQ(kPartitionGrainCalibration, 64u);
+  for (size_t n : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u, 1000u, 16000u,
+                   100000u}) {
+    for (int t : {1, 2, 4, 8}) {
+      EXPECT_EQ(SplitRange(n, t, ResolveGrain(kGrainAuto, n, t, 64)),
+                SplitRange(n, t, 64))
+          << "n=" << n << " threads=" << t;
+    }
+  }
 }
 
 // ---- ParallelForDynamic ----

@@ -89,42 +89,54 @@ TEST(FlagParserTest, LaterValueWins) {
   EXPECT_EQ(*p->GetInt("k", 0), 2);
 }
 
-// The CLI's --deadline-ms flag path: parsed as an integer, carried into
-// RepairOptions, and rejected when negative by options validation — the
-// same checks tools/idrepair_cli.cc layers on top of FlagParser.
+// The CLI's --deadline-ms flag path: parsed as an integer, assigned to
+// RepairOptions::deadline_ms, and rejected when negative by options
+// validation — the same checks tools/idrepair_cli.cc layers on top of
+// FlagParser.
 TEST(FlagParserTest, DeadlineMsFlagRoundTripsIntoOptions) {
   auto p = ParseArgs({"--deadline-ms=2500"});
   ASSERT_TRUE(p.ok());
   auto ms = p->GetInt("deadline-ms", 0);
   ASSERT_TRUE(ms.ok());
-  RepairOptions options = RepairOptions().WithDeadlineMs(*ms);
-  EXPECT_EQ(options.deadline_ms, 2500);
+  RepairOptions options;
+  options.deadline_ms = *ms;
   EXPECT_TRUE(options.Validate().ok());
 
-  EXPECT_FALSE(RepairOptions().WithDeadlineMs(-1).Validate().ok());
+  options.deadline_ms = -1;
+  EXPECT_FALSE(options.Validate().ok());
   // Absent flag: default 0 = no budget, and that validates.
   auto none = ParseArgs({});
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none->GetInt("deadline-ms", 0), 0);
 }
 
-// The CLI's --metrics-interval flag path: parsed as an integer, carried
-// into ObsOptions::metrics_interval_ms, and rejected when negative by
-// options validation. 0 (the default) means "no periodic scraping" — the
-// CLI then writes one final exposition exactly as before the flag existed.
-TEST(FlagParserTest, MetricsIntervalFlagRoundTripsIntoOptions) {
-  auto p = ParseArgs({"--metrics-interval=250"});
+// Every Has() and Get*() call marks its key read, present or not; Unread()
+// names, in key order, the given flags that nothing asked for — what the
+// CLI rejects with exit 2 once a command has read all its flags.
+TEST(FlagParserTest, UnreadNamesEveryFlagNothingAskedFor) {
+  auto p = ParseArgs({"--thetaa", "3", "--theta=4", "--no-lig",
+                      "--candidate-grain=1", "--out", "x.csv", "pos"},
+                     {"no-lig"});
   ASSERT_TRUE(p.ok());
-  auto ms = p->GetInt("metrics-interval", 0);
-  ASSERT_TRUE(ms.ok());
-  RepairOptions options = RepairOptions().WithMetricsIntervalMs(*ms);
-  EXPECT_EQ(options.obs.metrics_interval_ms, 250);
-  EXPECT_TRUE(options.Validate().ok());
-
-  EXPECT_FALSE(RepairOptions().WithMetricsIntervalMs(-1).Validate().ok());
-  auto none = ParseArgs({});
-  ASSERT_TRUE(none.ok());
-  EXPECT_EQ(*none->GetInt("metrics-interval", 0), 0);
+  EXPECT_EQ(p->Unread(),
+            (std::vector<std::string>{"candidate-grain", "no-lig", "out",
+                                      "theta", "thetaa"}));
+  EXPECT_EQ(*p->GetInt("theta", 8), 4);
+  EXPECT_TRUE(p->GetBool("no-lig"));
+  EXPECT_EQ(p->GetString("out"), "x.csv");
+  // Asking for an absent key reads it without adding it to the flags.
+  EXPECT_FALSE(p->Has("records"));
+  EXPECT_DOUBLE_EQ(*p->GetDouble("lambda", 0.5), 0.5);
+  EXPECT_EQ(p->Unread(),
+            (std::vector<std::string>{"candidate-grain", "thetaa"}));
+  // A malformed value still counts as read: the command reports the value
+  // error, not an unknown flag.
+  auto bad = ParseArgs({"--k=abc"});
+  ASSERT_TRUE(bad.ok());
+  EXPECT_FALSE(bad->GetInt("k", 0).ok());
+  EXPECT_TRUE(bad->Unread().empty());
+  // Positional arguments are not flags.
+  EXPECT_TRUE(ParseArgs({"a", "b"})->Unread().empty());
 }
 
 // The CLI's --failpoints flag value is a registry spec string; a valid one
@@ -185,28 +197,28 @@ TEST(FlagParserTest, FailpointsStatusDumpIsPinned) {
             "  flags.status.b armed=0 hits=3 fires=1\n");
 }
 
-// The CLI grain flags (--candidate-grain / --selection-grain) accept the
-// literal "auto" (the default) or a positive integer; everything else is a
-// flag-naming InvalidArgument. Pinned because the "auto" spelling is a
-// documented CLI contract (README flag table).
+// The CLI's --grain flag accepts the literal "auto" (the default) or a
+// positive integer; everything else is a flag-naming InvalidArgument.
+// Pinned because the "auto" spelling is a documented CLI contract (README
+// flag table).
 TEST(FlagParserTest, GrainValuesParseAutoAndIntegers) {
-  auto autov = ParseGrainValue("auto", "candidate-grain");
+  auto autov = ParseGrainValue("auto", "grain");
   ASSERT_TRUE(autov.ok());
   EXPECT_EQ(*autov, kGrainAuto);
 
-  auto one = ParseGrainValue("1", "candidate-grain");
+  auto one = ParseGrainValue("1", "grain");
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(*one, 1u);
-  auto big = ParseGrainValue("65536", "selection-grain");
+  auto big = ParseGrainValue("65536", "grain");
   ASSERT_TRUE(big.ok());
   EXPECT_EQ(*big, 65536u);
 
   for (const char* bad : {"", "0", "-4", "4x", "Auto", "AUTO", " auto",
                           "1e3", "99999999999999999999"}) {
-    auto r = ParseGrainValue(bad, "candidate-grain");
+    auto r = ParseGrainValue(bad, "grain");
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
-    EXPECT_NE(r.status().message().find("--candidate-grain"),
+    EXPECT_NE(r.status().message().find("--grain"),
               std::string::npos)
         << r.status();
   }

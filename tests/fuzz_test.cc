@@ -146,8 +146,7 @@ TEST_P(EngineChaosTest, ThreadCountNeverChangesTheAnswer) {
     options.theta = 5;
     options.eta = 300;
     options.exec.num_threads = threads;
-    options.exec.min_partition_grain = 8;
-    options.exec.min_candidate_grain = 2;
+    options.exec.grain = 2;
     auto engine = testutil::MakeEngineByName(engine_name, graph, options);
     ASSERT_NE(engine, nullptr) << engine_name;
     auto result = engine->Repair(set);
@@ -195,8 +194,7 @@ TEST(EngineChaosCatalogTest, NearMissScenarioIsThreadCountInvariant) {
       options.theta = entry->theta;
       options.eta = entry->eta;
       options.exec.num_threads = threads;
-      options.exec.min_partition_grain = 8;
-      options.exec.min_candidate_grain = 2;
+      options.exec.grain = 2;
       auto engine = testutil::MakeEngineByName(engine_name, ds->graph, options);
       ASSERT_NE(engine, nullptr) << engine_name;
       auto result = engine->Repair(set);

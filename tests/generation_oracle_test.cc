@@ -12,6 +12,12 @@
 // grain combination. Over the whole candidate set, rarity (Eq. 2, under both
 // aggregations) and effectiveness ω (Eq. 3) must match the formulas applied
 // to the oracle's own member lists.
+//
+// End to end, the same instances check Eq. (4): the oracle enumerates every
+// packing of pairwise trajectory-disjoint oracle candidates, scored with its
+// own ω, and IdRepairer under exact selection must reach the largest Ω while
+// EMAX never exceeds it. That check shares no code with ExactSelector or
+// with the repair-graph brute force in selectors_test.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +35,7 @@
 #include "common/rng.h"
 #include "exec/grain.h"
 #include "repair/candidates.h"
+#include "repair/repairer.h"
 
 namespace idrepair {
 namespace {
@@ -237,6 +244,60 @@ void ForEachSubset(size_t n, size_t zeta, std::vector<TrajIndex>& subset,
   }
 }
 
+/// The oracle's view of one seeded instance: its trajectories, their
+/// validity, and every candidate (a joinable subset with an invalid member)
+/// keyed by member set. λ and the log-base offset vary with the seed so
+/// Eq. (3) is checked off its defaults too.
+struct OracleCase {
+  Instance in;
+  TrajectorySet set;
+  std::vector<bool> is_valid;
+  std::map<std::vector<TrajIndex>, Row> expected;
+  double lambda = 0.0;
+  uint32_t offset = 0;
+};
+
+OracleCase MakeOracleCase(uint64_t seed, const IdSimilarity& similarity) {
+  OracleCase c;
+  c.in = MakeInstance(seed);
+  c.set = TrajectorySet::FromRecords(c.in.records);
+  EXPECT_LE(c.set.size(), 10u);
+  c.is_valid.resize(c.set.size());
+  for (TrajIndex i = 0; i < c.set.size(); ++i) {
+    std::vector<Point> points;
+    for (const TrajectoryPoint& p : c.set.at(i).points()) {
+      points.emplace_back(p.ts, p.loc);
+    }
+    c.is_valid[i] = OracleValidPath(c.in, points);
+  }
+  std::vector<TrajIndex> subset;
+  ForEachSubset(c.set.size(), c.in.zeta, subset, 0,
+                [&](const std::vector<TrajIndex>& s) {
+                  bool has_ivt = std::any_of(
+                      s.begin(), s.end(),
+                      [&](TrajIndex t) { return !c.is_valid[t]; });
+                  if (has_ivt && OracleJoinable(c.in, c.set, s)) {
+                    c.expected.emplace(s, OracleRow(c.set, s, c.is_valid,
+                                                    similarity));
+                  }
+                });
+  c.lambda = seed % 2 == 0 ? 0.5 : 1.0;
+  c.offset = 1 + static_cast<uint32_t>((seed / 2) % 2);
+  return c;
+}
+
+/// RepairOptions with the instance's θ/η/ζ/bin and the case's λ/offset.
+RepairOptions OracleOptions(const OracleCase& c) {
+  RepairOptions options;
+  options.theta = c.in.theta;
+  options.eta = c.in.eta;
+  options.zeta = c.in.zeta;
+  options.time_bin = c.in.time_bin;
+  options.lambda = c.lambda;
+  options.rarity_base_offset = c.offset;
+  return options;
+}
+
 TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
   NormalizedEditSimilarity similarity;
   size_t expected_total = 0;
@@ -244,47 +305,26 @@ TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
   size_t expected_triples = 0;
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    Instance in = MakeInstance(seed);
-    TrajectorySet set = TrajectorySet::FromRecords(in.records);
-    ASSERT_LE(set.size(), 10u);
-
-    std::vector<bool> is_valid(set.size());
-    for (TrajIndex i = 0; i < set.size(); ++i) {
-      std::vector<Point> points;
-      for (const TrajectoryPoint& p : set.at(i).points()) {
-        points.emplace_back(p.ts, p.loc);
-      }
-      is_valid[i] = OracleValidPath(in, points);
-    }
-
-    std::map<std::vector<TrajIndex>, Row> expected;
-    std::vector<TrajIndex> subset;
-    ForEachSubset(set.size(), in.zeta, subset, 0,
-                  [&](const std::vector<TrajIndex>& s) {
-                    bool has_ivt = std::any_of(
-                        s.begin(), s.end(),
-                        [&](TrajIndex t) { return !is_valid[t]; });
-                    if (has_ivt && OracleJoinable(in, set, s)) {
-                      expected.emplace(s, OracleRow(set, s, is_valid,
-                                                    similarity));
-                    }
-                  });
+    const OracleCase c = MakeOracleCase(seed, similarity);
+    const Instance& in = c.in;
+    const TrajectorySet& set = c.set;
+    const std::vector<bool>& is_valid = c.is_valid;
+    const std::map<std::vector<TrajIndex>, Row>& expected = c.expected;
     expected_total += expected.size();
     for (const auto& [members, row] : expected) {
       if (members.size() >= 3) ++expected_triples;
     }
 
-    // λ and the log-base offset vary with the seed so Eq. (3) is checked
-    // off its defaults too.
-    const double lambda = seed % 2 == 0 ? 0.5 : 1.0;
-    const uint32_t offset = 1 + static_cast<uint32_t>((seed / 2) % 2);
+    const double lambda = c.lambda;
+    const uint32_t offset = c.offset;
     const std::map<std::vector<TrajIndex>, Score> expected_scores[] = {
         OracleScores(expected, false, lambda, offset),
         OracleScores(expected, true, lambda, offset)};
 
     // Grain 1 gives one block per seed (many blocks, some rooting no
     // candidate), 3 a few, auto the cost model's pick, and set.size() —
-    // at least the number of seeds — a single block.
+    // at least the number of seeds — a single block. The grain shards the
+    // Gm build too: 1 and 3 split it at four threads, the others do not.
     PredicateEvaluator pred(in.graph, in.theta, in.eta);
     for (bool lig : {false, true}) {
       for (bool mcp : {false, true}) {
@@ -294,18 +334,11 @@ TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
                          " mcp=" + std::to_string(mcp) +
                          " threads=" + std::to_string(threads) +
                          " grain=" + std::to_string(grain));
-            RepairOptions options = RepairOptions()
-                                        .WithTheta(in.theta)
-                                        .WithEta(in.eta)
-                                        .WithZeta(in.zeta)
-                                        .WithTimeBin(in.time_bin)
-                                        .WithLambda(lambda)
-                                        .WithRarityBaseOffset(offset)
-                                        .WithLig(lig)
-                                        .WithMcpPruning(mcp)
-                                        .WithThreads(threads)
-                                        .WithMinCandidateGrain(grain);
-            if (threads > 1) options.WithMinPartitionGrain(1);
+            RepairOptions options = OracleOptions(c);
+            options.use_lig = lig;
+            options.use_mcp_pruning = mcp;
+            options.exec.num_threads = threads;
+            options.exec.grain = grain;
             TrajectoryGraph gm(set, pred, options);
             auto generated = GenerateCandidates(set, gm, pred, options,
                                                 similarity, is_valid);
@@ -323,9 +356,9 @@ TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
 
             for (bool max_rarity : {false, true}) {
               SCOPED_TRACE("max_rarity=" + std::to_string(max_rarity));
-              options.WithRarityAggregation(max_rarity
-                                                ? RarityAggregation::kMax
-                                                : RarityAggregation::kMin);
+              options.rarity_aggregation = max_rarity
+                                               ? RarityAggregation::kMax
+                                               : RarityAggregation::kMin;
               ASSERT_TRUE(
                   ComputeEffectiveness(*generated, options, set.size()).ok());
               const auto& want = expected_scores[max_rarity ? 1 : 0];
@@ -345,6 +378,86 @@ TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
   // The oracle is not vacuous: the instances produce real joins.
   EXPECT_GT(expected_total, 400u);
   EXPECT_GT(expected_triples, 50u);
+}
+
+/// Eq. (4) by enumeration: the largest Ω = Σ ω over every packing of
+/// pairwise trajectory-disjoint candidates, the empty packing (Ω = 0)
+/// included. Each packing is visited once, as an increasing index list.
+double OracleBestPacking(
+    const std::map<std::vector<TrajIndex>, Score>& scores) {
+  std::vector<std::pair<uint32_t, double>> items;  // member bitmask, ω
+  for (const auto& [members, score] : scores) {
+    uint32_t mask = 0;
+    for (TrajIndex t : members) mask |= uint32_t{1} << t;
+    items.emplace_back(mask, score.second);
+  }
+  double best = 0.0;
+  std::function<void(size_t, uint32_t, double)> visit =
+      [&](size_t next, uint32_t used, double omega) {
+        best = std::max(best, omega);
+        for (size_t i = next; i < items.size(); ++i) {
+          if ((items[i].first & used) == 0) {
+            visit(i + 1, used | items[i].first, omega + items[i].second);
+          }
+        }
+      };
+  visit(0, 0, 0.0);
+  return best;
+}
+
+/// Ω of a repair's selection, scored with the oracle's own ω: every
+/// selected repair must be an oracle candidate, and no two may share a
+/// trajectory.
+double OracleOmega(const RepairResult& result,
+                   const std::map<std::vector<TrajIndex>, Score>& scores) {
+  std::set<TrajIndex> covered;
+  double omega = 0.0;
+  for (RepairIndex r : result.selected) {
+    std::vector<TrajIndex> members = result.candidates.members(r).ToVector();
+    auto it = scores.find(members);
+    EXPECT_NE(it, scores.end()) << "selected repair is no oracle candidate";
+    if (it == scores.end()) continue;
+    for (TrajIndex t : members) {
+      EXPECT_TRUE(covered.insert(t).second)
+          << "trajectory " << t << " in two selected repairs";
+    }
+    omega += it->second.second;
+  }
+  return omega;
+}
+
+TEST(GenerationOracleTest, ExactSelectionReachesTheBestOraclePacking) {
+  size_t nonzero_optima = 0;      // instances with something to select
+  size_t emax_below_optimum = 0;  // where the greedy is strictly worse
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const OracleCase c =
+        MakeOracleCase(seed, NormalizedEditSimilarity());
+    const std::map<std::vector<TrajIndex>, Score> scores =
+        OracleScores(c.expected, false, c.lambda, c.offset);
+    const double best = OracleBestPacking(scores);
+    if (best > 0.0) ++nonzero_optima;
+
+    RepairOptions options = OracleOptions(c);
+    for (SelectionAlgorithm selection :
+         {SelectionAlgorithm::kExact, SelectionAlgorithm::kEmax}) {
+      options.selection = selection;
+      auto result = IdRepairer(c.in.graph, options).Repair(c.set);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const double omega = OracleOmega(*result, scores);
+      EXPECT_NEAR(result->total_effectiveness, omega, 1e-9);
+      if (selection == SelectionAlgorithm::kExact) {
+        EXPECT_NEAR(omega, best, 1e-9);
+      } else {
+        EXPECT_LE(omega, best + 1e-9);
+        if (omega < best - 1e-9) ++emax_below_optimum;
+      }
+    }
+  }
+  // Not vacuous: many instances have something to select, and on some the
+  // greedy falls short of the optimum, so "exact reaches it" has teeth.
+  EXPECT_GT(nonzero_optima, 100u);
+  EXPECT_GT(emax_below_optimum, 0u);
 }
 
 }  // namespace

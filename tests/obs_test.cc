@@ -223,15 +223,6 @@ TEST_F(ObsTest, DisabledSpansRecordNothingGlobally) {
   EXPECT_TRUE(obs::TraceSink::Global().Events().empty());
 }
 
-TEST_F(ObsTest, ObsOptionsValidate) {
-  ObsOptions ok;
-  EXPECT_TRUE(ok.Validate().ok());
-  ObsOptions bad;
-  bad.trace_capacity = 0;
-  EXPECT_FALSE(bad.Validate().ok());
-  EXPECT_FALSE(RepairOptions().WithTraceCapacity(0).Validated().ok());
-}
-
 TEST_F(ObsTest, PhaseScopeFeedsStatsHistogramAndTrace) {
   obs::SetEnabled(true);
   obs::TraceSink::Global().Clear();
@@ -272,10 +263,10 @@ TEST_F(ObsTest, RepairWithObsEnabledPopulatesMetricsAndTrace) {
   obs::MetricsRegistry::Global().Reset();
   obs::TraceSink::Global().Clear();
 
+  obs::SetEnabled(true);
   RepairOptions options;
   options.theta = 4;
   options.eta = 600;
-  options.obs.enabled = true;
   IdRepairer repairer(graph, options);
   auto result = repairer.Repair(set);
   ASSERT_TRUE(result.ok());
@@ -308,6 +299,7 @@ TEST_F(ObsTest, StableMetricsByteIdenticalAcrossRepairThreadCounts) {
   TransitionGraph graph = MakeRealLikeGraph();
   TrajectorySet set = SparseSet(graph);
   std::string reference;
+  obs::SetEnabled(true);
   for (int threads : {1, 2, 8}) {
     obs::MetricsRegistry::Global().Reset();
     obs::TraceSink::Global().Clear();
@@ -315,7 +307,6 @@ TEST_F(ObsTest, StableMetricsByteIdenticalAcrossRepairThreadCounts) {
     options.theta = 4;
     options.eta = 600;
     options.exec.num_threads = threads;
-    options.obs.enabled = true;
     IdRepairer repairer(graph, options);
     auto result = repairer.Repair(set);
     ASSERT_TRUE(result.ok()) << "threads=" << threads;

@@ -313,7 +313,9 @@ TEST(LazyPredicateEvaluatorTest, FourThreadsOfBorrowingEnginesMatchFreshOne) {
   ASSERT_TRUE(dataset.ok()) << dataset.status();
   const TransitionGraph& graph = dataset->graph;
   const TrajectorySet set = dataset->BuildObservedTrajectories();
-  const RepairOptions options = RepairOptions().WithTheta(4).WithEta(600);
+  RepairOptions options;
+  options.theta = 4;
+  options.eta = 600;
 
   auto want = IdRepairer(graph, options).Repair(set);
   ASSERT_TRUE(want.ok()) << want.status();

@@ -88,7 +88,7 @@ class DenseComponent {
 
   void Generate(int threads, GenerationRun* out) const {
     RepairOptions o = options_;
-    o.exec.num_threads = threads;  // grains stay `auto`
+    o.exec.num_threads = threads;  // grain stays `auto`
     auto generated = GenerateCandidates(set_, gm_, pred_, o, similarity_,
                                         is_valid_, &out->stats);
     ASSERT_TRUE(generated.ok()) << generated.status();

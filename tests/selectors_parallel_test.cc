@@ -87,7 +87,7 @@ SelectionContext MakeContext(int threads) {
   ctx.exec.num_threads = threads;
   // Grain 1 forces real sharding even on these small inputs; production
   // defaults would keep them serial and test nothing.
-  ctx.exec.min_selection_grain = 1;
+  ctx.exec.grain = 1;
   return ctx;
 }
 
@@ -122,7 +122,7 @@ TEST(ParallelRepairGraphTest, BuildMatchesSerialScheduleAcrossThreads) {
     for (int threads : kThreadCounts) {
       ExecOptions exec;
       exec.num_threads = threads;
-      exec.min_selection_grain = 1;
+      exec.grain = 1;
       auto built = RepairGraph::Build(candidates, num_trajs, exec);
       ASSERT_TRUE(built.ok()) << built.status();
       ASSERT_EQ(built->num_vertices(), serial.num_vertices());
@@ -327,7 +327,7 @@ TEST(ParallelSelectorsTest, RandomizedGrainsMatchSerialAcrossShapes) {
       for (int threads : {1, 2, 4, 8}) {
         ExecOptions exec;
         exec.num_threads = threads;
-        exec.min_selection_grain = grain;
+        exec.grain = grain;
         auto built = RepairGraph::Build(candidates, num_trajs, exec);
         ASSERT_TRUE(built.ok()) << built.status();
         ASSERT_EQ(built->num_edges(), serial.num_edges())
@@ -341,7 +341,7 @@ TEST(ParallelSelectorsTest, RandomizedGrainsMatchSerialAcrossShapes) {
         for (size_t s = 0; s < selectors.size(); ++s) {
           SelectionContext ctx;
           ctx.exec.num_threads = threads;
-          ctx.exec.min_selection_grain = grain;
+          ctx.exec.grain = grain;
           std::vector<RepairIndex> commit_order;
           ctx.commit_order = &commit_order;
           auto got = selectors[s]->Select(*built, candidates, ctx);

@@ -15,7 +15,8 @@
 //  * a bundle's predicate evaluator is built once per registered epoch, by
 //    the first repair on it, and a re-registration gets a fresh one;
 //  * SIGKILLing a child `idrepair_cli serve` in the middle of a snapshot
-//    save leaves the previous snapshot loadable and byte-identical.
+//    save leaves the previous snapshot loadable and byte-identical;
+//  * a child `idrepair_cli` exits 2, naming it, on a flag it never reads.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/failpoint.h"
@@ -46,6 +48,7 @@
 #include "server/registry.h"
 #include "server/server.h"
 #include "server/snapshot.h"
+#include "traj/csv.h"
 #include "test_util.h"
 
 extern char** environ;
@@ -507,7 +510,8 @@ TEST(ServerE2ETest, BudgetMapsOntoGracefulDeadlineDegradation) {
   std::ostringstream graph_text;
   ASSERT_TRUE(WriteTransitionGraph(graph_text, MakeRealLikeGraph()).ok());
   reg.graph_text = graph_text.str();
-  reg.options = RepairOptions().WithTheta(6).WithEta(600);
+  reg.options.theta = 6;
+  reg.options.eta = 600;
   ASSERT_TRUE(client->RegisterGraph(reg).ok());
 
   SyntheticConfig config;
@@ -973,6 +977,103 @@ TEST(ServerProcessTest, SigkillMidSnapshotSaveKeepsThePreviousSnapshot) {
   ASSERT_TRUE(client->Shutdown().ok());
   int status = restarted.Reap();
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+// ---- The CLI's flag checks, in a child process --------------------------
+
+/// Runs `idrepair_cli <args...>` to completion with stdout discarded and
+/// stderr captured in `dir`. Returns the exit code (-1 unless the child
+/// exited normally) and what it wrote to stderr.
+std::pair<int, std::string> RunCli(const fs::path& dir,
+                                   std::vector<std::string> args) {
+  args.insert(args.begin(), IDREPAIR_CLI_PATH);
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  const std::string err_path = (dir / "stderr.txt").string();
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
+                                   O_WRONLY, 0);
+  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, err_path.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t pid = -1;
+  int spawned =
+      posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  if (spawned != 0) return {-1, "spawn failed"};
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  std::ifstream in(err_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, text.str()};
+}
+
+// A flag `repair` never reads — a typo, or a flag the CLI retired — stops
+// it with exit 2 and the flag's name before any work, so nothing is
+// written. Values of flags it does read are still checked (exit 1).
+TEST(CliProcessTest, RepairRejectsUnreadFlagsAndBadObservabilityValues) {
+  TempDir dir("cli_flags");
+  const std::string graph = (dir.path() / "g.txt").string();
+  const std::string records = (dir.path() / "r.csv").string();
+  const std::string out = (dir.path() / "out.csv").string();
+  ASSERT_TRUE(WriteTransitionGraphFile(graph, MakePaperExampleGraph()).ok());
+  ASSERT_TRUE(WriteRecordsCsvFile(records, MakePaperExampleGraph(),
+                                  testutil::MakeTable1Records())
+                  .ok());
+  auto repair = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = {"repair", "--graph", graph,
+                                     "--records", records, "--out", out};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return RunCli(dir.path(), std::move(args));
+  };
+
+  auto [code, err] = repair({"--candidate-grain", "1", "--thetaa", "3"});
+  EXPECT_EQ(code, 2) << err;
+  EXPECT_NE(err.find("--candidate-grain"), std::string::npos) << err;
+  EXPECT_NE(err.find("--thetaa"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(out));
+
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"--metrics-interval", "-1"},
+        {"--trace-capacity", "0"}}) {
+    auto [bad_code, bad_err] = repair({flag, value});
+    EXPECT_EQ(bad_code, 1) << flag << ": " << bad_err;
+    EXPECT_NE(bad_err.find(flag), std::string::npos) << bad_err;
+    EXPECT_FALSE(fs::exists(out));
+  }
+
+  auto [ok_code, ok_err] = repair({"--grain", "1", "--threads", "2"});
+  EXPECT_EQ(ok_code, 0) << ok_err;
+  EXPECT_TRUE(fs::exists(out));
+}
+
+// `serve --listen ... --threads N` (the benchmark's daemon command line)
+// keeps working, and an unread flag stops serve before it listens. The
+// rejected run's socket directory does not exist, so a serve that did not
+// reject the flag would fail to listen (exit 1) rather than hang.
+TEST(CliProcessTest, ServeRunsWithListenAndThreadsAndRejectsUnreadFlags) {
+  TempDir dir("cli_serve");
+  const std::string socket = (dir.path() / "d.sock").string();
+  {
+    ChildDaemon child(socket, {"--threads", "2"});
+    ASSERT_TRUE(child.running());
+    auto client = child.Connect();
+    ASSERT_TRUE(client.ok()) << client.status();
+    EXPECT_TRUE(client->Stats(StatsRequest{}).ok());
+    ASSERT_TRUE(client->Shutdown().ok());
+    int status = child.Reap();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  }
+  const std::string nowhere = (dir.path() / "missing" / "d.sock").string();
+  // --trace-out belongs to `repair`; serve records no trace.
+  auto [code, err] = RunCli(dir.path(), {"serve", "--listen",
+                                         "unix:" + nowhere, "--threads", "2",
+                                         "--trace-out", "t.json"});
+  EXPECT_EQ(code, 2) << err;
+  EXPECT_NE(err.find("--trace-out"), std::string::npos) << err;
 }
 
 }  // namespace

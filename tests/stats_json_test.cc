@@ -56,12 +56,10 @@ TEST(StatsJsonTest, KeyOrderIsPinned) {
   ASSERT_FALSE(obs::Enabled())
       << "run this test before anything enables obs globally";
   const std::vector<std::string> kGolden = {
-      "engine", "threads",
+      "engine",
       // options
       "options", "theta", "eta", "zeta", "lambda", "time_bin", "use_lig",
-      "use_mcp_pruning", "selection", "num_threads", "min_partition_grain",
-      "min_candidate_grain", "min_selection_grain", "obs_enabled",
-      "trace_capacity", "deadline_ms", "metrics_interval_ms",
+      "use_mcp_pruning", "selection", "num_threads", "grain", "deadline_ms",
       // stats
       "stats", "num_trajectories", "num_invalid", "gm_edges",
       "cex_evaluations", "cliques_enumerated", "pck_pruned", "jnb_checks",
@@ -135,25 +133,12 @@ TEST(StatsJsonTest, CompletionAndFaultBlocksReflectRunHealth) {
 TEST(StatsJsonTest, DeadlineOptionRoundTripsIntoOptionsBlock) {
   auto set = testutil::MakeTable2Trajectories();
   auto graph = MakePaperExampleGraph();
-  RepairOptions options =
-      testutil::RunningExampleOptions().WithDeadlineMs(1234);
+  RepairOptions options = testutil::RunningExampleOptions();
+  options.deadline_ms = 1234;
   IdRepairer repairer(graph, options);
   auto result = repairer.Repair(set);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_NE(RenderStatsJson(options, *result).find("\"deadline_ms\":1234"),
-            std::string::npos);
-}
-
-TEST(StatsJsonTest, MetricsIntervalOptionRoundTripsIntoOptionsBlock) {
-  auto set = testutil::MakeTable2Trajectories();
-  auto graph = MakePaperExampleGraph();
-  RepairOptions options =
-      testutil::RunningExampleOptions().WithMetricsIntervalMs(250);
-  IdRepairer repairer(graph, options);
-  auto result = repairer.Repair(set);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_NE(RenderStatsJson(options, *result)
-                .find("\"metrics_interval_ms\":250"),
             std::string::npos);
 }
 

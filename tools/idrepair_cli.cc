@@ -5,13 +5,10 @@
 //                         [--zeta N] [--lambda F] [--selection emax|dmin|
 //                         dmax|exact] [--similarity edit|jaro_winkler|
 //                         bigram_cosine|overlap] [--no-lig] [--no-prune]
-//                         [--explain] [--threads N]
-//                         [--candidate-grain auto|N]
-//                         [--selection-grain auto|N]
+//                         [--explain] [--threads N] [--grain auto|N]
 //                         [--engine core|streaming|idsim|neighborhood]
 //                         [--max-edit-distance N]
-//                         [--flush-horizon F] [--window-slide SECONDS]
-//                         [--max-buffered N]
+//                         [--flush-horizon F] [--max-buffered N]
 //                         [--metrics-out FILE] [--metrics-interval MS]
 //                         [--trace-out FILE]
 //                         [--trace-capacity N] [--stats-json FILE]
@@ -38,7 +35,8 @@
 //   idrepair_cli client shutdown --connect ADDR
 //
 // Graph files use the text format of graph/serialization.h; record files
-// are `id,loc,ts` CSV.
+// are `id,loc,ts` CSV. Every command reads all the flags it accepts before
+// it does any work and exits 2, naming them, if any flag is left unread.
 
 #include <fstream>
 #include <iostream>
@@ -91,8 +89,20 @@ Result<SelectionAlgorithm> ParseSelection(const std::string& selection) {
   return Status::InvalidArgument("unknown --selection '" + selection + "'");
 }
 
-Result<RepairOptions> OptionsFromFlags(const FlagParser& flags,
-                                       const IdSimilarity** similarity_out) {
+/// Exit code 2 after naming every flag the command never read (a typo, a
+/// retired flag, or a flag of another command or engine); 0 when there is
+/// none. Commands call this once they have read all their flags and before
+/// they do any work.
+int RejectUnreadFlags(const FlagParser& flags) {
+  std::vector<std::string> unread = flags.Unread();
+  if (unread.empty()) return 0;
+  std::cerr << "error: unknown flag" << (unread.size() > 1 ? "s" : "");
+  for (const std::string& key : unread) std::cerr << " --" << key;
+  std::cerr << " (not read by this command)\n";
+  return 2;
+}
+
+Result<RepairOptions> OptionsFromFlags(const FlagParser& flags) {
   auto theta = flags.GetInt("theta", 4);
   if (!theta.ok()) return theta.status();
   auto eta = flags.GetInt("eta", 600);
@@ -103,36 +113,17 @@ Result<RepairOptions> OptionsFromFlags(const FlagParser& flags,
   if (!lambda.ok()) return lambda.status();
   auto threads = flags.GetInt("threads", 0);
   if (!threads.ok()) return threads.status();
-  auto grain = ParseGrainValue(flags.GetString("candidate-grain", "auto"),
-                               "candidate-grain");
+  auto grain = ParseGrainValue(flags.GetString("grain", "auto"), "grain");
   if (!grain.ok()) return grain.status();
-  auto selection_grain = ParseGrainValue(
-      flags.GetString("selection-grain", "auto"), "selection-grain");
-  if (!selection_grain.ok()) return selection_grain.status();
   auto selection = ParseSelection(flags.GetString("selection", "emax"));
   if (!selection.ok()) return selection.status();
-  auto trace_capacity = flags.GetInt("trace-capacity", 8192);
-  if (!trace_capacity.ok()) return trace_capacity.status();
-  if (*trace_capacity <= 0) {
-    return Status::InvalidArgument("--trace-capacity must be >= 1");
-  }
   auto deadline_ms = flags.GetInt("deadline-ms", 0);
   if (!deadline_ms.ok()) return deadline_ms.status();
-  if (*deadline_ms < 0) {
-    return Status::InvalidArgument("--deadline-ms must be >= 0");
+  // Negative counts would wrap to huge size_t values that Validate()
+  // cannot tell from a deliberate bound.
+  if (*theta < 0 || *zeta < 0) {
+    return Status::InvalidArgument("--theta and --zeta must be >= 1");
   }
-  auto metrics_interval = flags.GetInt("metrics-interval", 0);
-  if (!metrics_interval.ok()) return metrics_interval.status();
-  if (*metrics_interval < 0) {
-    return Status::InvalidArgument("--metrics-interval must be >= 0");
-  }
-  if (*metrics_interval > 0 && !flags.Has("metrics-out")) {
-    return Status::InvalidArgument(
-        "--metrics-interval needs --metrics-out to scrape into");
-  }
-  // Requesting either export implies instrumentation; there is no separate
-  // --obs switch to forget.
-  bool obs_enabled = flags.Has("metrics-out") || flags.Has("trace-out");
 
   // The CLI owns the metric for the lifetime of the process; RepairOptions
   // only borrows it (see the ownership contract in repair/options.h).
@@ -140,69 +131,108 @@ Result<RepairOptions> OptionsFromFlags(const FlagParser& flags,
   auto sim = MakeSimilarity(flags.GetString("similarity", "edit"));
   if (!sim.ok()) return sim.status();
   owned_similarity = std::move(*sim);
-  *similarity_out = owned_similarity.get();
 
-  return RepairOptions()
-      .WithTheta(static_cast<size_t>(*theta))
-      .WithEta(*eta)
-      .WithZeta(static_cast<size_t>(*zeta))
-      .WithLambda(*lambda)
-      .WithLig(!flags.GetBool("no-lig"))
-      .WithMcpPruning(!flags.GetBool("no-prune"))
-      .WithSelection(*selection)
-      .WithSimilarity(owned_similarity.get())
-      .WithThreads(static_cast<int>(*threads))
-      .WithMinCandidateGrain(*grain)
-      .WithMinSelectionGrain(*selection_grain)
-      .WithObsEnabled(obs_enabled)
-      .WithTraceCapacity(static_cast<size_t>(*trace_capacity))
-      .WithDeadlineMs(*deadline_ms)
-      .WithMetricsIntervalMs(*metrics_interval)
-      .Validated();
+  RepairOptions options;
+  options.theta = static_cast<size_t>(*theta);
+  options.eta = *eta;
+  options.zeta = static_cast<size_t>(*zeta);
+  options.lambda = *lambda;
+  options.use_lig = !flags.GetBool("no-lig");
+  options.use_mcp_pruning = !flags.GetBool("no-prune");
+  options.selection = *selection;
+  options.similarity = owned_similarity.get();
+  options.exec.num_threads = static_cast<int>(*threads);
+  options.exec.grain = *grain;
+  options.deadline_ms = *deadline_ms;
+  IDREPAIR_RETURN_NOT_OK(options.Validate());
+  return options;
 }
 
-Result<std::unique_ptr<Repairer>> MakeEngine(const FlagParser& flags,
-                                             const TransitionGraph& graph,
-                                             const RepairOptions& options) {
-  std::string engine = flags.GetString("engine", "core");
-  if (engine == "core") {
-    return std::unique_ptr<Repairer>(new IdRepairer(graph, options));
+/// --metrics-out FILE and --metrics-interval MS, shared by `repair` and
+/// `serve`. An empty path means no metrics export.
+struct MetricsFlags {
+  std::string path;
+  int64_t interval_ms = 0;
+};
+
+Result<MetricsFlags> MetricsFromFlags(const FlagParser& flags) {
+  MetricsFlags metrics;
+  metrics.path = flags.GetString("metrics-out");
+  auto interval = flags.GetInt("metrics-interval", 0);
+  if (!interval.ok()) return interval.status();
+  if (*interval < 0) {
+    return Status::InvalidArgument("--metrics-interval must be >= 0");
   }
-  if (engine == "streaming") {
+  if (*interval > 0 && metrics.path.empty()) {
+    return Status::InvalidArgument(
+        "--metrics-interval needs --metrics-out to scrape into");
+  }
+  metrics.interval_ms = *interval;
+  return metrics;
+}
+
+/// The periodic scraper of --metrics-interval, or nullptr without one.
+Result<std::unique_ptr<obs::MetricsScraper>> StartScraper(
+    const MetricsFlags& metrics) {
+  if (metrics.interval_ms == 0) {
+    return std::unique_ptr<obs::MetricsScraper>();
+  }
+  obs::MetricsScraper::Options options;
+  options.path = metrics.path;
+  options.interval_ms = metrics.interval_ms;
+  return obs::MetricsScraper::Start(std::move(options));
+}
+
+/// The --engine choice and the flags of that engine alone.
+struct EngineFlags {
+  std::string name;
+  StreamOptions stream;
+  size_t max_edit_distance = 3;
+};
+
+Result<EngineFlags> EngineFromFlags(const FlagParser& flags) {
+  EngineFlags engine;
+  engine.name = flags.GetString("engine", "core");
+  if (engine.name == "streaming") {
     auto horizon = flags.GetDouble("flush-horizon", 2.0);
     if (!horizon.ok()) return horizon.status();
     if (*horizon < 1.0) {
       return Status::InvalidArgument(
           "--flush-horizon must be >= 1 (emitted fragments must be inert)");
     }
-    auto slide = flags.GetInt("window-slide", 0);
-    if (!slide.ok()) return slide.status();
-    if (*slide < 0) {
-      return Status::InvalidArgument("--window-slide must be >= 0");
-    }
     auto max_buffered = flags.GetInt("max-buffered", 0);
     if (!max_buffered.ok()) return max_buffered.status();
     if (*max_buffered < 0) {
       return Status::InvalidArgument("--max-buffered must be >= 0");
     }
-    StreamOptions stream_options;
-    stream_options.flush_horizon_multiplier = *horizon;
-    stream_options.window_slide = static_cast<Timestamp>(*slide);
-    stream_options.max_buffered = static_cast<size_t>(*max_buffered);
-    return std::unique_ptr<Repairer>(
-        new StreamingRepairer(graph, options, stream_options));
-  }
-  if (engine == "idsim") {
+    engine.stream.flush_horizon_multiplier = *horizon;
+    engine.stream.max_buffered = static_cast<size_t>(*max_buffered);
+  } else if (engine.name == "idsim") {
     auto dist = flags.GetInt("max-edit-distance", 3);
     if (!dist.ok()) return dist.status();
-    return std::unique_ptr<Repairer>(
-        new IdSimilarityRepairer(static_cast<size_t>(*dist)));
+    if (*dist < 0) {
+      return Status::InvalidArgument("--max-edit-distance must be >= 0");
+    }
+    engine.max_edit_distance = static_cast<size_t>(*dist);
+  } else if (engine.name != "core" && engine.name != "neighborhood") {
+    return Status::InvalidArgument("unknown --engine '" + engine.name + "'");
   }
-  if (engine == "neighborhood") {
-    return std::unique_ptr<Repairer>(
-        new NeighborhoodRepairer(graph, options));
+  return engine;
+}
+
+std::unique_ptr<Repairer> MakeEngine(const EngineFlags& engine,
+                                     const TransitionGraph& graph,
+                                     const RepairOptions& options) {
+  if (engine.name == "streaming") {
+    return std::make_unique<StreamingRepairer>(graph, options, engine.stream);
   }
-  return Status::InvalidArgument("unknown --engine '" + engine + "'");
+  if (engine.name == "idsim") {
+    return std::make_unique<IdSimilarityRepairer>(engine.max_edit_distance);
+  }
+  if (engine.name == "neighborhood") {
+    return std::make_unique<NeighborhoodRepairer>(graph, options);
+  }
+  return std::make_unique<IdRepairer>(graph, options);
 }
 
 int FailWith(const Status& status) {
@@ -210,46 +240,55 @@ int FailWith(const Status& status) {
   return 1;
 }
 
-/// Arms --failpoints, when given. Callers do this before any I/O so the
-/// io.* sites see the load path too.
-Status ArmFailpointsFlag(const FlagParser& flags) {
-  if (!flags.Has("failpoints")) return Status::OK();
-  return fault::ArmFromString(flags.GetString("failpoints"));
-}
-
 int RunRepair(const FlagParser& flags) {
   for (const char* key : {"graph", "records", "out"}) {
     if (Status s = RequireFlag(flags, key); !s.ok()) return FailWith(s);
   }
-  if (Status s = ArmFailpointsFlag(flags); !s.ok()) return FailWith(s);
-  auto graph = ReadTransitionGraphFile(flags.GetString("graph"));
+  const std::string graph_path = flags.GetString("graph");
+  const std::string records_path = flags.GetString("records");
+  const std::string out_path = flags.GetString("out");
+  const std::string truth_path = flags.GetString("truth");
+  const std::string stats_json_path = flags.GetString("stats-json");
+  const std::string trace_path = flags.GetString("trace-out");
+  const std::string failpoints = flags.GetString("failpoints");
+  const bool failpoints_status = flags.GetBool("failpoints-status");
+  const bool explain = flags.GetBool("explain");
+  auto options = OptionsFromFlags(flags);
+  if (!options.ok()) return FailWith(options.status());
+  auto engine_flags = EngineFromFlags(flags);
+  if (!engine_flags.ok()) return FailWith(engine_flags.status());
+  auto metrics = MetricsFromFlags(flags);
+  if (!metrics.ok()) return FailWith(metrics.status());
+  auto trace_capacity = flags.GetInt("trace-capacity", 8192);
+  if (!trace_capacity.ok()) return FailWith(trace_capacity.status());
+  if (*trace_capacity <= 0) {
+    return FailWith(Status::InvalidArgument("--trace-capacity must be >= 1"));
+  }
+  if (int code = RejectUnreadFlags(flags); code != 0) return code;
+
+  // Arm failpoints before any I/O so the io.* sites see the load path too.
+  if (Status s = fault::ArmFromString(failpoints); !s.ok()) return FailWith(s);
+  auto graph = ReadTransitionGraphFile(graph_path);
   if (!graph.ok()) return FailWith(graph.status());
-  auto records = ReadRecordsCsvFile(flags.GetString("records"), *graph);
+  auto records = ReadRecordsCsvFile(records_path, *graph);
   if (!records.ok()) return FailWith(records.status());
 
-  const IdSimilarity* similarity = nullptr;
-  auto options = OptionsFromFlags(flags, &similarity);
-  if (!options.ok()) return FailWith(options.status());
-  // Enable instrumentation up front (not just inside the engines) so the
-  // baseline engines, which ignore RepairOptions::obs, still export.
-  obs::ApplyOptions(options->obs);
-  std::unique_ptr<obs::MetricsScraper> scraper;
-  if (options->obs.metrics_interval_ms > 0) {
-    obs::MetricsScraper::Options scrape_options;
-    scrape_options.path = flags.GetString("metrics-out");
-    scrape_options.interval_ms = options->obs.metrics_interval_ms;
-    auto started = obs::MetricsScraper::Start(std::move(scrape_options));
-    if (!started.ok()) return FailWith(started.status());
-    scraper = std::move(*started);
+  // Requesting either export switches instrumentation on for the process,
+  // for every engine alike; there is no separate --obs switch to forget.
+  if (!metrics->path.empty() || !trace_path.empty()) {
+    obs::TraceSink::Global().SetCapacity(static_cast<size_t>(*trace_capacity));
+    obs::SetEnabled(true);
   }
+  auto scraper = StartScraper(*metrics);
+  if (!scraper.ok()) return FailWith(scraper.status());
 
   TrajectorySet set = TrajectorySet::FromRecords(*records);
-  auto engine = MakeEngine(flags, *graph, *options);
-  if (!engine.ok()) return FailWith(engine.status());
-  auto result = (*engine)->Repair(set);
+  std::unique_ptr<Repairer> engine =
+      MakeEngine(*engine_flags, *graph, *options);
+  auto result = engine->Repair(set);
   if (!result.ok()) return FailWith(result.status());
 
-  std::cout << "engine: " << (*engine)->name() << ", trajectories: "
+  std::cout << "engine: " << engine->name() << ", trajectories: "
             << set.size() << " (" << result->stats.num_invalid
             << " invalid), candidates: " << result->stats.num_candidates
             << ", selected: " << result->stats.num_selected
@@ -260,62 +299,61 @@ int RunRepair(const FlagParser& flags) {
     std::cout << "partial result (graceful degradation): "
               << result->completion << "\n";
   }
-  if (flags.GetBool("failpoints-status")) {
+  if (failpoints_status) {
     std::cout << fault::FailPointRegistry::Global().RenderStatus();
   }
 
-  if (flags.GetBool("explain")) {
+  if (explain) {
     std::cout << ExplainRepair(set, *graph, *result, *options);
   }
 
-  if (scraper != nullptr) {
+  if (*scraper != nullptr) {
     // Periodic mode: the scraper appends timestamped expositions; its Stop()
     // writes the final one, so the one-shot dump below would only duplicate
     // the last block.
-    scraper->Stop();
-    if (Status s = scraper->last_error(); !s.ok()) return FailWith(s);
-    std::cout << "wrote " << scraper->scrapes() << " metric scrapes to "
-              << flags.GetString("metrics-out") << "\n";
-  } else if (flags.Has("metrics-out")) {
-    std::string path = flags.GetString("metrics-out");
-    std::ofstream metrics(path);
-    if (!metrics) {
+    (*scraper)->Stop();
+    if (Status s = (*scraper)->last_error(); !s.ok()) return FailWith(s);
+    std::cout << "wrote " << (*scraper)->scrapes() << " metric scrapes to "
+              << metrics->path << "\n";
+  } else if (!metrics->path.empty()) {
+    std::ofstream out(metrics->path);
+    if (!out) {
       return FailWith(
-          Status::IoError("cannot open '" + path + "' for writing"));
+          Status::IoError("cannot open '" + metrics->path + "' for writing"));
     }
-    metrics << obs::MetricsRegistry::Global().RenderPrometheus();
-    if (!metrics.good()) {
-      return FailWith(Status::IoError("failed writing '" + path + "'"));
+    out << obs::MetricsRegistry::Global().RenderPrometheus();
+    if (!out.good()) {
+      return FailWith(
+          Status::IoError("failed writing '" + metrics->path + "'"));
     }
-    std::cout << "wrote metrics to " << path << "\n";
+    std::cout << "wrote metrics to " << metrics->path << "\n";
   }
-  if (flags.Has("trace-out")) {
-    std::string path = flags.GetString("trace-out");
-    if (Status s = obs::TraceSink::Global().WriteJsonFile(path); !s.ok()) {
-      return FailWith(s);
-    }
-    std::cout << "wrote trace to " << path << "\n";
-  }
-  if (flags.Has("stats-json")) {
-    std::string path = flags.GetString("stats-json");
-    if (Status s =
-            WriteStatsJsonFile(path, (*engine)->name(), *options, *result);
+  if (!trace_path.empty()) {
+    if (Status s = obs::TraceSink::Global().WriteJsonFile(trace_path);
         !s.ok()) {
       return FailWith(s);
     }
-    std::cout << "wrote stats to " << path << "\n";
+    std::cout << "wrote trace to " << trace_path << "\n";
+  }
+  if (!stats_json_path.empty()) {
+    if (Status s = WriteStatsJsonFile(stats_json_path, engine->name(),
+                                      *options, *result);
+        !s.ok()) {
+      return FailWith(s);
+    }
+    std::cout << "wrote stats to " << stats_json_path << "\n";
   }
 
-  if (flags.Has("truth")) {
-    auto truth_records = ReadRecordsCsvFile(flags.GetString("truth"), *graph);
+  if (!truth_path.empty()) {
+    auto truth_records = ReadRecordsCsvFile(truth_path, *graph);
     if (!truth_records.ok()) return FailWith(truth_records.status());
     auto dataset = MakeLabeledDataset(*graph, *records, *truth_records);
     if (!dataset.ok()) return FailWith(dataset.status());
     auto truth = ComputeFragmentTruth(*dataset, set);
-    auto metrics = EvaluateRewrites(truth, set, result->rewrites);
-    std::cout << "precision=" << ToFixed(metrics.precision, 3)
-              << " recall=" << ToFixed(metrics.recall, 3)
-              << " f-measure=" << ToFixed(metrics.f_measure, 3) << "\n";
+    auto quality = EvaluateRewrites(truth, set, result->rewrites);
+    std::cout << "precision=" << ToFixed(quality.precision, 3)
+              << " recall=" << ToFixed(quality.recall, 3)
+              << " f-measure=" << ToFixed(quality.f_measure, 3) << "\n";
   }
 
   std::vector<TrackingRecord> repaired;
@@ -325,13 +363,11 @@ int RunRepair(const FlagParser& flags) {
       repaired.push_back(TrackingRecord{t.id(), p.loc, p.ts});
     }
   }
-  if (Status s = WriteRecordsCsvFile(flags.GetString("out"), *graph,
-                                     repaired);
-      !s.ok()) {
+  if (Status s = WriteRecordsCsvFile(out_path, *graph, repaired); !s.ok()) {
     return FailWith(s);
   }
-  std::cout << "wrote " << repaired.size() << " records to "
-            << flags.GetString("out") << "\n";
+  std::cout << "wrote " << repaired.size() << " records to " << out_path
+            << "\n";
   return 0;
 }
 
@@ -339,10 +375,9 @@ int RunGenerate(const FlagParser& flags) {
   for (const char* key : {"graph", "out"}) {
     if (Status s = RequireFlag(flags, key); !s.ok()) return FailWith(s);
   }
-  auto graph = ReadTransitionGraphFile(flags.GetString("graph"));
-  if (!graph.ok()) return FailWith(graph.status());
-
-  SyntheticConfig config;
+  const std::string graph_path = flags.GetString("graph");
+  const std::string out_path = flags.GetString("out");
+  const std::string truth_path = flags.GetString("truth");
   auto n = flags.GetInt("trajectories", 500);
   auto error_rate = flags.GetDouble("error-rate", 0.2);
   auto missing_rate = flags.GetDouble("missing-rate", 0.0);
@@ -354,6 +389,11 @@ int RunGenerate(const FlagParser& flags) {
         seed.status(), window.status(), max_len.status()}) {
     if (!s.ok()) return FailWith(s);
   }
+  if (int code = RejectUnreadFlags(flags); code != 0) return code;
+
+  auto graph = ReadTransitionGraphFile(graph_path);
+  if (!graph.ok()) return FailWith(graph.status());
+  SyntheticConfig config;
   config.num_trajectories = static_cast<size_t>(*n);
   config.record_error_rate = *error_rate;
   config.record_missing_rate = *missing_rate;
@@ -363,23 +403,22 @@ int RunGenerate(const FlagParser& flags) {
 
   auto dataset = GenerateSyntheticDataset(*graph, config);
   if (!dataset.ok()) return FailWith(dataset.status());
-  if (Status s = WriteRecordsCsvFile(flags.GetString("out"), *graph,
+  if (Status s = WriteRecordsCsvFile(out_path, *graph,
                                      dataset->ObservedRecords());
       !s.ok()) {
     return FailWith(s);
   }
   std::cout << "wrote " << dataset->records.size() << " records ("
             << dataset->NumEntities() << " entities, error rate "
-            << ToFixed(dataset->RecordErrorRate(), 3) << ") to "
-            << flags.GetString("out") << "\n";
-  if (flags.Has("truth")) {
-    if (Status s = WriteRecordsCsvFile(flags.GetString("truth"), *graph,
+            << ToFixed(dataset->RecordErrorRate(), 3) << ") to " << out_path
+            << "\n";
+  if (!truth_path.empty()) {
+    if (Status s = WriteRecordsCsvFile(truth_path, *graph,
                                        dataset->TrueRecords());
         !s.ok()) {
       return FailWith(s);
     }
-    std::cout << "wrote ground truth to " << flags.GetString("truth")
-              << "\n";
+    std::cout << "wrote ground truth to " << truth_path << "\n";
   }
   return 0;
 }
@@ -388,9 +427,12 @@ int RunStats(const FlagParser& flags) {
   for (const char* key : {"graph", "records"}) {
     if (Status s = RequireFlag(flags, key); !s.ok()) return FailWith(s);
   }
-  auto graph = ReadTransitionGraphFile(flags.GetString("graph"));
+  const std::string graph_path = flags.GetString("graph");
+  const std::string records_path = flags.GetString("records");
+  if (int code = RejectUnreadFlags(flags); code != 0) return code;
+  auto graph = ReadTransitionGraphFile(graph_path);
   if (!graph.ok()) return FailWith(graph.status());
-  auto records = ReadRecordsCsvFile(flags.GetString("records"), *graph);
+  auto records = ReadRecordsCsvFile(records_path, *graph);
   if (!records.ok()) return FailWith(records.status());
   TrajectorySet set = TrajectorySet::FromRecords(*records);
   std::cout << DescribeStats(ComputeStats(set, *graph));
@@ -399,7 +441,9 @@ int RunStats(const FlagParser& flags) {
 
 int RunDot(const FlagParser& flags) {
   if (Status s = RequireFlag(flags, "graph"); !s.ok()) return FailWith(s);
-  auto graph = ReadTransitionGraphFile(flags.GetString("graph"));
+  const std::string graph_path = flags.GetString("graph");
+  if (int code = RejectUnreadFlags(flags); code != 0) return code;
+  auto graph = ReadTransitionGraphFile(graph_path);
   if (!graph.ok()) return FailWith(graph.status());
   std::cout << ToDot(*graph);
   return 0;
@@ -410,37 +454,28 @@ int RunServe(const FlagParser& flags) {
   options.listen = flags.GetString("listen", "tcp:127.0.0.1:7077");
   options.load_dir = flags.GetString("load-dir");
   options.snapshot_dir = flags.GetString("snapshot-dir");
+  const std::string failpoints = flags.GetString("failpoints");
   auto max_inflight = flags.GetInt("max-inflight", 64);
   auto default_deadline = flags.GetInt("default-deadline-ms", 0);
   auto threads = flags.GetInt("threads", 0);
-  auto metrics_interval = flags.GetInt("metrics-interval", 0);
   for (const Status& s :
-       {max_inflight.status(), default_deadline.status(), threads.status(),
-        metrics_interval.status()}) {
+       {max_inflight.status(), default_deadline.status(), threads.status()}) {
     if (!s.ok()) return FailWith(s);
   }
   if (*max_inflight < 0) {
     return FailWith(Status::InvalidArgument("--max-inflight must be >= 0"));
   }
+  auto metrics = MetricsFromFlags(flags);
+  if (!metrics.ok()) return FailWith(metrics.status());
+  if (int code = RejectUnreadFlags(flags); code != 0) return code;
   options.max_inflight = static_cast<uint64_t>(*max_inflight);
   options.default_deadline_ms = *default_deadline;
   options.exec_threads = static_cast<int>(*threads);
-  if (Status s = ArmFailpointsFlag(flags); !s.ok()) return FailWith(s);
+  if (Status s = fault::ArmFromString(failpoints); !s.ok()) return FailWith(s);
 
-  if (flags.Has("metrics-out")) obs::SetEnabled(true);
-  std::unique_ptr<obs::MetricsScraper> scraper;
-  if (*metrics_interval > 0) {
-    if (!flags.Has("metrics-out")) {
-      return FailWith(Status::InvalidArgument(
-          "--metrics-interval needs --metrics-out to scrape into"));
-    }
-    obs::MetricsScraper::Options scrape_options;
-    scrape_options.path = flags.GetString("metrics-out");
-    scrape_options.interval_ms = *metrics_interval;
-    auto started = obs::MetricsScraper::Start(std::move(scrape_options));
-    if (!started.ok()) return FailWith(started.status());
-    scraper = std::move(*started);
-  }
+  if (!metrics->path.empty()) obs::SetEnabled(true);
+  auto scraper = StartScraper(*metrics);
+  if (!scraper.ok()) return FailWith(scraper.status());
 
   auto srv = server::IdRepairServer::Start(std::move(options));
   if (!srv.ok()) return FailWith(srv.status());
@@ -452,10 +487,10 @@ int RunServe(const FlagParser& flags) {
   std::cout << "idrepaird stopped: admitted=" << admission.admitted
             << " rejected=" << admission.rejected
             << " completed=" << admission.completed << "\n";
-  if (scraper != nullptr) {
-    scraper->Stop();
-    std::cout << "wrote " << scraper->scrapes() << " metric scrapes to "
-              << flags.GetString("metrics-out") << "\n";
+  if (*scraper != nullptr) {
+    (*scraper)->Stop();
+    std::cout << "wrote " << (*scraper)->scrapes() << " metric scrapes to "
+              << metrics->path << "\n";
   }
   return 0;
 }
@@ -470,8 +505,9 @@ Result<std::string> ReadFileText(const std::string& path) {
 
 int RunClient(const std::string& action, const FlagParser& flags) {
   if (Status s = RequireFlag(flags, "connect"); !s.ok()) return FailWith(s);
-  auto client = server::RepairClient::Connect(flags.GetString("connect"));
-  if (!client.ok()) return FailWith(client.status());
+  const std::string address = flags.GetString("connect");
+  // Each action reads all its flags first; this connects only after.
+  auto connect = [&]() { return server::RepairClient::Connect(address); };
 
   if (action == "register") {
     for (const char* key : {"name", "graph"}) {
@@ -479,22 +515,26 @@ int RunClient(const std::string& action, const FlagParser& flags) {
     }
     server::RegisterGraphRequest req;
     req.name = flags.GetString("name");
-    auto graph_text = ReadFileText(flags.GetString("graph"));
-    if (!graph_text.ok()) return FailWith(graph_text.status());
-    req.graph_text = std::move(*graph_text);
-    const IdSimilarity* unused = nullptr;
-    auto options = OptionsFromFlags(flags, &unused);
+    const std::string graph_path = flags.GetString("graph");
+    const std::string corpus_path = flags.GetString("records");
+    auto options = OptionsFromFlags(flags);
     if (!options.ok()) return FailWith(options.status());
+    if (int code = RejectUnreadFlags(flags); code != 0) return code;
     options->similarity = nullptr;  // never travels the wire
     req.options = *options;
-    if (flags.Has("records")) {
+    auto graph_text = ReadFileText(graph_path);
+    if (!graph_text.ok()) return FailWith(graph_text.status());
+    req.graph_text = std::move(*graph_text);
+    if (!corpus_path.empty()) {
       std::istringstream graph_stream(req.graph_text);
       auto graph = ReadTransitionGraph(graph_stream);
       if (!graph.ok()) return FailWith(graph.status());
-      auto corpus = ReadRecordsCsvFile(flags.GetString("records"), *graph);
+      auto corpus = ReadRecordsCsvFile(corpus_path, *graph);
       if (!corpus.ok()) return FailWith(corpus.status());
       req.corpus = std::move(*corpus);
     }
+    auto client = connect();
+    if (!client.ok()) return FailWith(client.status());
     auto reply = client->RegisterGraph(req);
     if (!reply.ok()) return FailWith(reply.status());
     std::cout << "registered '" << req.name << "' version " << reply->version
@@ -510,18 +550,33 @@ int RunClient(const std::string& action, const FlagParser& flags) {
     if (!budget.ok()) return FailWith(budget.status());
     req.budget_ms = *budget;
     req.use_corpus = flags.GetBool("use-corpus");
-    std::unique_ptr<TransitionGraph> graph;  // only needed for record CSV I/O
+    std::string records_path;  // a corpus repair sends no records
     if (!req.use_corpus) {
       for (const char* key : {"records", "graph"}) {
         if (Status s = RequireFlag(flags, key); !s.ok()) return FailWith(s);
       }
-      auto loaded = ReadTransitionGraphFile(flags.GetString("graph"));
+      records_path = flags.GetString("records");
+    }
+    const std::string graph_path = flags.GetString("graph");
+    const std::string out_path = flags.GetString("out");
+    if (!out_path.empty() && graph_path.empty()) {
+      return FailWith(Status::InvalidArgument(
+          "--out needs --graph to render location names"));
+    }
+    if (int code = RejectUnreadFlags(flags); code != 0) return code;
+    std::unique_ptr<TransitionGraph> graph;  // only needed for record CSV I/O
+    if (!graph_path.empty()) {
+      auto loaded = ReadTransitionGraphFile(graph_path);
       if (!loaded.ok()) return FailWith(loaded.status());
       graph = std::make_unique<TransitionGraph>(std::move(*loaded));
-      auto records = ReadRecordsCsvFile(flags.GetString("records"), *graph);
+    }
+    if (!req.use_corpus) {
+      auto records = ReadRecordsCsvFile(records_path, *graph);
       if (!records.ok()) return FailWith(records.status());
       req.batches.push_back(std::move(*records));
     }
+    auto client = connect();
+    if (!client.ok()) return FailWith(client.status());
     auto reply = client->Repair(req);
     if (!reply.ok()) return FailWith(reply.status());
     size_t batch_index = 0;
@@ -534,22 +589,16 @@ int RunClient(const std::string& action, const FlagParser& flags) {
       if (!batch.completion.ok()) std::cout << " (" << batch.completion << ")";
       std::cout << "\n";
     }
-    if (flags.Has("out")) {
-      if (graph == nullptr) {
-        return FailWith(Status::InvalidArgument(
-            "--out needs --graph to render location names"));
-      }
+    if (!out_path.empty()) {
       std::vector<TrackingRecord> all;
       for (const server::BatchReply& batch : reply->batches) {
         all.insert(all.end(), batch.repaired.begin(), batch.repaired.end());
       }
-      if (Status s =
-              WriteRecordsCsvFile(flags.GetString("out"), *graph, all);
-          !s.ok()) {
+      if (Status s = WriteRecordsCsvFile(out_path, *graph, all); !s.ok()) {
         return FailWith(s);
       }
-      std::cout << "wrote " << all.size() << " records to "
-                << flags.GetString("out") << "\n";
+      std::cout << "wrote " << all.size() << " records to " << out_path
+                << "\n";
     }
     return 0;
   }
@@ -557,6 +606,9 @@ int RunClient(const std::string& action, const FlagParser& flags) {
   if (action == "snapshot") {
     server::SnapshotRequest req;
     req.dir = flags.GetString("dir");
+    if (int code = RejectUnreadFlags(flags); code != 0) return code;
+    auto client = connect();
+    if (!client.ok()) return FailWith(client.status());
     auto reply = client->Snapshot(req);
     if (!reply.ok()) return FailWith(reply.status());
     std::cout << "saved " << reply->num_saved << " snapshots to "
@@ -567,6 +619,9 @@ int RunClient(const std::string& action, const FlagParser& flags) {
   if (action == "stats") {
     server::StatsRequest req;
     req.include_prometheus = flags.GetBool("prometheus");
+    if (int code = RejectUnreadFlags(flags); code != 0) return code;
+    auto client = connect();
+    if (!client.ok()) return FailWith(client.status());
     auto reply = client->Stats(req);
     if (!reply.ok()) return FailWith(reply.status());
     for (const auto& entry : reply->entries) {
@@ -586,6 +641,9 @@ int RunClient(const std::string& action, const FlagParser& flags) {
   }
 
   if (action == "shutdown") {
+    if (int code = RejectUnreadFlags(flags); code != 0) return code;
+    auto client = connect();
+    if (!client.ok()) return FailWith(client.status());
     if (Status s = client->Shutdown(); !s.ok()) return FailWith(s);
     std::cout << "shutdown acknowledged\n";
     return 0;
