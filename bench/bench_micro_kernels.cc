@@ -169,12 +169,11 @@ void BM_EmaxSelection(benchmark::State& state) {
   const Workload& w = Workload::Get();
   IdRepairer repairer(w.dataset.graph, w.options);
   auto result = repairer.Repair(w.set);
-  auto built = RepairGraph::Build(result->candidates, w.set.size(),
-                                 w.options.exec);
-  RepairGraph gr = std::move(built).value();
-  EmaxSelector emax;
+  SelectionContext ctx;
+  ctx.exec = w.options.exec;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(emax.Select(gr, result->candidates).size());
+    auto selected = SelectEmaxByCover(result->candidates, w.set.size(), ctx);
+    benchmark::DoNotOptimize(selected->size());
   }
 }
 BENCHMARK(BM_EmaxSelection);

@@ -87,6 +87,19 @@ for name, base in sorted(baseline.items()):
 sys.exit(1 if failed else 0)
 EOF
 
+echo "==> benchmark: end-to-end smoke gates"
+# The one-command benchmark at smoke scale, untraced and traced, then its
+# ctest gates. Every run checks its own outputs (f-measure and set
+# distance against the truth, the daemon's replies, and on the traced run
+# that the per-layer composition is byte-identical to IdRepairer::Repair)
+# and exits nonzero on a failed gate. Builds into build-bench/. Tier-1
+# never compiles benchmark/, so this is the first stage that builds the
+# traced driver against the library's current API; it runs before the
+# slow wall-clock stage so such a break is reported early.
+bash benchmark/run.sh --smoke
+bash benchmark/run.sh --smoke --trace 1
+ctest --test-dir build-bench --output-on-failure
+
 echo "==> scaling: wall-clock speedup test + bench floor"
 # Wall-clock gates live here, not in tier-1: this stage runs them one at a
 # time, never next to other tests under `ctest -j`. The test half runs
@@ -128,16 +141,6 @@ print(f"scaling: {verdict} 8-thread generation speedup {speedup:.2f}x "
       f"(floor {floor:.2f}x on {cores} cores)")
 sys.exit(0 if speedup >= floor else 1)
 EOF
-
-echo "==> benchmark: end-to-end smoke gates"
-# The one-command benchmark at smoke scale, untraced and traced, then its
-# ctest gates. Every run checks its own outputs (f-measure and set
-# distance against the truth, the daemon's replies, and on the traced run
-# that the per-layer composition is byte-identical to IdRepairer::Repair)
-# and exits nonzero on a failed gate. Builds into build-bench/.
-bash benchmark/run.sh --smoke
-bash benchmark/run.sh --smoke --trace 1
-ctest --test-dir build-bench --output-on-failure
 
 echo "==> server: daemon e2e + snapshot kill-restart arm"
 # The idrepaird end-to-end suite (register -> snapshot -> kill -> restart

@@ -74,34 +74,28 @@ Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
                    kSelectionGrainCalibration));
   std::vector<uint32_t> degree(candidates.size(), 0);
 
-  if (shards.size() <= 1) {
-    // Serial reference schedule; still one shard as far as fault injection
-    // is concerned, so chaos schedules behave the same at every thread
-    // count.
-    if (!candidates.empty()) IDREPAIR_FAULT_INJECT("repair.selection.shard");
-    std::vector<RepairIndex> scratch;
-    g.neighbors_.clear();
-    BuildVertexRange(candidates, g, 0, candidates.size(), g.neighbors_,
-                     degree, scratch);
+  // Each shard owns a contiguous vertex range and *pulls* its neighbor
+  // lists from the shared (read-only) cover index into a private arena;
+  // the arenas concatenate in shard order, which is vertex order (a single
+  // arena is moved, not copied). The sort scratch comes from pool-owned
+  // per-thread storage so its capacity survives across shards and Build
+  // calls.
+  std::vector<std::vector<RepairIndex>> slot_arena(shards.size());
+  ThreadPool* pool = &ThreadPool::Default();
+  IDREPAIR_RETURN_NOT_OK(ParallelFor(
+      pool, shards,
+      [&](size_t shard, size_t begin, size_t end) {
+        IDREPAIR_FAULT_INJECT("repair.selection.shard");
+        obs::TraceSpan span("selection.gr.shard", shard);
+        std::vector<RepairIndex>& scratch =
+            pool->LocalScratch<std::vector<RepairIndex>>();
+        BuildVertexRange(candidates, g, begin, end, slot_arena[shard],
+                         degree, scratch);
+        return Status::OK();
+      }));
+  if (slot_arena.size() == 1) {
+    g.neighbors_ = std::move(slot_arena.front());
   } else {
-    // Each shard owns a contiguous vertex range and *pulls* its neighbor
-    // lists from the shared (read-only) cover index into a private arena;
-    // the arenas concatenate in shard order, which is vertex order. The
-    // sort scratch comes from pool-owned per-thread storage so its
-    // capacity survives across shards and Build calls.
-    std::vector<std::vector<RepairIndex>> slot_arena(shards.size());
-    ThreadPool* pool = &ThreadPool::Default();
-    IDREPAIR_RETURN_NOT_OK(ParallelFor(
-        pool, shards,
-        [&](size_t shard, size_t begin, size_t end) {
-          IDREPAIR_FAULT_INJECT("repair.selection.shard");
-          obs::TraceSpan span("selection.gr.shard", shard);
-          std::vector<RepairIndex>& scratch =
-              pool->LocalScratch<std::vector<RepairIndex>>();
-          BuildVertexRange(candidates, g, begin, end, slot_arena[shard],
-                           degree, scratch);
-          return Status::OK();
-        }));
     size_t total = 0;
     for (const auto& arena : slot_arena) total += arena.size();
     g.neighbors_.reserve(total);

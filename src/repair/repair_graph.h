@@ -32,10 +32,10 @@ class RepairGraph {
   /// the exec pool. Shard boundaries never affect the result: each shard
   /// derives its vertex range's neighbor list as the sorted-unique union of
   /// the shared (read-only) cover index over the vertex's members, so the
-  /// graph is byte-identical at any thread count, including the one-shard
-  /// serial schedule. Evaluates the "repair.selection.shard" failpoint once
-  /// per shard (and once on the serial schedule when the set is non-empty),
-  /// so chaos schedules line up across thread counts.
+  /// graph is byte-identical at any thread count; a single shard runs
+  /// inline on the calling thread. Evaluates the "repair.selection.shard"
+  /// failpoint once per shard, so a non-empty set hits it at least once at
+  /// every thread count and chaos schedules line up across thread counts.
   static Result<RepairGraph> Build(const CandidateSet& candidates,
                                    size_t num_trajs, const ExecOptions& exec);
 

@@ -1,7 +1,6 @@
 #include "repair/selectors.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -66,9 +65,9 @@ struct EffectivenessOrder {
 };
 
 /// Candidate indices sorted into EMAX pick order, shard-sorted over the
-/// exec pool above the grain and k-way-merged on the calling thread. The
-/// merge compares shard heads under the same total order, so the output is
-/// byte-identical to a serial sort at any thread count.
+/// exec pool and k-way-merged on the calling thread. The merge compares
+/// shard heads under the same total order, so the output is byte-identical
+/// at any thread count; a single shard is sorted inline and needs no merge.
 Result<std::vector<RepairIndex>> OrderByEffectiveness(
     const CandidateSet& candidates, const ExecOptions& exec) {
   const size_t n = candidates.size();
@@ -80,12 +79,6 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
   auto shards = SplitRange(n, threads,
                            ResolveGrain(exec.grain, n, threads,
                                         kSelectionGrainCalibration));
-  if (shards.size() <= 1) {
-    if (n != 0) IDREPAIR_FAULT_INJECT("repair.selection.shard");
-    std::sort(order.begin(), order.end(), before);
-    return order;
-  }
-
   IDREPAIR_RETURN_NOT_OK(ParallelFor(
       &ThreadPool::Default(), shards,
       [&](size_t shard, size_t begin, size_t end) {
@@ -94,6 +87,7 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
         std::sort(order.begin() + begin, order.begin() + end, before);
         return Status::OK();
       }));
+  if (shards.size() <= 1) return order;
 
   std::vector<RepairIndex> merged;
   merged.reserve(n);
@@ -113,100 +107,18 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
   return merged;
 }
 
-/// Shared greedy skeleton: visit vertices in the order produced by
-/// `ordered`, take each undiscarded one, discard its neighbors.
-std::vector<RepairIndex> GreedyByOrder(const RepairGraph& gr,
-                                       const std::vector<RepairIndex>& order,
-                                       const std::vector<bool>* skip) {
-  std::vector<bool> discarded(gr.num_vertices(), false);
-  std::vector<RepairIndex> out;
-  for (RepairIndex v : order) {
-    if (discarded[v]) continue;
-    if (skip != nullptr && (*skip)[v]) continue;
-    out.push_back(v);
-    for (RepairIndex w : gr.Neighbors(v)) discarded[w] = true;
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-}  // namespace
-
-std::vector<RepairIndex> EmaxSelector::Select(
-    const RepairGraph& gr,
-    const CandidateSet& candidates) const {
-  std::vector<RepairIndex> order(gr.num_vertices());
-  std::iota(order.begin(), order.end(), RepairIndex{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](RepairIndex a, RepairIndex b) {
-                     return candidates.effectiveness(a) >
-                            candidates.effectiveness(b);
-                   });
-  std::vector<bool> skip(gr.num_vertices(), false);
-  for (RepairIndex v = 0; v < gr.num_vertices(); ++v) {
-    skip[v] = candidates.effectiveness(v) <= 0.0;
-  }
-  return GreedyByOrder(gr, order, &skip);
-}
-
-Result<std::vector<RepairIndex>> EmaxSelector::Select(
-    const RepairGraph& gr, const CandidateSet& candidates,
-    const SelectionContext& ctx) const {
-  return SelectEmaxByCover(candidates, gr.num_trajs(), ctx);
-}
-
-namespace {
-
-/// Dynamic degree-driven greedy shared by DMIN and DMAX.
-std::vector<RepairIndex> DegreeGreedy(const RepairGraph& gr, bool minimize) {
-  size_t n = gr.num_vertices();
-  std::vector<bool> removed(n, false);
-  std::vector<size_t> degree(n);
-  for (RepairIndex v = 0; v < n; ++v) degree[v] = gr.Degree(v);
-  std::vector<RepairIndex> out;
-  size_t remaining = n;
-  while (remaining > 0) {
-    RepairIndex best = 0;
-    bool found = false;
-    for (RepairIndex v = 0; v < n; ++v) {
-      if (removed[v]) continue;
-      if (!found || (minimize ? degree[v] < degree[best]
-                              : degree[v] > degree[best])) {
-        best = v;
-        found = true;
-      }
-    }
-    assert(found);
-    out.push_back(best);
-    // Remove `best` and its surviving neighbors, updating degrees.
-    auto remove_vertex = [&](RepairIndex v) {
-      removed[v] = true;
-      --remaining;
-      for (RepairIndex w : gr.Neighbors(v)) {
-        if (!removed[w]) --degree[w];
-      }
-    };
-    remove_vertex(best);
-    for (RepairIndex w : gr.Neighbors(best)) {
-      if (!removed[w]) remove_vertex(w);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Exact-pick form of DegreeGreedy: same output, but the O(|Vr|) full
-/// rescan per pick becomes a read of a tournament-tree root.
+/// Dynamic degree-driven greedy shared by DMIN and DMAX: each pick is the
+/// remaining vertex of minimum (DMIN) or maximum (DMAX) current degree,
+/// smallest index on ties, read off a tournament-tree root.
 ///
 /// Each leaf holds one packed key per vertex — (degree << 32) | vertex for
 /// DMIN, (0xFFFFFFFF - degree) << 32 | vertex for DMAX — and every inner
 /// node the minimum of its children, so the root is the minimum degree
-/// (maximum for DMAX) with the smallest vertex breaking ties: exactly the
-/// vertex the reference's ascending scan with strict improvement picks.
+/// (maximum for DMAX) with the smallest vertex breaking ties.
 /// Removed vertices hold kEmpty. A commit re-keys each touched vertex's leaf
 /// once, walking up only while the ancestor minimum changes; the tree never
 /// holds a stale entry.
-Result<std::vector<RepairIndex>> DegreeGreedyExact(
+Result<std::vector<RepairIndex>> DegreeGreedyTree(
     const RepairGraph& gr, bool minimize, const SelectionContext& ctx) {
   constexpr uint64_t kEmpty = ~uint64_t{0};
   const size_t n = gr.num_vertices();
@@ -286,32 +198,24 @@ Result<std::vector<RepairIndex>> DegreeGreedyExact(
 
 }  // namespace
 
-std::vector<RepairIndex> DminSelector::Select(
-    const RepairGraph& gr,
-    const CandidateSet& candidates) const {
-  (void)candidates;
-  return DegreeGreedy(gr, /*minimize=*/true);
+Result<std::vector<RepairIndex>> EmaxSelector::Select(
+    const RepairGraph& gr, const CandidateSet& candidates,
+    const SelectionContext& ctx) const {
+  return SelectEmaxByCover(candidates, gr.num_trajs(), ctx);
 }
 
 Result<std::vector<RepairIndex>> DminSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
   (void)candidates;
-  return DegreeGreedyExact(gr, /*minimize=*/true, ctx);
-}
-
-std::vector<RepairIndex> DmaxSelector::Select(
-    const RepairGraph& gr,
-    const CandidateSet& candidates) const {
-  (void)candidates;
-  return DegreeGreedy(gr, /*minimize=*/false);
+  return DegreeGreedyTree(gr, /*minimize=*/true, ctx);
 }
 
 Result<std::vector<RepairIndex>> DmaxSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
   (void)candidates;
-  return DegreeGreedyExact(gr, /*minimize=*/false, ctx);
+  return DegreeGreedyTree(gr, /*minimize=*/false, ctx);
 }
 
 namespace {
@@ -477,9 +381,10 @@ class ComponentSolver {
 
 }  // namespace
 
-std::vector<RepairIndex> ExactSelector::Select(
-    const RepairGraph& gr,
-    const CandidateSet& candidates) const {
+Result<std::vector<RepairIndex>> ExactSelector::Select(
+    const RepairGraph& gr, const CandidateSet& candidates,
+    const SelectionContext& ctx) const {
+  (void)ctx;
   size_t n = gr.num_vertices();
   // Connected components (repairs in different components never conflict).
   std::vector<int64_t> component(n, -1);
@@ -524,10 +429,11 @@ std::vector<RepairIndex> ExactSelector::Select(
   return out;
 }
 
-std::vector<RepairIndex> OracleSelector::Select(
-    const RepairGraph& gr,
-    const CandidateSet& candidates) const {
+Result<std::vector<RepairIndex>> OracleSelector::Select(
+    const RepairGraph& gr, const CandidateSet& candidates,
+    const SelectionContext& ctx) const {
   (void)gr;
+  (void)ctx;
   // Fragment sets per entity: entity -> sorted trajectory indices.
   std::unordered_map<std::string, std::vector<TrajIndex>> fragments;
   for (TrajIndex t = 0; t < true_ids_.size(); ++t) {
@@ -558,35 +464,6 @@ std::unique_ptr<RepairSelector> MakeSelector(SelectionAlgorithm algorithm) {
       return std::make_unique<ExactSelector>();
   }
   return nullptr;
-}
-
-std::vector<RepairIndex> SelectEmaxByCover(
-    const CandidateSet& candidates, size_t num_trajs) {
-  std::vector<RepairIndex> order(candidates.size());
-  std::iota(order.begin(), order.end(), RepairIndex{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](RepairIndex a, RepairIndex b) {
-                     return candidates.effectiveness(a) >
-                            candidates.effectiveness(b);
-                   });
-  DynamicBitset used(num_trajs);
-  std::vector<RepairIndex> out;
-  for (RepairIndex r : order) {
-    if (candidates.effectiveness(r) <= 0.0) continue;
-    Span<const TrajIndex> members = candidates.members(r);
-    bool free = true;
-    for (TrajIndex m : members) {
-      if (used.Test(m)) {
-        free = false;
-        break;
-      }
-    }
-    if (!free) continue;
-    for (TrajIndex m : members) used.Set(m);
-    out.push_back(r);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 Result<std::vector<RepairIndex>> SelectEmaxByCover(

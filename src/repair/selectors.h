@@ -13,13 +13,12 @@
 namespace idrepair {
 
 /// Execution context for Phase 2 selection. `exec` controls how the
-/// parallel selectors shard their sort / invalidation work (num_threads=1
-/// or a small input keeps everything on the serial reference path);
-/// `deadline`, when non-null, is probed before every commit so selection
-/// degrades to a well-formed *prefix* of the commit sequence — the partial
-/// selection is still pairwise compatible. `commit_order`, when non-null,
-/// receives the selected indices in commit (pick) order, which the verifier
-/// tests pin; the returned vector itself is always ascending.
+/// selectors shard their sort and Gr-build work; `deadline`, when non-null,
+/// is probed before every commit so selection degrades to a well-formed
+/// *prefix* of the commit sequence — the partial selection is still
+/// pairwise compatible. `commit_order`, when non-null, receives the selected
+/// indices in commit (pick) order, which the verifier tests pin; the
+/// returned vector itself is always ascending.
 struct SelectionContext {
   ExecOptions exec;
   const fault::Deadline* deadline = nullptr;
@@ -29,29 +28,17 @@ struct SelectionContext {
 /// Phase 2 — compatible repair selection (§3.3, §4.2): pick an independent
 /// set of the repair graph. Implementations return candidate indices in
 /// ascending order; the returned set is always independent (compatible).
-///
-/// Two entry points: the 2-arg Select is the serial reference — simple,
-/// obviously correct, no failure modes. The 3-arg ctx overload is the
-/// production path: it may shard work over the exec pool and evaluate the
-/// "repair.selection.*" failpoints, and must return byte-identical indices
-/// to the reference at every thread count (tests/selectors_parallel_test.cc
-/// enforces this).
+/// The greedy selectors may shard work over the exec pool and evaluate the
+/// "repair.selection.*" failpoints; their output is byte-identical at every
+/// thread count and equals the test oracles in tests/selection_oracles.h
+/// (tests/selectors_parallel_test.cc enforces both).
 class RepairSelector {
  public:
   virtual ~RepairSelector() = default;
 
-  virtual std::vector<RepairIndex> Select(
-      const RepairGraph& gr,
-      const CandidateSet& candidates) const = 0;
-
-  /// Context-aware selection. The default forwards to the serial reference
-  /// (correct for selectors with no parallel form, e.g. the oracle).
   virtual Result<std::vector<RepairIndex>> Select(
       const RepairGraph& gr, const CandidateSet& candidates,
-      const SelectionContext& ctx) const {
-    (void)ctx;
-    return Select(gr, candidates);
-  }
+      const SelectionContext& ctx) const = 0;
 
   /// Stable algorithm name for logs and the Fig 15 harness.
   virtual std::string_view name() const = 0;
@@ -59,18 +46,12 @@ class RepairSelector {
 
 /// Maximum-effectiveness first (Algorithm 3, "EMAX"): repeatedly take the
 /// highest-ω repair and discard its neighbors. Zero-effectiveness repairs
-/// are never taken (Example 4.2). The 2-arg form walks Gr adjacency,
-/// O(|Vr| log |Vr| + |Er|), and is the serial reference. The ctx form is
-/// SelectEmaxByCover over Gr's trajectory count: it never reads Gr's edges
-/// (a repair conflicts with a committed one exactly when they share a
-/// trajectory) and shard-sorts the pick order; the commit loop stays
-/// serial (DESIGN.md §3).
+/// are never taken (Example 4.2). Select is SelectEmaxByCover over Gr's
+/// trajectory count: it never reads Gr's edges (a repair conflicts with a
+/// committed one exactly when they share a trajectory) and shard-sorts the
+/// pick order; the commit loop stays serial (DESIGN.md §3).
 class EmaxSelector final : public RepairSelector {
  public:
-  using RepairSelector::Select;
-  std::vector<RepairIndex> Select(
-      const RepairGraph& gr,
-      const CandidateSet& candidates) const override;
   Result<std::vector<RepairIndex>> Select(
       const RepairGraph& gr, const CandidateSet& candidates,
       const SelectionContext& ctx) const override;
@@ -78,17 +59,13 @@ class EmaxSelector final : public RepairSelector {
 };
 
 /// Minimum-degree first (DMIN, §6.5.1): repeatedly take a remaining vertex
-/// of minimum *current* degree and discard its neighbors — the classic
-/// greedy independent-set heuristic, blind to ω. The ctx form replaces the
-/// O(|Vr|²) rescan with a tournament tree over packed (degree, vertex) keys:
-/// the root is the next pick, and a commit re-keys each touched vertex
-/// once. It runs serially; only the Gr build before it is sharded.
+/// of minimum *current* degree (smallest index on ties) and discard its
+/// neighbors — the classic greedy independent-set heuristic, blind to ω.
+/// Picks come from a tournament tree over packed (degree, vertex) keys: the
+/// root is the next pick, and a commit re-keys each touched vertex once. It
+/// runs serially; only the Gr build before it is sharded.
 class DminSelector final : public RepairSelector {
  public:
-  using RepairSelector::Select;
-  std::vector<RepairIndex> Select(
-      const RepairGraph& gr,
-      const CandidateSet& candidates) const override;
   Result<std::vector<RepairIndex>> Select(
       const RepairGraph& gr, const CandidateSet& candidates,
       const SelectionContext& ctx) const override;
@@ -98,10 +75,6 @@ class DminSelector final : public RepairSelector {
 /// Maximum-degree first (DMAX, §6.5.1): the adversarial twin of DMIN.
 class DmaxSelector final : public RepairSelector {
  public:
-  using RepairSelector::Select;
-  std::vector<RepairIndex> Select(
-      const RepairGraph& gr,
-      const CandidateSet& candidates) const override;
   Result<std::vector<RepairIndex>> Select(
       const RepairGraph& gr, const CandidateSet& candidates,
       const SelectionContext& ctx) const override;
@@ -110,13 +83,13 @@ class DmaxSelector final : public RepairSelector {
 
 /// Exact maximum-weight independent set via branch-and-bound with connected
 /// component decomposition. Exponential worst case — intended for the small
-/// datasets of the Fig 15 experiment, exactly as in the paper.
+/// datasets of the Fig 15 experiment, exactly as in the paper. Serial;
+/// ignores `ctx`.
 class ExactSelector final : public RepairSelector {
  public:
-  using RepairSelector::Select;
-  std::vector<RepairIndex> Select(
-      const RepairGraph& gr,
-      const CandidateSet& candidates) const override;
+  Result<std::vector<RepairIndex>> Select(
+      const RepairGraph& gr, const CandidateSet& candidates,
+      const SelectionContext& ctx) const override;
   std::string_view name() const override { return "exact"; }
 };
 
@@ -125,16 +98,15 @@ class ExactSelector final : public RepairSelector {
 /// are all fragments of one entity, cover every fragment of that entity, and
 /// whose target is the entity's true ID — regardless of ω. Requires the
 /// per-trajectory true IDs (majority ground-truth ID of each observed
-/// trajectory's records).
+/// trajectory's records). Ignores `gr` and `ctx`.
 class OracleSelector final : public RepairSelector {
  public:
   explicit OracleSelector(std::vector<std::string> true_id_per_traj)
       : true_ids_(std::move(true_id_per_traj)) {}
 
-  using RepairSelector::Select;
-  std::vector<RepairIndex> Select(
-      const RepairGraph& gr,
-      const CandidateSet& candidates) const override;
+  Result<std::vector<RepairIndex>> Select(
+      const RepairGraph& gr, const CandidateSet& candidates,
+      const SelectionContext& ctx) const override;
   std::string_view name() const override { return "optimal"; }
 
  private:
@@ -149,18 +121,13 @@ std::unique_ptr<RepairSelector> MakeSelector(SelectionAlgorithm algorithm);
 double TotalEffectiveness(const CandidateSet& candidates,
                           const std::vector<RepairIndex>& selected);
 
-/// EMAX without materializing the repair graph: identical output to
-/// EmaxSelector::Select, but incompatibility is tracked with a
-/// per-trajectory mask instead of Gr adjacency — O(Σ|members| + n log n)
-/// rather than O(|Er|). Used by IdRepairer on large inputs, where Gr can
-/// hold hundreds of millions of edges.
-std::vector<RepairIndex> SelectEmaxByCover(
-    const CandidateSet& candidates, size_t num_trajs);
-
-/// Context-aware form of the cover-mask EMAX: shard-sorts the pick order
+/// EMAX without materializing the repair graph: incompatibility is tracked
+/// with a per-trajectory mask instead of Gr adjacency — O(Σ|members| +
+/// n log n) rather than O(|Er|). Used by IdRepairer on large inputs, where
+/// Gr can hold hundreds of millions of edges. Shard-sorts the pick order
 /// over ctx.exec, evaluates the selection failpoints, and honors
-/// ctx.deadline with a compatible-prefix cutoff. Byte-identical indices to
-/// the 2-arg form at any thread count.
+/// ctx.deadline with a compatible-prefix cutoff; byte-identical indices at
+/// any thread count.
 Result<std::vector<RepairIndex>> SelectEmaxByCover(
     const CandidateSet& candidates, size_t num_trajs,
     const SelectionContext& ctx);

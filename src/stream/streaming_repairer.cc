@@ -66,7 +66,7 @@ struct StreamInstruments {
           "Appends rejected by bounded-buffer backpressure");
       si->generation_runs = reg.GetCounter(
           "idrepair_stream_generation_runs_total", obs::Stability::kStable,
-          "Component-scoped pipeline runs (cache misses)");
+          "Component-scoped pipeline runs (one per repaired window)");
       si->poll_seconds = reg.GetHistogram(
           "idrepair_stream_poll_seconds", obs::Stability::kRuntime,
           obs::DefaultLatencyBuckets(), "Poll() wall time");
@@ -180,7 +180,6 @@ void StreamingRepairer::RefreshFragment(uint32_t handle) {
 
 void StreamingRepairer::TouchComponent(uint32_t component) {
   Component& comp = components_[component];
-  ++comp.version;
   if (!comp.dirty) {
     comp.dirty = true;
     ++dirty_components_;
@@ -237,16 +236,9 @@ std::vector<Trajectory> StreamingRepairer::PollImpl() {
   return out;
 }
 
-StreamingRepairer::CachedRepair* StreamingRepairer::RunComponentRepair(
-    uint32_t component, std::vector<uint32_t> window, bool* from_cache) {
-  Component& comp = components_[component];
-  if (comp.cache != nullptr && comp.cached_version == comp.version &&
-      comp.cached_window == window) {
-    *from_cache = true;
-    return comp.cache.get();
-  }
-  *from_cache = false;
-  auto cache = std::make_unique<CachedRepair>();
+StreamingRepairer::RepairedWindow StreamingRepairer::RunComponentRepair(
+    uint32_t component, const std::vector<uint32_t>& window) {
+  RepairedWindow rw;
   std::vector<TrackingRecord> records;
   for (uint32_t h : window) {
     const Fragment& frag = frags_[h];
@@ -254,29 +246,25 @@ StreamingRepairer::CachedRepair* StreamingRepairer::RunComponentRepair(
       records.push_back(TrackingRecord{frag.id, p.loc, p.ts});
     }
   }
-  cache->set = TrajectorySet::FromRecords(records);
-  auto idx = cache->set.BuildIdIndex();
-  cache->local_to_frag.assign(cache->set.size(), 0);
-  for (uint32_t h : window) cache->local_to_frag[idx.at(frags_[h].id)] = h;
+  rw.set = TrajectorySet::FromRecords(records);
+  auto idx = rw.set.BuildIdIndex();
+  rw.local_to_frag.assign(rw.set.size(), 0);
+  for (uint32_t h : window) rw.local_to_frag[idx.at(frags_[h].id)] = h;
   // The window is repaired by the batch pipeline itself, Gm build included,
   // so every window's output is by construction what a batch IdRepairer
   // over exactly these records produces.
-  auto result = inner_.Repair(cache->set);
+  auto result = inner_.Repair(rw.set);
   ++generation_runs_;
   if (obs::Enabled()) StreamInstruments::Get().generation_runs->Increment();
-  poll_fresh_records_ += cache->set.total_records();
-  if (result.ok()) {
-    cache->result = std::move(result).value();
-    cache->ok = true;
-  }
+  poll_fresh_records_ += rw.set.total_records();
   // An error result (injected fault, configuration) degrades to
-  // passthrough at the call sites; the cache still records the window so
-  // an unchanged component does not retry a failing pipeline every poll.
-  comp.cache = std::move(cache);
-  comp.cached_version = comp.version;
-  comp.cached_window = std::move(window);
-  comp.dirty = false;
-  return comp.cache.get();
+  // passthrough at the call sites.
+  if (result.ok()) {
+    rw.result = std::move(result).value();
+    rw.ok = true;
+  }
+  components_[component].dirty = false;
+  return rw;
 }
 
 void StreamingRepairer::EmitSettled(uint32_t component,
@@ -284,21 +272,17 @@ void StreamingRepairer::EmitSettled(uint32_t component,
   Component& comp = components_[component];
   std::vector<uint32_t> window = comp.frags;
   std::sort(window.begin(), window.end());
-  bool from_cache = false;
-  CachedRepair* cr =
-      RunComponentRepair(component, std::move(window), &from_cache);
+  RepairedWindow rw = RunComponentRepair(component, window);
   const std::vector<Trajectory>& repaired =
-      cr->ok ? cr->result.repaired.trajectories() : cr->set.trajectories();
+      rw.ok ? rw.result.repaired.trajectories() : rw.set.trajectories();
   if (capture_windows_) {
-    captured_.push_back(WindowRepair{FlattenRecords(cr->set), repaired,
-                                     /*forced=*/false, from_cache,
-                                     /*degraded=*/!cr->ok});
+    captured_.push_back(WindowRepair{FlattenRecords(rw.set), repaired,
+                                     /*forced=*/false, /*from_cache=*/false,
+                                     /*degraded=*/!rw.ok});
   }
   out->insert(out->end(), repaired.begin(), repaired.end());
-  std::vector<uint32_t> all = comp.frags;
-  RetireFragments(component, all);
+  RetireFragments(component, window);
   comp.alive = false;
-  comp.cache.reset();
   live_.erase(std::remove(live_.begin(), live_.end(), component),
               live_.end());
 }
@@ -317,18 +301,16 @@ void StreamingRepairer::FlushForced(uint32_t component, Timestamp cut,
     }
   }
   std::sort(window.begin(), window.end());
-  bool from_cache = false;
-  CachedRepair* cr =
-      RunComponentRepair(component, std::move(window), &from_cache);
-  const size_t n = cr->set.size();
+  RepairedWindow rw = RunComponentRepair(component, window);
+  const size_t n = rw.set.size();
   auto is_safe = [&](TrajIndex local) {
-    return frags_[cr->local_to_frag[local]].traj.start_time() <= cut;
+    return frags_[rw.local_to_frag[local]].traj.start_time() <= cut;
   };
   std::vector<bool> consumed(n, false);
   std::vector<bool> deferred(n, false);
-  if (cr->ok) {
-    for (RepairIndex r : cr->result.selected) {
-      Span<const TrajIndex> members = cr->result.candidates.members(r);
+  if (rw.ok) {
+    for (RepairIndex r : rw.result.selected) {
+      Span<const TrajIndex> members = rw.result.candidates.members(r);
       bool all_safe = true;
       for (TrajIndex m : members) {
         if (!is_safe(m)) {
@@ -340,10 +322,10 @@ void StreamingRepairer::FlushForced(uint32_t component, Timestamp cut,
         std::vector<const Trajectory*> ptrs;
         ptrs.reserve(members.size());
         for (TrajIndex m : members) {
-          ptrs.push_back(&cr->set.at(m));
+          ptrs.push_back(&rw.set.at(m));
           consumed[m] = true;
         }
-        out->push_back(Join(ptrs, cr->result.candidates.target_id(r)));
+        out->push_back(Join(ptrs, rw.result.candidates.target_id(r)));
       } else {
         // Defer every safe member of a mixed repair; applying it later,
         // once the unsafe members become safe, reproduces the batch
@@ -359,18 +341,18 @@ void StreamingRepairer::FlushForced(uint32_t component, Timestamp cut,
   // in the window and the selection passed them over.
   for (TrajIndex i = 0; i < n; ++i) {
     if (!is_safe(i) || consumed[i] || deferred[i]) continue;
-    out->push_back(cr->set.at(i));
+    out->push_back(rw.set.at(i));
     consumed[i] = true;
   }
   if (capture_windows_) {
     captured_.push_back(WindowRepair{
-        FlattenRecords(cr->set),
-        cr->ok ? cr->result.repaired.trajectories() : cr->set.trajectories(),
-        /*forced=*/true, from_cache, /*degraded=*/!cr->ok});
+        FlattenRecords(rw.set),
+        rw.ok ? rw.result.repaired.trajectories() : rw.set.trajectories(),
+        /*forced=*/true, /*from_cache=*/false, /*degraded=*/!rw.ok});
   }
   std::vector<uint32_t> retired;
   for (TrajIndex i = 0; i < n; ++i) {
-    if (consumed[i]) retired.push_back(cr->local_to_frag[i]);
+    if (consumed[i]) retired.push_back(rw.local_to_frag[i]);
   }
   if (!retired.empty()) {
     RetireFragments(component, retired);
@@ -395,14 +377,12 @@ void StreamingRepairer::RetireFragments(
       std::remove_if(comp.frags.begin(), comp.frags.end(),
                      [&](uint32_t h) { return !frags_[h].alive; }),
       comp.frags.end());
-  ++comp.version;
 }
 
 void StreamingRepairer::SplitComponent(uint32_t component) {
   if (components_[component].frags.empty()) {
     Component& comp = components_[component];
     comp.alive = false;
-    comp.cache.reset();
     live_.erase(std::remove(live_.begin(), live_.end(), component),
                 live_.end());
     return;
@@ -441,10 +421,6 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
     comp.min_start = frags_[groups[g].front()].traj.start_time();
     comp.max_start = frags_[groups[g].back()].traj.start_time();
     comp.alive = true;
-    ++comp.version;
-    comp.cache.reset();
-    comp.cached_version = ~uint64_t{0};
-    comp.cached_window.clear();
     for (uint32_t h : groups[g]) frags_[h].component = cid;
   }
 }

@@ -2,7 +2,6 @@
 #define IDREPAIR_STREAM_STREAMING_REPAIRER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,12 +46,12 @@ struct StreamOptions {
 ///
 /// ### What Append() maintains in place
 ///  * the record's fragment trajectory and its component membership;
-///  * a dirty flag and version per component, invalidating only the
-///    component the record landed in — settled components keep their
-///    cached repair untouched (the amortized-cost invariant the
-///    differential tier asserts by counter).
-/// Append() builds no index and evaluates no predicate: Gm is built per
-/// repaired window, by the batch pipeline, at poll time.
+///  * a dirty flag on the component the record landed in (counted on each
+///    clean->dirty transition).
+/// Append() builds no index, evaluates no predicate and repairs nothing:
+/// Gm is built per repaired window, by the batch pipeline, at poll time, so
+/// appends to one component never re-run generation for another (the
+/// amortized-cost invariant the differential tier asserts by counter).
 ///
 /// ### What Poll() emits (watermark semantics)
 /// Only components whose records can no longer be affected by in-window
@@ -133,7 +132,7 @@ class StreamingRepairer : public Repairer {
     std::vector<TrackingRecord> records;
     std::vector<Trajectory> repaired;
     bool forced = false;      // horizon flush (context window), not settled
-    bool from_cache = false;  // served from the component's cached repair
+    bool from_cache = false;  // always false: every window is recomputed
     bool degraded = false;    // pipeline error; records passed through
   };
   void set_capture_windows(bool on) { capture_windows_ = on; }
@@ -152,10 +151,10 @@ class StreamingRepairer : public Repairer {
     bool alive = true;
   };
 
-  /// A cached component repair: the window set it was computed over plus
-  /// the pipeline result. Valid while the owning component's version and
-  /// window membership are unchanged.
-  struct CachedRepair {
+  /// One component window run through the batch pipeline: the window set
+  /// it was computed over plus the pipeline result (`ok` false on a
+  /// pipeline error, which the call sites degrade to passthrough).
+  struct RepairedWindow {
     TrajectorySet set;
     std::vector<uint32_t> local_to_frag;  // set order -> fragment handle
     RepairResult result;
@@ -163,18 +162,12 @@ class StreamingRepairer : public Repairer {
   };
 
   /// One chain component: fragment handles plus the start-time envelope.
-  /// `version` bumps on every membership or content change; the cache is
-  /// valid only for (version, window) it was computed at.
   struct Component {
     std::vector<uint32_t> frags;
     Timestamp min_start = 0;
     Timestamp max_start = 0;
     bool alive = true;
     bool dirty = false;
-    uint64_t version = 0;
-    uint64_t cached_version = ~uint64_t{0};
-    std::vector<uint32_t> cached_window;
-    std::unique_ptr<CachedRepair> cache;
   };
 
   /// Poll() minus instrumentation (Poll wraps this in a trace span and the
@@ -190,14 +183,13 @@ class StreamingRepairer : public Repairer {
   void RefreshFragment(uint32_t handle);
 
   /// Marks the fragment's component dirty (counting clean->dirty
-  /// transitions) and bumps its version.
+  /// transitions).
   void TouchComponent(uint32_t component);
 
-  /// Runs (or reuses) the component repair over `window` (fragment handles,
-  /// ascending). Returns the cache slot; `*from_cache` reports reuse.
-  CachedRepair* RunComponentRepair(uint32_t component,
-                                   std::vector<uint32_t> window,
-                                   bool* from_cache);
+  /// Runs the batch pipeline over `window` (fragment handles, ascending) of
+  /// `component` and marks the component clean.
+  RepairedWindow RunComponentRepair(uint32_t component,
+                                    const std::vector<uint32_t>& window);
 
   /// Repairs the whole component batch-exactly, appends the result to
   /// `out`, and retires it. `forced=false` capture.
@@ -208,8 +200,7 @@ class StreamingRepairer : public Repairer {
   void FlushForced(uint32_t component, Timestamp cut,
                    std::vector<Trajectory>* out);
 
-  /// Removes fragments from the stream and their component; bumps the
-  /// component version.
+  /// Removes fragments from the stream and their component.
   void RetireFragments(uint32_t component,
                        const std::vector<uint32_t>& handles);
 

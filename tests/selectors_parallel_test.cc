@@ -1,7 +1,8 @@
 // Verification suite for the parallel deterministic selection phase: the
-// context-aware (sharded) selectors and the sharded repair-graph build must
-// be *byte-identical* to their serial references at every thread count —
-// same indices, same order, same Ω — never merely "equivalent". The dense
+// sharded selectors and the sharded repair-graph build must be
+// *byte-identical* to the test oracles in selection_oracles.h at every
+// thread count — same indices, same order, same Ω — never merely
+// "equivalent". The dense
 // instance below is a single conflict component, the worst case for
 // selection parallelism, and the EMAX commit order on it is pinned as a
 // golden so an accidental tie-break or merge-order change fails loudly.
@@ -19,6 +20,7 @@
 #include "fault/deadline.h"
 #include "fault/failpoint.h"
 #include "repair/selectors.h"
+#include "selection_oracles.h"
 
 namespace idrepair {
 namespace {
@@ -42,8 +44,8 @@ CandidateSet MakeCandidates(const std::vector<Spec>& specs) {
   return out;
 }
 
-// Serial-schedule Build(): threads=1 with the default grain runs the
-// one-shard reference path, which is the byte-identity baseline below.
+// One-shard Build(): threads=1 with the default grain; its adjacency is
+// checked against the oracle's pairwise definition below.
 RepairGraph BuildSerial(const CandidateSet& candidates, size_t num_trajs) {
   ExecOptions exec;
   exec.num_threads = 1;
@@ -111,6 +113,14 @@ bool IsConnected(const RepairGraph& gr) {
   return reached == gr.num_vertices();
 }
 
+// The oracle answer for one of the three greedy selectors.
+oracle::Selection OracleFor(const RepairSelector& selector,
+                            const RepairGraph& gr,
+                            const CandidateSet& candidates) {
+  if (selector.name() == "EMAX") return oracle::Emax(candidates);
+  return oracle::DegreeGreedy(gr, candidates, selector.name() == "DMIN");
+}
+
 // ------------------------------------------------- sharded graph build
 
 TEST(ParallelRepairGraphTest, BuildMatchesSerialScheduleAcrossThreads) {
@@ -119,6 +129,10 @@ TEST(ParallelRepairGraphTest, BuildMatchesSerialScheduleAcrossThreads) {
         which == 0 ? RunningExampleCandidates() : DenseInstance();
     size_t num_trajs = candidates.size() == 3 ? 3 : kDenseTrajs;
     RepairGraph serial = BuildSerial(candidates, num_trajs);
+    for (RepairIndex v = 0; v < serial.num_vertices(); ++v) {
+      EXPECT_EQ(serial.Neighbors(v), oracle::Neighbors(candidates, v))
+          << "v=" << v;
+    }
     for (int threads : kThreadCounts) {
       ExecOptions exec;
       exec.num_threads = threads;
@@ -144,7 +158,7 @@ TEST(ParallelRepairGraphTest, DenseInstanceIsOneComponent) {
 
 // ------------------------------------------------- selector byte-identity
 
-TEST(ParallelSelectorsTest, GreedySelectorsMatchSerialReferenceAcrossThreads) {
+TEST(ParallelSelectorsTest, GreedySelectorsMatchOracleAcrossThreads) {
   EmaxSelector emax;
   DminSelector dmin;
   DmaxSelector dmax;
@@ -155,45 +169,37 @@ TEST(ParallelSelectorsTest, GreedySelectorsMatchSerialReferenceAcrossThreads) {
     size_t num_trajs = candidates.size() == 3 ? 3 : kDenseTrajs;
     RepairGraph gr = BuildSerial(candidates, num_trajs);
     for (const RepairSelector* selector : selectors) {
-      std::vector<RepairIndex> reference = selector->Select(gr, candidates);
+      const oracle::Selection want = OracleFor(*selector, gr, candidates);
       for (int threads : kThreadCounts) {
-        auto parallel = selector->Select(gr, candidates,
-                                         MakeContext(threads));
+        SelectionContext ctx = MakeContext(threads);
+        std::vector<RepairIndex> commit_order;
+        ctx.commit_order = &commit_order;
+        auto parallel = selector->Select(gr, candidates, ctx);
         ASSERT_TRUE(parallel.ok()) << parallel.status();
-        EXPECT_EQ(*parallel, reference)
+        EXPECT_EQ(*parallel, want.selected)
             << selector->name() << " threads=" << threads;
-        EXPECT_EQ(TotalEffectiveness(candidates, *parallel),
-                  TotalEffectiveness(candidates, reference))
+        EXPECT_EQ(commit_order, want.commit_order)
+            << selector->name() << " threads=" << threads;
+        EXPECT_EQ(TotalEffectiveness(candidates, *parallel), want.omega)
             << selector->name() << " threads=" << threads;
       }
     }
   }
 }
 
-TEST(ParallelSelectorsTest, CoverFastPathMatchesSerialReferenceAcrossThreads) {
+TEST(ParallelSelectorsTest, CoverFastPathMatchesOracleAcrossThreads) {
   for (int which = 0; which < 2; ++which) {
     CandidateSet candidates =
         which == 0 ? RunningExampleCandidates() : DenseInstance();
     size_t num_trajs = candidates.size() == 3 ? 3 : kDenseTrajs;
-    std::vector<RepairIndex> reference =
-        SelectEmaxByCover(candidates, num_trajs);
+    const oracle::Selection want = oracle::Emax(candidates);
     for (int threads : kThreadCounts) {
       auto parallel =
           SelectEmaxByCover(candidates, num_trajs, MakeContext(threads));
       ASSERT_TRUE(parallel.ok()) << parallel.status();
-      EXPECT_EQ(*parallel, reference) << "threads=" << threads;
+      EXPECT_EQ(*parallel, want.selected) << "threads=" << threads;
     }
   }
-}
-
-// The cover-mask fast path and the graph-materializing EMAX are two
-// implementations of the same algorithm; their outputs must agree.
-TEST(ParallelSelectorsTest, CoverFastPathAgreesWithGraphEmax) {
-  auto candidates = DenseInstance();
-  RepairGraph gr = BuildSerial(candidates, kDenseTrajs);
-  EmaxSelector emax;
-  EXPECT_EQ(SelectEmaxByCover(candidates, kDenseTrajs),
-            emax.Select(gr, candidates));
 }
 
 // ------------------------------------------------- pinned EMAX golden
@@ -296,10 +302,10 @@ size_t NumTrajsFor(const CandidateSet& candidates) {
 }
 
 // Property: for EVERY (grain, threads, shape) draw — including `auto` and
-// adversarially tiny/huge explicit grains — the sharded Build and all
-// three greedy selectors are byte-identical to the 1-thread serial
-// reference, and the commit count matches the selected count exactly.
-TEST(ParallelSelectorsTest, RandomizedGrainsMatchSerialAcrossShapes) {
+// adversarially tiny/huge explicit grains — the sharded Build is
+// byte-identical to the one-shard build, all three greedy selectors match
+// their oracles, and the commit count matches the selected count exactly.
+TEST(ParallelSelectorsTest, RandomizedGrainsMatchOracleAcrossShapes) {
   EmaxSelector emax;
   DminSelector dmin;
   DmaxSelector dmax;
@@ -318,7 +324,7 @@ TEST(ParallelSelectorsTest, RandomizedGrainsMatchSerialAcrossShapes) {
     RepairGraph serial = BuildSerial(candidates, num_trajs);
     std::vector<std::vector<RepairIndex>> reference;
     for (const RepairSelector* selector : selectors) {
-      reference.push_back(selector->Select(serial, candidates));
+      reference.push_back(OracleFor(*selector, serial, candidates).selected);
     }
     for (int round = 0; round < 4; ++round) {
       // Grain 0 is the auto sentinel; the explicit draws cover degenerate
@@ -391,7 +397,7 @@ TEST(ParallelSelectorsTest, ExpiredDeadlineYieldsEmptyPrefix) {
 // ------------------------------------------------- degree-greedy edge cases
 
 // The DMIN/DMAX production loop picks from a tournament tree padded to a
-// power of two; the O(|Vr|^2) rescan in the 2-arg Select shares none of
+// power of two; the O(|Vr|^2) rescan in selection_oracles.h shares none of
 // that code and is the oracle here. Each shape stresses one way the tree
 // could diverge: no or one leaf, the padding boundary (63/64/65), all-tie
 // keys, a single hub, independent components, and degree-0 vertices.
@@ -471,6 +477,17 @@ TEST(DegreeGreedyTest, MatchesRescanReferenceOnEdgeShapes) {
   for (size_t n : {63, 64, 65}) {
     shapes.push_back({"random" + std::to_string(n),
                       RandomInstance(n, n / 2, 20260900 + n)});
+    // A random arm over many seeds and conflict densities, from sparse
+    // (members over 2n trajectories) to near-complete (over 3).
+    for (size_t trajs : {2 * n, n / 2, size_t{3}}) {
+      for (uint64_t seed = 1; seed <= 12; ++seed) {
+        const uint64_t draw = 20261000 + 1000 * n + 20 * trajs + seed;
+        shapes.push_back({"random" + std::to_string(n) + "/trajs" +
+                              std::to_string(trajs) + "/seed" +
+                              std::to_string(seed),
+                          RandomInstance(n, trajs, draw)});
+      }
+    }
   }
   shapes.push_back({"complete", CompleteInstance(33)});
   shapes.push_back({"star", StarInstance(40)});
@@ -487,17 +504,16 @@ TEST(DegreeGreedyTest, MatchesRescanReferenceOnEdgeShapes) {
     for (const RepairSelector* selector :
          std::vector<const RepairSelector*>{&dmin, &dmax}) {
       SCOPED_TRACE(shape.name + "/" + std::string(selector->name()));
-      std::vector<RepairIndex> reference =
-          selector->Select(gr, shape.candidates);
+      const oracle::Selection want =
+          OracleFor(*selector, gr, shape.candidates);
       for (int threads : kThreadCounts) {
         std::vector<RepairIndex> commit_order;
         SelectionContext ctx = MakeContext(threads);
         ctx.commit_order = &commit_order;
         auto got = selector->Select(gr, shape.candidates, ctx);
         ASSERT_TRUE(got.ok()) << got.status();
-        EXPECT_EQ(*got, reference) << "threads=" << threads;
-        std::sort(commit_order.begin(), commit_order.end());
-        EXPECT_EQ(commit_order, reference) << "threads=" << threads;
+        EXPECT_EQ(*got, want.selected) << "threads=" << threads;
+        EXPECT_EQ(commit_order, want.commit_order) << "threads=" << threads;
       }
     }
   }

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "repair/selectors.h"
+#include "selection_oracles.h"
 
 namespace idrepair {
 namespace {
@@ -27,14 +30,22 @@ CandidateSet MakeCandidates(const std::vector<Spec>& specs) {
   return out;
 }
 
-// Serial-schedule Build(): the only construction path since the serial
-// constructor was retired.
+// One-shard Build() (threads=1).
 RepairGraph BuildGraph(const CandidateSet& candidates, size_t num_trajs) {
   ExecOptions exec;
   exec.num_threads = 1;
   auto built = RepairGraph::Build(candidates, num_trajs, exec);
   EXPECT_TRUE(built.ok());
   return std::move(built).value();
+}
+
+// Runs a selector with a default context (hardware threads, auto grain).
+std::vector<RepairIndex> Pick(const RepairSelector& selector,
+                              const RepairGraph& gr,
+                              const CandidateSet& candidates) {
+  auto selected = selector.Select(gr, candidates, SelectionContext{});
+  EXPECT_TRUE(selected.ok()) << selected.status();
+  return selected.ok() ? *selected : std::vector<RepairIndex>{};
 }
 
 size_t MaxTraj(const std::vector<Spec>& specs) {
@@ -109,7 +120,7 @@ TEST(EmaxTest, ReproducesExample42) {
   RepairGraph gr = BuildGraph(candidates, 3);
   EmaxSelector emax;
   // R3 selected; R2 discarded as a neighbor; R1 skipped (ω = 0).
-  EXPECT_EQ(emax.Select(gr, candidates), (std::vector<RepairIndex>{2}));
+  EXPECT_EQ(Pick(emax, gr, candidates), (std::vector<RepairIndex>{2}));
 }
 
 TEST(EmaxTest, PicksGreedyNotOptimal) {
@@ -119,9 +130,9 @@ TEST(EmaxTest, PicksGreedyNotOptimal) {
       MakeCandidates({{{0, 1}, 3.0}, {{0}, 2.0}, {{1}, 2.0}});
   RepairGraph gr = BuildGraph(candidates, 2);
   EmaxSelector emax;
-  EXPECT_EQ(emax.Select(gr, candidates), (std::vector<RepairIndex>{0}));
+  EXPECT_EQ(Pick(emax, gr, candidates), (std::vector<RepairIndex>{0}));
   ExactSelector exact;
-  EXPECT_EQ(exact.Select(gr, candidates), (std::vector<RepairIndex>{1, 2}));
+  EXPECT_EQ(Pick(exact, gr, candidates), (std::vector<RepairIndex>{1, 2}));
 }
 
 TEST(EmaxTest, SelectionIsIndependentSet) {
@@ -142,7 +153,7 @@ TEST(EmaxTest, SelectionIsIndependentSet) {
     auto candidates = MakeCandidates(specs);
     RepairGraph gr = BuildGraph(candidates, MaxTraj(specs));
     EmaxSelector emax;
-    EXPECT_TRUE(IsIndependent(gr, emax.Select(gr, candidates)));
+    EXPECT_TRUE(IsIndependent(gr, Pick(emax, gr, candidates)));
   }
 }
 
@@ -154,10 +165,10 @@ TEST(DegreeSelectorsTest, DminPrefersLowDegreeVertices) {
       {{{0, 1, 2}, 1.0}, {{0}, 1.0}, {{1}, 1.0}, {{2}, 1.0}});
   RepairGraph gr = BuildGraph(candidates, 3);
   DminSelector dmin;
-  EXPECT_EQ(dmin.Select(gr, candidates),
+  EXPECT_EQ(Pick(dmin, gr, candidates),
             (std::vector<RepairIndex>{1, 2, 3}));
   DmaxSelector dmax;
-  EXPECT_EQ(dmax.Select(gr, candidates), (std::vector<RepairIndex>{0}));
+  EXPECT_EQ(Pick(dmax, gr, candidates), (std::vector<RepairIndex>{0}));
 }
 
 TEST(DegreeSelectorsTest, SelectionsAreIndependentSets) {
@@ -179,8 +190,8 @@ TEST(DegreeSelectorsTest, SelectionsAreIndependentSets) {
     RepairGraph gr = BuildGraph(candidates, MaxTraj(specs));
     DminSelector dmin;
     DmaxSelector dmax;
-    EXPECT_TRUE(IsIndependent(gr, dmin.Select(gr, candidates)));
-    EXPECT_TRUE(IsIndependent(gr, dmax.Select(gr, candidates)));
+    EXPECT_TRUE(IsIndependent(gr, Pick(dmin, gr, candidates)));
+    EXPECT_TRUE(IsIndependent(gr, Pick(dmax, gr, candidates)));
   }
 }
 
@@ -190,8 +201,8 @@ TEST(DegreeSelectorsTest, IsolatedVerticesAllSelected) {
   RepairGraph gr = BuildGraph(candidates, 3);
   DminSelector dmin;
   DmaxSelector dmax;
-  EXPECT_EQ(dmin.Select(gr, candidates).size(), 3u);
-  EXPECT_EQ(dmax.Select(gr, candidates).size(), 3u);
+  EXPECT_EQ(Pick(dmin, gr, candidates).size(), 3u);
+  EXPECT_EQ(Pick(dmax, gr, candidates).size(), 3u);
 }
 
 // ------------------------------------------------------------------ exact
@@ -215,7 +226,7 @@ TEST(ExactSelectorTest, MatchesBruteForceOnRandomInstances) {
     }
     auto candidates = MakeCandidates(specs);
     RepairGraph gr = BuildGraph(candidates, MaxTraj(specs));
-    auto selected = exact.Select(gr, candidates);
+    auto selected = Pick(exact, gr, candidates);
     ASSERT_TRUE(IsIndependent(gr, selected));
     double got = TotalEffectiveness(candidates, selected);
     double want = BruteForceOptimum(gr, candidates);
@@ -230,7 +241,7 @@ TEST(ExactSelectorTest, HandlesDisconnectedComponents) {
        {{9}, 3.0}});               // isolated
   RepairGraph gr = BuildGraph(candidates, 10);
   ExactSelector exact;
-  auto selected = exact.Select(gr, candidates);
+  auto selected = Pick(exact, gr, candidates);
   EXPECT_EQ(selected, (std::vector<RepairIndex>{1, 2, 4}));
 }
 
@@ -238,7 +249,7 @@ TEST(ExactSelectorTest, EmptyInput) {
   CandidateSet empty;
   RepairGraph gr = BuildGraph(empty, 0);
   ExactSelector exact;
-  EXPECT_TRUE(exact.Select(gr, empty).empty());
+  EXPECT_TRUE(Pick(exact, gr, empty).empty());
 }
 
 // ----------------------------------------------------------------- oracle
@@ -255,7 +266,7 @@ TEST(OracleSelectorTest, SelectsExactlyCorrectRepairs) {
   candidates.Append(m12, m12, "aaa", 0.0);  // mixes entities
   RepairGraph gr = BuildGraph(candidates, 3);
   OracleSelector oracle(truth);
-  EXPECT_EQ(oracle.Select(gr, candidates), (std::vector<RepairIndex>{0}));
+  EXPECT_EQ(Pick(oracle, gr, candidates), (std::vector<RepairIndex>{0}));
 }
 
 TEST(OracleSelectorTest, RequiresFullFragmentCoverage) {
@@ -269,7 +280,7 @@ TEST(OracleSelectorTest, RequiresFullFragmentCoverage) {
   candidates.Append(m012, m012, "aaa", 0.0);
   RepairGraph gr = BuildGraph(candidates, 3);
   OracleSelector oracle(truth);
-  EXPECT_EQ(oracle.Select(gr, candidates), (std::vector<RepairIndex>{1}));
+  EXPECT_EQ(Pick(oracle, gr, candidates), (std::vector<RepairIndex>{1}));
 }
 
 // ---------------------------------------------------------------- factory
@@ -281,32 +292,63 @@ TEST(MakeSelectorTest, CoversAllAlgorithms) {
   EXPECT_EQ(MakeSelector(SelectionAlgorithm::kExact)->name(), "exact");
 }
 
-TEST(SelectEmaxByCoverTest, MatchesGraphBasedEmaxOnRandomInstances) {
-  Rng rng(83);
+// A sweep of random instances against the Algorithm 3 oracle, which finds
+// conflicts by pairwise member intersection. ω is drawn from a palette that
+// forces exact ties, zero, −0.0 next to +0.0 and negative values, so the
+// sweep pins the pick order's tie-break (lower index first among equal ω)
+// and the skip rule (ω <= 0 never commits, whatever its sign bit). Both
+// production entry points run at 1/2/8 threads with grain 1, so the sharded
+// sort and merge are exercised on every instance.
+TEST(SelectEmaxByCoverTest, MatchesAlgorithm3OracleOnRandomSweep) {
+  const double palette[] = {0.5, 0.5, 1.0, 0.0, -0.0, -0.25, 1e-300};
   EmaxSelector emax;
-  for (int trial = 0; trial < 30; ++trial) {
+  size_t committed = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(0xE3A0 + seed);
     std::vector<Spec> specs;
-    size_t n = 3 + rng.UniformIndex(15);
+    const size_t n = 1 + rng.UniformIndex(80);
+    const size_t trajs = 1 + rng.UniformIndex(30);
     for (size_t i = 0; i < n; ++i) {
-      std::vector<TrajIndex> members;
-      size_t sz = 1 + rng.UniformIndex(3);
-      for (size_t j = 0; j < sz; ++j) {
-        members.push_back(static_cast<TrajIndex>(rng.UniformIndex(8)));
+      std::set<TrajIndex> members;
+      const size_t k = 1 + rng.UniformIndex(std::min<size_t>(4, trajs));
+      while (members.size() < k) {
+        members.insert(static_cast<TrajIndex>(rng.UniformIndex(trajs)));
       }
-      std::sort(members.begin(), members.end());
-      members.erase(std::unique(members.begin(), members.end()),
-                    members.end());
-      // Include occasional zero and tied weights to exercise ordering.
-      double w = rng.Bernoulli(0.2) ? 0.0 : rng.UniformReal(0.1, 1.0);
-      if (rng.Bernoulli(0.3)) w = 0.5;
-      specs.push_back({members, w});
+      double w = rng.Bernoulli(0.5)
+                     ? palette[rng.UniformIndex(std::size(palette))]
+                     : rng.UniformReal(-1.0, 2.0);
+      specs.push_back({{members.begin(), members.end()}, w});
     }
-    auto candidates = MakeCandidates(specs);
-    RepairGraph gr = BuildGraph(candidates, MaxTraj(specs));
-    EXPECT_EQ(SelectEmaxByCover(candidates, MaxTraj(specs)),
-              emax.Select(gr, candidates))
-        << "trial " << trial;
+    const CandidateSet candidates = MakeCandidates(specs);
+    const size_t num_trajs = MaxTraj(specs);
+    const oracle::Selection want = oracle::Emax(candidates);
+    committed += want.selected.size();
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " threads=" + std::to_string(threads));
+      SelectionContext ctx;
+      ctx.exec.num_threads = threads;
+      ctx.exec.grain = 1;
+      auto gr = RepairGraph::Build(candidates, num_trajs, ctx.exec);
+      ASSERT_TRUE(gr.ok()) << gr.status();
+
+      std::vector<RepairIndex> order;
+      ctx.commit_order = &order;
+      auto by_cover = SelectEmaxByCover(candidates, num_trajs, ctx);
+      ASSERT_TRUE(by_cover.ok()) << by_cover.status();
+      EXPECT_EQ(*by_cover, want.selected);
+      EXPECT_EQ(order, want.commit_order);
+      EXPECT_EQ(TotalEffectiveness(candidates, *by_cover), want.omega);
+
+      order.clear();
+      auto by_selector = emax.Select(*gr, candidates, ctx);
+      ASSERT_TRUE(by_selector.ok()) << by_selector.status();
+      EXPECT_EQ(*by_selector, want.selected);
+      EXPECT_EQ(order, want.commit_order);
+      EXPECT_EQ(TotalEffectiveness(candidates, *by_selector), want.omega);
+    }
   }
+  EXPECT_GT(committed, 300u);  // the sweep is not vacuous
 }
 
 TEST(TotalEffectivenessTest, SumsSelectedOmegas) {

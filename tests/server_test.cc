@@ -1050,6 +1050,31 @@ TEST(CliProcessTest, RepairRejectsUnreadFlagsAndBadObservabilityValues) {
   EXPECT_TRUE(fs::exists(out));
 }
 
+// A negative count for `generate` is rejected with exit 1 and the flag's
+// name (it used to wrap to a huge size_t and abort the process), and
+// nothing is written; a zero count still generates.
+TEST(CliProcessTest, GenerateRejectsNegativeCounts) {
+  TempDir dir("cli_generate");
+  const std::string graph = (dir.path() / "g.txt").string();
+  const std::string out = (dir.path() / "out.csv").string();
+  ASSERT_TRUE(WriteTransitionGraphFile(graph, MakePaperExampleGraph()).ok());
+  auto generate = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = {"generate", "--graph", graph, "--out",
+                                     out};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return RunCli(dir.path(), std::move(args));
+  };
+  for (const std::string flag : {"--trajectories", "--max-path-len"}) {
+    auto [code, err] = generate({flag, "-1"});
+    EXPECT_EQ(code, 1) << flag << ": " << err;
+    EXPECT_NE(err.find(flag), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out));
+  }
+  auto [ok_code, ok_err] = generate({"--trajectories", "0"});
+  EXPECT_EQ(ok_code, 0) << ok_err;
+  EXPECT_TRUE(fs::exists(out));
+}
+
 // `serve --listen ... --threads N` (the benchmark's daemon command line)
 // keeps working, and an unread flag stops serve before it listens. The
 // rejected run's socket directory does not exist, so a serve that did not

@@ -389,6 +389,11 @@ int RunGenerate(const FlagParser& flags) {
         seed.status(), window.status(), max_len.status()}) {
     if (!s.ok()) return FailWith(s);
   }
+  // Negative counts would wrap to huge size_t values.
+  if (*n < 0 || *max_len < 0) {
+    return FailWith(Status::InvalidArgument(
+        "--trajectories and --max-path-len must be >= 0"));
+  }
   if (int code = RejectUnreadFlags(flags); code != 0) return code;
 
   auto graph = ReadTransitionGraphFile(graph_path);
