@@ -1,9 +1,10 @@
 // Streaming bench: the incremental engine against the naive alternative it
 // replaced. "Batch replay" answers every poll by rebuilding a TrajectorySet
 // from all records seen so far and running the full batch pipeline from
-// scratch; the incremental engine maintains fragments, chain components and
-// per-component cached repairs across appends and only regenerates dirty
-// components. Both paths see the same chronologically sorted record stream
+// scratch; the incremental engine maintains fragments (point lists) and
+// chain components across appends and only repairs, at each poll, the
+// windows its flush rule takes (settled components and fragments past the
+// flush horizon). Both paths see the same chronologically sorted record stream
 // and the same poll cadence, so the ms columns are directly comparable
 // per-record costs (min of kRepetitions, as everywhere in the harness).
 //

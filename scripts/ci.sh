@@ -156,11 +156,44 @@ echo "==> stream: incremental batch-equivalence differential tier"
 # The streaming engine's per-window repairs must be byte-identical to the
 # batch pipeline (tentpole invariant of the incremental rewrite), with the
 # eviction-pattern fuzz/chaos arms alongside. Built by tier-1; re-run by
-# name so a streaming regression reports as its own stage.
+# name so a streaming regression reports as its own stage. Then replay the
+# streaming bench and hold its deterministic counter columns (polls,
+# generation runs, reused records, dirty components, emitted trajectories,
+# stream and batch entity recovery) exactly to the committed
+# BENCH_streaming.json, as the scenario stage holds its columns: they are
+# pure functions of the seeds, so any drift is a change in which windows
+# the stream repairs or what it emits. Timing columns are report-only.
 ctest --test-dir "$BUILD_DIR" -R 'stream_test|stream_differential_test' \
   --output-on-failure
 "$BUILD_DIR/tests/chaos_test" \
   --gtest_filter='ChaosTest.SoakEvictionHeavyStreaming'
+IDREPAIR_BENCH_JSON_DIR="$BENCH_JSON_DIR" "$BUILD_DIR/bench/bench_streaming"
+python3 - "$BENCH_JSON_DIR/BENCH_streaming.json" BENCH_streaming.json <<'EOF'
+import json, sys
+GATED = ["polls", "gen_runs", "records_reused", "dirty_comps", "emitted",
+         "recovery", "batch_recovery"]
+def counters(path):
+    table = next(t for t in json.load(open(path))["tables"]
+                 if t["title"].startswith("Incremental amortization"))
+    return {r["entities"]: r for r in table["rows"]}
+current = counters(sys.argv[1])
+baseline = counters(sys.argv[2])
+failed = False
+for entities, base in sorted(baseline.items()):
+    now = current.get(entities)
+    if now is None:
+        print(f"stream: FAIL missing row entities={entities}")
+        failed = True
+        continue
+    bad = [c for c in GATED if now.get(c) != base.get(c)]
+    for c in bad:
+        print(f"stream: FAIL entities={entities} {c}: {now.get(c)} vs "
+              f"committed {base.get(c)}")
+    if not bad:
+        print(f"stream: ok entities={entities}")
+    failed = failed or bool(bad)
+sys.exit(1 if failed else 0)
+EOF
 
 echo "==> sanitizer: address"
 scripts/check_asan.sh

@@ -339,28 +339,24 @@ Status ComputeEffectiveness(CandidateSet& candidates,
 
   // d(T): how many candidate repairs cover each invalid trajectory. Each
   // shard counts its candidate range into a private array; the reduction
-  // adds the arrays in index order (integer sums, so any order would give
-  // the same totals — fixed order keeps the invariant self-evident).
-  std::vector<uint32_t> degree(num_trajs, 0);
-  if (shards.size() <= 1) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      for (TrajIndex t : candidates.invalid_members(i)) ++degree[t];
-    }
-  } else {
-    std::vector<std::vector<uint32_t>> shard_degree(shards.size());
-    IDREPAIR_RETURN_NOT_OK(ParallelFor(
-        &ThreadPool::Default(), shards,
-        [&](size_t shard, size_t begin, size_t end) {
-          std::vector<uint32_t>& d = shard_degree[shard];
-          d.assign(num_trajs, 0);
-          for (size_t i = begin; i < end; ++i) {
-            for (TrajIndex t : candidates.invalid_members(i)) ++d[t];
-          }
-          return Status::OK();
-        }));
-    for (const std::vector<uint32_t>& d : shard_degree) {
-      for (size_t t = 0; t < num_trajs; ++t) degree[t] += d[t];
-    }
+  // adds the arrays in index order onto the first (integer sums, so any
+  // order would give the same totals — fixed order keeps the invariant
+  // self-evident). One shard is its own result.
+  std::vector<std::vector<uint32_t>> shard_degree(shards.size());
+  IDREPAIR_RETURN_NOT_OK(ParallelFor(
+      &ThreadPool::Default(), shards,
+      [&](size_t shard, size_t begin, size_t end) {
+        std::vector<uint32_t>& d = shard_degree[shard];
+        d.assign(num_trajs, 0);
+        for (size_t i = begin; i < end; ++i) {
+          for (TrajIndex t : candidates.invalid_members(i)) ++d[t];
+        }
+        return Status::OK();
+      }));
+  if (shards.empty()) return Status::OK();  // no candidates to score
+  std::vector<uint32_t> degree = std::move(shard_degree.front());
+  for (size_t s = 1; s < shard_degree.size(); ++s) {
+    for (size_t t = 0; t < num_trajs; ++t) degree[t] += shard_degree[s][t];
   }
 
   // Scoring touches only the candidate's own row plus the finished degree

@@ -55,16 +55,6 @@ struct RepairStats {
   size_t sched_blocks = 0;
   size_t sched_workers = 0;
   double sched_imbalance = 1.0;
-  // Incremental-streaming footprint (StreamingRepairer's batch adapter;
-  // all zero for the batch engines): polls the replay issued, component
-  // dirty-set invalidations, records that rode through a poll without
-  // re-running generation for their component, appends the bounded buffer
-  // rejected (backpressure), and component-scoped generation runs.
-  size_t stream_polls = 0;
-  size_t stream_dirty_components = 0;
-  size_t stream_records_reused = 0;
-  size_t stream_appends_rejected = 0;
-  size_t stream_generation_runs = 0;
 };
 
 /// The outcome of one repair run.

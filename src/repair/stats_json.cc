@@ -148,23 +148,6 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
   w.Key("generation_imbalance");
   w.Double(s.sched_imbalance);
   w.EndObject();
-  // Incremental-streaming footprint: how the StreamingRepairer's replay
-  // actually behaved (polls, dirty-component invalidations, reuse,
-  // backpressure). All zero for batch engines, keeping the pinned key order
-  // engine-independent.
-  w.Key("stream");
-  w.BeginObject();
-  w.Key("polls");
-  w.Uint(s.stream_polls);
-  w.Key("dirty_components");
-  w.Uint(s.stream_dirty_components);
-  w.Key("records_reused");
-  w.Uint(s.stream_records_reused);
-  w.Key("appends_rejected");
-  w.Uint(s.stream_appends_rejected);
-  w.Key("generation_runs");
-  w.Uint(s.stream_generation_runs);
-  w.EndObject();
   w.Key("total_effectiveness");
   w.Double(result.total_effectiveness);
   w.Key("num_rewrites");
@@ -212,33 +195,6 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
     }
   }
   w.EndObject();
-  // Daemon admission counters, read back from the metric registry by name
-  // (the repair library cannot link the server library; the daemon exports
-  // them as runtime metrics). Zero in a one-shot CLI run, so the pinned key
-  // order is identical with and without a daemon in the process.
-  {
-    uint64_t admitted = 0;
-    uint64_t rejected = 0;
-    int64_t queue_peak = 0;
-    for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
-      if (m.name == "idrepair_server_admitted_total") {
-        admitted = m.counter_value;
-      } else if (m.name == "idrepair_server_rejected_total") {
-        rejected = m.counter_value;
-      } else if (m.name == "idrepair_server_queue_peak") {
-        queue_peak = m.gauge_value;
-      }
-    }
-    w.Key("server");
-    w.BeginObject();
-    w.Key("admitted");
-    w.Uint(admitted);
-    w.Key("rejected");
-    w.Uint(rejected);
-    w.Key("queue_peak");
-    w.Int(queue_peak);
-    w.EndObject();
-  }
   if (obs::Enabled()) {
     w.Key("metrics");
     WriteMetricsJson(w);

@@ -25,10 +25,13 @@ void WriteMetricsJson(JsonWriter& w);
 /// injection footprint and — when obs is on — a metrics snapshot, as one
 /// JSON object. The key set and order are pinned by stats_json_test.cc;
 /// consumers parse this file, so additions go at the end of their object
-/// and removals are breaking. Keys have been removed on purpose, once, in
-/// a single change: the top-level copy of `options.num_threads`, the three
-/// observability switches that left RepairOptions, and the three per-phase
-/// grains, now one `grain` (0 = auto).
+/// and removals are breaking. Keys have been removed on purpose twice, each
+/// time in a single change: first the top-level copy of
+/// `options.num_threads`, the three observability switches that left
+/// RepairOptions, and the three per-phase grains, now one `grain` (0 =
+/// auto); then the `stream` block (the stream's counters are in the
+/// `metrics` array as idrepair_stream_*, and --stats-json switches obs on)
+/// and the `server` block (always zero: the one-shot CLI hosts no daemon).
 void WriteStatsJson(std::ostream& out, std::string_view engine,
                     const RepairOptions& options, const RepairResult& result);
 

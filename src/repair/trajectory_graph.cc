@@ -19,7 +19,6 @@ namespace {
 /// build for every thread count.
 struct ShardScratch {
   std::vector<std::pair<TrajIndex, TrajIndex>> edges;
-  size_t candidate_pairs = 0;
   size_t cex_evaluations = 0;
 };
 
@@ -34,7 +33,6 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
   for (TrajIndex i = 0; i < n; ++i) {
     feasible_[i] = pred.InternallyFeasible(set.at(i));
   }
-  stats_.used_lig = options.use_lig;
 
   // Shard the pairwise/LIG cex-evaluation loop over the probe vertex i.
   // Shard boundaries depend only on (n, threads, grain), never on timing.
@@ -63,7 +61,6 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
             index.CollectCandidates(i, &candidates);
             for (TrajIndex j : candidates) {
               if (j <= i || !feasible_[j]) continue;  // each pair once
-              ++out.candidate_pairs;
               ++out.cex_evaluations;
               if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
             }
@@ -80,7 +77,6 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
             if (!feasible_[i]) continue;
             for (TrajIndex j = i + 1; j < n; ++j) {
               if (!feasible_[j]) continue;
-              ++out.candidate_pairs;
               ++out.cex_evaluations;
               if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
             }
@@ -91,7 +87,6 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
 
   // Deterministic merge: shard order, then the usual neighbor sort.
   for (const ShardScratch& out : scratch) {
-    stats_.candidate_pairs += out.candidate_pairs;
     stats_.cex_evaluations += out.cex_evaluations;
     for (const auto& [i, j] : out.edges) AddEdge(i, j);
   }

@@ -21,10 +21,8 @@ class TrajectoryGraph {
  public:
   /// Statistics of one construction, for the Fig 14(a) experiment.
   struct BuildStats {
-    size_t cex_evaluations = 0;   // full predicate evaluations performed
-    size_t candidate_pairs = 0;   // pairs surviving the index/pre-filter
+    size_t cex_evaluations = 0;  // one per pair surviving the pre-filter
     size_t edges = 0;
-    bool used_lig = false;
   };
 
   /// Builds Gm over `set`. When `options.use_lig` is set, candidate pairs

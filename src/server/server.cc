@@ -47,20 +47,6 @@ std::string Envelope(const std::string& body) {
   return out;
 }
 
-/// Flattens a repaired set back to wire records, trajectory order — the
-/// same order a local caller sees, so server and one-shot output compare
-/// byte-for-byte.
-std::vector<TrackingRecord> FlattenSet(const TrajectorySet& set) {
-  std::vector<TrackingRecord> records;
-  records.reserve(set.total_records());
-  for (const Trajectory& t : set.trajectories()) {
-    for (const TrajectoryPoint& p : t.points()) {
-      records.push_back(TrackingRecord{t.id(), p.loc, p.ts});
-    }
-  }
-  return records;
-}
-
 struct ServerMetrics {
   obs::Counter* admitted;
   obs::Counter* rejected;
@@ -414,7 +400,9 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
     } else {
       const RepairResult& result = **slots[i];
       batch.completion = result.completion;
-      batch.repaired = FlattenSet(result.repaired);
+      // Trajectory order, as a local caller flattens it, so server and
+      // one-shot output compare byte-for-byte.
+      batch.repaired = result.repaired.Records();
       batch.num_candidates = result.candidates.size();
       batch.num_selected = result.selected.size();
       batch.num_rewrites = result.rewrites.size();

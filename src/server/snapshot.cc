@@ -46,15 +46,8 @@ GraphBundle::GraphBundle(std::string name, uint64_t version,
       evaluator(this->graph, this->options.theta, this->options.eta) {}
 
 std::vector<TrackingRecord> GraphBundle::CorpusRecords() const {
-  std::vector<TrackingRecord> records;
-  if (corpus == nullptr) return records;
-  records.reserve(corpus->total_records());
-  for (const Trajectory& t : corpus->trajectories()) {
-    for (const TrajectoryPoint& p : t.points()) {
-      records.push_back(TrackingRecord{t.id(), p.loc, p.ts});
-    }
-  }
-  return records;
+  return corpus == nullptr ? std::vector<TrackingRecord>()
+                          : corpus->Records();
 }
 
 Result<BundlePtr> MakeBundle(std::string name, uint64_t version,

@@ -13,7 +13,6 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "traj/merge.h"
 
 namespace idrepair {
 
@@ -76,17 +75,6 @@ struct StreamInstruments {
   }
 };
 
-std::vector<TrackingRecord> FlattenRecords(const TrajectorySet& set) {
-  std::vector<TrackingRecord> records;
-  records.reserve(set.total_records());
-  for (const auto& t : set.trajectories()) {
-    for (const auto& p : t.points()) {
-      records.push_back(TrackingRecord{t.id(), p.loc, p.ts});
-    }
-  }
-  return records;
-}
-
 }  // namespace
 
 StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
@@ -126,26 +114,25 @@ Status StreamingRepairer::Append(const TrackingRecord& record) {
   }
   saw_any_ = true;
   watermark_ = record.ts;
-  uint32_t handle;
+  uint32_t component;
   auto it = frag_by_id_.find(record.id);
   if (it != frag_by_id_.end()) {
-    handle = it->second;
+    Fragment& frag = frags_[it->second];
+    frag.points.push_back(TrajectoryPoint{record.loc, record.ts});
+    component = ComponentOf(frag.start());
   } else {
-    handle = NewFragment(record);
+    component = NewFragment(record);
   }
-  frags_[handle].points.push_back(TrajectoryPoint{record.loc, record.ts});
   ++pending_records_;
-  RefreshFragment(handle);
-  TouchComponent(frags_[handle].component);
+  TouchComponent(component);
   if (obs::Enabled()) StreamInstruments::Get().appends->Increment();
   return Status::OK();
 }
 
 uint32_t StreamingRepairer::NewFragment(const TrackingRecord& record) {
   uint32_t handle = static_cast<uint32_t>(frags_.size());
-  Fragment frag;
-  frag.id = record.id;
-  frags_.push_back(std::move(frag));
+  frags_.push_back(
+      Fragment{record.id, {TrajectoryPoint{record.loc, record.ts}}});
   frag_by_id_.emplace(record.id, handle);
   // The new fragment starts at the watermark, so it either chains onto the
   // newest component (start gap <= η) or opens the next one. Components
@@ -166,16 +153,15 @@ uint32_t StreamingRepairer::NewFragment(const TrackingRecord& record) {
     comp.max_start = record.ts;
     live_.push_back(cid);
   }
-  frags_[handle].component = cid;
-  return handle;
+  return cid;
 }
 
-void StreamingRepairer::RefreshFragment(uint32_t handle) {
-  // The Trajectory constructor sorts points chronologically, so the
-  // fragment trajectory is byte-identical to what FromRecords over the same
-  // records would build.
-  Fragment& frag = frags_[handle];
-  frag.traj = Trajectory(frag.id, frag.points);
+uint32_t StreamingRepairer::ComponentOf(Timestamp start) const {
+  auto after = std::upper_bound(
+      live_.begin(), live_.end(), start, [&](Timestamp ts, uint32_t cid) {
+        return ts < components_[cid].min_start;
+      });
+  return *(after - 1);
 }
 
 void StreamingRepairer::TouchComponent(uint32_t component) {
@@ -195,21 +181,10 @@ std::vector<Trajectory> StreamingRepairer::Poll() {
   // twice.
   if (fault::Armed() && !fault::Inject("stream.poll").ok()) return {};
   ++polls_;
-  if (!obs::Enabled()) return PollImpl();
-  StreamInstruments& inst = StreamInstruments::Get();
-  inst.polls->Increment();
   obs::TraceSpan span("stream.poll");
   Stopwatch watch;
-  std::vector<Trajectory> out = PollImpl();
-  inst.poll_seconds->Observe(watch.ElapsedSeconds());
-  inst.emitted->Increment(out.size());
-  return out;
-}
-
-std::vector<Trajectory> StreamingRepairer::PollImpl() {
-  if (pending_records_ == 0) return {};
   const Timestamp inert_before = watermark_ - options_.eta;  // exclusive
-  const Timestamp cut = watermark_ - flush_horizon_;
+  const Timestamp horizon_cut = watermark_ - flush_horizon_;
   std::vector<Trajectory> out;
   const size_t start_records = pending_records_;
   poll_fresh_records_ = 0;
@@ -219,140 +194,92 @@ std::vector<Trajectory> StreamingRepairer::PollImpl() {
   // concatenation of per-component outputs is the global (start, id) sort.
   std::vector<uint32_t> snapshot = live_;
   for (uint32_t cid : snapshot) {
-    if (!components_[cid].alive) continue;
-    if (components_[cid].max_start < inert_before) {
-      EmitSettled(cid, &out);
-    } else {
-      FlushForced(cid, cut, &out);
-    }
+    const Timestamp max_start = components_[cid].max_start;
+    const bool settled = max_start < inert_before;
+    Flush(cid, settled ? max_start : horizon_cut, !settled, &out);
   }
   const size_t fresh = std::min(poll_fresh_records_, start_records);
   const size_t reused = start_records - fresh;
   records_reused_ += reused;
-  if (reused > 0 && obs::Enabled()) {
-    StreamInstruments::Get().records_reused->Increment(reused);
-  }
   emitted_ += out.size();
+  if (obs::Enabled()) {
+    StreamInstruments& inst = StreamInstruments::Get();
+    inst.polls->Increment();
+    if (reused > 0) inst.records_reused->Increment(reused);
+    inst.poll_seconds->Observe(watch.ElapsedSeconds());
+    inst.emitted->Increment(out.size());
+  }
   return out;
 }
 
-StreamingRepairer::RepairedWindow StreamingRepairer::RunComponentRepair(
-    uint32_t component, const std::vector<uint32_t>& window) {
-  RepairedWindow rw;
+void StreamingRepairer::Flush(uint32_t component, Timestamp cut, bool forced,
+                              std::vector<Trajectory>* out) {
+  Component& comp = components_[component];
+  if (comp.min_start > cut) return;  // nothing behind the cut yet
+  // The repair window is the fragments behind the cut plus their full
+  // η-context, so no joinable subset is severed: every fragment that could
+  // still share a decision with one behind the cut is on the table.
+  std::vector<uint32_t> window;
+  for (uint32_t h : comp.frags) {
+    if (frags_[h].start() <= cut + options_.eta) window.push_back(h);
+  }
+  std::sort(window.begin(), window.end());
   std::vector<TrackingRecord> records;
+  records.reserve(pending_records_);
   for (uint32_t h : window) {
     const Fragment& frag = frags_[h];
     for (const auto& p : frag.points) {
       records.push_back(TrackingRecord{frag.id, p.loc, p.ts});
     }
   }
-  rw.set = TrajectorySet::FromRecords(records);
-  auto idx = rw.set.BuildIdIndex();
-  rw.local_to_frag.assign(rw.set.size(), 0);
-  for (uint32_t h : window) rw.local_to_frag[idx.at(frags_[h].id)] = h;
+  const TrajectorySet set = TrajectorySet::FromRecords(records);
   // The window is repaired by the batch pipeline itself, Gm build included,
   // so every window's output is by construction what a batch IdRepairer
-  // over exactly these records produces.
-  auto result = inner_.Repair(rw.set);
+  // over exactly these records produces. An error result (injected fault,
+  // configuration) degrades to passthrough.
+  auto result = inner_.Repair(set);
   ++generation_runs_;
   if (obs::Enabled()) StreamInstruments::Get().generation_runs->Increment();
-  poll_fresh_records_ += rw.set.total_records();
-  // An error result (injected fault, configuration) degrades to
-  // passthrough at the call sites.
-  if (result.ok()) {
-    rw.result = std::move(result).value();
-    rw.ok = true;
-  }
-  components_[component].dirty = false;
-  return rw;
-}
+  poll_fresh_records_ += set.total_records();
+  comp.dirty = false;
 
-void StreamingRepairer::EmitSettled(uint32_t component,
-                                    std::vector<Trajectory>* out) {
-  Component& comp = components_[component];
-  std::vector<uint32_t> window = comp.frags;
-  std::sort(window.begin(), window.end());
-  RepairedWindow rw = RunComponentRepair(component, window);
-  const std::vector<Trajectory>& repaired =
-      rw.ok ? rw.result.repaired.trajectories() : rw.set.trajectories();
-  if (capture_windows_) {
-    captured_.push_back(WindowRepair{FlattenRecords(rw.set), repaired,
-                                     /*forced=*/false, /*from_cache=*/false,
-                                     /*degraded=*/!rw.ok});
-  }
-  out->insert(out->end(), repaired.begin(), repaired.end());
-  RetireFragments(component, window);
-  comp.alive = false;
-  live_.erase(std::remove(live_.begin(), live_.end(), component),
-              live_.end());
-}
-
-void StreamingRepairer::FlushForced(uint32_t component, Timestamp cut,
-                                    std::vector<Trajectory>* out) {
-  Component& comp = components_[component];
-  if (comp.min_start > cut) return;  // nothing behind the horizon yet
-  // The repair window is the safe fragments plus their full η-context, so
-  // no joinable subset is severed: every fragment that could still share a
-  // decision with a safe one is on the table.
-  std::vector<uint32_t> window;
-  for (uint32_t h : comp.frags) {
-    if (frags_[h].traj.start_time() <= cut + options_.eta) {
-      window.push_back(h);
-    }
-  }
-  std::sort(window.begin(), window.end());
-  RepairedWindow rw = RunComponentRepair(component, window);
-  const size_t n = rw.set.size();
-  auto is_safe = [&](TrajIndex local) {
-    return frags_[rw.local_to_frag[local]].traj.start_time() <= cut;
-  };
-  std::vector<bool> consumed(n, false);
-  std::vector<bool> deferred(n, false);
-  if (rw.ok) {
-    for (RepairIndex r : rw.result.selected) {
-      Span<const TrajIndex> members = rw.result.candidates.members(r);
-      bool all_safe = true;
-      for (TrajIndex m : members) {
-        if (!is_safe(m)) {
-          all_safe = false;
-          break;
-        }
-      }
-      if (all_safe) {
-        std::vector<const Trajectory*> ptrs;
-        ptrs.reserve(members.size());
-        for (TrajIndex m : members) {
-          ptrs.push_back(&rw.set.at(m));
-          consumed[m] = true;
-        }
-        out->push_back(Join(ptrs, rw.result.candidates.target_id(r)));
-      } else {
-        // Defer every safe member of a mixed repair; applying it later,
-        // once the unsafe members become safe, reproduces the batch
-        // decision.
-        for (TrajIndex m : members) {
-          if (is_safe(m)) deferred[m] = true;
-        }
-      }
-    }
-  }
-  // Safe fragments in no applied or deferred repair leave the stream
-  // unrepaired, in (start, id) order: all of their potential partners were
-  // in the window and the selection passed them over.
+  // The ID each fragment behind the cut leaves under; null keeps it
+  // buffered. A mixed decision defers its members behind the cut: applying
+  // it later, once every member is behind the cut, reproduces the batch
+  // decision.
+  const size_t n = set.size();
+  auto behind_cut = [&](TrajIndex i) { return set.at(i).start_time() <= cut; };
+  std::vector<const std::string*> leaves_as(n, nullptr);
   for (TrajIndex i = 0; i < n; ++i) {
-    if (!is_safe(i) || consumed[i] || deferred[i]) continue;
-    out->push_back(rw.set.at(i));
-    consumed[i] = true;
+    if (behind_cut(i)) leaves_as[i] = &set.at(i).id();
   }
-  if (capture_windows_) {
-    captured_.push_back(WindowRepair{
-        FlattenRecords(rw.set),
-        rw.ok ? rw.result.repaired.trajectories() : rw.set.trajectories(),
-        /*forced=*/true, /*from_cache=*/false, /*degraded=*/!rw.ok});
+  if (result.ok()) {
+    for (RepairIndex r : result->selected) {
+      Span<const TrajIndex> members = result->candidates.members(r);
+      const bool applied =
+          std::all_of(members.begin(), members.end(), behind_cut);
+      for (TrajIndex m : members) {
+        leaves_as[m] = applied ? &result->candidates.target_id(r) : nullptr;
+      }
+    }
   }
+  std::vector<TrackingRecord> leaving;
   std::vector<uint32_t> retired;
   for (TrajIndex i = 0; i < n; ++i) {
-    if (consumed[i]) retired.push_back(rw.local_to_frag[i]);
+    if (leaves_as[i] == nullptr) continue;
+    for (const auto& p : set.at(i).points()) {
+      leaving.push_back(TrackingRecord{*leaves_as[i], p.loc, p.ts});
+    }
+    retired.push_back(frag_by_id_.at(set.at(i).id()));
+  }
+  const TrajectorySet emitted = TrajectorySet::FromRecords(leaving);
+  out->insert(out->end(), emitted.trajectories().begin(),
+              emitted.trajectories().end());
+  if (capture_windows_) {
+    captured_.push_back(WindowRepair{
+        set.Records(),
+        result.ok() ? result->repaired.trajectories() : set.trajectories(),
+        forced, /*from_cache=*/false, /*degraded=*/!result.ok()});
   }
   if (!retired.empty()) {
     RetireFragments(component, retired);
@@ -364,25 +291,20 @@ void StreamingRepairer::RetireFragments(
     uint32_t component, const std::vector<uint32_t>& handles) {
   for (uint32_t h : handles) {
     Fragment& frag = frags_[h];
-    frag.alive = false;
-    auto it = frag_by_id_.find(frag.id);
-    if (it != frag_by_id_.end() && it->second == h) frag_by_id_.erase(it);
+    frag_by_id_.erase(frag.id);
     pending_records_ -= frag.points.size();
     frag.points.clear();
     frag.points.shrink_to_fit();
-    frag.traj = Trajectory();
   }
   Component& comp = components_[component];
   comp.frags.erase(
       std::remove_if(comp.frags.begin(), comp.frags.end(),
-                     [&](uint32_t h) { return !frags_[h].alive; }),
+                     [&](uint32_t h) { return frags_[h].points.empty(); }),
       comp.frags.end());
 }
 
 void StreamingRepairer::SplitComponent(uint32_t component) {
   if (components_[component].frags.empty()) {
-    Component& comp = components_[component];
-    comp.alive = false;
     live_.erase(std::remove(live_.begin(), live_.end(), component),
                 live_.end());
     return;
@@ -392,16 +314,15 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
   // slotted into live_ right behind it, preserving ascending start order.
   std::vector<uint32_t> order = components_[component].frags;
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    Timestamp sa = frags_[a].traj.start_time();
-    Timestamp sb = frags_[b].traj.start_time();
+    Timestamp sa = frags_[a].start();
+    Timestamp sb = frags_[b].start();
     if (sa != sb) return sa < sb;
     return frags_[a].id < frags_[b].id;
   });
   std::vector<std::vector<uint32_t>> groups(1);
   groups.back().push_back(order.front());
   for (size_t i = 1; i < order.size(); ++i) {
-    if (frags_[order[i]].traj.start_time() -
-            frags_[order[i - 1]].traj.start_time() >
+    if (frags_[order[i]].start() - frags_[order[i - 1]].start() >
         options_.eta) {
       groups.emplace_back();
     }
@@ -418,10 +339,8 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
     }
     Component& comp = components_[cid];
     comp.frags = groups[g];
-    comp.min_start = frags_[groups[g].front()].traj.start_time();
-    comp.max_start = frags_[groups[g].back()].traj.start_time();
-    comp.alive = true;
-    for (uint32_t h : groups[g]) frags_[h].component = cid;
+    comp.min_start = frags_[groups[g].front()].start();
+    comp.max_start = frags_[groups[g].back()].start();
   }
 }
 
@@ -429,7 +348,6 @@ std::vector<TrackingRecord> StreamingRepairer::TakeAllRecords() {
   std::vector<TrackingRecord> records;
   records.reserve(pending_records_);
   for (const Fragment& frag : frags_) {
-    if (!frag.alive) continue;
     for (const auto& p : frag.points) {
       records.push_back(TrackingRecord{frag.id, p.loc, p.ts});
     }
@@ -462,7 +380,7 @@ std::vector<Trajectory> StreamingRepairer::Finish() {
   std::vector<Trajectory> out;
   std::vector<uint32_t> snapshot = live_;
   for (uint32_t cid : snapshot) {
-    if (components_[cid].alive) EmitSettled(cid, &out);
+    Flush(cid, components_[cid].max_start, /*forced=*/false, &out);
   }
   TakeAllRecords();  // empties; resets the fragment arena
   emitted_ += out.size();
@@ -480,13 +398,7 @@ Result<RepairResult> StreamingRepairer::Repair(
   CpuStopwatch total_cpu;
 
   // Flatten and order by time so the scratch stream accepts every record.
-  std::vector<TrackingRecord> records;
-  records.reserve(set.total_records());
-  for (TrajIndex i = 0; i < set.size(); ++i) {
-    for (const auto& p : set.at(i).points()) {
-      records.push_back(TrackingRecord{set.at(i).id(), p.loc, p.ts});
-    }
-  }
+  std::vector<TrackingRecord> records = set.Records();
   std::stable_sort(records.begin(), records.end(),
                    [](const TrackingRecord& a, const TrackingRecord& b) {
                      return std::tie(a.ts, a.id, a.loc) <
@@ -540,11 +452,6 @@ Result<RepairResult> StreamingRepairer::Repair(
   result.completion = degraded;
   result.stats.num_trajectories = set.size();
   result.stats.threads_used = options_.exec.ResolvedThreads();
-  result.stats.stream_polls = scratch.polls_;
-  result.stats.stream_dirty_components = scratch.dirty_components_;
-  result.stats.stream_records_reused = scratch.records_reused_;
-  result.stats.stream_appends_rejected = scratch.appends_rejected_;
-  result.stats.stream_generation_runs = scratch.generation_runs_;
   for (TrajIndex i = 0; i < set.size(); ++i) {
     if (!set.at(i).IsValid(*graph_)) ++result.stats.num_invalid;
   }
@@ -555,14 +462,10 @@ Result<RepairResult> StreamingRepairer::Repair(
   // claim one per point, majority-voting its new ID (points of one input
   // always travel together, so the vote is unanimous short of point-level
   // (loc, ts) collisions between distinct inputs).
+  const std::vector<TrackingRecord> emitted_records =
+      TrajectorySet(std::move(emitted)).Records();
   std::map<std::pair<LocationId, Timestamp>, std::deque<std::string>> by_point;
-  std::vector<TrackingRecord> emitted_records;
-  for (const auto& t : emitted) {
-    for (const auto& p : t.points()) {
-      by_point[{p.loc, p.ts}].push_back(t.id());
-      emitted_records.push_back(TrackingRecord{t.id(), p.loc, p.ts});
-    }
-  }
+  for (const auto& r : emitted_records) by_point[{r.loc, r.ts}].push_back(r.id);
   for (TrajIndex i = 0; i < set.size(); ++i) {
     const Trajectory& t = set.at(i);
     std::map<std::string, size_t> votes;

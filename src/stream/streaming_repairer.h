@@ -45,25 +45,32 @@ struct StreamOptions {
 /// a record outside it.
 ///
 /// ### What Append() maintains in place
-///  * the record's fragment trajectory and its component membership;
+///  * the record's fragment (its point list: arrivals are in time order, so
+///    the first point is the fragment's start) and, for a first-seen ID,
+///    its component membership;
 ///  * a dirty flag on the component the record landed in (counted on each
 ///    clean->dirty transition).
-/// Append() builds no index, evaluates no predicate and repairs nothing:
+/// Append() builds no trajectory or index, evaluates no predicate and
+/// repairs nothing:
 /// Gm is built per repaired window, by the batch pipeline, at poll time, so
 /// appends to one component never re-run generation for another (the
 /// amortized-cost invariant the differential tier asserts by counter).
 ///
 /// ### What Poll() emits (watermark semantics)
-/// Only components whose records can no longer be affected by in-window
-/// arrivals: a component whose newest fragment start is more than η behind
-/// the watermark is *settled* and is repaired by the batch pipeline
-/// (`IdRepairer::Repair` over exactly its records). Under continuously
-/// dense traffic a chain may never settle on its own; fragments older than
-/// the flush horizon are force-flushed together with their full η-context,
-/// and only repair decisions whose members are all behind the cut are
-/// applied — mixed decisions stay buffered and re-enter the next poll, so
-/// quality stays close to batch even under frequent polling. Emitted
-/// trajectories are final: no later append can re-emit or mutate them.
+/// Every component goes through one flush rule with a cut: the fragments
+/// starting at or before cut + η are repaired by the batch pipeline
+/// (`IdRepairer::Repair` over exactly their records), only decisions whose
+/// members all start at or before the cut are applied, and the fragments
+/// behind the cut leave under their applied IDs — except the members of
+/// mixed decisions, which stay buffered and re-enter the next poll, so
+/// quality stays close to batch even under frequent polling. A component
+/// whose newest fragment start is more than η behind the watermark is
+/// *settled* and flushes with the cut at that newest start: the whole
+/// component leaves, exactly as the batch pipeline repairs it. Under
+/// continuously dense traffic a chain may never settle on its own, so the
+/// cut of an unsettled component is the flush horizon. Each flush emits in
+/// (start, id) order. Emitted trajectories are final: no later append can
+/// re-emit or mutate them.
 ///
 /// As a batch Repairer (the polymorphic engine interface), a streaming
 /// instance replays the whole set through a scratch stream in timestamp
@@ -76,8 +83,8 @@ class StreamingRepairer : public Repairer {
   StreamingRepairer(const TransitionGraph& graph, RepairOptions options,
                     StreamOptions stream_options = {});
 
-  /// Folds one record into the incremental state: its fragment is rebuilt
-  /// and its component is marked dirty. Records must arrive in
+  /// Folds one record into the incremental state: the point joins its
+  /// fragment and the fragment's component is marked dirty. Records must arrive in
   /// non-decreasing timestamp order (an OutOfRange error reports a
   /// regression; the record is dropped).
   /// With StreamOptions::max_buffered set, a full buffer rejects the record
@@ -99,7 +106,7 @@ class StreamingRepairer : public Repairer {
   /// (`candidates`, `selected`, `total_effectiveness`) stay empty — the
   /// streaming path applies its decisions incrementally and does not keep
   /// a global candidate list. The scratch stream's incremental counters
-  /// land in RepairStats::stream_*.
+  /// reach the idrepair_stream_* metrics when obs is on.
   Result<RepairResult> Repair(const TrajectorySet& set) const override;
 
   std::string_view name() const override { return "streaming"; }
@@ -113,16 +120,14 @@ class StreamingRepairer : public Repairer {
   /// Total trajectories emitted over the lifetime of the stream.
   size_t emitted_trajectories() const { return emitted_; }
 
-  /// Incremental-state introspection, mirrored into the obs counters and
-  /// (through the batch adapter) RepairStats::stream_*. The differential
-  /// tier's amortized-cost assertion reads generation_runs(): appending to
-  /// one component must not grow it for settled components.
+  /// Incremental-state introspection, mirrored into the obs counters. The
+  /// differential tier's amortized-cost assertion reads generation_runs():
+  /// appending to one component must not grow it for settled components.
   size_t generation_runs() const { return generation_runs_; }
   size_t dirty_components_seen() const { return dirty_components_; }
   size_t records_reused() const { return records_reused_; }
   size_t appends_rejected() const { return appends_rejected_; }
   size_t poll_count() const { return polls_; }
-  size_t live_components() const { return live_.size(); }
 
   /// One repaired window, captured for the batch-equivalence differential
   /// tier: `records` is exactly what the engine repaired together and
@@ -141,24 +146,13 @@ class StreamingRepairer : public Repairer {
   }
 
  private:
-  /// One live trajectory fragment (all records of one observed ID still in
-  /// the window).
+  /// One live trajectory fragment: the records of one observed ID still in
+  /// the window, in arrival (= time) order. Retired once `points` is empty.
   struct Fragment {
     std::string id;
     std::vector<TrajectoryPoint> points;
-    Trajectory traj;
-    uint32_t component = 0;
-    bool alive = true;
-  };
 
-  /// One component window run through the batch pipeline: the window set
-  /// it was computed over plus the pipeline result (`ok` false on a
-  /// pipeline error, which the call sites degrade to passthrough).
-  struct RepairedWindow {
-    TrajectorySet set;
-    std::vector<uint32_t> local_to_frag;  // set order -> fragment handle
-    RepairResult result;
-    bool ok = false;
+    Timestamp start() const { return points.front().ts; }
   };
 
   /// One chain component: fragment handles plus the start-time envelope.
@@ -166,39 +160,27 @@ class StreamingRepairer : public Repairer {
     std::vector<uint32_t> frags;
     Timestamp min_start = 0;
     Timestamp max_start = 0;
-    bool alive = true;
     bool dirty = false;
   };
 
-  /// Poll() minus instrumentation (Poll wraps this in a trace span and the
-  /// poll-latency histogram when obs is enabled).
-  std::vector<Trajectory> PollImpl();
-
-  /// Creates the fragment for a first-seen ID and assigns it to the newest
-  /// component (start gap <= η) or a fresh one.
+  /// Creates the fragment for a first-seen ID, assigns it to the newest
+  /// component (start gap <= η) or a fresh one, and returns that component.
   uint32_t NewFragment(const TrackingRecord& record);
 
-  /// Re-derives one fragment's trajectory after its record set changed —
-  /// the per-record incremental step.
-  void RefreshFragment(uint32_t handle);
+  /// The live component whose start range holds `start` (live_ ascends by
+  /// start and components cover disjoint ranges).
+  uint32_t ComponentOf(Timestamp start) const;
 
-  /// Marks the fragment's component dirty (counting clean->dirty
-  /// transitions).
+  /// Marks the component dirty (counting clean->dirty transitions).
   void TouchComponent(uint32_t component);
 
-  /// Runs the batch pipeline over `window` (fragment handles, ascending) of
-  /// `component` and marks the component clean.
-  RepairedWindow RunComponentRepair(uint32_t component,
-                                    const std::vector<uint32_t>& window);
-
-  /// Repairs the whole component batch-exactly, appends the result to
-  /// `out`, and retires it. `forced=false` capture.
-  void EmitSettled(uint32_t component, std::vector<Trajectory>* out);
-
-  /// Forced horizon flush: repairs the safe fragments (start <= cut) with
-  /// their η-context, applies only all-safe decisions, defers the rest.
-  void FlushForced(uint32_t component, Timestamp cut,
-                   std::vector<Trajectory>* out);
+  /// The one flush rule: repairs the fragments of `component` starting at
+  /// or before cut + η, applies the decisions whose members all start at
+  /// or before `cut`, and appends the fragments behind the cut that no
+  /// mixed decision defers to `out` under their applied IDs, in (start, id)
+  /// order. `forced` only labels the captured window.
+  void Flush(uint32_t component, Timestamp cut, bool forced,
+             std::vector<Trajectory>* out);
 
   /// Removes fragments from the stream and their component.
   void RetireFragments(uint32_t component,

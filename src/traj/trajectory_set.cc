@@ -31,6 +31,17 @@ TrajectorySet::TrajectorySet(std::vector<Trajectory> trajectories)
   for (const auto& t : trajectories_) total_records_ += t.size();
 }
 
+std::vector<TrackingRecord> TrajectorySet::Records() const {
+  std::vector<TrackingRecord> records;
+  records.reserve(total_records_);
+  for (const auto& t : trajectories_) {
+    for (const auto& p : t.points()) {
+      records.push_back(TrackingRecord{t.id(), p.loc, p.ts});
+    }
+  }
+  return records;
+}
+
 std::vector<TrajIndex> TrajectorySet::InvalidTrajectories(
     const TransitionGraph& graph) const {
   std::vector<TrajIndex> out;

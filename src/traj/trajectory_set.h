@@ -38,6 +38,11 @@ class TrajectorySet {
   /// Total number of tracking records across all trajectories.
   size_t total_records() const { return total_records_; }
 
+  /// The inverse of FromRecords: every record, trajectory by trajectory in
+  /// set order, each trajectory's points in time order.
+  /// FromRecords(set.Records()) reproduces a FromRecords-built set.
+  std::vector<TrackingRecord> Records() const;
+
   /// Indices of trajectories that are invalid w.r.t. `graph` (IVTs).
   std::vector<TrajIndex> InvalidTrajectories(
       const TransitionGraph& graph) const;

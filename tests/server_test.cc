@@ -1050,6 +1050,40 @@ TEST(CliProcessTest, RepairRejectsUnreadFlagsAndBadObservabilityValues) {
   EXPECT_TRUE(fs::exists(out));
 }
 
+std::string ReadText(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// `repair --stats-json F` switches obs on, so the streaming engine's
+// counters reach F's `metrics` array; the document has no `stream` block.
+TEST(CliProcessTest, StreamingStatsJsonCarriesStreamCountersInMetrics) {
+  TempDir dir("cli_stats_json");
+  const std::string graph = (dir.path() / "g.txt").string();
+  const std::string records = (dir.path() / "r.csv").string();
+  const fs::path stats = dir.path() / "stats.json";
+  ASSERT_TRUE(WriteTransitionGraphFile(graph, MakePaperExampleGraph()).ok());
+  ASSERT_TRUE(WriteRecordsCsvFile(records, MakePaperExampleGraph(),
+                                  testutil::MakeTable1Records())
+                  .ok());
+  auto [code, err] = RunCli(
+      dir.path(),
+      {"repair", "--graph", graph, "--records", records, "--out",
+       (dir.path() / "out.csv").string(), "--engine", "streaming",
+       "--stats-json", stats.string()});
+  ASSERT_EQ(code, 0) << err;
+  const std::string json = ReadText(stats);
+  EXPECT_EQ(json.find("\"stream\":"), std::string::npos) << json;
+  const size_t metrics = json.find("\"metrics\":[");
+  ASSERT_NE(metrics, std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"idrepair_stream_generation_runs_total\"",
+                      metrics),
+            std::string::npos)
+      << json;
+}
+
 // A negative count for `generate` is rejected with exit 1 and the flag's
 // name (it used to wrap to a huge size_t and abort the process), and
 // nothing is written; a zero count still generates.
@@ -1099,6 +1133,29 @@ TEST(CliProcessTest, ServeRunsWithListenAndThreadsAndRejectsUnreadFlags) {
                                          "--trace-out", "t.json"});
   EXPECT_EQ(code, 2) << err;
   EXPECT_NE(err.find("--trace-out"), std::string::npos) << err;
+}
+
+// `serve --metrics-out F` without --metrics-interval starts no scraper;
+// it still writes one exposition to F when it shuts down, as `repair` does.
+TEST(CliProcessTest, ServeWritesMetricsOutAtShutdown) {
+  TempDir dir("cli_serve_metrics");
+  const std::string socket = (dir.path() / "d.sock").string();
+  const fs::path metrics = dir.path() / "metrics.prom";
+  ChildDaemon child(socket, {"--metrics-out", metrics.string()});
+  ASSERT_TRUE(child.running());
+  auto client = child.Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  ASSERT_TRUE(client->RegisterGraph(PaperRegisterRequest("paper", true)).ok());
+  RepairRequest corpus_repair;
+  corpus_repair.name = "paper";
+  corpus_repair.use_corpus = true;
+  ASSERT_TRUE(client->Repair(corpus_repair).ok());
+  ASSERT_TRUE(client->Shutdown().ok());
+  int status = child.Reap();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  const std::string text = ReadText(metrics);
+  EXPECT_NE(text.find("idrepair_server_admitted_total 1"), std::string::npos)
+      << text;
 }
 
 }  // namespace

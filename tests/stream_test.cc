@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "gen/real_like.h"
@@ -193,6 +195,93 @@ TEST(StreamingRepairerTest, RepeatedPollsEmitEveryRecordOnce) {
   for (const auto& window : stream.captured_windows()) {
     EXPECT_FALSE(window.from_cache);
     EXPECT_FALSE(window.degraded);
+  }
+}
+
+// Each poll's output is the concatenation of its windows' flushes, in
+// capture order, and every emitted trajectory is checked against the
+// `repaired` list of the window that produced it — IdRepairer's output over
+// that window, not the stream's own flush. A settled window emits exactly
+// its repaired list, in order; a forced window emits a run of entries of
+// its repaired list (the decisions wholly behind the cut), in (start, id)
+// order. The stream is dense and the horizon one η, so chains never
+// settle on their own and most windows are forced; Finish() drains the
+// rest as settled windows. The output is the same at 1, 2 and 8 threads.
+TEST(StreamingRepairerTest, EveryEmissionComesFromItsPollsCapturedWindows) {
+  auto ds = MakeScaledRealLikeDataset(400, 0.2, /*seed=*/9);
+  ASSERT_TRUE(ds.ok());
+  const auto records = SortedRecords(*ds);
+  auto start_id_less = [](const Trajectory& a, const Trajectory& b) {
+    return std::forward_as_tuple(a.start_time(), a.id()) <
+           std::forward_as_tuple(b.start_time(), b.id());
+  };
+  std::vector<Trajectory> first_output;
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    RepairOptions options;
+    options.theta = 4;
+    options.eta = 600;
+    options.exec.num_threads = threads;
+    StreamOptions stream_options;
+    stream_options.flush_horizon_multiplier = 1.0;
+    StreamingRepairer stream(ds->graph, options, stream_options);
+    stream.set_capture_windows(true);
+
+    std::vector<Trajectory> output;
+    size_t settled_emitting = 0;
+    size_t forced_emitting = 0;
+    auto check = [&](const std::vector<Trajectory>& got, size_t first_window) {
+      const auto& windows = stream.captured_windows();
+      size_t next = 0;
+      for (size_t w = first_window; w < windows.size(); ++w) {
+        const StreamingRepairer::WindowRepair& window = windows[w];
+        ASSERT_FALSE(window.degraded);
+        const std::vector<Trajectory>& repaired = window.repaired;
+        const size_t begin = next;
+        if (!window.forced) {
+          ASSERT_LE(next + repaired.size(), got.size()) << "window " << w;
+          for (const Trajectory& t : repaired) {
+            EXPECT_EQ(got[next++], t) << "settled window " << w;
+          }
+        } else {
+          // Windows hold disjoint records, so a trajectory of this window's
+          // repaired list cannot belong to the next window's run.
+          while (next < got.size() &&
+                 std::find(repaired.begin(), repaired.end(), got[next]) !=
+                     repaired.end()) {
+            ++next;
+          }
+          EXPECT_TRUE(std::is_sorted(got.begin() + begin, got.begin() + next,
+                                     start_id_less))
+              << "forced window " << w;
+        }
+        if (next > begin) ++(window.forced ? forced_emitting : settled_emitting);
+      }
+      EXPECT_EQ(next, got.size()) << "a trajectory no captured window made";
+    };
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_TRUE(stream.Append(records[i]).ok());
+      if ((i + 1) % 25 != 0) continue;
+      const size_t first_window = stream.captured_windows().size();
+      std::vector<Trajectory> got = stream.Poll();
+      check(got, first_window);
+      output.insert(output.end(), got.begin(), got.end());
+    }
+    const size_t first_window = stream.captured_windows().size();
+    std::vector<Trajectory> tail = stream.Finish();
+    check(tail, first_window);
+    output.insert(output.end(), tail.begin(), tail.end());
+
+    EXPECT_GT(forced_emitting, 0u);
+    EXPECT_GT(settled_emitting, 0u);
+    size_t points = 0;
+    for (const Trajectory& t : output) points += t.size();
+    EXPECT_EQ(points, records.size());
+    if (first_output.empty()) {
+      first_output = output;
+    } else {
+      EXPECT_EQ(output, first_output);
+    }
   }
 }
 

@@ -117,6 +117,30 @@ TEST(TrajectorySetTest, BuildIdIndex) {
   EXPECT_EQ(index.at("GL83248"), 2u);
 }
 
+// Records() flattens trajectory by trajectory, each in time order, and
+// FromRecords of the result rebuilds the same set.
+TEST(TrajectorySetTest, RecordsIsTheInverseOfFromRecords) {
+  std::vector<TrackingRecord> shuffled = MakeTable1Records();
+  shuffled.push_back({"aaa", 1, 100});
+  shuffled.push_back({"bbb", 0, 100});
+  shuffled.push_back({"aaa", 2, 40});
+  std::reverse(shuffled.begin(), shuffled.end());
+  for (const TrajectorySet& set :
+       {MakeTable2Trajectories(), TrajectorySet::FromRecords(shuffled),
+        TrajectorySet()}) {
+    std::vector<TrackingRecord> records = set.Records();
+    ASSERT_EQ(records.size(), set.total_records());
+    size_t next = 0;
+    for (const Trajectory& t : set.trajectories()) {
+      for (const TrajectoryPoint& p : t.points()) {
+        EXPECT_EQ(records[next++], (TrackingRecord{t.id(), p.loc, p.ts}));
+      }
+    }
+    EXPECT_EQ(TrajectorySet::FromRecords(records).trajectories(),
+              set.trajectories());
+  }
+}
+
 TEST(TrajectorySetTest, EmptySet) {
   TrajectorySet set;
   EXPECT_TRUE(set.empty());

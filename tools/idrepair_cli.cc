@@ -183,6 +183,31 @@ Result<std::unique_ptr<obs::MetricsScraper>> StartScraper(
   return obs::MetricsScraper::Start(std::move(options));
 }
 
+/// Ends the metrics export of `repair` and `serve`. The periodic scraper's
+/// Stop() writes the final exposition (a one-shot dump would only repeat
+/// its last block); without a scraper, --metrics-out gets one exposition.
+Status FinishMetrics(const MetricsFlags& metrics,
+                     obs::MetricsScraper* scraper) {
+  if (scraper != nullptr) {
+    scraper->Stop();
+    IDREPAIR_RETURN_NOT_OK(scraper->last_error());
+    std::cout << "wrote " << scraper->scrapes() << " metric scrapes to "
+              << metrics.path << "\n";
+    return Status::OK();
+  }
+  if (metrics.path.empty()) return Status::OK();
+  std::ofstream out(metrics.path);
+  if (!out) {
+    return Status::IoError("cannot open '" + metrics.path + "' for writing");
+  }
+  out << obs::MetricsRegistry::Global().RenderPrometheus();
+  if (!out.good()) {
+    return Status::IoError("failed writing '" + metrics.path + "'");
+  }
+  std::cout << "wrote metrics to " << metrics.path << "\n";
+  return Status::OK();
+}
+
 /// The --engine choice and the flags of that engine alone.
 struct EngineFlags {
   std::string name;
@@ -273,9 +298,11 @@ int RunRepair(const FlagParser& flags) {
   auto records = ReadRecordsCsvFile(records_path, *graph);
   if (!records.ok()) return FailWith(records.status());
 
-  // Requesting either export switches instrumentation on for the process,
-  // for every engine alike; there is no separate --obs switch to forget.
-  if (!metrics->path.empty() || !trace_path.empty()) {
+  // Requesting any export switches instrumentation on for the process, for
+  // every engine alike; there is no separate --obs switch to forget. The
+  // stats document's `metrics` array is where the stream's counters land.
+  if (!metrics->path.empty() || !trace_path.empty() ||
+      !stats_json_path.empty()) {
     obs::TraceSink::Global().SetCapacity(static_cast<size_t>(*trace_capacity));
     obs::SetEnabled(true);
   }
@@ -307,26 +334,8 @@ int RunRepair(const FlagParser& flags) {
     std::cout << ExplainRepair(set, *graph, *result, *options);
   }
 
-  if (*scraper != nullptr) {
-    // Periodic mode: the scraper appends timestamped expositions; its Stop()
-    // writes the final one, so the one-shot dump below would only duplicate
-    // the last block.
-    (*scraper)->Stop();
-    if (Status s = (*scraper)->last_error(); !s.ok()) return FailWith(s);
-    std::cout << "wrote " << (*scraper)->scrapes() << " metric scrapes to "
-              << metrics->path << "\n";
-  } else if (!metrics->path.empty()) {
-    std::ofstream out(metrics->path);
-    if (!out) {
-      return FailWith(
-          Status::IoError("cannot open '" + metrics->path + "' for writing"));
-    }
-    out << obs::MetricsRegistry::Global().RenderPrometheus();
-    if (!out.good()) {
-      return FailWith(
-          Status::IoError("failed writing '" + metrics->path + "'"));
-    }
-    std::cout << "wrote metrics to " << metrics->path << "\n";
+  if (Status s = FinishMetrics(*metrics, scraper->get()); !s.ok()) {
+    return FailWith(s);
   }
   if (!trace_path.empty()) {
     if (Status s = obs::TraceSink::Global().WriteJsonFile(trace_path);
@@ -356,13 +365,7 @@ int RunRepair(const FlagParser& flags) {
               << " f-measure=" << ToFixed(quality.f_measure, 3) << "\n";
   }
 
-  std::vector<TrackingRecord> repaired;
-  repaired.reserve(set.total_records());
-  for (const auto& t : result->repaired.trajectories()) {
-    for (const auto& p : t.points()) {
-      repaired.push_back(TrackingRecord{t.id(), p.loc, p.ts});
-    }
-  }
+  const std::vector<TrackingRecord> repaired = result->repaired.Records();
   if (Status s = WriteRecordsCsvFile(out_path, *graph, repaired); !s.ok()) {
     return FailWith(s);
   }
@@ -492,10 +495,8 @@ int RunServe(const FlagParser& flags) {
   std::cout << "idrepaird stopped: admitted=" << admission.admitted
             << " rejected=" << admission.rejected
             << " completed=" << admission.completed << "\n";
-  if (*scraper != nullptr) {
-    (*scraper)->Stop();
-    std::cout << "wrote " << (*scraper)->scrapes() << " metric scrapes to "
-              << metrics->path << "\n";
+  if (Status s = FinishMetrics(*metrics, scraper->get()); !s.ok()) {
+    return FailWith(s);
   }
   return 0;
 }
