@@ -1,7 +1,8 @@
 // Storage-layer memory benchmark: measures the resident cost of the hot
-// data-plane structures behind the view-based API — the interned columnar
-// CandidateSet and the CSR RepairGraph — and compares against a model of
-// the seed's AoS-plus-adjacency-vectors layout holding the same logical
+// data-plane structures behind the view-based API — the columnar
+// CandidateSet (members in one CSR arena, ivt(R) a bitmask over each row's
+// members) and the CSR RepairGraph — and compares against a model of the
+// seed's AoS-plus-adjacency-vectors layout holding the same logical
 // content (the model mirrors tests/differential_test.cc's seedmodel).
 //
 // Two instances:
@@ -14,7 +15,9 @@
 //
 // The JSON "memory" block (bench_util.h) carries the gate metrics for the
 // ci.sh bench-smoke stage: peak_rss_bytes, candidate/graph bytes,
-// bytes-per-edge, and the seed-model reduction ratio.
+// bytes-per-edge, and the seed-model reduction ratio. The table's cands
+// and edges columns are pure functions of the seeds; the same stage holds
+// them exactly to the committed baseline rows.
 
 #include <iostream>
 #include <set>
@@ -110,7 +113,7 @@ struct Measurement {
   size_t seed_bytes = 0;
 };
 
-Measurement Measure(CandidateSet& candidates, size_t num_trajs) {
+Measurement Measure(const CandidateSet& candidates, size_t num_trajs) {
   ExecOptions exec;
   exec.num_threads = 1;
   auto built = RepairGraph::Build(candidates, num_trajs, exec);
@@ -118,7 +121,6 @@ Measurement Measure(CandidateSet& candidates, size_t num_trajs) {
     std::cerr << "graph build failed: " << built.status() << "\n";
     std::exit(1);
   }
-  candidates.Freeze();
   Measurement m;
   m.candidates = candidates.size();
   m.edges = built->num_edges();
@@ -147,7 +149,7 @@ int main() {
   Measurement dm = Measure(dense, dense_trajs);
 
   // End-to-end synthetic instance: real generation + repair, measured on
-  // the result's candidate set (frozen by the engine) and a rebuilt Gr.
+  // the result's candidate set and a rebuilt Gr.
   TransitionGraph graph = MakeRealLikeGraph();
   SyntheticConfig config;
   config.num_trajectories = 120;

@@ -21,10 +21,11 @@ inline uint64_t Mix64(uint64_t x) {
 
 /// Open-addressing hash map from uint64 keys to small trivially-copyable
 /// values: linear probing over two parallel flat arrays, power-of-2
-/// capacity, ≤ 7/8 load. Exists because the interning dictionary and the
-/// pair-similarity memo put a map lookup on the per-candidate hot path,
-/// where std::unordered_map's modulo-prime bucketing (an integer division
-/// per probe) and node-per-entry chaining dominated the generation profile.
+/// capacity, ≤ 7/8 load. Exists because the generator's pair-similarity
+/// memo and target-name table put a map lookup on the per-candidate hot
+/// path, where std::unordered_map's modulo-prime bucketing (an integer
+/// division per probe) and node-per-entry chaining dominated the generation
+/// profile.
 ///
 /// Contract: no erase, key `kEmptyKey` (all ones) is reserved as the empty
 /// slot marker, Insert requires the key to be absent (callers always Find
@@ -67,20 +68,6 @@ class FlatHash64Map {
   void Reset() {
     if (!keys_.empty()) keys_.assign(keys_.size(), kEmptyKey);
     size_ = 0;
-  }
-
-  /// Releases all storage (capacity included) — the Freeze() primitive.
-  void Clear() {
-    keys_.clear();
-    keys_.shrink_to_fit();
-    values_.clear();
-    values_.shrink_to_fit();
-    size_ = 0;
-  }
-
-  size_t MemoryBytes() const {
-    return keys_.capacity() * sizeof(uint64_t) +
-           values_.capacity() * sizeof(V);
   }
 
  private:

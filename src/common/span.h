@@ -14,8 +14,7 @@ namespace idrepair {
 /// type of every hot accessor (graph neighbor lists, candidate member sets,
 /// repair-graph conflicts). Unlike returning `const std::vector<T>&`, a Span keeps the
 /// container layout out of the public contract, so the storage behind an
-/// accessor can move to a CSR arena or an interned pool without touching
-/// callers.
+/// accessor can move to a CSR arena without touching callers.
 ///
 /// Differences from std::span<const T> that earn it a home here: ordered
 /// value comparison against any contiguous container (the byte-identity

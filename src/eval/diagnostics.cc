@@ -57,7 +57,7 @@ RepairDiagnostics DiagnoseRepair(const Dataset& dataset,
   }
 
   // Index the candidate set: does a candidate with exactly this member set
-  // exist, and with which target? Keys materialize the interned spans (map
+  // exist, and with which target? Keys materialize the member spans (map
   // keys must own their storage).
   std::map<std::vector<TrajIndex>, std::vector<size_t>> by_members;
   for (size_t r = 0; r < result.candidates.size(); ++r) {

@@ -1,6 +1,7 @@
 #include "repair/candidates.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <iterator>
@@ -44,8 +45,18 @@ CandidateSet::NameId CandidateSet::AddTargetName(std::string name) {
 size_t CandidateSet::Append(Span<const TrajIndex> members,
                             Span<const TrajIndex> invalid, NameId target,
                             double similarity) {
-  member_sets_.push_back(dict_.Intern(members));
-  invalid_sets_.push_back(dict_.Intern(invalid));
+  assert(members.size() <= kMaxRepairMembers);
+  // Both lists ascend and invalid ⊆ members: one merge walk marks each
+  // invalid member's position.
+  InvalidMask mask = 0;
+  size_t k = 0;
+  for (TrajIndex t : invalid) {
+    while (members[k] != t) ++k;
+    mask |= InvalidMask{1} << k++;
+  }
+  members_.insert(members_.end(), members.begin(), members.end());
+  offsets_.push_back(members_.size());
+  invalid_.push_back(mask);
   targets_.push_back(target);
   similarity_.push_back(similarity);
   rarity_.push_back(0);
@@ -55,17 +66,16 @@ size_t CandidateSet::Append(Span<const TrajIndex> members,
 
 Result<CandidateSet> CandidateSet::Concatenate(
     std::vector<CandidateSet>&& blocks, int threads) {
-  // Where block b lands: its first row, set, arena element and name.
+  // Where block b lands: its first row, member entry and name.
   struct Base {
-    size_t row = 0, set = 0, entry = 0, name = 0;
+    size_t row = 0, entry = 0, name = 0;
   };
   std::vector<Base> base(blocks.size() + 1);
   size_t non_empty = 0;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const CandidateSet& block = blocks[b];
     base[b + 1] = {base[b].row + block.size(),
-                   base[b].set + block.dict_.num_sets(),
-                   base[b].entry + block.dict_.pool_entries(),
+                   base[b].entry + block.members_.size(),
                    base[b].name + block.names_.size()};
     if (!block.empty()) ++non_empty;
   }
@@ -79,13 +89,13 @@ Result<CandidateSet> CandidateSet::Concatenate(
   }
 
   const Base& total = base.back();
-  out.member_sets_.resize(total.row);
-  out.invalid_sets_.resize(total.row);
+  out.offsets_.resize(total.row + 1);
+  out.members_.resize(total.entry);
+  out.invalid_.resize(total.row);
   out.targets_.resize(total.row);
   out.similarity_.resize(total.row);
   out.rarity_.resize(total.row);
   out.effectiveness_.resize(total.row);
-  out.dict_.Grow(total.set, total.entry);
   out.names_.reserve(total.name);
   for (CandidateSet& block : blocks) {
     out.names_.insert(out.names_.end(),
@@ -100,24 +110,20 @@ Result<CandidateSet> CandidateSet::Concatenate(
         for (size_t b = begin; b < end; ++b) {
           CandidateSet& block = blocks[b];
           const Base& at = base[b];
-          out.dict_.CopyAt(block.dict_, at.set, at.entry);
-          auto shifted = [&](const auto& from, auto& to, auto offset) {
-            for (size_t r = 0; r < from.size(); ++r) {
-              to[at.row + r] = from[r] + offset;
-            }
+          auto copy = [&](const auto& from, auto& to, size_t first) {
+            std::copy(from.begin(), from.end(), to.begin() + first);
           };
-          shifted(block.member_sets_, out.member_sets_,
-                  static_cast<SetId>(at.set));
-          shifted(block.invalid_sets_, out.invalid_sets_,
-                  static_cast<SetId>(at.set));
-          shifted(block.targets_, out.targets_,
-                  static_cast<NameId>(at.name));
-          std::copy(block.similarity_.begin(), block.similarity_.end(),
-                    out.similarity_.begin() + at.row);
-          std::copy(block.rarity_.begin(), block.rarity_.end(),
-                    out.rarity_.begin() + at.row);
-          std::copy(block.effectiveness_.begin(), block.effectiveness_.end(),
-                    out.effectiveness_.begin() + at.row);
+          copy(block.members_, out.members_, at.entry);
+          // Shifted row ends; out.offsets_[0] keeps its initial 0.
+          for (size_t r = 0; r < block.size(); ++r) {
+            out.offsets_[at.row + r + 1] = block.offsets_[r + 1] + at.entry;
+            out.targets_[at.row + r] =
+                block.targets_[r] + static_cast<NameId>(at.name);
+          }
+          copy(block.invalid_, out.invalid_, at.row);
+          copy(block.similarity_, out.similarity_, at.row);
+          copy(block.rarity_, out.rarity_, at.row);
+          copy(block.effectiveness_, out.effectiveness_, at.row);
           block = CandidateSet();  // free on the worker that copied it
         }
         return Status::OK();
@@ -127,8 +133,8 @@ Result<CandidateSet> CandidateSet::Concatenate(
 }
 
 void CandidateSet::Reserve(size_t rows) {
-  member_sets_.reserve(rows);
-  invalid_sets_.reserve(rows);
+  offsets_.reserve(rows + 1);
+  invalid_.reserve(rows);
   targets_.reserve(rows);
   names_.reserve(rows);
   similarity_.reserve(rows);
@@ -139,8 +145,9 @@ void CandidateSet::Reserve(size_t rows) {
 size_t CandidateSet::MemoryBytes() const {
   size_t names = names_.capacity() * sizeof(std::string);
   for (const std::string& s : names_) names += StringHeapBytes(s);
-  return dict_.MemoryBytes() + member_sets_.capacity() * sizeof(SetId) +
-         invalid_sets_.capacity() * sizeof(SetId) +
+  return offsets_.capacity() * sizeof(uint64_t) +
+         members_.capacity() * sizeof(TrajIndex) +
+         invalid_.capacity() * sizeof(InvalidMask) +
          targets_.capacity() * sizeof(NameId) + names +
          similarity_.capacity() * sizeof(double) +
          rarity_.capacity() * sizeof(uint32_t) +
@@ -245,6 +252,7 @@ Result<CandidateSet> GenerateCandidates(
     const PredicateEvaluator& pred, const RepairOptions& options,
     const IdSimilarity& similarity, const std::vector<bool>& is_valid,
     GenerationStats* stats) {
+  IDREPAIR_RETURN_NOT_OK(options.Validate());
   CliqueEnumerator enumerator(set, gm, pred, options);
   std::vector<TrajIndex> seeds = enumerator.SeedVertices();
 
@@ -349,7 +357,7 @@ Status ComputeEffectiveness(CandidateSet& candidates,
         std::vector<uint32_t>& d = shard_degree[shard];
         d.assign(num_trajs, 0);
         for (size_t i = begin; i < end; ++i) {
-          for (TrajIndex t : candidates.invalid_members(i)) ++d[t];
+          candidates.ForEachInvalid(i, [&](TrajIndex t) { ++d[t]; });
         }
         return Status::OK();
       }));
@@ -367,7 +375,7 @@ Status ComputeEffectiveness(CandidateSet& candidates,
         for (size_t i = begin; i < end; ++i) {
           uint32_t ra = 0;
           bool first = true;
-          for (TrajIndex t : candidates.invalid_members(i)) {
+          candidates.ForEachInvalid(i, [&](TrajIndex t) {
             uint32_t d = degree[t];
             if (first) {
               ra = d;
@@ -377,7 +385,7 @@ Status ComputeEffectiveness(CandidateSet& candidates,
             } else {
               ra = std::max(ra, d);
             }
-          }
+          });
           double ivt = static_cast<double>(candidates.num_invalid(i));
           double base = static_cast<double>(ra + options.rarity_base_offset);
           // ω(R) = sim(R) + λ · log_base(|ivt(R)|); |ivt| >= 1 by

@@ -1,6 +1,7 @@
 #ifndef IDREPAIR_REPAIR_CANDIDATES_H_
 #define IDREPAIR_REPAIR_CANDIDATES_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -9,7 +10,6 @@
 #include "common/default_init_vector.h"
 #include "common/span.h"
 #include "repair/cliques.h"
-#include "repair/member_set_dictionary.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
 #include "repair/trajectory_graph.h"
@@ -18,51 +18,72 @@
 namespace idrepair {
 
 /// The candidate repairs R = (T', r) of Definition 2.6 in columnar form:
-/// one column per field, indexed by RepairIndex-compatible row number, with
-/// the two set-valued columns (jns(R) members and ivt(R) invalid members)
-/// interned in a shared MemberSetDictionary instead of one heap vector per
-/// candidate per column. On a dense instance this replaces ~2 allocations
-/// plus ~48 bytes of vector headers per candidate with two 4-byte set ids
-/// into a flat pooled arena — the storage-layer contract is DESIGN.md §9.
+/// one column per field, indexed by RepairIndex-compatible row number.
+/// jns(R) is stored as one CSR: a uint64 offset per row plus one flat
+/// TrajIndex arena, row r's members ascending at [offsets[r], offsets[r+1]).
+/// ivt(R) ⊆ jns(R), so it is a per-row bitmask over the positions of the
+/// row's members (bit k set iff members(r)[k] is invalid) — the storage
+/// contract is DESIGN.md §9. Rows never share member lists: generation
+/// emits each qualified clique exactly once.
 ///
 /// The target column is a 4-byte NameId per row into a per-set table of
 /// target names: Eq. (5) always picks a member's ID, so a set holds each
 /// distinct target once (per generation block) instead of one string per
 /// row.
 ///
-/// Set accessors return Span views into the arena; views are invalidated by
+/// members() returns a Span view into the arena; views are invalidated by
 /// Append/Concatenate (never by score fills), so hold no view across a
 /// mutation.
 class CandidateSet {
  public:
-  using SetId = MemberSetDictionary::SetId;
   using NameId = uint32_t;
+  /// Bit k marks members(r)[k] as invalid; kMaxRepairMembers bits wide.
+  using InvalidMask = uint64_t;
+  static_assert(sizeof(InvalidMask) * 8 == kMaxRepairMembers);
 
   CandidateSet() = default;
 
-  // Movable, not copyable: rows reference the embedded dictionary, and the
-  // pipeline only ever hands the set forward.
+  // Movable, not copyable: the pipeline only ever hands the set forward.
   CandidateSet(CandidateSet&&) = default;
   CandidateSet& operator=(CandidateSet&&) = default;
   CandidateSet(const CandidateSet&) = delete;
   CandidateSet& operator=(const CandidateSet&) = delete;
 
-  size_t size() const { return member_sets_.size(); }
-  bool empty() const { return member_sets_.empty(); }
+  size_t size() const { return targets_.size(); }
+  bool empty() const { return targets_.empty(); }
 
   /// jns(R): joinable subset of candidate `r`, ascending TrajectorySet
-  /// indices. View into the pooled arena.
+  /// indices. View into the member arena.
   Span<const TrajIndex> members(size_t r) const {
-    return dict_.Get(member_sets_[r]);
+    return Span<const TrajIndex>(members_.data() + offsets_[r],
+                                 offsets_[r + 1] - offsets_[r]);
   }
 
-  /// ivt(R): the members that are invalid trajectories, ascending.
-  Span<const TrajIndex> invalid_members(size_t r) const {
-    return dict_.Get(invalid_sets_[r]);
+  /// Calls `f(t)` for each member t of ivt(R), ascending, without
+  /// allocating: the row's members walked under its mask.
+  template <typename F>
+  void ForEachInvalid(size_t r, F&& f) const {
+    const TrajIndex* m = members_.data() + offsets_[r];
+    for (InvalidMask bits = invalid_[r]; bits != 0; bits &= bits - 1) {
+      f(m[std::countr_zero(bits)]);
+    }
   }
 
-  size_t num_members(size_t r) const { return dict_.set_size(member_sets_[r]); }
-  size_t num_invalid(size_t r) const { return dict_.set_size(invalid_sets_[r]); }
+  /// ivt(R): the members that are invalid trajectories, ascending. A copy;
+  /// hot loops use ForEachInvalid instead.
+  std::vector<TrajIndex> invalid_members(size_t r) const {
+    std::vector<TrajIndex> out;
+    ForEachInvalid(r, [&](TrajIndex t) { out.push_back(t); });
+    return out;
+  }
+
+  size_t num_members(size_t r) const { return offsets_[r + 1] - offsets_[r]; }
+  size_t num_invalid(size_t r) const {
+    return static_cast<size_t>(std::popcount(invalid_[r]));
+  }
+
+  /// Member entries in the arena: Σ num_members(r) over every row.
+  size_t member_entries() const { return members_.size(); }
 
   /// Target ID r (always the ID of one member, per the paper: repairs never
   /// invent new values).
@@ -89,8 +110,8 @@ class CandidateSet {
   NameId AddTargetName(std::string name);
 
   /// Appends one candidate whose target is name `target` of this set. Both
-  /// sets must be sorted ascending; `invalid` must be a subset of
-  /// `members`. Returns the new row index.
+  /// sets must be sorted ascending, `invalid` a subset of `members`, and
+  /// `members` at most kMaxRepairMembers long. Returns the new row index.
   size_t Append(Span<const TrajIndex> members, Span<const TrajIndex> invalid,
                 NameId target, double similarity);
 
@@ -102,12 +123,11 @@ class CandidateSet {
   }
 
   /// Concatenates `blocks` in order, consuming them: the rows of block b
-  /// follow those of blocks 0..b-1 with every column (sets, target,
-  /// similarity, scores) unchanged. Each block's dictionary and name table
-  /// are appended with an id offset, not re-interned, so a set or name
-  /// present in two blocks is stored twice; dedup holds within a block
-  /// only, and a later Append does not dedup against copied sets. The
-  /// serial work is O(blocks) plus moving the name strings: the output
+  /// follow those of blocks 0..b-1 with every column (members, ivt mask,
+  /// target, similarity, scores) unchanged. Each block's member arena is
+  /// copied and its offsets shifted; its name table is appended and its
+  /// name ids shifted, so a name present in two blocks is stored twice.
+  /// The serial work is O(blocks) plus moving the name strings: the output
   /// columns are sized once, then up to `threads` pool workers (one below
   /// ~16k rows, where a dispatch costs more than the copy) each copy a
   /// contiguous run of blocks into place and free them. A lone non-empty
@@ -119,22 +139,14 @@ class CandidateSet {
   /// Append adds one name per row).
   void Reserve(size_t rows);
 
-  /// Drops the dictionary's dedup index once the set is fully built (a
-  /// later Append still works but stops deduping against earlier sets).
-  /// Engines call this when a result is finalized; it sheds the hash-map
-  /// footprint without touching any row or view.
-  void Freeze() { dict_.Freeze(); }
-
-  const MemberSetDictionary& dict() const { return dict_; }
-
-  /// Heap bytes of every column, the name table (out-of-line string
-  /// payloads included) and the pooled dictionary.
+  /// Heap bytes of every column, the member arena and the name table
+  /// (out-of-line string payloads included).
   size_t MemoryBytes() const;
 
  private:
-  MemberSetDictionary dict_;
-  DefaultInitVector<SetId> member_sets_;
-  DefaultInitVector<SetId> invalid_sets_;
+  DefaultInitVector<uint64_t> offsets_ = {0};
+  DefaultInitVector<TrajIndex> members_;
+  DefaultInitVector<InvalidMask> invalid_;
   DefaultInitVector<NameId> targets_;
   std::vector<std::string> names_;
   DefaultInitVector<double> similarity_;
@@ -207,23 +219,22 @@ struct GenerationStats {
 /// into its own CandidateSet. The block sets are then joined by
 /// CandidateSet::Concatenate in fixed block order and the stats folded in
 /// the same order, making every column bit-identical at every thread count
-/// and any claim schedule. No set is re-interned after the blocks finish:
-/// member sets never repeat across blocks (a member set's smallest element
-/// is the seed that roots it, and each seed belongs to one block), while an
-/// ivt set or target name used by two blocks is stored once per block. The
-/// pairwise-similarity memo caches a pure function of the two ID strings
-/// (cached and recomputed values are the same doubles); its table and the
-/// invalid-member buffer live in pool-owned per-thread scratch, reused
-/// across blocks instead of reallocated per shard. The schedule's
-/// footprint is reported in the sched_* stats fields.
+/// and any claim schedule. A target name used by two blocks is stored once
+/// per block. The pairwise-similarity memo caches a pure function of the
+/// two ID strings (cached and recomputed values are the same doubles); its
+/// table and the invalid-member buffer live in pool-owned per-thread
+/// scratch, reused across blocks instead of reallocated per shard. The
+/// schedule's footprint is reported in the sched_* stats fields.
 ///
 /// Rarity and effectiveness are *not* filled here — they depend on the full
 /// candidate set; call ComputeEffectiveness next.
 ///
-/// Errors: a shard that fails (today only via the `repair.generation.shard`
-/// failpoint) propagates through the TaskGroup's deterministic first-error
-/// rule and surfaces here as a non-OK Result; no partial candidate set is
-/// returned.
+/// Errors: options that fail RepairOptions::Validate (a joinable subset
+/// wider than kMaxRepairMembers could not be stored) return InvalidArgument
+/// before any work. A shard that fails (today only via the
+/// `repair.generation.shard` failpoint) propagates through the TaskGroup's
+/// deterministic first-error rule and surfaces here as a non-OK Result; no
+/// partial candidate set is returned.
 Result<CandidateSet> GenerateCandidates(
     const TrajectorySet& set, const TrajectoryGraph& gm,
     const PredicateEvaluator& pred, const RepairOptions& options,

@@ -1,7 +1,9 @@
 #ifndef IDREPAIR_REPAIR_OPTIONS_H_
 #define IDREPAIR_REPAIR_OPTIONS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "common/status.h"
 #include "exec/exec_options.h"
@@ -26,6 +28,12 @@ enum class RarityAggregation {
   kMax,  // alternative consistent with the paper's worked example (see
          // DESIGN.md §3); exposed for the ablation bench
 };
+
+/// Most trajectories one candidate repair can join: CandidateSet keeps
+/// ivt(R) as a 64-bit mask over the positions of jns(R). A joinable subset
+/// holds at most min(ζ, θ) trajectories (each has at least one record and
+/// the merged trajectory at most θ), so Validate() holds that bound here.
+inline constexpr size_t kMaxRepairMembers = 64;
 
 /// Tuning knobs of the two-phase repair paradigm. Defaults are the paper's
 /// synthetic-dataset defaults (§6.3); the real-dataset experiments use
@@ -91,6 +99,13 @@ struct RepairOptions {
   Status Validate() const {
     if (theta == 0) return Status::InvalidArgument("theta must be >= 1");
     if (zeta == 0) return Status::InvalidArgument("zeta must be >= 1");
+    if (std::min(zeta, theta) > kMaxRepairMembers) {
+      return Status::InvalidArgument(
+          "min(zeta=" + std::to_string(zeta) + ", theta=" +
+          std::to_string(theta) + ") exceeds the " +
+          std::to_string(kMaxRepairMembers) + " trajectories one repair "
+          "can join");
+    }
     if (eta < 0) return Status::InvalidArgument("eta must be >= 0");
     if (lambda <= 0.0 || lambda > 1.0) {
       return Status::InvalidArgument("lambda must be in (0, 1]");

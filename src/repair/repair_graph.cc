@@ -13,13 +13,47 @@ namespace idrepair {
 
 namespace {
 
+/// Per-trajectory cover index: the candidates whose joinable subset holds
+/// trajectory t are entries[offsets[t] .. offsets[t+1]), ascending.
+struct CoverIndex {
+  std::vector<uint64_t> offsets;
+  std::vector<RepairIndex> entries;
+
+  Span<const RepairIndex> Cover(TrajIndex t) const {
+    return Span<const RepairIndex>(entries.data() + offsets[t],
+                                   offsets[t + 1] - offsets[t]);
+  }
+};
+
+/// Counting pass sizes each trajectory's slot, then a fill pass appends
+/// candidates in ascending order (the row scan is ascending, so each list
+/// comes out sorted). Linear in total membership; serial.
+CoverIndex BuildCoverIndex(const CandidateSet& candidates, size_t num_trajs) {
+  CoverIndex cover;
+  cover.offsets.assign(num_trajs + 1, 0);
+  for (size_t r = 0; r < candidates.size(); ++r) {
+    for (TrajIndex t : candidates.members(r)) ++cover.offsets[t + 1];
+  }
+  for (size_t t = 0; t < num_trajs; ++t) {
+    cover.offsets[t + 1] += cover.offsets[t];
+  }
+  cover.entries.resize(cover.offsets[num_trajs]);
+  std::vector<uint64_t> cursor(cover.offsets.begin(), cover.offsets.end() - 1);
+  for (size_t r = 0; r < candidates.size(); ++r) {
+    for (TrajIndex t : candidates.members(r)) {
+      cover.entries[cursor[t]++] = static_cast<RepairIndex>(r);
+    }
+  }
+  return cover;
+}
+
 /// Fills the neighbor lists for vertices [begin, end) into `arena`, writing
 /// each vertex's degree into `degree`. N(v) is the sorted-unique union of
 /// the cover lists over v's members, minus v itself — a pure function of
-/// (candidates, covers, v), so the output is independent of how the vertex
+/// (candidates, cover, v), so the output is independent of how the vertex
 /// range is sharded. `scratch` is caller-owned so one buffer serves a whole
 /// shard.
-void BuildVertexRange(const CandidateSet& candidates, const RepairGraph& g,
+void BuildVertexRange(const CandidateSet& candidates, const CoverIndex& cover,
                       size_t begin, size_t end,
                       std::vector<RepairIndex>& arena,
                       std::vector<uint32_t>& degree,
@@ -27,7 +61,7 @@ void BuildVertexRange(const CandidateSet& candidates, const RepairGraph& g,
   for (size_t v = begin; v < end; ++v) {
     scratch.clear();
     for (TrajIndex t : candidates.members(v)) {
-      for (RepairIndex r : g.Cover(t)) {
+      for (RepairIndex r : cover.Cover(t)) {
         if (r != static_cast<RepairIndex>(v)) scratch.push_back(r);
       }
     }
@@ -44,28 +78,8 @@ Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
                                        size_t num_trajs,
                                        const ExecOptions& exec) {
   RepairGraph g;
-
-  // Cover CSR first: a counting pass sizes each trajectory's slot, then a
-  // fill pass appends candidates in ascending order (the row scan is
-  // ascending, so per-trajectory lists come out sorted). This pass is
-  // linear in total membership and stays serial.
-  g.cover_offsets_.assign(num_trajs + 1, 0);
-  for (size_t r = 0; r < candidates.size(); ++r) {
-    for (TrajIndex t : candidates.members(r)) ++g.cover_offsets_[t + 1];
-  }
-  for (size_t t = 0; t < num_trajs; ++t) {
-    g.cover_offsets_[t + 1] += g.cover_offsets_[t];
-  }
-  g.cover_entries_.resize(g.cover_offsets_[num_trajs]);
-  {
-    std::vector<uint64_t> cursor(g.cover_offsets_.begin(),
-                                 g.cover_offsets_.end() - 1);
-    for (size_t r = 0; r < candidates.size(); ++r) {
-      for (TrajIndex t : candidates.members(r)) {
-        g.cover_entries_[cursor[t]++] = static_cast<RepairIndex>(r);
-      }
-    }
-  }
+  g.num_trajs_ = num_trajs;
+  const CoverIndex cover = BuildCoverIndex(candidates, num_trajs);
 
   const int threads = exec.ResolvedThreads();
   auto shards = SplitRange(
@@ -89,7 +103,7 @@ Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
         obs::TraceSpan span("selection.gr.shard", shard);
         std::vector<RepairIndex>& scratch =
             pool->LocalScratch<std::vector<RepairIndex>>();
-        BuildVertexRange(candidates, g, begin, end, slot_arena[shard],
+        BuildVertexRange(candidates, cover, begin, end, slot_arena[shard],
                          degree, scratch);
         return Status::OK();
       }));

@@ -22,16 +22,14 @@ using RepairIndex = uint32_t;
 /// Storage is compressed sparse row (DESIGN.md §9): all neighbor lists live
 /// in one flat arena indexed by a per-vertex offset table, instead of one
 /// heap vector per vertex. Neighbors() returns a Span view into the arena —
-/// valid for the graph's lifetime, since a built graph is immutable. The
-/// per-trajectory cover index (which candidates touch trajectory t) is kept
-/// in a second CSR pair and exposed via Cover(), so selectors can probe
-/// conflicts by trajectory without rebuilding it.
+/// valid for the graph's lifetime, since a built graph is immutable.
 class RepairGraph {
  public:
   /// Builds Gr from the candidate set with the adjacency pass sharded over
   /// the exec pool. Shard boundaries never affect the result: each shard
   /// derives its vertex range's neighbor list as the sorted-unique union of
-  /// the shared (read-only) cover index over the vertex's members, so the
+  /// a shared (read-only) per-trajectory cover index over the vertex's
+  /// members — built once per call and dropped when Build returns — so the
   /// graph is byte-identical at any thread count; a single shard runs
   /// inline on the calling thread. Evaluates the "repair.selection.shard"
   /// failpoint once per shard, so a non-empty set hits it at least once at
@@ -53,21 +51,13 @@ class RepairGraph {
     return offsets_[v + 1] - offsets_[v];
   }
 
-  size_t num_trajs() const { return cover_offsets_.size() - 1; }
+  /// Trajectories the candidates' members index into (Build's num_trajs).
+  size_t num_trajs() const { return num_trajs_; }
 
-  /// Ascending list of candidates whose joinable subset contains trajectory
-  /// `t` — the cover index the adjacency was derived from.
-  Span<const RepairIndex> Cover(TrajIndex t) const {
-    return Span<const RepairIndex>(cover_entries_.data() + cover_offsets_[t],
-                                   cover_offsets_[t + 1] - cover_offsets_[t]);
-  }
-
-  /// Heap bytes of both CSR pairs (adjacency + cover index).
+  /// Heap bytes of the adjacency CSR.
   size_t MemoryBytes() const {
     return offsets_.capacity() * sizeof(uint64_t) +
-           neighbors_.capacity() * sizeof(RepairIndex) +
-           cover_offsets_.capacity() * sizeof(uint64_t) +
-           cover_entries_.capacity() * sizeof(RepairIndex);
+           neighbors_.capacity() * sizeof(RepairIndex);
   }
 
  private:
@@ -77,10 +67,7 @@ class RepairGraph {
   // offsets_[v+1]), sorted ascending.
   std::vector<uint64_t> offsets_ = {0};
   std::vector<RepairIndex> neighbors_;
-  // Cover CSR: candidates containing trajectory t are cover_entries_[
-  // cover_offsets_[t] .. cover_offsets_[t+1]), ascending.
-  std::vector<uint64_t> cover_offsets_ = {0};
-  std::vector<RepairIndex> cover_entries_;
+  size_t num_trajs_ = 0;
   size_t num_edges_ = 0;
 };
 

@@ -273,7 +273,6 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
 
   // ---- Apply: rewrite IDs and join (Definition 2.5) ----
   apply_selected();
-  result.candidates.Freeze();  // no further appends; shed the intern index
   result.stats.seconds_total = total.ElapsedSeconds();
   result.stats.cpu_seconds_total = total_cpu.ElapsedSeconds();
   if (obs::Enabled()) {

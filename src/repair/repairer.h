@@ -78,7 +78,7 @@ struct RepairStats {
 /// that only need a usable trajectory set can ignore it.
 struct RepairResult {
   /// Phase-1 output: every candidate repair with |ivt| >= 1, with rarity and
-  /// effectiveness filled in (columnar; set columns interned, DESIGN.md §9).
+  /// effectiveness filled in (columnar; members in one CSR, DESIGN.md §9).
   CandidateSet candidates;
   /// Phase-2 output: indices into `candidates`, ascending, compatible.
   std::vector<RepairIndex> selected;
@@ -167,8 +167,8 @@ class IdRepairer : public Repairer {
 };
 
 /// Applies `rewrites` to the records of `set` and regroups, yielding the
-/// merged (joined) trajectory set. Exposed separately so baselines and the
-/// streaming repairer can share it.
+/// merged (joined) trajectory set. Exposed separately so the baseline
+/// engines share it.
 TrajectorySet ApplyRewrites(
     const TrajectorySet& set,
     const std::unordered_map<TrajIndex, std::string>& rewrites);

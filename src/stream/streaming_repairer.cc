@@ -75,6 +75,20 @@ struct StreamInstruments {
   }
 };
 
+/// A free slot of `arena`: the most recently retired one, else a new slot
+/// at the end. Retired slots are reset when freed, so a claimed slot is
+/// always default-constructed.
+template <typename T>
+uint32_t Claim(std::vector<T>& arena, std::vector<uint32_t>& free) {
+  if (!free.empty()) {
+    uint32_t slot = free.back();
+    free.pop_back();
+    return slot;
+  }
+  arena.emplace_back();
+  return static_cast<uint32_t>(arena.size() - 1);
+}
+
 }  // namespace
 
 StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
@@ -130,9 +144,9 @@ Status StreamingRepairer::Append(const TrackingRecord& record) {
 }
 
 uint32_t StreamingRepairer::NewFragment(const TrackingRecord& record) {
-  uint32_t handle = static_cast<uint32_t>(frags_.size());
-  frags_.push_back(
-      Fragment{record.id, {TrajectoryPoint{record.loc, record.ts}}});
+  uint32_t handle = Claim(frags_, free_frags_);
+  frags_[handle] =
+      Fragment{record.id, {TrajectoryPoint{record.loc, record.ts}}};
   frag_by_id_.emplace(record.id, handle);
   // The new fragment starts at the watermark, so it either chains onto the
   // newest component (start gap <= η) or opens the next one. Components
@@ -145,9 +159,8 @@ uint32_t StreamingRepairer::NewFragment(const TrackingRecord& record) {
     comp.frags.push_back(handle);
     comp.max_start = std::max(comp.max_start, record.ts);
   } else {
-    cid = static_cast<uint32_t>(components_.size());
-    components_.emplace_back();
-    Component& comp = components_.back();
+    cid = Claim(components_, free_components_);
+    Component& comp = components_[cid];
     comp.frags.push_back(handle);
     comp.min_start = record.ts;
     comp.max_start = record.ts;
@@ -293,8 +306,8 @@ void StreamingRepairer::RetireFragments(
     Fragment& frag = frags_[h];
     frag_by_id_.erase(frag.id);
     pending_records_ -= frag.points.size();
-    frag.points.clear();
-    frag.points.shrink_to_fit();
+    frag = Fragment();
+    free_frags_.push_back(h);
   }
   Component& comp = components_[component];
   comp.frags.erase(
@@ -307,6 +320,8 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
   if (components_[component].frags.empty()) {
     live_.erase(std::remove(live_.begin(), live_.end(), component),
                 live_.end());
+    components_[component] = Component();
+    free_components_.push_back(component);
     return;
   }
   // Retirement can sever a chain: regroup the remainder at > η start gaps.
@@ -333,8 +348,7 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
   for (size_t g = 0; g < groups.size(); ++g) {
     uint32_t cid = component;
     if (g > 0) {
-      cid = static_cast<uint32_t>(components_.size());
-      components_.emplace_back();
+      cid = Claim(components_, free_components_);
       live_.insert(live_.begin() + static_cast<ptrdiff_t>(pos + g), cid);
     }
     Component& comp = components_[cid];
@@ -353,8 +367,10 @@ std::vector<TrackingRecord> StreamingRepairer::TakeAllRecords() {
     }
   }
   frags_.clear();
+  free_frags_.clear();
   frag_by_id_.clear();
   components_.clear();
+  free_components_.clear();
   live_.clear();
   pending_records_ = 0;
   return records;

@@ -129,6 +129,11 @@ class StreamingRepairer : public Repairer {
   size_t appends_rejected() const { return appends_rejected_; }
   size_t poll_count() const { return polls_; }
 
+  /// Fragment plus component slots held, live and free. Retired slots are
+  /// reused, so this tracks the peak of live fragments and components, not
+  /// every fragment the stream ever opened.
+  size_t state_slots() const { return frags_.size() + components_.size(); }
+
   /// One repaired window, captured for the batch-equivalence differential
   /// tier: `records` is exactly what the engine repaired together and
   /// `repaired` the pipeline's output over them, so a test can replay
@@ -147,7 +152,8 @@ class StreamingRepairer : public Repairer {
 
  private:
   /// One live trajectory fragment: the records of one observed ID still in
-  /// the window, in arrival (= time) order. Retired once `points` is empty.
+  /// the window, in arrival (= time) order. A retired fragment's slot is
+  /// reset and reused by the next new one.
   struct Fragment {
     std::string id;
     std::vector<TrajectoryPoint> points;
@@ -182,14 +188,16 @@ class StreamingRepairer : public Repairer {
   void Flush(uint32_t component, Timestamp cut, bool forced,
              std::vector<Trajectory>* out);
 
-  /// Removes fragments from the stream and their component.
+  /// Removes fragments from the stream and their component, freeing their
+  /// slots.
   void RetireFragments(uint32_t component,
                        const std::vector<uint32_t>& handles);
 
   /// Re-derives the component's start envelope after retirement and splits
   /// it where consecutive start gaps exceed η (retirement can sever a
   /// chain). New components slot into live_ right after the original so
-  /// start order is preserved.
+  /// start order is preserved. A component left with no fragment leaves
+  /// live_ and frees its slot.
   void SplitComponent(uint32_t component);
 
   /// Drains every pending record (any order) and resets all incremental
@@ -211,8 +219,10 @@ class StreamingRepairer : public Repairer {
   IdRepairer inner_;
 
   std::vector<Fragment> frags_;
+  std::vector<uint32_t> free_frags_;  // retired slots of frags_
   std::unordered_map<std::string, uint32_t> frag_by_id_;  // alive only
   std::vector<Component> components_;
+  std::vector<uint32_t> free_components_;  // retired slots of components_
   std::vector<uint32_t> live_;  // alive components, ascending start
 
   size_t generation_runs_ = 0;

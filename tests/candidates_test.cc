@@ -433,10 +433,9 @@ void ExpectSameRows(const CandidateSet& got, const CandidateSet& want) {
   }
 }
 
-// Blocks shaped like the generator's: member sets never repeat across
-// blocks (each block's sets hold its own smallest seed), but ivt sets and
-// target names do, and some blocks root no candidate at all — at the
-// start, in the middle and at the end.
+// Blocks shaped like the generator's: target names repeat across blocks,
+// ivt(R) ranges from one member to all of them, and some blocks root no
+// candidate at all — at the start, in the middle and at the end.
 std::vector<std::vector<RowSpec>> ConcatenationStream() {
   return {
       {},
@@ -448,7 +447,7 @@ std::vector<std::vector<RowSpec>> ConcatenationStream() {
       {{{1, 2}, {1}, "alpha", 0.75, 4, 2.0},
        {{1, 3}, {1, 3}, "a-twenty-char-target", 0.5, 1, 1.5}},
       {{{2, 3}, {2, 3}, "charlie", 1.0, 2, 1.0},
-       {{2, 4}, {1, 3}, "alpha", 0.375, 5, 0.25}},
+       {{2, 4}, {4}, "alpha", 0.375, 5, 0.25}},
       {},
   };
 }
@@ -466,37 +465,29 @@ TEST(CandidateConcatenationTest, EqualsRowByRowAppendOfTheSameStream) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::vector<CandidateSet> blocks;
-    size_t block_sets = 0;
-    for (const auto& rows : stream) {
-      blocks.push_back(BuildBlock(rows));
-      block_sets += blocks.back().dict().num_sets();
-    }
+    for (const auto& rows : stream) blocks.push_back(BuildBlock(rows));
     auto joined = CandidateSet::Concatenate(std::move(blocks), threads);
     ASSERT_TRUE(joined.ok()) << joined.status();
     EXPECT_TRUE(blocks.empty());
     ExpectSameRows(*joined, reference);
 
-    // No re-interning: every block's sets are kept, so the ivt sets {1}
-    // and {1, 3} that two blocks share are pooled twice.
-    EXPECT_EQ(joined->dict().num_sets(), block_sets);
-    EXPECT_EQ(reference.dict().num_sets() + 2, block_sets);
-
-    // Freeze leaves every row readable and, with no dedup index left to
-    // shed, the footprint unchanged; that footprint is exactly the content,
-    // since each column was sized once.
-    size_t bytes = joined->MemoryBytes();
-    joined->Freeze();
-    ExpectSameRows(*joined, reference);
-    EXPECT_EQ(joined->MemoryBytes(), bytes);
+    // Each column was sized once, so the footprint is exactly the content:
+    // per row an end offset, an ivt mask, a name id and the three scores;
+    // the leading zero offset; every member once in the arena; and each
+    // block's names (a name two blocks share is stored twice).
+    size_t entries = 0;
+    for (size_t r = 0; r < reference.size(); ++r) {
+      entries += reference.num_members(r);
+    }
+    EXPECT_EQ(joined->member_entries(), entries);
     size_t names = 6;  // alpha, bravo | alpha, twenty | charlie, alpha
     size_t rows = reference.size();
     size_t content =
-        rows * (2 * sizeof(CandidateSet::SetId) +
+        rows * (sizeof(uint64_t) + sizeof(CandidateSet::InvalidMask) +
                 sizeof(CandidateSet::NameId) + 2 * sizeof(double) +
                 sizeof(uint32_t)) +
-        names * sizeof(std::string) + (20 + 1) +
-        joined->dict().pool_entries() * sizeof(TrajIndex) +
-        (joined->dict().num_sets() + 1) * sizeof(uint64_t);
+        sizeof(uint64_t) + entries * sizeof(TrajIndex) +
+        names * sizeof(std::string) + (20 + 1);
     EXPECT_EQ(joined->MemoryBytes(), content);
   }
 }
@@ -530,6 +521,56 @@ TEST(CandidateConcatenationTest, LargeBlocksCopiedOnThePoolMatchAppend) {
   auto joined = CandidateSet::Concatenate(std::move(blocks), 4);
   ASSERT_TRUE(joined.ok()) << joined.status();
   ExpectSameRows(*joined, reference);
+}
+
+// ivt(R) is a mask over member positions: a row of kMaxRepairMembers
+// members, with the first, the last and every position in between marked
+// in some row, comes back exactly through Append and through Concatenate.
+TEST(CandidateConcatenationTest, FullWidthMasksRoundTrip) {
+  std::vector<TrajIndex> members(kMaxRepairMembers);
+  for (size_t k = 0; k < members.size(); ++k) {
+    members[k] = static_cast<TrajIndex>(3 * k + 1);
+  }
+  std::vector<std::vector<TrajIndex>> invalid_sets = {
+      members,
+      {members.front()},
+      {members.back()},
+      {members[0], members[31], members[32], members[63]},
+  };
+  std::vector<TrajIndex> odd;
+  for (size_t k = 1; k < members.size(); k += 2) odd.push_back(members[k]);
+  invalid_sets.push_back(odd);
+
+  std::vector<std::vector<RowSpec>> stream(3);
+  for (size_t i = 0; i < invalid_sets.size(); ++i) {
+    stream[i % 2 == 0 ? 0 : 2].push_back(
+        {members, invalid_sets[i], "wide", 0.5, 1, 0.5});
+  }
+  CandidateSet reference;
+  std::vector<std::vector<TrajIndex>> want_invalid;
+  for (const auto& rows : stream) {
+    for (const RowSpec& row : rows) {
+      size_t r = reference.Append(row.members, row.invalid, row.target,
+                                  row.similarity);
+      reference.set_scores(r, row.rarity, row.effectiveness);
+      want_invalid.push_back(row.invalid);
+    }
+  }
+  ASSERT_EQ(reference.size(), want_invalid.size());
+  for (size_t r = 0; r < reference.size(); ++r) {
+    EXPECT_EQ(reference.members(r), members) << "row " << r;
+    EXPECT_EQ(reference.invalid_members(r), want_invalid[r]) << "row " << r;
+    EXPECT_EQ(reference.num_invalid(r), want_invalid[r].size());
+  }
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<CandidateSet> blocks;
+    for (const auto& rows : stream) blocks.push_back(BuildBlock(rows));
+    auto joined = CandidateSet::Concatenate(std::move(blocks), threads);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    ExpectSameRows(*joined, reference);
+  }
 }
 
 TEST(CandidateConcatenationTest, OneNonEmptyBlockIsMovedAndEmptyBlocksVanish) {

@@ -351,19 +351,6 @@ TEST(FlatHash64MapTest, SurvivesGrowthAcrossAdversarialKeys) {
   }
 }
 
-TEST(FlatHash64MapTest, ClearReleasesAllStorage) {
-  FlatHash64Map<uint32_t> map;
-  for (uint64_t k = 0; k < 100; ++k) map.Insert(k + 7, uint32_t(k));
-  EXPECT_GT(map.MemoryBytes(), 0u);
-  map.Clear();
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(map.MemoryBytes(), 0u);
-  EXPECT_EQ(map.Find(7), nullptr);
-  map.Insert(7, 9);  // usable again after Clear
-  ASSERT_NE(map.Find(7), nullptr);
-  EXPECT_EQ(*map.Find(7), 9u);
-}
-
 // --------------------------------------------------------- DynamicBitset
 
 TEST(DynamicBitsetTest, SetTestResetAcrossWordBoundaries) {

@@ -347,7 +347,7 @@ TEST(GenerationOracleTest, CandidatesAreExactlyTheJoinableSubsetsWithAnIvt) {
             for (size_t r = 0; r < generated->size(); ++r) {
               std::vector<TrajIndex> members =
                   generated->members(r).ToVector();
-              Row row{members, generated->invalid_members(r).ToVector(),
+              Row row{members, generated->invalid_members(r),
                       generated->target_id(r), generated->similarity(r)};
               EXPECT_TRUE(got.emplace(members, row).second)
                   << "member set emitted twice";

@@ -227,6 +227,25 @@ TEST(RepairerTest, InvalidOptionsAreRejected) {
   EXPECT_FALSE(IdRepairer(graph, options).Repair(set).ok());
 }
 
+// A repair joins at most min(ζ, θ) trajectories, and CandidateSet's ivt
+// mask has kMaxRepairMembers bits: the bound is accepted at the width and
+// rejected one past it, naming both values.
+TEST(RepairerTest, JoinableSubsetBoundIsHeldToTheMaskWidth) {
+  RepairOptions options;
+  options.zeta = kMaxRepairMembers;
+  options.theta = kMaxRepairMembers;
+  EXPECT_TRUE(options.Validate().ok()) << options.Validate();
+  options.zeta = kMaxRepairMembers + 1;
+  EXPECT_TRUE(options.Validate().ok()) << "theta alone bounds the subset";
+  options.theta = kMaxRepairMembers + 1;
+  Status wide = options.Validate();
+  EXPECT_EQ(wide.code(), StatusCode::kInvalidArgument) << wide;
+  EXPECT_NE(wide.message().find("zeta=65"), std::string::npos) << wide;
+  EXPECT_NE(wide.message().find("theta=65"), std::string::npos) << wide;
+  options.zeta = 4;
+  EXPECT_TRUE(options.Validate().ok()) << "zeta alone bounds the subset";
+}
+
 TEST(RepairerTest, InvalidGraphIsRejected) {
   TransitionGraph graph;  // empty
   TrajectorySet set;

@@ -1,17 +1,17 @@
 // Batch-equivalence differential tier for the incremental streaming engine.
 //
 // The StreamingRepairer maintains its window state record by record
-// (fragments, chain components, per-component cached repairs) and repairs
-// each window it emits through IdRepairer::Repair; the contract making that
-// safe is that every repair it runs over a window of records is
-// *byte-identical* to what a fresh batch IdRepairer produces over exactly
-// those records — the right windows, the right records in each, and no
-// stale cached repair. This suite pins that contract window by window —
-// the engine captures each (records, repaired) pair it processes and we
-// replay every window through a fresh batch pipeline — across graph shapes,
-// eviction patterns, and thread counts, and locks the amortized-cost claim
-// (settled components are never regenerated) with the generation-run
-// counter.
+// (fragments as point lists, chain components with dirty flags) and
+// repairs each window it flushes through IdRepairer::Repair, recomputing
+// every window; the contract making that safe is that every repair it runs
+// over a window of records is *byte-identical* to what a fresh batch
+// IdRepairer produces over exactly those records — the right windows and
+// the right records in each. This suite pins that contract window by
+// window — the engine captures each (records, repaired) pair it processes
+// and we replay every window through a fresh batch pipeline — across graph
+// shapes, eviction patterns, and thread counts, and locks the
+// amortized-cost claim (settled components are never regenerated) with
+// the generation-run counter.
 
 #include <gtest/gtest.h>
 

@@ -326,6 +326,48 @@ TEST(StreamingRepairerTest, ObsRecordsPollsAndLatency) {
   EXPECT_EQ(emitted_total, emitted.size());
 }
 
+// A stream that polls but never finishes must not keep a slot for every
+// fragment and component it ever opened: steady traffic over ~150 η,
+// polled every η, with a quiet gap every 50 vehicles so both settled and
+// horizon-forced flushes retire state. The held slots stay bounded by the
+// live fragments (each holds a pending record; each live component holds
+// a live fragment).
+TEST(StreamingRepairerTest, PollOnlyStreamReusesRetiredSlots) {
+  TransitionGraph graph = MakePaperExampleGraph();
+  RepairOptions options = RunningExampleOptions();  // η = 1200
+  StreamingRepairer stream(graph, options);
+  std::vector<TrackingRecord> records;
+  constexpr size_t kVehicles = 600;
+  Timestamp start = 0;
+  for (size_t v = 0; v < kVehicles; ++v) {
+    start += (v % 50 == 49) ? 3 * options.eta : 300;
+    std::string id = "veh" + std::to_string(v);
+    records.push_back({id, 2, start});
+    records.push_back({id, 3, start + 100});
+    records.push_back({id, 4, start + 200});
+  }
+  std::sort(records.begin(), records.end(), RecordChronoLess);
+
+  size_t peak_pending = 0;
+  size_t emitted = 0;
+  Timestamp last_poll = records.front().ts;
+  for (const TrackingRecord& r : records) {
+    ASSERT_TRUE(stream.Append(r).ok());
+    peak_pending = std::max(peak_pending, stream.pending_records());
+    if (stream.watermark() - last_poll > options.eta) {
+      emitted += stream.Poll().size();
+      last_poll = stream.watermark();
+      ASSERT_LE(stream.state_slots(), 2 * peak_pending)
+          << "after poll " << stream.poll_count();
+    }
+  }
+  ASSERT_GT(stream.poll_count(), 100u);
+  // Most vehicles have left, so a slot per fragment ever opened would
+  // exceed the bound many times over.
+  EXPECT_GT(emitted, kVehicles - peak_pending);
+  EXPECT_GT(kVehicles, 4 * peak_pending);
+}
+
 TEST(StreamingRepairerTest, FinishOnEmptyStream) {
   TransitionGraph graph = MakePaperExampleGraph();
   StreamingRepairer stream(graph, RunningExampleOptions());
