@@ -7,13 +7,11 @@
 //      superlinearly; with LIG it is near-linear.
 //  (b) whole-repair running time with vs. without minimum-cover-prefix
 //      pruning — the paper reports ~30% savings.
-//  (c) beyond the paper: candidate-generation thread scaling on a single
-//      giant chain component (the scaled real-like hour is one dense
-//      component), with a bit-identical-output check at every width.
+//
+// Generation thread scaling on one giant chain component, with its
+// identity check, is bench_scaling's "Single giant chain component" table.
 
-#include <algorithm>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -116,60 +114,5 @@ int main() {
               Fmt(saving * 100, 1) + "%", Fmt(cut * 100, 1) + "%"});
   }
 
-  report.Title("Fig 14(c, ext): candidate generation thread scaling, "
-             "single giant component");
-  {
-    auto ds = MakeScaledRealLikeDataset(4000);
-    if (!ds.ok()) {
-      std::cerr << "generation failed: " << ds.status() << "\n";
-      return 1;
-    }
-    TrajectorySet set = ds->BuildObservedTrajectories();
-    report.Header({"threads", "gen_ms", "gen_cpu_ms", "gen_speedup", "total_ms",
-                 "identical"});
-    double base_gen = 0.0;
-    // RepairResult is move-only; keep only the fields compared below.
-    std::unordered_map<TrajIndex, std::string> reference_rewrites;
-    std::vector<RepairIndex> reference_selected;
-    double reference_omega = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
-      RepairOptions o = Defaults();
-      o.exec.num_threads = threads;
-      IdRepairer repairer(ds->graph, o);
-
-      double best_gen = 0.0;
-      Result<RepairResult> result = Status::Internal("never ran");
-      for (int rep = 0; rep < kRepetitions; ++rep) {
-        auto r = repairer.Repair(set);
-        if (!r.ok()) {
-          std::cerr << "repair failed: " << r.status() << "\n";
-          return 1;
-        }
-        if (rep == 0 || r->stats.seconds_generation < best_gen) {
-          best_gen = r->stats.seconds_generation;
-          result = std::move(r);
-        }
-      }
-      if (threads == 1) {
-        base_gen = best_gen;
-        reference_rewrites = result->rewrites;
-        reference_selected = result->selected;
-        reference_omega = result->total_effectiveness;
-      }
-      bool identical = result->rewrites == reference_rewrites &&
-                       result->selected == reference_selected &&
-                       result->total_effectiveness == reference_omega;
-      report.Row({std::to_string(threads), FmtMs(best_gen),
-                FmtMs(result->stats.cpu_seconds_generation),
-                FmtRatio(base_gen / std::max(best_gen, 1e-9)),
-                FmtMs(result->stats.seconds_total),
-                identical ? "yes" : "NO (BUG)"});
-      if (!identical) return 1;
-    }
-    std::cout << "\n(hardware threads available here: "
-              << std::thread::hardware_concurrency()
-              << "; the hour-long real-like window is one chain component, "
-                 "so this isolates intra-component seed sharding)\n";
-  }
   return 0;
 }

@@ -46,7 +46,8 @@ int main() {
     }
     auto m1 = EvaluateRewrites(truth, set, core->rewrites);
 
-    IdSimilarityRepairer sim_baseline(/*max_edit_distance=*/3);
+    IdSimilarityRepairer sim_baseline(ds->graph, options,
+                                      /*max_edit_distance=*/3);
     auto sim = sim_baseline.Repair(set);
     if (!sim.ok()) {
       std::cerr << "sim baseline failed: " << sim.status() << "\n";

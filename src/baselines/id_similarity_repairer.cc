@@ -3,8 +3,6 @@
 #include <numeric>
 #include <vector>
 
-#include "common/stopwatch.h"
-#include "obs/metrics.h"
 #include "repair/candidates.h"
 #include "repair/repairer.h"
 #include "sim/edit_distance.h"
@@ -13,37 +11,6 @@
 namespace idrepair {
 
 namespace {
-
-/// Baseline instrumentation, the same attempted/completed/work scheme the
-/// candidate-based engines emit so chaos runs can compare them uniformly.
-/// All counters are pure functions of the input (kStable).
-struct IdSimInstruments {
-  obs::Counter* attempts;
-  obs::Counter* completed;
-  obs::Counter* pairs;
-  obs::Counter* rewrites;
-
-  static IdSimInstruments& Get() {
-    static IdSimInstruments* m = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      auto* bi = new IdSimInstruments();
-      bi->attempts = reg.GetCounter(
-          "idrepair_baseline_idsim_attempts_total", obs::Stability::kStable,
-          "IdSimilarityRepairer Repair() entries (attempted)");
-      bi->completed = reg.GetCounter(
-          "idrepair_baseline_idsim_runs_total", obs::Stability::kStable,
-          "IdSimilarityRepairer Repair() runs completed");
-      bi->pairs = reg.GetCounter(
-          "idrepair_baseline_idsim_pairs_total", obs::Stability::kStable,
-          "ID pairs compared by the edit-distance clustering pass");
-      bi->rewrites = reg.GetCounter(
-          "idrepair_baseline_idsim_rewrites_total", obs::Stability::kStable,
-          "Trajectory ID rewrites applied by IdSimilarityRepairer");
-      return bi;
-    }();
-    return *m;
-  }
-};
 
 class UnionFind {
  public:
@@ -67,17 +34,14 @@ class UnionFind {
 
 Result<RepairResult> IdSimilarityRepairer::Repair(
     const TrajectorySet& set) const {
-  if (obs::Enabled()) IdSimInstruments::Get().attempts->Increment();
-  Stopwatch watch;
+  RunRecorder recorder("baseline_idsim", set, options_.exec);
+  recorder.Validity(*graph_);  // reported only: the baseline ignores Gt
   RepairResult result;
-  result.stats.num_trajectories = set.size();
   size_t n = set.size();
-  size_t pairs = 0;
   UnionFind uf(n);
   for (TrajIndex i = 0; i < n; ++i) {
     const std::string& a = set.at(i).id();
     for (TrajIndex j = i + 1; j < n; ++j) {
-      ++pairs;
       const std::string& b = set.at(j).id();
       if (EditDistanceBounded(a, b, max_edit_distance_) <=
           max_edit_distance_) {
@@ -101,13 +65,7 @@ Result<RepairResult> IdSimilarityRepairer::Repair(
     }
   }
   result.repaired = ApplyRewrites(set, result.rewrites);
-  result.stats.seconds_total = watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    IdSimInstruments& inst = IdSimInstruments::Get();
-    inst.pairs->Increment(pairs);
-    inst.rewrites->Increment(result.rewrites.size());
-    inst.completed->Increment();
-  }
+  recorder.Finish(&result);
   return result;
 }
 

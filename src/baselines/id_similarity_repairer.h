@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <string_view>
+#include <utility>
 
+#include "graph/transition_graph.h"
+#include "repair/options.h"
 #include "repair/repairer.h"
 #include "traj/trajectory_set.h"
 
@@ -16,18 +19,27 @@ namespace idrepair {
 /// length-weighted rule as the core pipeline (Eq. 5). No movement
 /// constraints are consulted — that is the point of the comparison.
 ///
-/// As a Repairer it fills rewrites/repaired/timing only (no candidate
-/// list — the baseline has no notion of one).
+/// As a Repairer it fills rewrites/repaired/stats only (no candidate list
+/// — the baseline has no notion of one). It takes the graph and options
+/// every engine is built from, for its stats alone: num_invalid counts the
+/// IVTs on `graph` and threads_used reports `options.exec`, so the four
+/// engines describe one input alike.
 class IdSimilarityRepairer : public Repairer {
  public:
-  explicit IdSimilarityRepairer(size_t max_edit_distance = 3)
-      : max_edit_distance_(max_edit_distance) {}
+  /// The graph must outlive the repairer.
+  IdSimilarityRepairer(const TransitionGraph& graph, RepairOptions options,
+                       size_t max_edit_distance = 3)
+      : graph_(&graph),
+        options_(std::move(options)),
+        max_edit_distance_(max_edit_distance) {}
 
   Result<RepairResult> Repair(const TrajectorySet& set) const override;
 
   std::string_view name() const override { return "idsim"; }
 
  private:
+  const TransitionGraph* graph_;
+  RepairOptions options_;
   size_t max_edit_distance_;
 };
 

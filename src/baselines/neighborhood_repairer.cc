@@ -4,8 +4,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/stopwatch.h"
-#include "obs/metrics.h"
 #include "repair/predicates.h"
 #include "repair/repairer.h"
 #include "repair/trajectory_graph.h"
@@ -13,56 +11,16 @@
 
 namespace idrepair {
 
-namespace {
-
-/// Baseline instrumentation, the same attempted/completed/work scheme the
-/// candidate-based engines emit so chaos runs can compare them uniformly.
-/// All counters are pure functions of the input (kStable).
-struct NeighborhoodInstruments {
-  obs::Counter* attempts;
-  obs::Counter* completed;
-  obs::Counter* candidates;
-  obs::Counter* rewrites;
-
-  static NeighborhoodInstruments& Get() {
-    static NeighborhoodInstruments* m = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      auto* bi = new NeighborhoodInstruments();
-      bi->attempts = reg.GetCounter(
-          "idrepair_baseline_neighborhood_attempts_total",
-          obs::Stability::kStable,
-          "NeighborhoodRepairer Repair() entries (attempted)");
-      bi->completed = reg.GetCounter(
-          "idrepair_baseline_neighborhood_runs_total",
-          obs::Stability::kStable,
-          "NeighborhoodRepairer Repair() runs completed");
-      bi->candidates = reg.GetCounter(
-          "idrepair_baseline_neighborhood_candidates_total",
-          obs::Stability::kStable,
-          "Isolated-rewrite candidates passing the binary neighborhood "
-          "constraint");
-      bi->rewrites = reg.GetCounter(
-          "idrepair_baseline_neighborhood_rewrites_total",
-          obs::Stability::kStable,
-          "Trajectory ID rewrites applied by NeighborhoodRepairer");
-      return bi;
-    }();
-    return *m;
-  }
-};
-
-}  // namespace
-
 Result<RepairResult> NeighborhoodRepairer::Repair(
     const TrajectorySet& set) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
-  if (obs::Enabled()) NeighborhoodInstruments::Get().attempts->Increment();
-  Stopwatch watch;
+  RunRecorder recorder("baseline_neighborhood", set, options_.exec);
+  const std::vector<bool> is_valid = recorder.Validity(*graph_);
   RepairResult result;
-  result.stats.num_trajectories = set.size();
 
   PredicateEvaluator pred(*graph_, options_.theta, options_.eta);
   TrajectoryGraph gm(set, pred, options_);
+  result.stats.gm_edges = gm.num_edges();
 
   // Candidate isolated rewrites: relabel dirty vertex v to neighbor w's
   // label, valid only when the *pair* v+w merges into a valid trajectory
@@ -75,7 +33,7 @@ Result<RepairResult> NeighborhoodRepairer::Repair(
   };
   std::vector<Candidate> rewrites;
   for (TrajIndex v = 0; v < set.size(); ++v) {
-    if (set.at(v).IsValid(*graph_)) continue;
+    if (is_valid[v]) continue;
     for (TrajIndex w : gm.Neighbors(v)) {
       const Trajectory* pair[] = {&set.at(v), &set.at(w)};
       if (!pred.Jnb(pair)) continue;
@@ -97,14 +55,9 @@ Result<RepairResult> NeighborhoodRepairer::Repair(
     const std::string& label = set.at(c.donor).id();
     if (set.at(c.vertex).id() != label) result.rewrites[c.vertex] = label;
   }
+  result.stats.num_candidates = rewrites.size();
   result.repaired = ApplyRewrites(set, result.rewrites);
-  result.stats.seconds_total = watch.ElapsedSeconds();
-  if (obs::Enabled()) {
-    NeighborhoodInstruments& inst = NeighborhoodInstruments::Get();
-    inst.candidates->Increment(rewrites.size());
-    inst.rewrites->Increment(result.rewrites.size());
-    inst.completed->Increment();
-  }
+  recorder.Finish(&result);
   return result;
 }
 

@@ -35,8 +35,8 @@ namespace idrepair {
 ///  (3) minimum change can prefer a cheap wrong donor over the right
 ///      repair that a global view would pick.
 ///
-/// As a Repairer it fills rewrites/repaired/timing only (no candidate
-/// list — the baseline has no notion of one).
+/// As a Repairer it fills rewrites/repaired/stats only (no candidate list;
+/// num_candidates counts the isolated rewrites that pass the constraint).
 class NeighborhoodRepairer : public Repairer {
  public:
   /// `options` supplies the θ/η bounds used to build the instance graph

@@ -6,6 +6,14 @@
 
 namespace idrepair {
 
+void Dataset::SortChronological() {
+  std::sort(records.begin(), records.end(),
+            [](const GroundTruthRecord& a, const GroundTruthRecord& b) {
+              return std::tie(a.ts, a.loc, a.true_id) <
+                     std::tie(b.ts, b.loc, b.true_id);
+            });
+}
+
 std::vector<TrackingRecord> Dataset::ObservedRecords() const {
   std::vector<TrackingRecord> out;
   out.reserve(records.size());

@@ -53,6 +53,10 @@ struct Dataset {
 
   /// Fraction of records whose observed ID differs from the true ID.
   double RecordErrorRate() const;
+
+  /// Sorts `records` by (timestamp, location, true ID), the order the
+  /// bundled generators emit.
+  void SortChronological();
 };
 
 /// Builds a labeled dataset from two parallel record files: the observed

@@ -1,25 +1,11 @@
 #include "gen/synthetic.h"
 
-#include <algorithm>
-#include <tuple>
 #include <unordered_set>
 
 #include "gen/id_generator.h"
 #include "graph/paths.h"
 
 namespace idrepair {
-
-namespace {
-
-void SortChronological(std::vector<GroundTruthRecord>& records) {
-  std::sort(records.begin(), records.end(),
-            [](const GroundTruthRecord& a, const GroundTruthRecord& b) {
-              return std::tie(a.ts, a.loc, a.true_id) <
-                     std::tie(b.ts, b.loc, b.true_id);
-            });
-}
-
-}  // namespace
 
 Status SyntheticConfig::Validate() const {
   if (record_error_rate < 0.0 || record_error_rate > 1.0) {
@@ -97,7 +83,7 @@ Result<Dataset> GenerateCleanDataset(const TransitionGraph& graph,
       dataset.records.push_back(GroundTruthRecord{id, id, path[i], ts});
     }
   }
-  SortChronological(dataset.records);
+  dataset.SortChronological();
   return dataset;
 }
 

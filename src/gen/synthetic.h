@@ -56,14 +56,6 @@ struct SyntheticConfig {
   /// Generation entry points call this, so a typo'd config fails loudly
   /// instead of silently producing a degenerate dataset.
   Status Validate() const;
-
-  /// Validate() as a terminal step that returns the config by value:
-  ///   auto config = raw_config.Validated();
-  ///   if (!config.ok()) return config.status();
-  Result<SyntheticConfig> Validated() const {
-    IDREPAIR_RETURN_NOT_OK(Validate());
-    return *this;
-  }
 };
 
 /// Samples `config.num_trajectories` error-free trajectories on `graph`:

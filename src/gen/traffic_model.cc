@@ -11,18 +11,6 @@
 
 namespace idrepair {
 
-namespace {
-
-void SortChronological(std::vector<GroundTruthRecord>& records) {
-  std::sort(records.begin(), records.end(),
-            [](const GroundTruthRecord& a, const GroundTruthRecord& b) {
-              return std::tie(a.ts, a.loc, a.true_id) <
-                     std::tie(b.ts, b.loc, b.true_id);
-            });
-}
-
-}  // namespace
-
 Status TrafficConfig::Validate() const {
   if (num_trips == 0) {
     return Status::InvalidArgument("num_trips must be positive");
@@ -203,7 +191,7 @@ Result<Dataset> GenerateTraffic(const RoadNetwork& network,
     }
     parked.push_back(ParkedVehicle{ts + config.min_park_seconds, std::move(id)});
   }
-  SortChronological(dataset.records);
+  dataset.SortChronological();
   return dataset;
 }
 

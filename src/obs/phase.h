@@ -2,8 +2,6 @@
 #define IDREPAIR_OBS_PHASE_H_
 
 #include "common/stopwatch.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace idrepair {
@@ -13,35 +11,29 @@ namespace obs {
 /// On destruction it
 ///   1. adds elapsed wall seconds to *wall_seconds (a RepairStats field),
 ///   2. adds elapsed process-CPU seconds to *cpu_seconds (optional),
-///   3. observes the wall time into `histogram` (optional, only when obs
-///      is enabled),
-///   4. closes a trace span named `name` (only when obs is enabled).
+///   3. closes a trace span named `name` (only when obs is enabled).
 /// Steps 1–2 always run — RepairStats keeps its timings whether or not
-/// observability is on; the obs sinks just see the same measurement.
+/// observability is on. The phase histograms are not fed here: RunRecorder
+/// folds the finished RepairStats fields into them, so each number is
+/// measured once and recorded once.
 class PhaseScope {
  public:
   PhaseScope(const char* name, double* wall_seconds,
-             double* cpu_seconds = nullptr, Histogram* histogram = nullptr)
-      : wall_out_(wall_seconds),
-        cpu_out_(cpu_seconds),
-        histogram_(histogram),
-        span_(name) {}
+             double* cpu_seconds = nullptr)
+      : wall_out_(wall_seconds), cpu_out_(cpu_seconds), span_(name) {}
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
   ~PhaseScope() {
-    double wall = watch_.ElapsedSeconds();
-    if (wall_out_ != nullptr) *wall_out_ += wall;
+    *wall_out_ += watch_.ElapsedSeconds();
     if (cpu_out_ != nullptr) *cpu_out_ += cpu_watch_.ElapsedSeconds();
-    if (histogram_ != nullptr && Enabled()) histogram_->Observe(wall);
     // span_ destructs after this body, ending the trace span.
   }
 
  private:
   double* wall_out_;
   double* cpu_out_;
-  Histogram* histogram_;
   Stopwatch watch_;
   CpuStopwatch cpu_watch_;
   TraceSpan span_;

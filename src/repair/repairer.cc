@@ -1,9 +1,12 @@
 #include "repair/repairer.h"
 
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "common/stopwatch.h"
 #include "fault/deadline.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
@@ -15,81 +18,67 @@ namespace idrepair {
 
 namespace {
 
-/// Core-pipeline instrumentation, resolved once against the global registry
-/// so Repair() never takes the registry lock. The work counters are pure
-/// functions of the input and options (Stability::kStable) — the obs tests
-/// assert they are byte-identical across thread counts; the phase-latency
-/// histograms are wall-clock and therefore kRuntime.
-struct RepairInstruments {
+/// The one instrument no RepairStats field copies: a distribution, observed
+/// per Gr vertex. kStable: Gr is a pure function of the candidates.
+obs::Histogram* ConflictDegree() {
+  static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
+      "idrepair_selection_conflict_degree", obs::Stability::kStable,
+      obs::ExponentialBuckets(1.0, 2.0, 16),
+      "Conflict edges per repair-graph vertex (Gr degree distribution; "
+      "only observed on the graph-materializing selection path)");
+  return h;
+}
+
+/// The metrics RunRecorder writes for one prefix, resolved once so a run
+/// takes the registry lock only when its prefix is first seen.
+struct RunInstruments {
   obs::Counter* attempts;
   obs::Counter* runs;
-  obs::Counter* candidates;
-  obs::Counter* cliques;
-  obs::Counter* selected;
-  obs::Counter* rewrites;
-  obs::Histogram* gm_seconds;
-  obs::Histogram* generation_seconds;
-  obs::Histogram* selection_seconds;
-  obs::Histogram* selection_graph_seconds;
-  obs::Histogram* selection_pick_seconds;
-  obs::Histogram* conflict_degree;
-  obs::Histogram* total_seconds;
-
-  static RepairInstruments& Get() {
-    static RepairInstruments* m = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      auto* ri = new RepairInstruments();
-      ri->attempts = reg.GetCounter(
-          "idrepair_repair_attempts_total", obs::Stability::kStable,
-          "Core-pipeline Repair() entries (attempted, whether or not the "
-          "run completed)");
-      ri->runs = reg.GetCounter("idrepair_repair_runs_total",
-                                obs::Stability::kStable,
-                                "Core-pipeline Repair() invocations");
-      ri->candidates = reg.GetCounter(
-          "idrepair_repair_candidates_total", obs::Stability::kStable,
-          "Candidate repairs generated (|R| summed over runs)");
-      ri->cliques = reg.GetCounter("idrepair_repair_cliques_total",
-                                   obs::Stability::kStable,
-                                   "Cliques enumerated during generation");
-      ri->selected = reg.GetCounter(
-          "idrepair_repair_selected_total", obs::Stability::kStable,
-          "Compatible repairs selected (|R'| summed over runs)");
-      ri->rewrites = reg.GetCounter("idrepair_repair_rewrites_total",
-                                    obs::Stability::kStable,
-                                    "Trajectory ID rewrites applied");
-      ri->gm_seconds = reg.GetHistogram(
-          "idrepair_repair_gm_seconds", obs::Stability::kRuntime,
-          obs::DefaultLatencyBuckets(),
-          "Trajectory-graph construction wall time");
-      ri->generation_seconds = reg.GetHistogram(
-          "idrepair_repair_generation_seconds", obs::Stability::kRuntime,
-          obs::DefaultLatencyBuckets(),
-          "Candidate-generation phase wall time");
-      ri->selection_seconds = reg.GetHistogram(
-          "idrepair_repair_selection_seconds", obs::Stability::kRuntime,
-          obs::DefaultLatencyBuckets(), "Selection phase wall time");
-      ri->selection_graph_seconds = reg.GetHistogram(
-          "idrepair_repair_selection_graph_seconds", obs::Stability::kRuntime,
-          obs::DefaultLatencyBuckets(),
-          "Selection sub-phase: repair-graph (Gr) construction wall time");
-      ri->selection_pick_seconds = reg.GetHistogram(
-          "idrepair_repair_selection_pick_seconds", obs::Stability::kRuntime,
-          obs::DefaultLatencyBuckets(),
-          "Selection sub-phase: greedy pick/commit loop wall time");
-      ri->conflict_degree = reg.GetHistogram(
-          "idrepair_selection_conflict_degree", obs::Stability::kStable,
-          obs::ExponentialBuckets(1.0, 2.0, 16),
-          "Conflict edges per repair-graph vertex (Gr degree distribution; "
-          "only observed on the graph-materializing selection path)");
-      ri->total_seconds = reg.GetHistogram(
-          "idrepair_repair_total_seconds", obs::Stability::kRuntime,
-          obs::DefaultLatencyBuckets(), "End-to-end Repair() wall time");
-      return ri;
-    }();
-    return *m;
-  }
+  std::vector<obs::Counter*> counts;      // kCount fields, in Visit order
+  std::vector<obs::Histogram*> seconds;   // kSeconds fields, in Visit order
 };
+
+/// The name a field folds into under idrepair_<prefix>_ (see RunRecorder):
+/// the unit goes last, so a count drops its "num_" and a time moves its
+/// "seconds" to the end.
+std::string MetricSuffix(std::string_view field, StatKind kind) {
+  if (kind == StatKind::kCount) {
+    if (field.substr(0, 4) == "num_") field.remove_prefix(4);
+    return std::string(field) + "_total";
+  }
+  const bool cpu = field.substr(0, 4) == "cpu_";
+  field.remove_prefix(cpu ? 12 : 8);  // "cpu_seconds_" or "seconds_"
+  return std::string(field) + (cpu ? "_cpu_seconds" : "_seconds");
+}
+
+RunInstruments& InstrumentsFor(const char* prefix) {
+  static std::mutex mu;
+  static auto* by_prefix = new std::map<std::string, RunInstruments>();
+  std::lock_guard<std::mutex> lock(mu);
+  auto [it, fresh] = by_prefix->try_emplace(prefix);
+  RunInstruments& inst = it->second;
+  if (!fresh) return inst;
+  auto& reg = obs::MetricsRegistry::Global();
+  const std::string stem = std::string("idrepair_") + prefix + "_";
+  inst.attempts = reg.GetCounter(
+      stem + "attempts_total", obs::Stability::kStable,
+      "Repair() entries (attempted, whether or not the run completed)");
+  inst.runs = reg.GetCounter(stem + "runs_total", obs::Stability::kStable,
+                             "Repair() runs completed");
+  RepairStats().Visit([&](const char* field, StatKind kind, auto) {
+    const std::string name = stem + MetricSuffix(field, kind);
+    const std::string help = std::string("RepairStats::") + field;
+    if (kind == StatKind::kCount) {
+      inst.counts.push_back(reg.GetCounter(name, obs::Stability::kStable,
+                                           help + ", summed over runs"));
+    } else if (kind == StatKind::kSeconds) {
+      inst.seconds.push_back(
+          reg.GetHistogram(name, obs::Stability::kRuntime,
+                           obs::DefaultLatencyBuckets(), help + " per run"));
+    }
+  });
+  return inst;
+}
 
 }  // namespace
 
@@ -118,7 +107,6 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
   }
   const TransitionGraph& graph = evaluator_->graph();
   IDREPAIR_RETURN_NOT_OK(graph.Validate());
-  RepairInstruments& inst = RepairInstruments::Get();
   obs::TraceSpan run_span("repair.run");
   const IdSimilarity& base_similarity = options_.similarity != nullptr
                                             ? *options_.similarity
@@ -132,14 +120,10 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
   const IdSimilarity& similarity = base_similarity;
 #endif
 
-  if (obs::Enabled()) inst.attempts->Increment();
+  RunRecorder recorder("repair", set, options_.exec);
   fault::Deadline deadline = fault::Deadline::FromMillis(options_.deadline_ms);
 
   RepairResult result;
-  Stopwatch total;
-  CpuStopwatch total_cpu;
-  result.stats.num_trajectories = set.size();
-  result.stats.threads_used = options_.exec.ResolvedThreads();
 
   // Apply (Definition 2.5): rewrite the selected repairs' member IDs to
   // their targets and join.
@@ -159,23 +143,18 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
     result.completion = std::move(why);
     apply_selected();
     result.stats.num_selected = result.selected.size();
-    result.stats.seconds_total = total.ElapsedSeconds();
-    result.stats.cpu_seconds_total = total_cpu.ElapsedSeconds();
+    recorder.Finish(&result);
     return std::move(result);
   };
 
-  std::vector<bool> is_valid(set.size(), false);
-  for (TrajIndex i = 0; i < set.size(); ++i) {
-    is_valid[i] = set.at(i).IsValid(graph);
-    if (!is_valid[i]) ++result.stats.num_invalid;
-  }
+  const std::vector<bool> is_valid = recorder.Validity(graph);
 
   // ---- Phase 1: candidate repair generation (§3.2) ----
   const PredicateEvaluator& pred = evaluator_->Get();
   std::optional<TrajectoryGraph> gm_storage;
   {
     obs::PhaseScope phase("repair.gm", &result.stats.seconds_gm,
-                          &result.stats.cpu_seconds_gm, inst.gm_seconds);
+                          &result.stats.cpu_seconds_gm);
     gm_storage.emplace(set, pred, options_);
   }
   const TrajectoryGraph& gm = *gm_storage;
@@ -190,8 +169,7 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
   {
     obs::PhaseScope phase("repair.generation",
                           &result.stats.seconds_generation,
-                          &result.stats.cpu_seconds_generation,
-                          inst.generation_seconds);
+                          &result.stats.cpu_seconds_generation);
     auto candidates = GenerateCandidates(set, gm, pred, options_,
                                          similarity, is_valid, &gen_stats);
     IDREPAIR_RETURN_NOT_OK(candidates.status());
@@ -216,8 +194,8 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
 
   // ---- Phase 2: compatible repair selection (§3.3) ----
   {
-    obs::PhaseScope phase("repair.selection", &result.stats.seconds_selection,
-                          nullptr, inst.selection_seconds);
+    obs::PhaseScope phase("repair.selection",
+                          &result.stats.seconds_selection);
     SelectionContext ctx;
     ctx.exec = options_.exec;
     ctx.deadline = &deadline;
@@ -235,8 +213,8 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
     } else {
       std::optional<RepairGraph> gr;
       {
-        obs::PhaseScope sub("repair.selection.graph", nullptr, nullptr,
-                            inst.selection_graph_seconds);
+        obs::PhaseScope sub("repair.selection.graph",
+                            &result.stats.seconds_selection_graph);
         auto built =
             RepairGraph::Build(result.candidates, set.size(), options_.exec);
         IDREPAIR_RETURN_NOT_OK(built.status());
@@ -245,7 +223,7 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
       result.stats.gr_edges = gr->num_edges();
       if (obs::Enabled()) {
         for (RepairIndex v = 0; v < gr->num_vertices(); ++v) {
-          inst.conflict_degree->Observe(static_cast<double>(gr->Degree(v)));
+          ConflictDegree()->Observe(static_cast<double>(gr->Degree(v)));
         }
       }
       std::unique_ptr<RepairSelector> owned;
@@ -253,8 +231,7 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
         owned = MakeSelector(options_.selection);
         selector = owned.get();
       }
-      obs::PhaseScope sub("repair.selection.pick", nullptr, nullptr,
-                          inst.selection_pick_seconds);
+      obs::TraceSpan pick("repair.selection.pick");
       auto selected = selector->Select(*gr, result.candidates, ctx);
       IDREPAIR_RETURN_NOT_OK(selected.status());
       result.selected = std::move(selected).value();
@@ -273,17 +250,45 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
 
   // ---- Apply: rewrite IDs and join (Definition 2.5) ----
   apply_selected();
-  result.stats.seconds_total = total.ElapsedSeconds();
-  result.stats.cpu_seconds_total = total_cpu.ElapsedSeconds();
-  if (obs::Enabled()) {
-    inst.runs->Increment();
-    inst.candidates->Increment(result.stats.num_candidates);
-    inst.cliques->Increment(result.stats.cliques_enumerated);
-    inst.selected->Increment(result.stats.num_selected);
-    inst.rewrites->Increment(result.rewrites.size());
-    inst.total_seconds->Observe(result.stats.seconds_total);
-  }
+  recorder.Finish(&result);
   return result;
+}
+
+RunRecorder::RunRecorder(const char* prefix, const TrajectorySet& set,
+                         const ExecOptions& exec)
+    : prefix_(prefix), set_(set), threads_(exec.ResolvedThreads()) {
+  if (obs::Enabled()) InstrumentsFor(prefix_).attempts->Increment();
+}
+
+std::vector<bool> RunRecorder::Validity(const TransitionGraph& graph) {
+  std::vector<bool> valid(set_.size(), false);
+  num_invalid_ = 0;
+  for (TrajIndex i = 0; i < set_.size(); ++i) {
+    valid[i] = set_.at(i).IsValid(graph);
+    if (!valid[i]) ++num_invalid_;
+  }
+  return valid;
+}
+
+void RunRecorder::Finish(RepairResult* result) const {
+  RepairStats& stats = result->stats;
+  stats.num_trajectories = set_.size();
+  stats.num_invalid = num_invalid_;
+  stats.threads_used = threads_;
+  stats.seconds_total = wall_.ElapsedSeconds();
+  stats.cpu_seconds_total = cpu_.ElapsedSeconds();
+  if (!result->completion.ok() || !obs::Enabled()) return;
+  RunInstruments& inst = InstrumentsFor(prefix_);
+  inst.runs->Increment();
+  size_t count = 0;
+  size_t seconds = 0;
+  stats.Visit([&](const char*, StatKind kind, auto value) {
+    if (kind == StatKind::kCount) {
+      inst.counts[count++]->Increment(static_cast<uint64_t>(value));
+    } else if (kind == StatKind::kSeconds) {
+      inst.seconds[seconds++]->Observe(static_cast<double>(value));
+    }
+  });
 }
 
 TrajectorySet ApplyRewrites(

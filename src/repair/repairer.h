@@ -16,8 +16,18 @@
 
 namespace idrepair {
 
+/// How a RepairStats field measures a run, which decides where RunRecorder
+/// folds it:
+///  - kCount: work done, a pure function of the input and the options
+///    (never of the execution width); folded into a kStable counter.
+///  - kSeconds: wall or CPU time; folded into a kRuntime histogram.
+///  - kFootprint: how the run was executed (threads, scheduler blocks);
+///    reported with the run, never folded.
+enum class StatKind { kCount, kSeconds, kFootprint };
+
 /// Per-phase timings and counters of one repair run, powering the paper's
-/// running-time plots.
+/// running-time plots. Visit() names every field once; --stats-json and
+/// the obs metrics walk it, so a new field is added there and nowhere else.
 struct RepairStats {
   size_t num_trajectories = 0;
   size_t num_invalid = 0;           // IVTs in the input
@@ -33,6 +43,9 @@ struct RepairStats {
   double seconds_gm = 0.0;          // trajectory-graph construction
   double seconds_generation = 0.0;  // cliques + jnb + target assignment
   double seconds_selection = 0.0;   // Gr + selection
+  // The Gr build inside seconds_selection (0 when the EMAX fast path skips
+  // Gr); the pick/commit loop took the rest.
+  double seconds_selection_graph = 0.0;
   double seconds_total = 0.0;
   // Wall/CPU split of the run: cpu_* sums the CPU seconds of every thread
   // that worked on the phase, so cpu ≈ wall when sequential and
@@ -41,10 +54,6 @@ struct RepairStats {
   double cpu_seconds_gm = 0.0;
   double cpu_seconds_generation = 0.0;  // cliques + jnb + scoring
   double cpu_seconds_total = 0.0;
-  // Which clock produced the cpu_seconds_* fields ("process_cputime" or the
-  // "std_clock" fallback), so CPU numbers from different platforms are
-  // never compared unknowingly. Constant within a process.
-  std::string cpu_clock_source = CpuStopwatch::SourceName();
   // Parallel-execution footprint: the decomposition width this run was
   // allowed (ExecOptions::ResolvedThreads, >= 1).
   int threads_used = 1;
@@ -55,6 +64,34 @@ struct RepairStats {
   size_t sched_blocks = 0;
   size_t sched_workers = 0;
   double sched_imbalance = 1.0;
+
+  /// Calls v(name, kind, value) for every field, in declaration order.
+  template <class V>
+  void Visit(V&& v) const {
+    v("num_trajectories", StatKind::kCount, num_trajectories);
+    v("num_invalid", StatKind::kCount, num_invalid);
+    v("gm_edges", StatKind::kCount, gm_edges);
+    v("cex_evaluations", StatKind::kCount, cex_evaluations);
+    v("cliques_enumerated", StatKind::kCount, cliques_enumerated);
+    v("pck_pruned", StatKind::kCount, pck_pruned);
+    v("jnb_checks", StatKind::kCount, jnb_checks);
+    v("joinable_subsets", StatKind::kCount, joinable_subsets);
+    v("num_candidates", StatKind::kCount, num_candidates);
+    v("gr_edges", StatKind::kCount, gr_edges);
+    v("num_selected", StatKind::kCount, num_selected);
+    v("seconds_gm", StatKind::kSeconds, seconds_gm);
+    v("seconds_generation", StatKind::kSeconds, seconds_generation);
+    v("seconds_selection", StatKind::kSeconds, seconds_selection);
+    v("seconds_selection_graph", StatKind::kSeconds, seconds_selection_graph);
+    v("seconds_total", StatKind::kSeconds, seconds_total);
+    v("cpu_seconds_gm", StatKind::kSeconds, cpu_seconds_gm);
+    v("cpu_seconds_generation", StatKind::kSeconds, cpu_seconds_generation);
+    v("cpu_seconds_total", StatKind::kSeconds, cpu_seconds_total);
+    v("threads_used", StatKind::kFootprint, threads_used);
+    v("sched_blocks", StatKind::kFootprint, sched_blocks);
+    v("sched_workers", StatKind::kFootprint, sched_workers);
+    v("sched_imbalance", StatKind::kFootprint, sched_imbalance);
+  }
 };
 
 /// The outcome of one repair run.
@@ -94,6 +131,41 @@ struct RepairResult {
   /// (see the partial-result semantics above).
   Status completion = Status::OK();
   RepairStats stats;
+};
+
+/// The bookkeeping every engine does for one Repair() call, in one place.
+/// `prefix` names the engine's metrics (idrepair_<prefix>_*): "repair",
+/// "stream", "baseline_neighborhood" or "baseline_idsim".
+///
+/// Construction ticks idrepair_<prefix>_attempts_total (obs on) and starts
+/// the run's wall and CPU clocks. Finish() stamps num_trajectories,
+/// num_invalid, threads_used, seconds_total and cpu_seconds_total; on a
+/// complete run (OK completion) with obs on it also ticks
+/// idrepair_<prefix>_runs_total and folds every field by walking
+/// RepairStats::Visit: a kCount field `num_x` or `x` into the kStable
+/// counter idrepair_<prefix>_x_total, a kSeconds field `seconds_p` or
+/// `cpu_seconds_p` into the kRuntime histogram idrepair_<prefix>_p_seconds
+/// or idrepair_<prefix>_p_cpu_seconds. A run that errors out never reaches
+/// Finish, so it stays attempted but not completed.
+class RunRecorder {
+ public:
+  RunRecorder(const char* prefix, const TrajectorySet& set,
+              const ExecOptions& exec);
+
+  /// Whether each trajectory of the set is valid on `graph`; Finish stamps
+  /// the number of invalid ones as num_invalid. Engines that hold a graph
+  /// call it once.
+  std::vector<bool> Validity(const TransitionGraph& graph);
+
+  void Finish(RepairResult* result) const;
+
+ private:
+  const char* prefix_;
+  const TrajectorySet& set_;
+  int threads_;
+  size_t num_invalid_ = 0;
+  Stopwatch wall_;
+  CpuStopwatch cpu_;
 };
 
 /// Abstract repair engine: anything that turns a TrajectorySet into a

@@ -17,8 +17,8 @@ namespace idrepair {
 
 namespace {
 
-/// Selection-phase instrumentation, resolved once (same pattern as
-/// RepairInstruments). Both counters are pure functions of the input and
+/// Selection-phase instrumentation, resolved once so the commit loop never
+/// takes the registry lock. Both counters are pure functions of the input and
 /// options — the parallel selectors produce the same commit/invalidation
 /// totals at any thread count — hence Stability::kStable.
 struct SelectionInstruments {

@@ -1,6 +1,7 @@
 #include "repair/stats_json.h"
 
 #include <fstream>
+#include <type_traits>
 
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
@@ -62,7 +63,6 @@ void WriteMetricsJson(JsonWriter& w) {
 
 void WriteStatsJson(std::ostream& out, std::string_view engine,
                     const RepairOptions& options, const RepairResult& result) {
-  const RepairStats& s = result.stats;
   JsonWriter w(&out);
   w.BeginObject();
   w.Key("engine");
@@ -94,59 +94,19 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
   w.EndObject();
   w.Key("stats");
   w.BeginObject();
-  w.Key("num_trajectories");
-  w.Uint(s.num_trajectories);
-  w.Key("num_invalid");
-  w.Uint(s.num_invalid);
-  w.Key("gm_edges");
-  w.Uint(s.gm_edges);
-  w.Key("cex_evaluations");
-  w.Uint(s.cex_evaluations);
-  w.Key("cliques_enumerated");
-  w.Uint(s.cliques_enumerated);
-  w.Key("pck_pruned");
-  w.Uint(s.pck_pruned);
-  w.Key("jnb_checks");
-  w.Uint(s.jnb_checks);
-  w.Key("joinable_subsets");
-  w.Uint(s.joinable_subsets);
-  w.Key("num_candidates");
-  w.Uint(s.num_candidates);
-  w.Key("gr_edges");
-  w.Uint(s.gr_edges);
-  w.Key("num_selected");
-  w.Uint(s.num_selected);
-  w.Key("seconds_gm");
-  w.Double(s.seconds_gm);
-  w.Key("seconds_generation");
-  w.Double(s.seconds_generation);
-  w.Key("seconds_selection");
-  w.Double(s.seconds_selection);
-  w.Key("seconds_total");
-  w.Double(s.seconds_total);
-  w.Key("cpu_seconds_gm");
-  w.Double(s.cpu_seconds_gm);
-  w.Key("cpu_seconds_generation");
-  w.Double(s.cpu_seconds_generation);
-  w.Key("cpu_seconds_total");
-  w.Double(s.cpu_seconds_total);
+  result.stats.Visit([&w](const char* name, StatKind, auto value) {
+    w.Key(name);
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      w.Double(value);
+    } else {
+      w.Uint(static_cast<uint64_t>(value));  // counts and threads_used >= 1
+    }
+  });
+  // Which clock produced the cpu_seconds_* fields ("process_cputime" or the
+  // "std_clock" fallback), so CPU numbers from different platforms are
+  // never compared unknowingly.
   w.Key("cpu_clock_source");
-  w.String(s.cpu_clock_source);
-  w.Key("threads_used");
-  w.Int(s.threads_used);
-  w.EndObject();
-  // Steal/imbalance summary of the generation phase's dynamic scheduler
-  // (ParallelForDynamic): how the clique-seed blocks actually landed on
-  // workers. Runtime-dependent by nature (imbalance reflects timing), so
-  // golden comparisons should treat the imbalance value as informational.
-  w.Key("scheduler");
-  w.BeginObject();
-  w.Key("generation_blocks");
-  w.Uint(s.sched_blocks);
-  w.Key("generation_workers");
-  w.Uint(s.sched_workers);
-  w.Key("generation_imbalance");
-  w.Double(s.sched_imbalance);
+  w.String(CpuStopwatch::SourceName());
   w.EndObject();
   w.Key("total_effectiveness");
   w.Double(result.total_effectiveness);

@@ -25,13 +25,17 @@ void WriteMetricsJson(JsonWriter& w);
 /// injection footprint and — when obs is on — a metrics snapshot, as one
 /// JSON object. The key set and order are pinned by stats_json_test.cc;
 /// consumers parse this file, so additions go at the end of their object
-/// and removals are breaking. Keys have been removed on purpose twice, each
-/// time in a single change: first the top-level copy of
+/// and removals are breaking. Keys have been removed on purpose three
+/// times, each time in a single change: first the top-level copy of
 /// `options.num_threads`, the three observability switches that left
 /// RepairOptions, and the three per-phase grains, now one `grain` (0 =
 /// auto); then the `stream` block (the stream's counters are in the
 /// `metrics` array as idrepair_stream_*, and --stats-json switches obs on)
-/// and the `server` block (always zero: the one-shot CLI hosts no daemon).
+/// and the `server` block (always zero: the one-shot CLI hosts no daemon);
+/// then the `scheduler` block, whose `generation_blocks`,
+/// `generation_workers` and `generation_imbalance` became `sched_blocks`,
+/// `sched_workers` and `sched_imbalance` in `stats`. The `stats` block is
+/// one walk of RepairStats::Visit, in its order, then `cpu_clock_source`.
 void WriteStatsJson(std::ostream& out, std::string_view engine,
                     const RepairOptions& options, const RepairResult& result);
 

@@ -25,8 +25,6 @@ struct StreamInstruments {
   obs::Counter* appends;
   obs::Counter* polls;
   obs::Counter* emitted;
-  obs::Counter* batch_attempts;
-  obs::Counter* batch_completed;
   obs::Counter* dirty_components;
   obs::Counter* records_reused;
   obs::Counter* appends_rejected;
@@ -40,12 +38,6 @@ struct StreamInstruments {
       si->appends = reg.GetCounter("idrepair_stream_appends_total",
                                    obs::Stability::kStable,
                                    "Records accepted by Append()");
-      si->batch_attempts = reg.GetCounter(
-          "idrepair_stream_attempts_total", obs::Stability::kStable,
-          "Batch-adapter Repair() entries (attempted)");
-      si->batch_completed = reg.GetCounter(
-          "idrepair_stream_runs_total", obs::Stability::kStable,
-          "Batch-adapter Repair() replays run to completion");
       si->polls = reg.GetCounter("idrepair_stream_polls_total",
                                  obs::Stability::kStable,
                                  "Poll() invocations");
@@ -408,10 +400,8 @@ Result<RepairResult> StreamingRepairer::Repair(
     const TrajectorySet& set) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
   IDREPAIR_RETURN_NOT_OK(graph_->Validate());
-  if (obs::Enabled()) StreamInstruments::Get().batch_attempts->Increment();
+  RunRecorder recorder("stream", set, options_.exec);
   fault::Deadline deadline = fault::Deadline::FromMillis(options_.deadline_ms);
-  Stopwatch total;
-  CpuStopwatch total_cpu;
 
   // Flatten and order by time so the scratch stream accepts every record.
   std::vector<TrackingRecord> records = set.Records();
@@ -466,11 +456,7 @@ Result<RepairResult> StreamingRepairer::Repair(
 
   RepairResult result;
   result.completion = degraded;
-  result.stats.num_trajectories = set.size();
-  result.stats.threads_used = options_.exec.ResolvedThreads();
-  for (TrajIndex i = 0; i < set.size(); ++i) {
-    if (!set.at(i).IsValid(*graph_)) ++result.stats.num_invalid;
-  }
+  recorder.Validity(*graph_);
 
   // Recover the per-trajectory rewrite map: repair only relabels records,
   // so each input point (loc, ts) reappears verbatim in some emitted
@@ -503,11 +489,7 @@ Result<RepairResult> StreamingRepairer::Repair(
   }
 
   result.repaired = TrajectorySet::FromRecords(emitted_records);
-  result.stats.seconds_total = total.ElapsedSeconds();
-  result.stats.cpu_seconds_total = total_cpu.ElapsedSeconds();
-  if (result.completion.ok() && obs::Enabled()) {
-    StreamInstruments::Get().batch_completed->Increment();
-  }
+  recorder.Finish(&result);
   return result;
 }
 

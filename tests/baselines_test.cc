@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/id_similarity_repairer.h"
@@ -22,7 +24,9 @@ using testutil::RunningExampleOptions;
 
 TEST(IdSimilarityRepairerTest, MergesCloseIdsOnRunningExample) {
   TrajectorySet set = MakeTable2Trajectories();
-  IdSimilarityRepairer baseline(/*max_edit_distance=*/3);
+  TransitionGraph graph = MakePaperExampleGraph();
+  IdSimilarityRepairer baseline(graph, RunningExampleOptions(),
+                                /*max_edit_distance=*/3);
   auto result = baseline.Repair(set);
   ASSERT_TRUE(result.ok());
   // dist(GL03245, GL83248) = 2 and dist(GL21348, GL83248) = 3, so the
@@ -37,7 +41,9 @@ TEST(IdSimilarityRepairerTest, MergesCloseIdsOnRunningExample) {
 
 TEST(IdSimilarityRepairerTest, TightThresholdMergesOnlyTheClosePair) {
   TrajectorySet set = MakeTable2Trajectories();
-  IdSimilarityRepairer baseline(/*max_edit_distance=*/2);
+  TransitionGraph graph = MakePaperExampleGraph();
+  IdSimilarityRepairer baseline(graph, RunningExampleOptions(),
+                                /*max_edit_distance=*/2);
   auto result = baseline.Repair(set);
   ASSERT_TRUE(result.ok());
   // Only GL03245 <-> GL83248 (distance 2) qualify now.
@@ -49,7 +55,8 @@ TEST(IdSimilarityRepairerTest, TightThresholdMergesOnlyTheClosePair) {
 
 TEST(IdSimilarityRepairerTest, ThresholdZeroDoesNothing) {
   TrajectorySet set = MakeTable2Trajectories();
-  IdSimilarityRepairer baseline(0);
+  TransitionGraph graph = MakePaperExampleGraph();
+  IdSimilarityRepairer baseline(graph, RunningExampleOptions(), 0);
   auto result = baseline.Repair(set);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->rewrites.empty());
@@ -57,7 +64,8 @@ TEST(IdSimilarityRepairerTest, ThresholdZeroDoesNothing) {
 
 TEST(IdSimilarityRepairerTest, LargeThresholdMergesEverything) {
   TrajectorySet set = MakeTable2Trajectories();
-  IdSimilarityRepairer baseline(10);
+  TransitionGraph graph = MakePaperExampleGraph();
+  IdSimilarityRepairer baseline(graph, RunningExampleOptions(), 10);
   auto result = baseline.Repair(set);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->repaired.size(), 1u);
@@ -71,7 +79,8 @@ TEST(IdSimilarityRepairerTest, IgnoresMovementConstraints) {
       {"aaaaaab", 3, 50000},          // D, hours later
   };
   TrajectorySet set = TrajectorySet::FromRecords(records);
-  IdSimilarityRepairer baseline(3);
+  TransitionGraph graph = MakePaperExampleGraph();
+  IdSimilarityRepairer baseline(graph, RunningExampleOptions(), 3);
   auto result = baseline.Repair(set);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rewrites.size(), 1u);
@@ -159,7 +168,7 @@ TEST(BaselineComparisonTest, TransitionGraphApproachWinsOnRecall) {
   ASSERT_TRUE(core.ok());
   auto core_metrics = EvaluateRewrites(truth, set, core->rewrites);
 
-  IdSimilarityRepairer sim_baseline(3);
+  IdSimilarityRepairer sim_baseline(ds->graph, options, 3);
   auto sim_metrics =
       EvaluateRewrites(truth, set, sim_baseline.Repair(set)->rewrites);
 
@@ -180,7 +189,7 @@ TEST(BaselineComparisonTest, BaselinesStillRepairSomething) {
   ASSERT_TRUE(ds.ok());
   TrajectorySet set = ds->BuildObservedTrajectories();
   auto truth = ComputeFragmentTruth(*ds, set);
-  IdSimilarityRepairer sim_baseline(3);
+  IdSimilarityRepairer sim_baseline(ds->graph, RepairOptions(), 3);
   auto m = EvaluateRewrites(truth, set, sim_baseline.Repair(set)->rewrites);
   EXPECT_GT(m.recall, 0.2);
   EXPECT_GT(m.precision, 0.3);
@@ -196,7 +205,8 @@ TEST(RepairerInterfaceTest, AllEnginesAreSwappablePolymorphically) {
   std::vector<std::unique_ptr<Repairer>> engines;
   engines.push_back(std::make_unique<IdRepairer>(graph, options));
   engines.push_back(std::make_unique<StreamingRepairer>(graph, options));
-  engines.push_back(std::make_unique<IdSimilarityRepairer>(3));
+  engines.push_back(
+      std::make_unique<IdSimilarityRepairer>(graph, options, /*max=*/3));
   engines.push_back(std::make_unique<NeighborhoodRepairer>(graph, options));
 
   for (const auto& engine : engines) {
@@ -209,6 +219,31 @@ TEST(RepairerInterfaceTest, AllEnginesAreSwappablePolymorphically) {
     EXPECT_EQ(result->stats.num_trajectories, set.size()) << engine->name();
     for (const auto& [traj, id] : result->rewrites) {
       EXPECT_NE(set.at(traj).id(), id) << engine->name();
+    }
+  }
+}
+
+// One run record for every engine: the counts RunRecorder stamps describe
+// the input, not the engine, so all four report them alike.
+TEST(RepairerInterfaceTest, EveryEngineStampsTheSameRunRecord) {
+  TransitionGraph graph = MakePaperExampleGraph();
+  TrajectorySet set = MakeTable2Trajectories();
+  for (int threads : {0, 1, 3}) {
+    RepairOptions options = RunningExampleOptions();
+    options.exec.num_threads = threads;
+    for (std::string_view name : testutil::AllEngineNames()) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      auto engine = testutil::MakeEngineByName(name, graph, options);
+      auto result = engine->Repair(set);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->stats.num_trajectories, 3u);
+      // GL03245<C> and GL83248<D,E> are the running example's IVTs.
+      EXPECT_EQ(result->stats.num_invalid, 2u);
+      EXPECT_EQ(result->stats.threads_used, options.exec.ResolvedThreads());
+      EXPECT_GT(result->stats.seconds_total, 0.0);
+      if (std::string_view(CpuStopwatch::SourceName()) == "process_cputime") {
+        EXPECT_GT(result->stats.cpu_seconds_total, 0.0);
+      }
     }
   }
 }

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +23,48 @@
 
 namespace idrepair {
 namespace {
+
+/// Parks every worker of a pool on a blocker task that has signalled it
+/// started, until destruction. Tasks submitted from the test thread then
+/// sit in the pool's injection queue, and the test thread's helping Wait()
+/// runs them itself, one at a time in FIFO order: the schedule the
+/// cancellation tests assert on, whatever the load on the host.
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(ThreadPool* pool)
+      : state_(std::make_shared<State>()) {
+    for (int i = 0; i < pool->num_threads(); ++i) {
+      pool->Submit([state = state_] {
+        std::unique_lock<std::mutex> lock(state->mu);
+        ++state->parked;
+        state->cv.notify_all();
+        state->cv.wait(lock, [&] { return state->released; });
+      });
+    }
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock,
+                    [&] { return state_->parked == pool->num_threads(); });
+  }
+
+  ~ParkedWorkers() {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->released = true;
+    state_->cv.notify_all();
+  }
+
+  ParkedWorkers(const ParkedWorkers&) = delete;
+  ParkedWorkers& operator=(const ParkedWorkers&) = delete;
+
+ private:
+  // Shared with the blockers, which may wake after the guard is gone.
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    int parked = 0;
+    bool released = false;
+  };
+  std::shared_ptr<State> state_;
+};
 
 TEST(ExecOptionsTest, ResolvesAndValidates) {
   ExecOptions exec;
@@ -83,10 +128,11 @@ TEST(TaskGroupTest, PropagatesFirstError) {
 }
 
 TEST(TaskGroupTest, ErrorCancelsUnstartedTasks) {
-  // One worker, and the first task fails: by the time the worker (or the
-  // helping waiter) reaches later tasks the group is cancelled, so they
-  // are skipped without running.
+  // The worker is parked, so the helping waiter runs the group in spawn
+  // order: the failing task first, after which every later task is
+  // cancelled and skipped without running.
   ThreadPool pool(1);
+  ParkedWorkers parked(&pool);
   std::atomic<int> executed{0};
   TaskGroup group(&pool);
   group.Spawn([] { return Status::Internal("fail fast"); });
@@ -98,9 +144,7 @@ TEST(TaskGroupTest, ErrorCancelsUnstartedTasks) {
   }
   Status status = group.Wait();
   EXPECT_EQ(status.code(), StatusCode::kInternal);
-  // The failing task is submitted first; at most the handful of tasks
-  // already claimed before the error landed can have run.
-  EXPECT_LT(executed.load(), 200);
+  EXPECT_EQ(executed.load(), 0);
 }
 
 TEST(TaskGroupTest, ManualCancelSkipsTasksAndWaitReturnsOk) {
@@ -442,7 +486,11 @@ TEST(ParallelForDynamicTest, LowestErroredBlockWins) {
 }
 
 TEST(ParallelForDynamicTest, ErrorStopsFurtherClaims) {
+  // Both workers are parked, so the helping waiter runs the two worker
+  // tasks in turn: the first claims block 0, fails and stops the cursor,
+  // and the second finds it stopped before claiming anything.
   ThreadPool pool(2);
+  ParkedWorkers parked(&pool);
   std::atomic<int> ran{0};
   Status status = ParallelForDynamic(
       &pool, 1000, 2, 1,
@@ -452,9 +500,7 @@ TEST(ParallelForDynamicTest, ErrorStopsFurtherClaims) {
         return Status::OK();
       });
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
-  // Blocks already claimed may finish, but the cursor stops advancing:
-  // nowhere near all 1000 blocks should have run.
-  EXPECT_LT(ran.load(), 1000);
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ParallelForDynamicTest, ReportsScheduleStats) {

@@ -342,21 +342,17 @@ TEST(GenerateSyntheticDatasetTest, ErrorRateDoesNotPerturbMissingStage) {
   }
 }
 
-// ------------------------------------------------- SyntheticConfig::Validated
+// -------------------------------------------------- SyntheticConfig::Validate
 
-TEST(SyntheticConfigValidatedTest, DefaultsAreValid) {
-  auto config = SyntheticConfig().Validated();
-  ASSERT_TRUE(config.ok()) << config.status();
-  EXPECT_EQ(config->num_trajectories, SyntheticConfig().num_trajectories);
-  EXPECT_EQ(config->seed, SyntheticConfig().seed);
+TEST(SyntheticConfigValidateTest, DefaultsAreValid) {
+  EXPECT_TRUE(SyntheticConfig().Validate().ok());
 }
 
-TEST(SyntheticConfigValidatedTest, RejectsOutOfRangeFields) {
-  auto expect_invalid = [](SyntheticConfig config, const char* what) {
-    auto validated = config.Validated();
-    ASSERT_FALSE(validated.ok()) << what;
-    EXPECT_EQ(validated.status().code(), StatusCode::kInvalidArgument)
-        << what << ": " << validated.status();
+TEST(SyntheticConfigValidateTest, RejectsOutOfRangeFields) {
+  auto expect_invalid = [](const SyntheticConfig& config, const char* what) {
+    Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status;
   };
   SyntheticConfig config;
   config.record_error_rate = 1.5;
@@ -388,7 +384,7 @@ TEST(SyntheticConfigValidatedTest, RejectsOutOfRangeFields) {
   expect_invalid(config, "inverted travel median range");
 }
 
-TEST(SyntheticConfigValidatedTest, GenerationRejectsInvalidConfigLoudly) {
+TEST(SyntheticConfigValidateTest, GenerationRejectsInvalidConfigLoudly) {
   TransitionGraph g = MakeRealLikeGraph();
   SyntheticConfig config;
   config.record_error_rate = 2.0;

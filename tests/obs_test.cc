@@ -4,9 +4,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/task_group.h"
@@ -19,6 +21,7 @@
 #include "obs/scrape.h"
 #include "obs/trace.h"
 #include "repair/repairer.h"
+#include "test_util.h"
 
 namespace idrepair {
 namespace {
@@ -223,26 +226,24 @@ TEST_F(ObsTest, DisabledSpansRecordNothingGlobally) {
   EXPECT_TRUE(obs::TraceSink::Global().Events().empty());
 }
 
-TEST_F(ObsTest, PhaseScopeFeedsStatsHistogramAndTrace) {
+TEST_F(ObsTest, PhaseScopeFeedsStatsAndTrace) {
   obs::SetEnabled(true);
   obs::TraceSink::Global().Clear();
-  obs::MetricsRegistry registry;
-  obs::Histogram* h = registry.GetHistogram(
-      "phase_seconds", obs::Stability::kRuntime, {10.0}, "");
   double wall = 0.0;
   double cpu = 0.0;
-  { obs::PhaseScope phase("test.phase", &wall, &cpu, h); }
+  { obs::PhaseScope phase("test.phase", &wall, &cpu); }
   EXPECT_GE(wall, 0.0);
-  EXPECT_EQ(h->TotalCount(), 1u);
+  EXPECT_GE(cpu, 0.0);
   std::vector<obs::TraceEvent> events = obs::TraceSink::Global().Events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "test.phase");
   obs::SetEnabled(false);
-  // Disabled: stats still accumulate, the obs sinks see nothing.
+  // Disabled: stats still accumulate, the trace sees nothing.
+  obs::TraceSink::Global().Clear();
   double wall2 = 0.0;
-  { obs::PhaseScope phase("test.phase", &wall2, nullptr, h); }
+  { obs::PhaseScope phase("test.phase", &wall2); }
   EXPECT_GE(wall2, 0.0);
-  EXPECT_EQ(h->TotalCount(), 1u);
+  EXPECT_TRUE(obs::TraceSink::Global().Events().empty());
 }
 
 /// Deterministic sparse dataset that splits into several chain components.
@@ -289,6 +290,85 @@ TEST_F(ObsTest, RepairWithObsEnabledPopulatesMetricsAndTrace) {
     if (std::string(e.name) == "repair.run") saw_run = true;
   }
   EXPECT_TRUE(saw_run);
+}
+
+// The Prometheus names a run leaves behind, pinned. RunRecorder derives
+// them from RepairStats::Visit, so renaming a field renames its metric, and
+// this list is where that shows.
+TEST_F(ObsTest, EveryEngineRecordsItsRunUnderThePinnedNames) {
+  const std::vector<std::string> kRunMetrics = {
+      "attempts_total", "runs_total",
+      // kCount fields: kStable counters
+      "trajectories_total", "invalid_total", "gm_edges_total",
+      "cex_evaluations_total", "cliques_enumerated_total", "pck_pruned_total",
+      "jnb_checks_total", "joinable_subsets_total", "candidates_total",
+      "gr_edges_total", "selected_total",
+      // kSeconds fields: kRuntime histograms
+      "gm_seconds", "generation_seconds", "selection_seconds",
+      "selection_graph_seconds", "total_seconds", "gm_cpu_seconds",
+      "generation_cpu_seconds", "total_cpu_seconds"};
+  const std::vector<std::pair<std::string, std::string>> kPrefixes = {
+      {"core", "repair"},
+      {"streaming", "stream"},
+      {"idsim", "baseline_idsim"},
+      {"neighborhood", "baseline_neighborhood"}};
+  TransitionGraph graph = MakePaperExampleGraph();
+  TrajectorySet set = testutil::MakeTable2Trajectories();
+  RepairOptions options = testutil::RunningExampleOptions();
+  obs::SetEnabled(true);
+  for (const auto& [engine, prefix] : kPrefixes) {
+    SCOPED_TRACE(engine);
+    obs::MetricsRegistry::Global().Reset();
+    auto result =
+        testutil::MakeEngineByName(engine, graph, options)->Repair(set);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::string stem = "idrepair_" + prefix + "_";
+    std::map<std::string, obs::MetricSnapshot> recorded;
+    for (auto& m : obs::MetricsRegistry::Global().Collect()) {
+      if (m.name.compare(0, stem.size(), stem) == 0) {
+        recorded.emplace(m.name.substr(stem.size()), std::move(m));
+      }
+    }
+    for (const std::string& name : kRunMetrics) {
+      auto it = recorded.find(name);
+      ASSERT_NE(it, recorded.end()) << stem << name;
+      const bool seconds = name.size() > 8 &&
+                           name.compare(name.size() - 8, 8, "_seconds") == 0;
+      EXPECT_EQ(it->second.type, seconds ? obs::MetricSnapshot::Type::kHistogram
+                                         : obs::MetricSnapshot::Type::kCounter)
+          << name;
+      EXPECT_EQ(it->second.stability,
+                seconds ? obs::Stability::kRuntime : obs::Stability::kStable)
+          << name;
+      if (seconds) {
+        EXPECT_EQ(it->second.total_count, 1u) << name;
+      }
+    }
+    EXPECT_EQ(recorded.at("attempts_total").counter_value, 1u);
+    EXPECT_EQ(recorded.at("runs_total").counter_value, 1u);
+    EXPECT_EQ(recorded.at("trajectories_total").counter_value, 3u);
+    EXPECT_EQ(recorded.at("invalid_total").counter_value, 2u);
+    EXPECT_EQ(recorded.at("candidates_total").counter_value,
+              result->stats.num_candidates);
+    // The stream's Append/Poll counters share its prefix; every other
+    // prefix holds the run record alone.
+    if (prefix != "stream") {
+      EXPECT_EQ(recorded.size(), kRunMetrics.size());
+    }
+  }
+  // Mirrors that no field backs are gone: the rewrite and ID-pair counts,
+  // the pick histogram (pick = selection - graph), and the cliques counter
+  // now named after its field.
+  for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
+    for (const char* gone :
+         {"idrepair_repair_cliques_total", "idrepair_repair_rewrites_total",
+          "idrepair_repair_selection_pick_seconds",
+          "idrepair_baseline_idsim_pairs_total",
+          "idrepair_baseline_idsim_rewrites_total",
+          "idrepair_baseline_neighborhood_rewrites_total"}) {
+      EXPECT_NE(m.name, gone);
+    }
+  }
 }
 
 TEST_F(ObsTest, StableMetricsByteIdenticalAcrossRepairThreadCounts) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,21 +61,31 @@ TEST(StatsJsonTest, KeyOrderIsPinned) {
       // options
       "options", "theta", "eta", "zeta", "lambda", "time_bin", "use_lig",
       "use_mcp_pruning", "selection", "num_threads", "grain", "deadline_ms",
-      // stats
+      // stats: one walk of RepairStats::Visit, then the clock source
       "stats", "num_trajectories", "num_invalid", "gm_edges",
       "cex_evaluations", "cliques_enumerated", "pck_pruned", "jnb_checks",
       "joinable_subsets", "num_candidates", "gr_edges", "num_selected",
       "seconds_gm", "seconds_generation", "seconds_selection",
-      "seconds_total", "cpu_seconds_gm", "cpu_seconds_generation",
-      "cpu_seconds_total", "cpu_clock_source", "threads_used",
-      // scheduler footprint (generation-phase dynamic claiming)
-      "scheduler", "generation_blocks", "generation_workers",
-      "generation_imbalance",
+      "seconds_selection_graph", "seconds_total", "cpu_seconds_gm",
+      "cpu_seconds_generation", "cpu_seconds_total", "threads_used",
+      "sched_blocks", "sched_workers", "sched_imbalance", "cpu_clock_source",
       // result summary + run health
       "total_effectiveness", "num_rewrites", "completion", "code", "message",
       "fault", "armed_sites", "total_fires",
   };
   EXPECT_EQ(ExtractKeys(RenderStatsJson(options, *result)), kGolden);
+
+  // The stats block is Visit's order, so a field added to RepairStats
+  // shows up here with no change to the writer.
+  std::vector<std::string> visited = {"stats"};
+  result->stats.Visit([&](const char* name, StatKind, auto) {
+    visited.push_back(name);
+  });
+  visited.push_back("cpu_clock_source");
+  auto stats_begin = std::find(kGolden.begin(), kGolden.end(), "stats");
+  EXPECT_EQ(std::vector<std::string>(stats_begin,
+                                     stats_begin + visited.size()),
+            visited);
 }
 
 TEST(StatsJsonTest, CompletionAndFaultBlocksReflectRunHealth) {

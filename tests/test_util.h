@@ -37,7 +37,9 @@ inline std::unique_ptr<Repairer> MakeEngineByName(
   if (name == "streaming") {
     return std::make_unique<StreamingRepairer>(graph, options);
   }
-  if (name == "idsim") return std::make_unique<IdSimilarityRepairer>();
+  if (name == "idsim") {
+    return std::make_unique<IdSimilarityRepairer>(graph, options);
+  }
   if (name == "neighborhood") {
     return std::make_unique<NeighborhoodRepairer>(graph, options);
   }

@@ -252,7 +252,8 @@ std::unique_ptr<Repairer> MakeEngine(const EngineFlags& engine,
     return std::make_unique<StreamingRepairer>(graph, options, engine.stream);
   }
   if (engine.name == "idsim") {
-    return std::make_unique<IdSimilarityRepairer>(engine.max_edit_distance);
+    return std::make_unique<IdSimilarityRepairer>(graph, options,
+                                                  engine.max_edit_distance);
   }
   if (engine.name == "neighborhood") {
     return std::make_unique<NeighborhoodRepairer>(graph, options);
