@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the repair pipeline with AddressSanitizer (or UBSan) and runs the
 # tests that push the most data through it — the parallel execution engine,
-# sharded candidate generation, the cross-engine differential suite, and the
-# chaos fuzzers. Any heap error (or UB with `undefined`) fails the script.
+# sharded candidate generation, the cross-engine differential suite, the
+# chaos fuzzers, and the set construction every engine applies its rewrites
+# through. Any heap error (or UB with `undefined`) fails the script.
 #
 # Usage: scripts/check_asan.sh [build-dir] [sanitizer]
 #   build-dir  default: build-asan
@@ -33,7 +34,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
            fault_test chaos_test stats_json_test common_test sim_test \
            selectors_test graph_test scaling_test snapshot_test server_test \
            properties_test lig_test scenario_test predicates_test gen_test \
-           cliques_test serialization_test generation_oracle_test
+           cliques_test serialization_test generation_oracle_test \
+           traj_test repairer_test baselines_test
 
 # scenario_test runs the shrunk matrix (IDREPAIR_SCENARIO_LIGHT):
 # sanitizer instrumentation makes the full city-scale sweep too slow.
@@ -41,7 +43,7 @@ ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
 IDREPAIR_SCENARIO_LIGHT=1 \
   ctest --test-dir "$BUILD_DIR" \
-  -R 'exec_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test|predicates_test|gen_test|cliques_test|serialization_test|generation_oracle_test' \
+  -R 'exec_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test|predicates_test|gen_test|cliques_test|serialization_test|generation_oracle_test|traj_test|repairer_test|baselines_test' \
   --output-on-failure
 
 echo "check_asan ($SANITIZER): OK"

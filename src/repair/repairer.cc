@@ -128,6 +128,7 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
   // Apply (Definition 2.5): rewrite the selected repairs' member IDs to
   // their targets and join.
   auto apply_selected = [&] {
+    obs::PhaseScope phase("repair.apply", &result.stats.seconds_apply);
     for (RepairIndex r : result.selected) {
       const std::string& target = result.candidates.target_id(r);
       for (TrajIndex m : result.candidates.members(r)) {
@@ -294,17 +295,11 @@ void RunRecorder::Finish(RepairResult* result) const {
 TrajectorySet ApplyRewrites(
     const TrajectorySet& set,
     const std::unordered_map<TrajIndex, std::string>& rewrites) {
-  std::vector<TrackingRecord> records;
-  records.reserve(set.total_records());
-  for (TrajIndex i = 0; i < set.size(); ++i) {
-    const Trajectory& t = set.at(i);
-    auto it = rewrites.find(i);
-    const std::string& id = it != rewrites.end() ? it->second : t.id();
-    for (const auto& p : t.points()) {
-      records.push_back(TrackingRecord{id, p.loc, p.ts});
-    }
+  std::vector<Trajectory> trajs = set.trajectories();
+  for (const auto& [i, id] : rewrites) {
+    trajs[i] = Trajectory(id, trajs[i].points());
   }
-  return TrajectorySet::FromRecords(records);
+  return TrajectorySet(std::move(trajs));
 }
 
 }  // namespace idrepair

@@ -46,6 +46,7 @@ struct RepairStats {
   // The Gr build inside seconds_selection (0 when the EMAX fast path skips
   // Gr); the pick/commit loop took the rest.
   double seconds_selection_graph = 0.0;
+  double seconds_apply = 0.0;       // rewrites + ApplyRewrites
   double seconds_total = 0.0;
   // Wall/CPU split of the run: cpu_* sums the CPU seconds of every thread
   // that worked on the phase, so cpu ≈ wall when sequential and
@@ -83,6 +84,7 @@ struct RepairStats {
     v("seconds_generation", StatKind::kSeconds, seconds_generation);
     v("seconds_selection", StatKind::kSeconds, seconds_selection);
     v("seconds_selection_graph", StatKind::kSeconds, seconds_selection_graph);
+    v("seconds_apply", StatKind::kSeconds, seconds_apply);
     v("seconds_total", StatKind::kSeconds, seconds_total);
     v("cpu_seconds_gm", StatKind::kSeconds, cpu_seconds_gm);
     v("cpu_seconds_generation", StatKind::kSeconds, cpu_seconds_generation);
@@ -238,9 +240,9 @@ class IdRepairer : public Repairer {
   const LazyPredicateEvaluator* evaluator_;
 };
 
-/// Applies `rewrites` to the records of `set` and regroups, yielding the
-/// merged (joined) trajectory set. Exposed separately so the baseline
-/// engines share it.
+/// Applies `rewrites` (Definition 2.5): renames each rewritten trajectory
+/// and constructs the set, which joins the trajectories now sharing an ID.
+/// Exposed separately so the baseline engines share it.
 TrajectorySet ApplyRewrites(
     const TrajectorySet& set,
     const std::unordered_map<TrajIndex, std::string>& rewrites);

@@ -14,9 +14,9 @@ namespace idrepair {
 /// edge wherever the cex predicate holds. Cliques of Gm are the candidate
 /// joinable subsets (Theorem 3.2).
 ///
-/// Vertices inherit the TrajectorySet order, which FromRecords makes a
-/// start-time order — the property the MCP pruning of clique generation
-/// relies on (Theorem 5.3).
+/// Vertices inherit the TrajectorySet order, which every set's constructor
+/// makes a start-time order — the property the MCP pruning of clique
+/// generation relies on (Theorem 5.3).
 class TrajectoryGraph {
  public:
   /// Statistics of one construction, for the Fig 14(a) experiment.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <string>
 #include <tuple>
@@ -195,8 +194,8 @@ std::vector<Trajectory> StreamingRepairer::Poll() {
   poll_fresh_records_ = 0;
   // Settled components form a prefix of the live order (starts ascend and
   // components are separated by > η), so walking in start order emits
-  // exactly what FromRecords ordering over the same trajectories would —
-  // concatenation of per-component outputs is the global (start, id) sort.
+  // exactly the (start, id) order a TrajectorySet gives the same
+  // trajectories: concatenating per-component outputs is the global sort.
   std::vector<uint32_t> snapshot = live_;
   for (uint32_t cid : snapshot) {
     const Timestamp max_start = components_[cid].max_start;
@@ -224,20 +223,12 @@ void StreamingRepairer::Flush(uint32_t component, Timestamp cut, bool forced,
   // The repair window is the fragments behind the cut plus their full
   // η-context, so no joinable subset is severed: every fragment that could
   // still share a decision with one behind the cut is on the table.
-  std::vector<uint32_t> window;
+  std::vector<Trajectory> window;
   for (uint32_t h : comp.frags) {
-    if (frags_[h].start() <= cut + options_.eta) window.push_back(h);
+    const Fragment& f = frags_[h];
+    if (f.start() <= cut + options_.eta) window.emplace_back(f.id, f.points);
   }
-  std::sort(window.begin(), window.end());
-  std::vector<TrackingRecord> records;
-  records.reserve(pending_records_);
-  for (uint32_t h : window) {
-    const Fragment& frag = frags_[h];
-    for (const auto& p : frag.points) {
-      records.push_back(TrackingRecord{frag.id, p.loc, p.ts});
-    }
-  }
-  const TrajectorySet set = TrajectorySet::FromRecords(records);
+  const TrajectorySet set(std::move(window));
   // The window is repaired by the batch pipeline itself, Gm build included,
   // so every window's output is by construction what a batch IdRepairer
   // over exactly these records produces. An error result (injected fault,
@@ -268,18 +259,19 @@ void StreamingRepairer::Flush(uint32_t component, Timestamp cut, bool forced,
       }
     }
   }
-  std::vector<TrackingRecord> leaving;
+  std::vector<Trajectory> leaving;
   std::vector<uint32_t> retired;
   for (TrajIndex i = 0; i < n; ++i) {
     if (leaves_as[i] == nullptr) continue;
-    for (const auto& p : set.at(i).points()) {
-      leaving.push_back(TrackingRecord{*leaves_as[i], p.loc, p.ts});
+    const Trajectory& t = set.at(i);
+    leaving.emplace_back(*leaves_as[i], t.points());
+    retired.push_back(frag_by_id_.at(t.id()));
+    if (left_under_ != nullptr) {
+      (*left_under_)[t.id()][*leaves_as[i]] += t.size();
     }
-    retired.push_back(frag_by_id_.at(set.at(i).id()));
   }
-  const TrajectorySet emitted = TrajectorySet::FromRecords(leaving);
-  out->insert(out->end(), emitted.trajectories().begin(),
-              emitted.trajectories().end());
+  const TrajectorySet emitted(std::move(leaving));
+  for (const Trajectory& t : emitted.trajectories()) out->push_back(t);
   if (capture_windows_) {
     captured_.push_back(WindowRepair{
         set.Records(),
@@ -321,10 +313,7 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
   // slotted into live_ right behind it, preserving ascending start order.
   std::vector<uint32_t> order = components_[component].frags;
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    Timestamp sa = frags_[a].start();
-    Timestamp sb = frags_[b].start();
-    if (sa != sb) return sa < sb;
-    return frags_[a].id < frags_[b].id;
+    return frags_[a].start() < frags_[b].start();
   });
   std::vector<std::vector<uint32_t>> groups(1);
   groups.back().push_back(order.front());
@@ -350,12 +339,11 @@ void StreamingRepairer::SplitComponent(uint32_t component) {
   }
 }
 
-std::vector<TrackingRecord> StreamingRepairer::TakeAllRecords() {
-  std::vector<TrackingRecord> records;
-  records.reserve(pending_records_);
-  for (const Fragment& frag : frags_) {
-    for (const auto& p : frag.points) {
-      records.push_back(TrackingRecord{frag.id, p.loc, p.ts});
+std::vector<Trajectory> StreamingRepairer::TakeAll() {
+  std::vector<Trajectory> held;
+  for (Fragment& frag : frags_) {
+    if (!frag.points.empty()) {
+      held.emplace_back(std::move(frag.id), std::move(frag.points));
     }
   }
   frags_.clear();
@@ -365,32 +353,27 @@ std::vector<TrackingRecord> StreamingRepairer::TakeAllRecords() {
   free_components_.clear();
   live_.clear();
   pending_records_ = 0;
-  return records;
+  return held;
 }
 
 std::vector<Trajectory> StreamingRepairer::Finish() {
   obs::TraceSpan span("stream.finish");
   if (pending_records_ == 0) return {};
+  std::vector<Trajectory> out;
   if (fault::Armed() && !fault::Inject("stream.finish").ok()) {
     // Degrade instead of dropping data: the final batch passes through
     // unrepaired, preserving every record.
-    auto batch = TakeAllRecords();
-    auto out = TrajectorySet::FromRecords(batch).trajectories();
-    emitted_ += out.size();
-    if (obs::Enabled()) {
-      StreamInstruments::Get().emitted->Increment(out.size());
+    out = TrajectorySet(TakeAll()).trajectories();
+  } else {
+    // Every remaining component is effectively closed: repair each one
+    // batch-exactly, in start order (concatenation equals the (start, id)
+    // order of one TrajectorySet because components are separated by > η).
+    std::vector<uint32_t> snapshot = live_;
+    for (uint32_t cid : snapshot) {
+      Flush(cid, components_[cid].max_start, /*forced=*/false, &out);
     }
-    return out;
+    TakeAll();  // empty by now; resets the fragment arena
   }
-  // Every remaining component is effectively closed: repair each one
-  // batch-exactly, in start order (concatenation equals the one-batch
-  // FromRecords order because components are separated by > η).
-  std::vector<Trajectory> out;
-  std::vector<uint32_t> snapshot = live_;
-  for (uint32_t cid : snapshot) {
-    Flush(cid, components_[cid].max_start, /*forced=*/false, &out);
-  }
-  TakeAllRecords();  // empties; resets the fragment arena
   emitted_ += out.size();
   if (obs::Enabled()) StreamInstruments::Get().emitted->Increment(out.size());
   return out;
@@ -423,6 +406,8 @@ Result<RepairResult> StreamingRepairer::Repair(
   StreamOptions replay_stream = stream_options_;
   replay_stream.max_buffered = 0;  // handled via the extra polls below
   StreamingRepairer scratch(*graph_, replay_options, replay_stream);
+  std::unordered_map<std::string, std::map<std::string, size_t>> left_under;
+  scratch.left_under_ = &left_under;
   std::vector<Trajectory> emitted;
   Status degraded = Status::OK();
   Timestamp last_poll = records.empty() ? 0 : records.front().ts;
@@ -438,57 +423,45 @@ Result<RepairResult> StreamingRepairer::Repair(
         ++next;  // this record was appended; it drains with the buffer
         break;
       }
-      auto got = scratch.Poll();
-      emitted.insert(emitted.end(), got.begin(), got.end());
+      for (Trajectory& t : scratch.Poll()) emitted.push_back(std::move(t));
       if (due) last_poll = scratch.watermark();
     }
   }
   if (degraded.ok()) {
-    auto tail = scratch.Finish();
-    emitted.insert(emitted.end(), tail.begin(), tail.end());
+    for (Trajectory& t : scratch.Finish()) emitted.push_back(std::move(t));
   } else {
-    std::vector<TrackingRecord> rest = scratch.TakeAllRecords();
-    rest.insert(rest.end(), records.begin() + static_cast<ptrdiff_t>(next),
-                records.end());
-    auto passthrough = TrajectorySet::FromRecords(rest).trajectories();
-    emitted.insert(emitted.end(), passthrough.begin(), passthrough.end());
+    for (Trajectory& t : scratch.TakeAll()) emitted.push_back(std::move(t));
+    for (; next < records.size(); ++next) {
+      const TrackingRecord& r = records[next];
+      emitted.emplace_back(r.id, std::vector<TrajectoryPoint>{{r.loc, r.ts}});
+    }
   }
 
   RepairResult result;
   result.completion = degraded;
   recorder.Validity(*graph_);
 
-  // Recover the per-trajectory rewrite map: repair only relabels records,
-  // so each input point (loc, ts) reappears verbatim in some emitted
-  // trajectory. Bucket emitted IDs by point and let each input trajectory
-  // claim one per point, majority-voting its new ID (points of one input
-  // always travel together, so the vote is unanimous short of point-level
-  // (loc, ts) collisions between distinct inputs).
-  const std::vector<TrackingRecord> emitted_records =
-      TrajectorySet(std::move(emitted)).Records();
-  std::map<std::pair<LocationId, Timestamp>, std::deque<std::string>> by_point;
-  for (const auto& r : emitted_records) by_point[{r.loc, r.ts}].push_back(r.id);
+  // Each input trajectory is one fragment ID of the scratch stream, which
+  // tallied the IDs its records left under; records it passed through
+  // unrepaired (a deadline, Finish's fault path) left under their own ID.
+  // The rewrite is the ID most of them left under: the own ID on a tie,
+  // else the smallest.
   for (TrajIndex i = 0; i < set.size(); ++i) {
-    const Trajectory& t = set.at(i);
-    std::map<std::string, size_t> votes;
-    for (const auto& p : t.points()) {
-      auto it = by_point.find({p.loc, p.ts});
-      if (it == by_point.end() || it->second.empty()) continue;
-      ++votes[it->second.front()];
-      it->second.pop_front();
-    }
-    const std::string* winner = nullptr;
-    size_t best = 0;
-    for (const auto& [id, n] : votes) {
-      if (n > best || (n == best && id == t.id())) {
-        winner = &id;
-        best = n;
-      }
-    }
-    if (winner != nullptr && *winner != t.id()) result.rewrites[i] = *winner;
+    const std::string& own = set.at(i).id();
+    std::map<std::string, size_t>& tally = left_under[own];
+    size_t tallied = 0;
+    for (const auto& [id, n] : tally) tallied += n;
+    tally[own] += set.at(i).size() - tallied;
+    auto winner = std::max_element(
+        tally.begin(), tally.end(), [&](const auto& a, const auto& b) {
+          return a.second < b.second ||
+                 (a.second == b.second && b.first == own);
+        });
+    if (winner->first != own) result.rewrites[i] = winner->first;
   }
 
-  result.repaired = TrajectorySet::FromRecords(emitted_records);
+  // The constructor joins what left under one ID across flushes.
+  result.repaired = TrajectorySet(std::move(emitted));
   recorder.Finish(&result);
   return result;
 }

@@ -2,6 +2,7 @@
 #define IDREPAIR_STREAM_STREAMING_REPAIRER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -200,9 +201,9 @@ class StreamingRepairer : public Repairer {
   /// live_ and frees its slot.
   void SplitComponent(uint32_t component);
 
-  /// Drains every pending record (any order) and resets all incremental
-  /// state; watermark and lifetime counters survive.
-  std::vector<TrackingRecord> TakeAllRecords();
+  /// Drains every live fragment as a trajectory (any order) and resets all
+  /// incremental state; watermark and lifetime counters survive.
+  std::vector<Trajectory> TakeAll();
 
   const TransitionGraph* graph_;
   RepairOptions options_;
@@ -234,6 +235,9 @@ class StreamingRepairer : public Repairer {
 
   bool capture_windows_ = false;
   std::vector<WindowRepair> captured_;
+  /// Fragment ID -> leaving ID -> records; set on the adapter's scratch only.
+  std::unordered_map<std::string, std::map<std::string, size_t>>*
+      left_under_ = nullptr;
 };
 
 }  // namespace idrepair

@@ -32,10 +32,10 @@ std::vector<MergedPoint> MergeChronological(const Trajectory& a,
 
 Trajectory Join(std::span<const Trajectory* const> trajectories,
                 std::string target_id) {
-  auto merged = MergeChronological(trajectories);
   std::vector<TrajectoryPoint> points;
-  points.reserve(merged.size());
-  for (const auto& m : merged) points.push_back(TrajectoryPoint{m.loc, m.ts});
+  for (const Trajectory* t : trajectories) {
+    points.insert(points.end(), t->points().begin(), t->points().end());
+  }
   return Trajectory(std::move(target_id), std::move(points));
 }
 

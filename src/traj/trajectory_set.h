@@ -15,18 +15,20 @@ namespace idrepair {
 /// Dense index of a trajectory within a TrajectorySet.
 using TrajIndex = uint32_t;
 
-/// The input of the repair problem: a set of trajectories composed from raw
-/// tracking records by grouping on the observed ID (assumption 1 of §2.3:
-/// identical IDs, correct or not, belong to the same entity).
+/// The input of the repair problem: a set of trajectories, one per observed
+/// ID (assumption 1 of §2.3: identical IDs, correct or not, belong to the
+/// same entity), which the trajectory constructor enforces for every set.
 class TrajectorySet {
  public:
   TrajectorySet() = default;
 
-  /// Groups `records` by observed ID and sorts each group chronologically.
-  /// Trajectory order is deterministic: by start time, then by ID.
+  /// Groups `records` by observed ID into trajectories and constructs the
+  /// set from them.
   static TrajectorySet FromRecords(const std::vector<TrackingRecord>& records);
 
-  /// Builds directly from already-formed trajectories (kept in given order).
+  /// Joins the trajectories that share an ID (Join, Definition 2.5) and
+  /// orders the set by (start time, ID), which equals FromRecords over
+  /// their records; an empty trajectory holds no record and is dropped.
   explicit TrajectorySet(std::vector<Trajectory> trajectories);
 
   size_t size() const { return trajectories_.size(); }
@@ -40,7 +42,7 @@ class TrajectorySet {
 
   /// The inverse of FromRecords: every record, trajectory by trajectory in
   /// set order, each trajectory's points in time order.
-  /// FromRecords(set.Records()) reproduces a FromRecords-built set.
+  /// FromRecords(set.Records()) reproduces the set.
   std::vector<TrackingRecord> Records() const;
 
   /// Indices of trajectories that are invalid w.r.t. `graph` (IVTs).
@@ -48,7 +50,7 @@ class TrajectorySet {
       const TransitionGraph& graph) const;
 
   /// Index of the trajectory with the given observed ID, if any.
-  /// IDs are unique within a set by construction of FromRecords.
+  /// IDs are unique within every set by construction.
   std::unordered_map<std::string, TrajIndex> BuildIdIndex() const;
 
  private:

@@ -305,7 +305,8 @@ TEST_F(ObsTest, EveryEngineRecordsItsRunUnderThePinnedNames) {
       "gr_edges_total", "selected_total",
       // kSeconds fields: kRuntime histograms
       "gm_seconds", "generation_seconds", "selection_seconds",
-      "selection_graph_seconds", "total_seconds", "gm_cpu_seconds",
+      "selection_graph_seconds", "apply_seconds", "total_seconds",
+      "gm_cpu_seconds",
       "generation_cpu_seconds", "total_cpu_seconds"};
   const std::vector<std::pair<std::string, std::string>> kPrefixes = {
       {"core", "repair"},

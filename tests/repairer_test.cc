@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
+#include "common/rng.h"
 #include "eval/metrics.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
@@ -305,6 +311,114 @@ TEST(ApplyRewritesTest, NoRewritesIsIdentity) {
   ASSERT_EQ(repaired.size(), set.size());
   for (TrajIndex i = 0; i < set.size(); ++i) {
     EXPECT_EQ(repaired.at(i), set.at(i));
+  }
+}
+
+// ------------------------------------------------------ regroup oracle
+//
+// Reference implementations that form sets by flattening to records and
+// regrouping them on a sorted map of IDs, sharing no code with the
+// trajectory constructor that FromRecords and ApplyRewrites go through.
+
+std::vector<Trajectory> ReferenceFromRecords(
+    const std::vector<TrackingRecord>& records) {
+  std::map<std::string, std::vector<TrajectoryPoint>> by_id;
+  for (const auto& r : records) {
+    by_id[r.id].push_back(TrajectoryPoint{r.loc, r.ts});
+  }
+  std::vector<Trajectory> trajs;
+  trajs.reserve(by_id.size());
+  for (auto& [id, points] : by_id) {
+    trajs.emplace_back(id, std::move(points));
+  }
+  std::sort(trajs.begin(), trajs.end(),
+            [](const Trajectory& a, const Trajectory& b) {
+              return std::forward_as_tuple(a.start_time(), a.id()) <
+                     std::forward_as_tuple(b.start_time(), b.id());
+            });
+  return trajs;
+}
+
+std::vector<Trajectory> ReferenceApplyRewrites(
+    const TrajectorySet& set,
+    const std::unordered_map<TrajIndex, std::string>& rewrites) {
+  std::vector<TrackingRecord> records;
+  records.reserve(set.total_records());
+  for (TrajIndex i = 0; i < set.size(); ++i) {
+    const Trajectory& t = set.at(i);
+    auto it = rewrites.find(i);
+    const std::string& id = it != rewrites.end() ? it->second : t.id();
+    for (const auto& p : t.points()) {
+      records.push_back(TrackingRecord{id, p.loc, p.ts});
+    }
+  }
+  return ReferenceFromRecords(records);
+}
+
+// Shuffled records over up to 30 IDs whose string order is not their
+// numeric order, with timestamps and locations from small ranges so equal
+// start times, equal timestamps at different locations and repeated points
+// are common. Every tenth seed is empty.
+std::vector<TrackingRecord> RandomRecords(Rng& rng, uint64_t seed) {
+  std::vector<TrackingRecord> records;
+  if (seed % 10 == 0) return records;
+  const size_t num_ids = 1 + rng.UniformIndex(30);
+  const size_t num_records = 1 + rng.UniformIndex(80);
+  for (size_t k = 0; k < num_records; ++k) {
+    const size_t id = rng.UniformIndex(num_ids);
+    records.push_back({(id % 2 ? "GL" : "") + std::to_string(id * 7 % 31),
+                       static_cast<LocationId>(rng.UniformIndex(5)),
+                       static_cast<Timestamp>(rng.UniformInt(0, 20))});
+  }
+  rng.Shuffle(records.begin(), records.end());
+  return records;
+}
+
+// Many-to-one rewrites, as the baselines produce them: several
+// trajectories onto one fresh ID, and others onto the ID of a trajectory
+// the rewrites leave untouched.
+std::unordered_map<TrajIndex, std::string> RandomRewrites(
+    Rng& rng, const TrajectorySet& set) {
+  std::unordered_map<TrajIndex, std::string> rewrites;
+  if (set.empty()) return rewrites;
+  const auto untouched = static_cast<TrajIndex>(rng.UniformIndex(set.size()));
+  for (TrajIndex i = 0; i < set.size(); ++i) {
+    if (i == untouched) continue;
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        break;
+      case 1:
+        rewrites[i] = "new" + std::to_string(rng.UniformIndex(2));
+        break;
+      default:
+        rewrites[i] = set.at(untouched).id();
+        break;
+    }
+  }
+  return rewrites;
+}
+
+TEST(RegroupOracleTest, FromRecordsAndApplyRewritesMatchTheRecordRegroup) {
+  for (uint64_t seed = 0; seed < 250; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::vector<TrackingRecord> records = RandomRecords(rng, seed);
+    const TrajectorySet set = TrajectorySet::FromRecords(records);
+    ASSERT_EQ(set.trajectories(), ReferenceFromRecords(records));
+    const auto rewrites = RandomRewrites(rng, set);
+    ASSERT_EQ(ApplyRewrites(set, rewrites).trajectories(),
+              ReferenceApplyRewrites(set, rewrites));
+    // The constructor over the same trajectories, split into pieces under
+    // their ID, regroups them the same way.
+    std::vector<Trajectory> pieces;
+    for (const Trajectory& t : set.trajectories()) {
+      for (const TrajectoryPoint& p : t.points()) {
+        pieces.emplace_back(t.id(), std::vector<TrajectoryPoint>{p});
+      }
+    }
+    rng.Shuffle(pieces.begin(), pieces.end());
+    ASSERT_EQ(TrajectorySet(std::move(pieces)).trajectories(),
+              set.trajectories());
   }
 }
 

@@ -66,9 +66,10 @@ TEST(StatsJsonTest, KeyOrderIsPinned) {
       "cex_evaluations", "cliques_enumerated", "pck_pruned", "jnb_checks",
       "joinable_subsets", "num_candidates", "gr_edges", "num_selected",
       "seconds_gm", "seconds_generation", "seconds_selection",
-      "seconds_selection_graph", "seconds_total", "cpu_seconds_gm",
-      "cpu_seconds_generation", "cpu_seconds_total", "threads_used",
-      "sched_blocks", "sched_workers", "sched_imbalance", "cpu_clock_source",
+      "seconds_selection_graph", "seconds_apply", "seconds_total",
+      "cpu_seconds_gm", "cpu_seconds_generation", "cpu_seconds_total",
+      "threads_used", "sched_blocks", "sched_workers", "sched_imbalance",
+      "cpu_clock_source",
       // result summary + run health
       "total_effectiveness", "num_rewrites", "completion", "code", "message",
       "fault", "armed_sites", "total_fires",

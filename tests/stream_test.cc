@@ -285,6 +285,27 @@ TEST(StreamingRepairerTest, EveryEmissionComesFromItsPollsCapturedWindows) {
   }
 }
 
+// AAA's one record collides with GL83248's first (loc, ts). The adapter
+// reads each input's rewrite from the IDs its records left the stream
+// under, so the collision cannot hand AAA GL83248's rename.
+TEST(StreamingRepairerTest, RewritesMatchTheBatchEngineOnCollidingPoints) {
+  TransitionGraph graph = MakePaperExampleGraph();
+  std::vector<TrackingRecord> records = MakeTable1Records();
+  records.push_back({"AAA", /*D=*/3, testutil::HMS(8, 19, 40)});
+  TrajectorySet set = TrajectorySet::FromRecords(records);
+  ASSERT_EQ(set.at(2).id(), "AAA");
+  RepairOptions options = RunningExampleOptions();
+  auto batch = IdRepairer(graph, options).Repair(set);
+  auto stream = StreamingRepairer(graph, options).Repair(set);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  const std::unordered_map<TrajIndex, std::string> expected = {
+      {1, "GL83248"}};
+  EXPECT_EQ(batch->rewrites, expected);
+  EXPECT_EQ(stream->rewrites, expected);
+  EXPECT_EQ(stream->repaired.trajectories(), batch->repaired.trajectories());
+}
+
 TEST(StreamingRepairerTest, EmittedCountAccumulates) {
   TransitionGraph graph = MakePaperExampleGraph();
   StreamingRepairer stream(graph, RunningExampleOptions());

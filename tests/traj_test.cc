@@ -102,6 +102,19 @@ TEST(TrajectorySetTest, StartTimeTiesBreakById) {
   EXPECT_EQ(set.at(2).id(), "bbb");
 }
 
+TEST(TrajectorySetTest, ConstructorJoinsTrajectoriesThatShareAnId) {
+  TrajectorySet set({Trajectory("b", {{1, 50}, {2, 70}}),
+                     Trajectory("a", {{0, 60}}), Trajectory("d", {}),
+                     Trajectory("b", {{3, 10}, {2, 60}}),
+                     Trajectory("c", {{4, 10}}), Trajectory("c", {})});
+  ASSERT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.total_records(), 6u);
+  // (start, ID) order: b and c both start at 10. Empty ones are dropped.
+  EXPECT_EQ(set.at(0), Trajectory("b", {{3, 10}, {1, 50}, {2, 60}, {2, 70}}));
+  EXPECT_EQ(set.at(1), Trajectory("c", {{4, 10}}));
+  EXPECT_EQ(set.at(2), Trajectory("a", {{0, 60}}));
+}
+
 TEST(TrajectorySetTest, InvalidTrajectoriesOnRunningExample) {
   TransitionGraph g = MakePaperExampleGraph();
   TrajectorySet set = MakeTable2Trajectories();
