@@ -20,6 +20,7 @@ Result<RepairResult> NeighborhoodRepairer::Repair(
 
   PredicateEvaluator pred(*graph_, options_.theta, options_.eta);
   TrajectoryGraph gm(set, pred, options_);
+  IDREPAIR_RETURN_NOT_OK(gm.status());
   result.stats.gm_edges = gm.num_edges();
 
   // Candidate isolated rewrites: relabel dirty vertex v to neighbor w's

@@ -62,9 +62,9 @@ class FlatHash64Map {
   bool empty() const { return size_ == 0; }
 
   /// Empties the map but KEEPS its capacity: one fill of the key array
-  /// instead of a rebuild-from-64 growth ladder. This is the per-task
-  /// reset of pool-owned scratch memos — entries from a previous input
-  /// must not leak across tasks, but the table footprint should.
+  /// instead of a rebuild-from-64 growth ladder. This is the per-block
+  /// reset of per-thread scratch memos — entries from a previous input
+  /// must not leak across blocks, but the table footprint should.
   void Reset() {
     if (!keys_.empty()) keys_.assign(keys_.size(), kEmptyKey);
     size_ = 0;

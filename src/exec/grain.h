@@ -10,35 +10,33 @@ namespace idrepair {
 
 /// Sentinel grain value meaning "let the cost model pick" (CLI spelling:
 /// `auto`). Stored in ExecOptions::grain, where it is the default; any
-/// positive value is an explicit override that wins over the model
-/// unconditionally.
+/// positive value is an explicit block size that wins over the model
+/// unconditionally, in every phase.
 inline constexpr size_t kGrainAuto = 0;
 
-/// How many shards per thread the auto model aims for. More shards than
-/// threads is deliberate: shard k+1 starts the moment a worker drains
-/// shard k, so a skewed shard no longer pins the whole phase to its
-/// slowest peer. 4 keeps the tail short without multiplying per-shard
-/// fixed costs (dispatch, slot construction, merge walk) beyond noise.
+/// How many blocks per thread the auto model aims for. More blocks than
+/// threads is deliberate: a worker claims the next block the moment it
+/// drains one, so a skewed block no longer pins the whole phase to its
+/// slowest peer. 4 keeps the tail short without multiplying per-block
+/// fixed costs (claim, slot construction, merge walk) beyond noise.
 inline constexpr size_t kAutoShardsPerThread = 4;
 
-/// Calibration floors: the smallest number of work items per shard for
-/// which one pool dispatch is cheaper than just doing the work inline.
+/// Calibration floors: the smallest number of work items per block for
+/// which handing a block to the pool is cheaper than doing it inline.
 /// Measured on the tier-1 bench workloads (see DESIGN.md §10): a clique
 /// seed roots a whole search subtree, so even a handful amortize a
-/// dispatch; selection items are a comparison or a flag write, so
-/// thousands are needed before the pool pays for itself. A trajectory-graph
-/// probe vertex costs one LIG probe plus its cex checks; since the Gm build
-/// makes at most one shard per thread (SplitRange), its auto grain shards
-/// exactly as a fixed grain of 64 (pinned in exec_test).
+/// dispatch; selection items are a comparison or a flag write, so thousands
+/// are needed before the pool pays for itself. A trajectory-graph probe
+/// vertex costs one LIG probe plus its cex checks, in between.
 inline constexpr size_t kCandidateGrainCalibration = 4;
 inline constexpr size_t kSelectionGrainCalibration = 512;
 inline constexpr size_t kPartitionGrainCalibration = 64;
 
-/// The auto cost model as a pure function: the grain (items per shard)
+/// The auto cost model as a pure function: the grain (items per block)
 /// for `items` work items on `threads` threads with the given calibration
 /// floor. Properties relied on by callers and pinned in exec_test:
 ///  - threads <= 1 (or items == 0): returns max(items, 1), i.e. a single
-///    shard — the serial reference schedule.
+///    block — the serial reference schedule.
 ///  - otherwise: ceil(items / (threads * kAutoShardsPerThread)), floored
 ///    at `calibration` — never below 1, never above `items`.
 size_t ComputeAutoGrain(size_t items, int threads, size_t calibration);

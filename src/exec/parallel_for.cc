@@ -4,56 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <utility>
+
+#include "exec/task_group.h"
 
 namespace idrepair {
 
-std::vector<std::pair<size_t, size_t>> SplitRange(size_t n, int num_threads,
-                                                  size_t grain) {
-  std::vector<std::pair<size_t, size_t>> shards;
-  if (n == 0) return shards;
-  if (grain == 0) grain = 1;
-  size_t max_shards = num_threads > 0 ? static_cast<size_t>(num_threads) : 1;
-  size_t num_shards = std::min(max_shards, (n + grain - 1) / grain);
-  num_shards = std::max<size_t>(num_shards, 1);
-  shards.reserve(num_shards);
-  // Evenly sized shards; the first (n % num_shards) get one extra item.
-  size_t base = n / num_shards;
-  size_t extra = n % num_shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    size_t size = base + (s < extra ? 1 : 0);
-    shards.emplace_back(begin, begin + size);
-    begin += size;
-  }
-  return shards;
-}
-
-Status ParallelFor(
-    ThreadPool* pool,
-    const std::vector<std::pair<size_t, size_t>>& shards,
-    const std::function<Status(size_t shard, size_t begin, size_t end)>&
-        body) {
-  if (shards.empty()) return Status::OK();
-  if (shards.size() == 1) {
-    return body(0, shards[0].first, shards[0].second);
-  }
-  TaskGroup group(pool);
-  for (size_t s = 0; s < shards.size(); ++s) {
-    group.Spawn([&body, &shards, s] {
-      return body(s, shards[s].first, shards[s].second);
-    });
-  }
-  return group.Wait();
-}
-
-Status ParallelFor(
-    ThreadPool* pool, size_t n, int num_threads, size_t grain,
-    const std::function<Status(size_t shard, size_t begin, size_t end)>&
-        body) {
-  return ParallelFor(pool, SplitRange(n, num_threads, grain), body);
-}
-
-double DynamicScheduleStats::Imbalance() const {
+double ScheduleStats::Imbalance() const {
   uint64_t total = 0;
   uint64_t max = 0;
   size_t active = 0;
@@ -79,11 +36,11 @@ uint64_t NowMicros() {
 
 }  // namespace
 
-Status ParallelForDynamic(
+Status ParallelFor(
     ThreadPool* pool, size_t n, int num_threads, size_t block_size,
     const std::function<Status(size_t block, size_t begin, size_t end)>&
         body,
-    DynamicScheduleStats* stats) {
+    ScheduleStats* stats) {
   if (block_size == 0) block_size = 1;
   const size_t num_blocks = (n + block_size - 1) / block_size;
   const size_t num_workers = std::min(
@@ -101,7 +58,7 @@ Status ParallelForDynamic(
   std::atomic<size_t> cursor{0};
   std::atomic<bool> stop{false};
   // Lowest errored block wins, matching TaskGroup's deterministic
-  // lowest-spawn-index error retention for the fixed-shard path.
+  // lowest-spawn-index error retention.
   std::mutex error_mu;
   Status first_error = Status::OK();
   size_t first_error_block = SIZE_MAX;

@@ -4,44 +4,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 
 namespace idrepair {
 
-/// Splits [0, n) into at most `num_threads` contiguous shards of at least
-/// `grain` items each (the last shard absorbs the remainder). Pure function
-/// of its arguments, so callers can pre-size per-shard result storage and
-/// rely on the same decomposition inside ParallelFor. Returns an empty
-/// vector for n == 0.
-std::vector<std::pair<size_t, size_t>> SplitRange(size_t n, int num_threads,
-                                                  size_t grain);
-
-/// Runs body(shard, begin, end) over the given shards. A single shard runs
-/// inline on the calling thread (no pool dispatch); multiple shards are
-/// dispatched through a TaskGroup, so the first error cancels unstarted
-/// shards and is returned. Shard results must be merged by the caller in
-/// shard order for deterministic output (see exec/README.md).
-Status ParallelFor(
-    ThreadPool* pool,
-    const std::vector<std::pair<size_t, size_t>>& shards,
-    const std::function<Status(size_t shard, size_t begin, size_t end)>&
-        body);
-
-/// Convenience overload: shards [0, n) itself via SplitRange.
-Status ParallelFor(
-    ThreadPool* pool, size_t n, int num_threads, size_t grain,
-    const std::function<Status(size_t shard, size_t begin, size_t end)>&
-        body);
-
-/// Scheduling footprint of one ParallelForDynamic invocation: how the
-/// blocks actually landed on workers, for the steal/imbalance summary in
+/// Scheduling footprint of one ParallelFor invocation: how the blocks
+/// actually landed on workers, for the steal/imbalance summary in
 /// --stats-json. Purely observational — never feeds back into results.
-struct DynamicScheduleStats {
+struct ScheduleStats {
   size_t items = 0;    // total work items in the range
   size_t blocks = 0;   // work items as claimed: ceil(items / block size)
   size_t workers = 0;  // worker tasks that claimed at least one block
@@ -63,19 +36,21 @@ struct DynamicScheduleStats {
 /// unclaimed block from a shared cursor until the range is exhausted, so a
 /// heavy block delays only the worker that claimed it instead of a fixed
 /// range-mate. The block decomposition is a pure function of
-/// (n, block_size) — callers merge per-block slots in block order for
-/// output that is byte-identical at any thread count and any schedule.
+/// (n, block_size) — callers write one slot per block and merge the slots
+/// in block order for output that is byte-identical at any thread count
+/// and any schedule (see exec/README.md).
 ///
 /// Error semantics: the first body error stops further claims (blocks
 /// already claimed finish); among the blocks that errored, the LOWEST
 /// block index wins, mirroring TaskGroup's lowest-spawn-index retention.
+/// A TaskGroup error (a worker task that never ran) is returned as well.
 /// A single worker (or a single block) runs inline on the calling thread
 /// with no pool dispatch — the serial reference schedule.
-Status ParallelForDynamic(
+Status ParallelFor(
     ThreadPool* pool, size_t n, int num_threads, size_t block_size,
     const std::function<Status(size_t block, size_t begin, size_t end)>&
         body,
-    DynamicScheduleStats* stats = nullptr);
+    ScheduleStats* stats = nullptr);
 
 }  // namespace idrepair
 

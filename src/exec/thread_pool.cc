@@ -1,6 +1,5 @@
 #include "exec/thread_pool.h"
 
-#include <atomic>
 #include <utility>
 
 #include "fault/failpoint.h"
@@ -32,9 +31,9 @@ struct PoolMetrics {
     static PoolMetrics* m = [] {
       auto& reg = obs::MetricsRegistry::Global();
       auto* pm = new PoolMetrics();
-      // Task counts depend on the decomposition width (SplitRange consults
-      // the thread budget), so they are runtime metrics even though each
-      // width reproduces them exactly.
+      // Task counts depend on the thread budget (ParallelFor spawns one
+      // worker task per thread, up to the block count), so they are
+      // runtime metrics even though each width reproduces them exactly.
       pm->submitted = reg.GetCounter(
           "idrepair_exec_tasks_submitted_total", obs::Stability::kRuntime,
           "Tasks enqueued on any thread pool");
@@ -177,11 +176,6 @@ bool ThreadPool::TryRunOneTask() {
 ThreadPool& ThreadPool::Default() {
   static ThreadPool* pool = new ThreadPool();  // leaked: lives until exit
   return *pool;
-}
-
-uint64_t ThreadPool::NextPoolId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace idrepair

@@ -3,13 +3,10 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace idrepair {
@@ -47,48 +44,11 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Pool-owned per-thread scratch: one default-constructed T per
-  /// (thread, pool, T), created on first use and reused across every task
-  /// the thread runs — this is what kills per-shard allocation churn
-  /// (similarity memos, invalid-member buffers, sort scratch) without any
-  /// sharing between threads. The pool owns the objects; the calling
-  /// thread caches a pointer keyed by the pool's unique id, so a pool at a
-  /// recycled address can never serve another pool's stale slot.
-  ///
-  /// Contract: only touch the returned scratch from inside a single task
-  /// body (or the thread that owns it), reset any state you depend on at
-  /// the start of the body — a previous task of ANY phase may have used
-  /// it — and never cache the reference across tasks. Leaf task bodies
-  /// never nest (they contain no Wait), so reentrant use cannot occur.
-  template <typename T>
-  T& LocalScratch() {
-    thread_local std::vector<std::pair<uint64_t, T*>> cache;
-    for (const auto& [pool_id, scratch] : cache) {
-      if (pool_id == id_) return *scratch;
-    }
-    auto holder = std::make_unique<ScratchHolder<T>>();
-    T* scratch = &holder->value;
-    {
-      std::lock_guard<std::mutex> lock(scratch_mu_);
-      scratch_.push_back(std::move(holder));
-    }
-    cache.emplace_back(id_, scratch);
-    return *scratch;
-  }
-
   /// Process-wide shared pool sized to the hardware. Lazily constructed,
   /// never destroyed before exit.
   static ThreadPool& Default();
 
  private:
-  struct ScratchBase {
-    virtual ~ScratchBase() = default;
-  };
-  template <typename T>
-  struct ScratchHolder : ScratchBase {
-    T value;
-  };
-
   void WorkerLoop(int self);
   /// Pops one task. `stolen`, when non-null, reports whether the task came
   /// from another worker's deque (a genuine steal — injection-queue pops
@@ -98,8 +58,8 @@ class ThreadPool {
   void RunTask(std::function<void()>& task, bool stolen);
 
   // One deque per worker plus the injection queue at index workers_.size().
-  // A single mutex guards all queues: tasks here are coarse (a shard of
-  // pairwise evaluations, a block of clique seeds), so queue operations
+  // A single mutex guards all queues: tasks here are coarse (a block of
+  // pairwise evaluations or of clique seeds), so queue operations
   // are a vanishing fraction of task runtime and the simple locking keeps
   // the pool easy to reason about (and trivially TSan-clean).
   mutable std::mutex mu_;
@@ -107,15 +67,6 @@ class ThreadPool {
   std::vector<std::deque<std::function<void()>>> queues_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
-
-  // Scratch registry (LocalScratch): the pool owns every slot it handed
-  // out and frees them with itself; process-unique id guards the
-  // thread_local caches against pool address reuse.
-  const uint64_t id_ = NextPoolId();
-  std::mutex scratch_mu_;
-  std::vector<std::unique_ptr<ScratchBase>> scratch_;
-
-  static uint64_t NextPoolId();
 };
 
 }  // namespace idrepair

@@ -103,29 +103,29 @@ Result<CandidateSet> CandidateSet::Concatenate(
                       std::make_move_iterator(block.names_.end()));
   }
 
+  // One loop item per input block: each copies into its own disjoint
+  // ranges of the output columns.
   if (total.row < kParallelConcatenateMinRows) threads = 1;
   IDREPAIR_RETURN_NOT_OK(ParallelFor(
       &ThreadPool::Default(), blocks.size(), threads, 1,
-      [&](size_t /*shard*/, size_t begin, size_t end) {
-        for (size_t b = begin; b < end; ++b) {
-          CandidateSet& block = blocks[b];
-          const Base& at = base[b];
-          auto copy = [&](const auto& from, auto& to, size_t first) {
-            std::copy(from.begin(), from.end(), to.begin() + first);
-          };
-          copy(block.members_, out.members_, at.entry);
-          // Shifted row ends; out.offsets_[0] keeps its initial 0.
-          for (size_t r = 0; r < block.size(); ++r) {
-            out.offsets_[at.row + r + 1] = block.offsets_[r + 1] + at.entry;
-            out.targets_[at.row + r] =
-                block.targets_[r] + static_cast<NameId>(at.name);
-          }
-          copy(block.invalid_, out.invalid_, at.row);
-          copy(block.similarity_, out.similarity_, at.row);
-          copy(block.rarity_, out.rarity_, at.row);
-          copy(block.effectiveness_, out.effectiveness_, at.row);
-          block = CandidateSet();  // free on the worker that copied it
+      [&](size_t b, size_t /*begin*/, size_t /*end*/) {
+        CandidateSet& block = blocks[b];
+        const Base& at = base[b];
+        auto copy = [&](const auto& from, auto& to, size_t first) {
+          std::copy(from.begin(), from.end(), to.begin() + first);
+        };
+        copy(block.members_, out.members_, at.entry);
+        // Shifted row ends; out.offsets_[0] keeps its initial 0.
+        for (size_t r = 0; r < block.size(); ++r) {
+          out.offsets_[at.row + r + 1] = block.offsets_[r + 1] + at.entry;
+          out.targets_[at.row + r] =
+              block.targets_[r] + static_cast<NameId>(at.name);
         }
+        copy(block.invalid_, out.invalid_, at.row);
+        copy(block.similarity_, out.similarity_, at.row);
+        copy(block.rarity_, out.rarity_, at.row);
+        copy(block.effectiveness_, out.effectiveness_, at.row);
+        block = CandidateSet();  // free on the worker that copied it
         return Status::OK();
       }));
   blocks.clear();
@@ -164,9 +164,9 @@ namespace {
 /// heavily, making the hit rate the dominant generation speedup on dense
 /// instances.
 ///
-/// The backing table is borrowed, not owned: blocks draw it from the
-/// pool's per-thread scratch (ThreadPool::LocalScratch) so its capacity
-/// survives across blocks, and Reset() it per block — both because
+/// The backing table is borrowed, not owned: blocks draw it from
+/// per-thread scratch (GenerationScratch) so its capacity survives across
+/// blocks, and Reset() it per block — both because
 /// TrajIndex keys are component-local under the streaming engine (a
 /// stale entry would answer for the wrong pair) and so the merged
 /// similarity_cache_hits stays a pure function of the block decomposition
@@ -199,7 +199,7 @@ class PairSimilarityMemo {
   size_t hits_ = 0;
 };
 
-/// Pool-owned per-thread workspace for generation blocks: the similarity
+/// Per-thread workspace for generation blocks: the similarity
 /// memo's table, the block's target-name ids (TrajIndex -> NameId in the
 /// block's CandidateSet) and the invalid-member assembly buffer, reused
 /// across every block a thread claims instead of reallocated per block.
@@ -273,16 +273,17 @@ Result<CandidateSet> GenerateCandidates(
   std::vector<CandidateSet> block_candidates(num_blocks);
   std::vector<GenerationStats> block_stats(num_blocks);
 
-  ThreadPool* pool = &ThreadPool::Default();
-  DynamicScheduleStats sched;
-  IDREPAIR_RETURN_NOT_OK(ParallelForDynamic(
-      pool, seeds.size(), threads, grain,
+  ScheduleStats sched;
+  IDREPAIR_RETURN_NOT_OK(ParallelFor(
+      &ThreadPool::Default(), seeds.size(), threads, grain,
       [&](size_t block, size_t begin, size_t end) {
         IDREPAIR_FAULT_INJECT("repair.generation.shard");
         obs::TraceSpan span("generation.shard", block);
         CandidateSet& candidates = block_candidates[block];
         GenerationStats& block_stat = block_stats[block];
-        GenerationScratch& scratch = pool->LocalScratch<GenerationScratch>();
+        // Dies with its thread. A previous block of this thread may have
+        // left entries behind: reset what the block reads before using it.
+        thread_local GenerationScratch scratch;
         scratch.memo.Reset();
         scratch.target_names.Reset();
         PairSimilarityMemo memo(set, similarity, scratch.memo);
@@ -339,39 +340,22 @@ Result<CandidateSet> GenerateCandidates(
 Status ComputeEffectiveness(CandidateSet& candidates,
                             const RepairOptions& options, size_t num_trajs) {
   obs::TraceSpan span("generation.effectiveness");
-  const int threads = options.exec.ResolvedThreads();
-  auto shards = SplitRange(
-      candidates.size(), threads,
-      ResolveGrain(options.exec.grain, candidates.size(),
-                   threads, kCandidateGrainCalibration));
-
-  // d(T): how many candidate repairs cover each invalid trajectory. Each
-  // shard counts its candidate range into a private array; the reduction
-  // adds the arrays in index order onto the first (integer sums, so any
-  // order would give the same totals — fixed order keeps the invariant
-  // self-evident). One shard is its own result.
-  std::vector<std::vector<uint32_t>> shard_degree(shards.size());
-  IDREPAIR_RETURN_NOT_OK(ParallelFor(
-      &ThreadPool::Default(), shards,
-      [&](size_t shard, size_t begin, size_t end) {
-        std::vector<uint32_t>& d = shard_degree[shard];
-        d.assign(num_trajs, 0);
-        for (size_t i = begin; i < end; ++i) {
-          candidates.ForEachInvalid(i, [&](TrajIndex t) { ++d[t]; });
-        }
-        return Status::OK();
-      }));
-  if (shards.empty()) return Status::OK();  // no candidates to score
-  std::vector<uint32_t> degree = std::move(shard_degree.front());
-  for (size_t s = 1; s < shard_degree.size(); ++s) {
-    for (size_t t = 0; t < num_trajs; ++t) degree[t] += shard_degree[s][t];
+  // d(T): how many candidate repairs cover each invalid trajectory. One
+  // serial O(Σ|ivt|) counting pass: per-block arrays would cost
+  // O(blocks × num_trajs) to clear and reduce.
+  std::vector<uint32_t> degree(num_trajs, 0);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    candidates.ForEachInvalid(i, [&](TrajIndex t) { ++degree[t]; });
   }
 
   // Scoring touches only the candidate's own row plus the finished degree
-  // array, so the same shards run it without any reduction.
+  // array, so blocks need no reduction.
+  const int threads = options.exec.ResolvedThreads();
   return ParallelFor(
-      &ThreadPool::Default(), shards,
-      [&](size_t /*shard*/, size_t begin, size_t end) {
+      &ThreadPool::Default(), candidates.size(), threads,
+      ResolveGrain(options.exec.grain, candidates.size(), threads,
+                   kCandidateGrainCalibration),
+      [&](size_t /*block*/, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           uint32_t ra = 0;
           bool first = true;

@@ -172,8 +172,8 @@ struct GenerationStats {
   /// recomputed (cliques overlap heavily, so most calls repeat).
   size_t similarity_cache_hits = 0;
 
-  /// Scheduling footprint of the dynamic clique-granularity scheduler
-  /// (ParallelForDynamic): seed blocks claimed, worker tasks that claimed
+  /// Scheduling footprint of the clique-seed loop (ParallelFor): seed
+  /// blocks claimed, worker tasks that claimed
   /// at least one, and the worst max/mean busy-time ratio observed (1.0 =
   /// perfectly balanced). Observational only — results never depend on it.
   size_t sched_blocks = 0;
@@ -222,8 +222,8 @@ struct GenerationStats {
 /// and any claim schedule. A target name used by two blocks is stored once
 /// per block. The pairwise-similarity memo caches a pure function of the
 /// two ID strings (cached and recomputed values are the same doubles); its
-/// table and the invalid-member buffer live in pool-owned per-thread
-/// scratch, reused across blocks instead of reallocated per shard. The
+/// table and the invalid-member buffer live in per-thread scratch, reused
+/// across blocks instead of reallocated per block. The
 /// schedule's footprint is reported in the sched_* stats fields.
 ///
 /// Rarity and effectiveness are *not* filled here — they depend on the full
@@ -231,9 +231,9 @@ struct GenerationStats {
 ///
 /// Errors: options that fail RepairOptions::Validate (a joinable subset
 /// wider than kMaxRepairMembers could not be stored) return InvalidArgument
-/// before any work. A shard that fails (today only via the
-/// `repair.generation.shard` failpoint) propagates through the TaskGroup's
-/// deterministic first-error rule and surfaces here as a non-OK Result; no
+/// before any work. A block that fails (today only via the
+/// `repair.generation.shard` failpoint) propagates through ParallelFor's
+/// lowest-errored-block rule and surfaces here as a non-OK Result; no
 /// partial candidate set is returned.
 Result<CandidateSet> GenerateCandidates(
     const TrajectorySet& set, const TrajectoryGraph& gm,
@@ -247,14 +247,13 @@ Result<CandidateSet> GenerateCandidates(
 /// `options.rarity_aggregation`, and
 /// ω = sim + λ · log_{rarity + rarity_base_offset}(|ivt|).
 ///
-/// Shares the generator's sharding (`options.exec.grain` and its
-/// calibration, here over candidates): the degree pass accumulates into
-/// per-shard count arrays reduced in index order, and the scoring pass
-/// writes each candidate's own fields — both bit-identical at every thread
-/// count (degree sums are integers; ω is computed per candidate from its
-/// shard-independent inputs). A propagated shard error leaves `candidates`
-/// with possibly part-filled rarity/effectiveness fields; callers must
-/// discard the set on error.
+/// The degree pass is one serial count over every candidate's invalid
+/// members; the scoring pass runs in blocks of `options.exec.grain`
+/// candidates (the generator's calibration) and writes each candidate's
+/// own fields — both bit-identical at every thread count (degrees are
+/// integers; ω is computed per candidate from block-independent inputs).
+/// A propagated block error leaves `candidates` with possibly part-filled
+/// rarity/effectiveness fields; callers must discard the set on error.
 Status ComputeEffectiveness(CandidateSet& candidates,
                             const RepairOptions& options, size_t num_trajs);
 

@@ -51,8 +51,8 @@ CoverIndex BuildCoverIndex(const CandidateSet& candidates, size_t num_trajs) {
 /// each vertex's degree into `degree`. N(v) is the sorted-unique union of
 /// the cover lists over v's members, minus v itself — a pure function of
 /// (candidates, cover, v), so the output is independent of how the vertex
-/// range is sharded. `scratch` is caller-owned so one buffer serves a whole
-/// shard.
+/// range is split. `scratch` is caller-owned so one buffer serves a whole
+/// block.
 void BuildVertexRange(const CandidateSet& candidates, const CoverIndex& cover,
                       size_t begin, size_t end,
                       std::vector<RepairIndex>& arena,
@@ -82,28 +82,26 @@ Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
   const CoverIndex cover = BuildCoverIndex(candidates, num_trajs);
 
   const int threads = exec.ResolvedThreads();
-  auto shards = SplitRange(
-      candidates.size(), threads,
-      ResolveGrain(exec.grain, candidates.size(), threads,
-                   kSelectionGrainCalibration));
-  std::vector<uint32_t> degree(candidates.size(), 0);
+  const size_t n = candidates.size();
+  const size_t block = ResolveGrain(exec.grain, n, threads,
+                                    kSelectionGrainCalibration);
+  std::vector<uint32_t> degree(n, 0);
 
-  // Each shard owns a contiguous vertex range and *pulls* its neighbor
+  // Each block owns a contiguous vertex range and *pulls* its neighbor
   // lists from the shared (read-only) cover index into a private arena;
-  // the arenas concatenate in shard order, which is vertex order (a single
-  // arena is moved, not copied). The sort scratch comes from pool-owned
-  // per-thread storage so its capacity survives across shards and Build
-  // calls.
-  std::vector<std::vector<RepairIndex>> slot_arena(shards.size());
-  ThreadPool* pool = &ThreadPool::Default();
+  // the arenas concatenate in block order, which is vertex order (a single
+  // arena is moved, not copied).
+  std::vector<std::vector<RepairIndex>> slot_arena((n + block - 1) / block);
   IDREPAIR_RETURN_NOT_OK(ParallelFor(
-      pool, shards,
-      [&](size_t shard, size_t begin, size_t end) {
+      &ThreadPool::Default(), n, threads, block,
+      [&](size_t b, size_t begin, size_t end) {
         IDREPAIR_FAULT_INJECT("repair.selection.shard");
-        obs::TraceSpan span("selection.gr.shard", shard);
-        std::vector<RepairIndex>& scratch =
-            pool->LocalScratch<std::vector<RepairIndex>>();
-        BuildVertexRange(candidates, cover, begin, end, slot_arena[shard],
+        obs::TraceSpan span("selection.gr.shard", b);
+        // Sort scratch that keeps its capacity across blocks and Build
+        // calls and dies with its thread; BuildVertexRange clears it per
+        // vertex, so what an earlier block left behind is never read.
+        thread_local std::vector<RepairIndex> scratch;
+        BuildVertexRange(candidates, cover, begin, end, slot_arena[b],
                          degree, scratch);
         return Status::OK();
       }));

@@ -25,15 +25,15 @@ using RepairIndex = uint32_t;
 /// valid for the graph's lifetime, since a built graph is immutable.
 class RepairGraph {
  public:
-  /// Builds Gr from the candidate set with the adjacency pass sharded over
-  /// the exec pool. Shard boundaries never affect the result: each shard
-  /// derives its vertex range's neighbor list as the sorted-unique union of
-  /// a shared (read-only) per-trajectory cover index over the vertex's
-  /// members — built once per call and dropped when Build returns — so the
-  /// graph is byte-identical at any thread count; a single shard runs
-  /// inline on the calling thread. Evaluates the "repair.selection.shard"
-  /// failpoint once per shard, so a non-empty set hits it at least once at
-  /// every thread count and chaos schedules line up across thread counts.
+  /// Builds Gr from the candidate set with the adjacency pass split into
+  /// blocks over the exec pool. Block boundaries never affect the result:
+  /// each block derives its vertex range's neighbor list as the
+  /// sorted-unique union of a shared (read-only) per-trajectory cover index
+  /// over the vertex's members — built once per call and dropped when Build
+  /// returns — so the graph is byte-identical at any thread count; a single
+  /// block runs inline on the calling thread. Evaluates the
+  /// "repair.selection.shard" failpoint once per block, so a non-empty set
+  /// hits it at least once at every thread count.
   static Result<RepairGraph> Build(const CandidateSet& candidates,
                                    size_t num_trajs, const ExecOptions& exec);
 

@@ -158,6 +158,7 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
                           &result.stats.cpu_seconds_gm);
     gm_storage.emplace(set, pred, options_);
   }
+  IDREPAIR_RETURN_NOT_OK(gm_storage->status());
   const TrajectoryGraph& gm = *gm_storage;
   result.stats.gm_edges = gm.num_edges();
   result.stats.cex_evaluations = gm.stats().cex_evaluations;

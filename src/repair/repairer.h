@@ -58,8 +58,8 @@ struct RepairStats {
   // Parallel-execution footprint: the decomposition width this run was
   // allowed (ExecOptions::ResolvedThreads, >= 1).
   int threads_used = 1;
-  // Dynamic-scheduler footprint of the generation phase (ParallelForDynamic
-  // over clique seeds): blocks claimed, worker tasks that claimed at least
+  // Scheduler footprint of the generation phase (ParallelFor over clique
+  // seeds): blocks claimed, worker tasks that claimed at least
   // one, and the max/mean busy-time ratio (1.0 = balanced). Filled by
   // IdRepairer only. Observational — never feeds back into results.
   size_t sched_blocks = 0;

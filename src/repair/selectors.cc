@@ -65,10 +65,11 @@ struct EffectivenessOrder {
   }
 };
 
-/// Candidate indices sorted into EMAX pick order, shard-sorted over the
-/// exec pool and k-way-merged on the calling thread. The merge compares
-/// shard heads under the same total order, so the output is byte-identical
-/// at any thread count; a single shard is sorted inline and needs no merge.
+/// Candidate indices sorted into EMAX pick order: each block is sorted
+/// over the exec pool, then adjacent sorted runs merge pairwise, widths
+/// doubling, until one run remains — O(n log blocks) at any grain. Every
+/// step sorts or merges under the same total order, so the output is
+/// byte-identical at any thread count and grain.
 Result<std::vector<RepairIndex>> OrderByEffectiveness(
     const CandidateSet& candidates, const ExecOptions& exec) {
   const size_t n = candidates.size();
@@ -77,37 +78,25 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
   EffectivenessOrder before{&candidates};
 
   const int threads = exec.ResolvedThreads();
-  auto shards = SplitRange(n, threads,
-                           ResolveGrain(exec.grain, n, threads,
-                                        kSelectionGrainCalibration));
+  const size_t block = ResolveGrain(exec.grain, n, threads,
+                                    kSelectionGrainCalibration);
   IDREPAIR_RETURN_NOT_OK(ParallelFor(
-      &ThreadPool::Default(), shards,
-      [&](size_t shard, size_t begin, size_t end) {
+      &ThreadPool::Default(), n, threads, block,
+      [&](size_t b, size_t begin, size_t end) {
         IDREPAIR_FAULT_INJECT("repair.selection.shard");
-        obs::TraceSpan span("selection.sort.shard", shard);
+        obs::TraceSpan span("selection.sort.shard", b);
         // Same output as std::sort (the order is total); the merge sort
         // measured faster on this comparator (EXPERIMENTS.md).
         std::stable_sort(order.begin() + begin, order.begin() + end, before);
         return Status::OK();
       }));
-  if (shards.size() <= 1) return order;
-
-  std::vector<RepairIndex> merged;
-  merged.reserve(n);
-  std::vector<size_t> head(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) head[s] = shards[s].first;
-  while (merged.size() < n) {
-    size_t best = shards.size();
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (head[s] == shards[s].second) continue;
-      if (best == shards.size() ||
-          before(order[head[s]], order[head[best]])) {
-        best = s;
-      }
+  for (size_t width = block; width < n; width *= 2) {
+    for (size_t lo = 0; lo + width < n; lo += 2 * width) {
+      std::inplace_merge(order.begin() + lo, order.begin() + lo + width,
+                         order.begin() + std::min(n, lo + 2 * width), before);
     }
-    merged.push_back(order[head[best]++]);
   }
-  return merged;
+  return order;
 }
 
 /// Dynamic degree-driven greedy shared by DMIN and DMAX: each pick is the

@@ -1,6 +1,7 @@
 #include "repair/trajectory_graph.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "exec/grain.h"
@@ -13,11 +14,11 @@ namespace idrepair {
 
 namespace {
 
-/// Per-shard scratch of the parallel build. Each shard owns one slot, so
-/// tasks never share mutable state; the constructor merges slots in shard
+/// Per-block slot of the parallel build. Each block owns one slot, so
+/// tasks never share mutable state; the constructor merges slots in block
 /// order, which makes the finished graph bit-identical to a sequential
 /// build for every thread count.
-struct ShardScratch {
+struct BlockEdges {
   std::vector<std::pair<TrajIndex, TrajIndex>> edges;
   size_t cex_evaluations = 0;
 };
@@ -34,59 +35,48 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
     feasible_[i] = pred.InternallyFeasible(set.at(i));
   }
 
-  // Shard the pairwise/LIG cex-evaluation loop over the probe vertex i.
-  // Shard boundaries depend only on (n, threads, grain), never on timing.
-  const int threads = options.exec.ResolvedThreads();
-  auto shards = SplitRange(
-      n, threads,
-      ResolveGrain(options.exec.grain, n, threads,
-                   kPartitionGrainCalibration));
-  std::vector<ShardScratch> scratch(shards.size());
-
+  std::optional<LengthIndexedGrids> index;
   if (options.use_lig) {
     LengthIndexedGrids::Options lig_opts;
     lig_opts.theta = options.theta;
     lig_opts.eta = options.eta;
     lig_opts.time_bin = options.time_bin;
-    const LengthIndexedGrids index(set, lig_opts);
-    (void)ParallelFor(
-        &ThreadPool::Default(), shards,
-        [&](size_t shard, size_t begin, size_t end) {
-          obs::TraceSpan span("gm.shard", shard);
-          ShardScratch& out = scratch[shard];
-          std::vector<TrajIndex> candidates;
-          for (TrajIndex i = static_cast<TrajIndex>(begin); i < end; ++i) {
-            if (!feasible_[i]) continue;
-            candidates.clear();
-            index.CollectCandidates(i, &candidates);
-            for (TrajIndex j : candidates) {
-              if (j <= i || !feasible_[j]) continue;  // each pair once
-              ++out.cex_evaluations;
-              if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
-            }
-          }
-          return Status::OK();
-        });
-  } else {
-    (void)ParallelFor(
-        &ThreadPool::Default(), shards,
-        [&](size_t shard, size_t begin, size_t end) {
-          obs::TraceSpan span("gm.shard", shard);
-          ShardScratch& out = scratch[shard];
-          for (TrajIndex i = static_cast<TrajIndex>(begin); i < end; ++i) {
-            if (!feasible_[i]) continue;
-            for (TrajIndex j = i + 1; j < n; ++j) {
-              if (!feasible_[j]) continue;
-              ++out.cex_evaluations;
-              if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
-            }
-          }
-          return Status::OK();
-        });
+    index.emplace(set, lig_opts);
   }
 
-  // Deterministic merge: shard order, then the usual neighbor sort.
-  for (const ShardScratch& out : scratch) {
+  // Blocks of probe vertices i; boundaries depend only on (n, grain).
+  // Each probe tests its candidate partners j > i: the LIG probe's hits,
+  // or every later vertex without the index.
+  const int threads = options.exec.ResolvedThreads();
+  const size_t block = ResolveGrain(options.exec.grain, n, threads,
+                                    kPartitionGrainCalibration);
+  std::vector<BlockEdges> slots((n + block - 1) / block);
+  status_ = ParallelFor(
+      &ThreadPool::Default(), n, threads, block,
+      [&](size_t b, size_t begin, size_t end) {
+        obs::TraceSpan span("gm.shard", b);
+        BlockEdges& out = slots[b];
+        std::vector<TrajIndex> candidates;
+        for (TrajIndex i = static_cast<TrajIndex>(begin); i < end; ++i) {
+          if (!feasible_[i]) continue;
+          candidates.clear();
+          if (index) {
+            index->CollectCandidates(i, &candidates);
+          } else {
+            for (TrajIndex j = i + 1; j < n; ++j) candidates.push_back(j);
+          }
+          for (TrajIndex j : candidates) {
+            if (j <= i || !feasible_[j]) continue;  // each pair once
+            ++out.cex_evaluations;
+            if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
+          }
+        }
+        return Status::OK();
+      });
+  if (!status_.ok()) return;  // an edgeless graph the caller must not use
+
+  // Deterministic merge: block order, then the usual neighbor sort.
+  for (const BlockEdges& out : slots) {
     stats_.cex_evaluations += out.cex_evaluations;
     for (const auto& [i, j] : out.edges) AddEdge(i, j);
   }

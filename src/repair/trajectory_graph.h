@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
 #include "traj/trajectory_set.h"
@@ -28,6 +29,7 @@ class TrajectoryGraph {
   /// Builds Gm over `set`. When `options.use_lig` is set, candidate pairs
   /// come from a Length-Indexed Grids index (§5.1); otherwise every pair is
   /// tested. Internally infeasible trajectories become isolated vertices.
+  /// A failed build (see status()) leaves every vertex isolated.
   TrajectoryGraph(const TrajectorySet& set, const PredicateEvaluator& pred,
                   const RepairOptions& options);
 
@@ -48,12 +50,18 @@ class TrajectoryGraph {
 
   const BuildStats& stats() const { return stats_; }
 
+  /// Outcome of the parallel build: non-OK when the exec layer failed to
+  /// run a block, in which case the graph holds no edges and must not be
+  /// used for repair.
+  const Status& status() const { return status_; }
+
  private:
   void AddEdge(TrajIndex u, TrajIndex v);
 
   std::vector<std::vector<TrajIndex>> adj_;
   std::vector<bool> feasible_;
   BuildStats stats_;
+  Status status_;
 };
 
 }  // namespace idrepair

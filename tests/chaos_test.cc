@@ -322,6 +322,37 @@ TEST_F(ChaosTest, ErrorInjectionPropagatesCleanlyAndLeavesNoResidue) {
   }
 }
 
+// A fault in the exec layer while Gm is built (100 trajectories make two
+// Gm blocks at two or more threads, so the build runs on the pool) must
+// fail the run with the injected code, never yield a "complete" repair of
+// an edgeless graph. Both engines that build Gm are covered.
+TEST_F(ChaosTest, GmBuildFaultFailsTheRunInsteadOfRepairingNothing) {
+  for (const Scenario& s : MakeScenarios()) {
+    for (std::string_view engine : {"core", "neighborhood"}) {
+      for (int threads : {2, 8}) {
+        SCOPED_TRACE(s.name + "/" + std::string(engine) + "/t" +
+                     std::to_string(threads));
+        fault::FaultSpec spec;
+        spec.fire_on_hit = 1;
+        spec.code = StatusCode::kIoError;
+        spec.message = "injected Gm build fault";
+        ASSERT_TRUE(fault::FailPointRegistry::Global()
+                        .Arm("exec.task_group.run", spec)
+                        .ok());
+
+        auto result = RunEngine(engine, s, threads);
+        ASSERT_FALSE(result.ok()) << "the Gm build fault was swallowed";
+        EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+
+        fault::FailPointRegistry::Global().DisarmAll();
+        auto rerun = RunEngine(engine, s, threads);
+        ASSERT_TRUE(rerun.ok()) << rerun.status();
+        EXPECT_EQ(Fingerprint(*rerun), BaselineFor(s, engine, threads));
+      }
+    }
+  }
+}
+
 // Selection-phase faults at real parallel grain: --grain 1 at
 // eight threads makes the effectiveness-sort shards, graph shards, and
 // invalidation fan-out genuinely parallel, and an error injected at either

@@ -162,47 +162,6 @@ TEST(TaskGroupTest, ManualCancelSkipsTasksAndWaitReturnsOk) {
   EXPECT_EQ(executed.load(), 0);
 }
 
-TEST(SplitRangeTest, RespectsGrainAndThreadCap) {
-  EXPECT_TRUE(SplitRange(0, 4, 16).empty());
-
-  // Tiny input collapses to one shard.
-  auto one = SplitRange(10, 8, 64);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0], (std::pair<size_t, size_t>{0, 10}));
-
-  // Large input: at most num_threads shards, contiguous and exhaustive.
-  auto shards = SplitRange(1000, 4, 64);
-  ASSERT_EQ(shards.size(), 4u);
-  size_t expect_begin = 0;
-  for (const auto& [begin, end] : shards) {
-    EXPECT_EQ(begin, expect_begin);
-    EXPECT_GE(end - begin, 64u);
-    expect_begin = end;
-  }
-  EXPECT_EQ(expect_begin, 1000u);
-
-  // Grain caps the shard count before the thread cap does.
-  EXPECT_EQ(SplitRange(100, 8, 50).size(), 2u);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  Status status = ParallelFor(
-      &pool, kN, /*num_threads=*/4, /*grain=*/16,
-      [&hits](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-        return Status::OK();
-      });
-  EXPECT_TRUE(status.ok());
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
 TEST(ThreadPoolTest, ObsCountsEveryTaskExactlyOnce) {
   obs::MetricsRegistry::Global().Reset();
   obs::SetEnabled(true);
@@ -354,17 +313,6 @@ TEST(ThreadPoolTest, DispatchPerturbationNeverDropsTasks) {
   fault::FailPointRegistry::Global().DisarmAll();
 }
 
-TEST(ParallelForTest, PropagatesShardError) {
-  ThreadPool pool(2);
-  Status status = ParallelFor(
-      &pool, 1000, /*num_threads=*/4, /*grain=*/1,
-      [](size_t shard, size_t, size_t) {
-        if (shard == 2) return Status::Corruption("shard 2 broke");
-        return Status::OK();
-      });
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-}
-
 // ---- Auto-grain cost model (exec/grain.h) ----
 
 TEST(GrainTest, SerialInputsCollapseToOneShard) {
@@ -373,7 +321,7 @@ TEST(GrainTest, SerialInputsCollapseToOneShard) {
   EXPECT_EQ(ComputeAutoGrain(1000, 1, 4), 1000u);
   EXPECT_EQ(ComputeAutoGrain(1000, 0, 512), 1000u);
   EXPECT_EQ(ComputeAutoGrain(7, -3, 1), 7u);
-  // Empty range: grain 1 (SplitRange returns no shards anyway).
+  // Empty range: grain 1 (ParallelFor makes no blocks anyway).
   EXPECT_EQ(ComputeAutoGrain(0, 8, 4), 1u);
 }
 
@@ -410,31 +358,15 @@ TEST(GrainTest, ExecOptionsDefaultToAuto) {
   EXPECT_TRUE(exec.Validate().ok());
 }
 
-TEST(GrainTest, AutoGmShardsEqualTheFixedFloorOf64) {
-  // The trajectory-graph build shards through the auto model with the
-  // partition calibration. SplitRange makes at most one shard per thread,
-  // so at auto the Gm build must shard exactly as a fixed grain of 64 for
-  // every input size and thread count.
-  EXPECT_EQ(kPartitionGrainCalibration, 64u);
-  for (size_t n : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u, 1000u, 16000u,
-                   100000u}) {
-    for (int t : {1, 2, 4, 8}) {
-      EXPECT_EQ(SplitRange(n, t, ResolveGrain(kGrainAuto, n, t, 64)),
-                SplitRange(n, t, 64))
-          << "n=" << n << " threads=" << t;
-    }
-  }
-}
+// ---- ParallelFor ----
 
-// ---- ParallelForDynamic ----
-
-TEST(ParallelForDynamicTest, CoversEveryIndexExactlyOnceAtAnyWidth) {
+TEST(ParallelForTest, CoversEveryIndexExactlyOnceAtAnyWidth) {
   ThreadPool pool(4);
   for (int threads : {1, 2, 4, 8}) {
     for (size_t block_size : {1u, 3u, 7u, 100u, 1000u}) {
       std::vector<std::atomic<int>> seen(257);
       for (auto& s : seen) s = 0;
-      Status status = ParallelForDynamic(
+      Status status = ParallelFor(
           &pool, seen.size(), threads, block_size,
           [&](size_t, size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) seen[i]++;
@@ -446,13 +378,13 @@ TEST(ParallelForDynamicTest, CoversEveryIndexExactlyOnceAtAnyWidth) {
   }
 }
 
-TEST(ParallelForDynamicTest, BlockDecompositionIsPureAndOrdered) {
+TEST(ParallelForTest, BlockDecompositionIsPureAndOrdered) {
   // block -> [begin, end) must be a pure function of (n, block_size):
   // begin == block * block_size regardless of claim order or thread count.
   ThreadPool pool(4);
   for (int threads : {1, 4}) {
     std::vector<std::pair<size_t, size_t>> ranges(12);
-    Status status = ParallelForDynamic(
+    Status status = ParallelFor(
         &pool, 100, threads, 9,
         [&](size_t block, size_t begin, size_t end) {
           ranges[block] = {begin, end};
@@ -466,13 +398,13 @@ TEST(ParallelForDynamicTest, BlockDecompositionIsPureAndOrdered) {
   }
 }
 
-TEST(ParallelForDynamicTest, LowestErroredBlockWins) {
+TEST(ParallelForTest, LowestErroredBlockWins) {
   // Mirror of TaskGroup's lowest-spawn-index retention: when several
   // blocks error, the reported Status is the lowest block index's, at any
   // thread count.
   ThreadPool pool(4);
   for (int threads : {1, 2, 8}) {
-    Status status = ParallelForDynamic(
+    Status status = ParallelFor(
         &pool, 64, threads, 1,
         [&](size_t block, size_t, size_t) {
           if (block >= 5) {
@@ -485,14 +417,14 @@ TEST(ParallelForDynamicTest, LowestErroredBlockWins) {
   }
 }
 
-TEST(ParallelForDynamicTest, ErrorStopsFurtherClaims) {
+TEST(ParallelForTest, ErrorStopsFurtherClaims) {
   // Both workers are parked, so the helping waiter runs the two worker
   // tasks in turn: the first claims block 0, fails and stops the cursor,
   // and the second finds it stopped before claiming anything.
   ThreadPool pool(2);
   ParkedWorkers parked(&pool);
   std::atomic<int> ran{0};
-  Status status = ParallelForDynamic(
+  Status status = ParallelFor(
       &pool, 1000, 2, 1,
       [&](size_t block, size_t, size_t) {
         ran++;
@@ -503,10 +435,10 @@ TEST(ParallelForDynamicTest, ErrorStopsFurtherClaims) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST(ParallelForDynamicTest, ReportsScheduleStats) {
+TEST(ParallelForTest, ReportsScheduleStats) {
   ThreadPool pool(4);
-  DynamicScheduleStats stats;
-  Status status = ParallelForDynamic(
+  ScheduleStats stats;
+  Status status = ParallelFor(
       &pool, 100, 4, 10,
       [](size_t, size_t, size_t) { return Status::OK(); }, &stats);
   ASSERT_TRUE(status.ok()) << status;
@@ -520,11 +452,11 @@ TEST(ParallelForDynamicTest, ReportsScheduleStats) {
   EXPECT_GE(stats.Imbalance(), 1.0);
 }
 
-TEST(ParallelForDynamicTest, SerialPathRunsInlineWithStats) {
+TEST(ParallelForTest, SerialPathRunsInlineWithStats) {
   ThreadPool pool(2);
-  DynamicScheduleStats stats;
+  ScheduleStats stats;
   std::thread::id caller = std::this_thread::get_id();
-  Status status = ParallelForDynamic(
+  Status status = ParallelFor(
       &pool, 50, 1, 10,
       [&](size_t, size_t, size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
@@ -534,46 +466,6 @@ TEST(ParallelForDynamicTest, SerialPathRunsInlineWithStats) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(stats.blocks, 5u);
   EXPECT_EQ(stats.workers, 1u);
-}
-
-// ---- Pool-owned per-thread scratch ----
-
-TEST(ThreadPoolTest, LocalScratchIsStablePerThreadAndPool) {
-  ThreadPool pool(2);
-  // Same thread, same pool -> same object across calls.
-  auto& a = pool.LocalScratch<std::vector<int>>();
-  auto& b = pool.LocalScratch<std::vector<int>>();
-  EXPECT_EQ(&a, &b);
-  // A different pool hands this thread a different object.
-  ThreadPool other(1);
-  auto& c = other.LocalScratch<std::vector<int>>();
-  EXPECT_NE(&a, &c);
-  // A different T shares nothing with vector<int>'s slot.
-  auto& d = pool.LocalScratch<std::vector<double>>();
-  EXPECT_NE(static_cast<void*>(&a), static_cast<void*>(&d));
-}
-
-TEST(ThreadPoolTest, LocalScratchPersistsAcrossTasksOnOneThread) {
-  // One worker runs both tasks, so the second sees capacity retained by
-  // the first — the allocation-churn kill this scratch exists for.
-  ThreadPool pool(1);
-  TaskGroup group(&pool);
-  group.Spawn([&] {
-    auto& v = pool.LocalScratch<std::vector<int>>();
-    v.reserve(4096);
-    return Status::OK();
-  });
-  ASSERT_TRUE(group.Wait().ok());
-  TaskGroup second(&pool);
-  std::atomic<size_t> seen{0};
-  second.Spawn([&] {
-    seen = pool.LocalScratch<std::vector<int>>().capacity();
-    return Status::OK();
-  });
-  ASSERT_TRUE(second.Wait().ok());
-  // The helping Wait may have run either task on the main thread; accept
-  // both outcomes but require the scratch to exist and be empty.
-  ASSERT_TRUE(seen == 0 || seen >= 4096) << seen;
 }
 
 }  // namespace
