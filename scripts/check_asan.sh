@@ -27,15 +27,16 @@ cmake -S . -B "$BUILD_DIR" \
   -DIDREPAIR_SANITIZE="$SANITIZER" \
   >/dev/null
 
-cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target exec_test stream_test stream_differential_test \
-           candidates_test \
-           selectors_parallel_test differential_test fuzz_test obs_test \
-           fault_test chaos_test stats_json_test common_test sim_test \
-           selectors_test graph_test scaling_test snapshot_test server_test \
-           properties_test lig_test scenario_test predicates_test gen_test \
-           cliques_test serialization_test generation_oracle_test \
-           traj_test repairer_test baselines_test
+TESTS=(exec_test stream_test stream_differential_test candidates_test
+  selectors_parallel_test differential_test fuzz_test obs_test fault_test
+  chaos_test stats_json_test common_test sim_test selectors_test graph_test
+  scaling_test snapshot_test server_test properties_test lig_test
+  scenario_test predicates_test gen_test cliques_test serialization_test
+  generation_oracle_test traj_test repairer_test baselines_test)
+# ctest -R wants one anchored alternation: ^(a|b|...)$.
+PATTERN="^($(IFS='|'; echo "${TESTS[*]}"))\$"
+
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}"
 
 # scenario_test runs the shrunk matrix (IDREPAIR_SCENARIO_LIGHT):
 # sanitizer instrumentation makes the full city-scale sweep too slow.
@@ -43,7 +44,7 @@ ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
 IDREPAIR_SCENARIO_LIGHT=1 \
   ctest --test-dir "$BUILD_DIR" \
-  -R 'exec_test|stream_test|stream_differential_test|candidates_test|selectors_parallel_test|differential_test|fuzz_test|obs_test|fault_test|chaos_test|stats_json_test|common_test|sim_test|selectors_test|graph_test|scaling_test|snapshot_test|server_test|properties_test|lig_test|scenario_test|predicates_test|gen_test|cliques_test|serialization_test|generation_oracle_test|traj_test|repairer_test|baselines_test' \
+  -R "$PATTERN" \
   --output-on-failure
 
 echo "check_asan ($SANITIZER): OK"

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <utility>
 
-#include "exec/task_group.h"
+#include "fault/failpoint.h"
 
 namespace idrepair {
 
@@ -34,6 +36,22 @@ uint64_t NowMicros() {
           .count());
 }
 
+/// What one loop shares with its helpers. Owned jointly (shared_ptr), so a
+/// helper the pool starts after the loop returned still reads valid
+/// memory: it finds `closed` set and returns without touching the caller's
+/// frame.
+struct LoopState {
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> stop{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  // Guarded by mu. The lowest errored block wins.
+  Status first_error;
+  size_t first_error_block = SIZE_MAX;
+  bool closed = false;  // the caller is done claiming; no helper may join
+  size_t active = 0;    // helpers inside their claim loop
+};
+
 }  // namespace
 
 Status ParallelFor(
@@ -43,8 +61,12 @@ Status ParallelFor(
     ScheduleStats* stats) {
   if (block_size == 0) block_size = 1;
   const size_t num_blocks = (n + block_size - 1) / block_size;
-  const size_t num_workers = std::min(
+  size_t num_workers = std::min(
       num_blocks, num_threads > 0 ? static_cast<size_t>(num_threads) : 1);
+  if (num_workers > 1) {
+    num_workers = std::min(num_workers,
+                           static_cast<size_t>(pool->num_threads()) + 1);
+  }
   if (stats != nullptr) {
     stats->items = n;
     stats->blocks = num_blocks;
@@ -55,62 +77,63 @@ Status ParallelFor(
   }
   if (n == 0) return Status::OK();
 
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> stop{false};
-  // Lowest errored block wins, matching TaskGroup's deterministic
-  // lowest-spawn-index error retention.
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  size_t first_error_block = SIZE_MAX;
-
-  auto worker = [&](size_t slot) {
+  auto state = std::make_shared<LoopState>();
+  auto claim = [&](size_t slot) {
     uint64_t busy = 0;
     uint64_t claimed = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      size_t b = cursor.fetch_add(1, std::memory_order_relaxed);
+    while (!state->stop.load(std::memory_order_relaxed)) {
+      size_t b = state->cursor.fetch_add(1, std::memory_order_relaxed);
       if (b >= num_blocks) break;
       size_t begin = b * block_size;
       size_t end = std::min(n, begin + block_size);
       uint64_t start = stats != nullptr ? NowMicros() : 0;
-      Status s = body(b, begin, end);
+      Status s = fault::Armed() ? fault::Inject("exec.parallel_for.block")
+                                : Status::OK();
+      if (s.ok()) s = body(b, begin, end);
       if (stats != nullptr) busy += NowMicros() - start;
       ++claimed;
       if (!s.ok()) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (b < first_error_block) {
-          first_error_block = b;
-          first_error = std::move(s);
+        std::lock_guard<std::mutex> lock(state->mu);
+        if (b < state->first_error_block) {
+          state->first_error_block = b;
+          state->first_error = std::move(s);
         }
-        stop.store(true, std::memory_order_relaxed);
+        state->stop.store(true, std::memory_order_relaxed);
         break;
       }
     }
     if (stats != nullptr) {
-      // Each slot is written by exactly one worker task; sized upfront.
+      // Each slot is written by exactly one worker; sized upfront.
       stats->blocks_per_worker[slot] = claimed;
       stats->busy_micros_per_worker[slot] = busy;
     }
   };
 
-  if (num_workers <= 1) {
-    worker(0);
-  } else {
-    TaskGroup group(pool);
-    for (size_t slot = 0; slot < num_workers; ++slot) {
-      group.Spawn([&worker, slot] {
-        worker(slot);
-        return Status::OK();
-      });
-    }
-    IDREPAIR_RETURN_NOT_OK(group.Wait());
+  for (size_t slot = 1; slot < num_workers; ++slot) {
+    // `claim` lives in this frame; a helper may call it only after joining
+    // (active > 0 keeps the frame alive below).
+    pool->Submit([state, &claim, slot] {
+      {
+        std::lock_guard<std::mutex> lock(state->mu);
+        if (state->closed) return;
+        ++state->active;
+      }
+      claim(slot);
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (--state->active == 0) state->cv.notify_all();
+    });
   }
+  claim(0);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->closed = true;
+  state->cv.wait(lock, [&] { return state->active == 0; });
+
   if (stats != nullptr) {
     for (uint64_t c : stats->blocks_per_worker) {
       if (c > 0) ++stats->workers;
     }
   }
-  if (first_error_block != SIZE_MAX) return first_error;
-  return Status::OK();
+  return state->first_error;
 }
 
 }  // namespace idrepair

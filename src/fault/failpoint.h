@@ -167,7 +167,7 @@ class FailPointRegistry {
 /// Armed() — the IDREPAIR_FAULT_INJECT macro does this for you.
 Status Inject(const char* site);
 
-/// Delay-only evaluation for void contexts (thread-pool dispatch/steal):
+/// Delay-only evaluation for void contexts (thread-pool dispatch):
 /// fires still count, kDelay fires sleep, but error-like actions are
 /// swallowed — a scheduler has no Status channel to propagate them through.
 void MaybePerturb(const char* site);

@@ -21,7 +21,7 @@ namespace obs {
 ///    Stable metrics are byte-identical across thread counts, which the
 ///    obs tests enforce.
 ///  - kRuntime: depends on scheduling, timing, or the decomposition width —
-///    latencies, steals, queue depth, task counts. Real and useful, but
+///    latencies, queue depth, task counts. Real and useful, but
 ///    never compared across runs for equality.
 enum class Stability { kStable, kRuntime };
 

@@ -173,7 +173,7 @@ struct GenerationStats {
   size_t similarity_cache_hits = 0;
 
   /// Scheduling footprint of the clique-seed loop (ParallelFor): seed
-  /// blocks claimed, worker tasks that claimed
+  /// blocks claimed, workers that claimed
   /// at least one, and the worst max/mean busy-time ratio observed (1.0 =
   /// perfectly balanced). Observational only — results never depend on it.
   size_t sched_blocks = 0;

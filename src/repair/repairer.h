@@ -59,7 +59,7 @@ struct RepairStats {
   // allowed (ExecOptions::ResolvedThreads, >= 1).
   int threads_used = 1;
   // Scheduler footprint of the generation phase (ParallelFor over clique
-  // seeds): blocks claimed, worker tasks that claimed at least
+  // seeds): blocks claimed, workers that claimed at least
   // one, and the max/mean busy-time ratio (1.0 = balanced). Filled by
   // IdRepairer only. Observational — never feeds back into results.
   size_t sched_blocks = 0;

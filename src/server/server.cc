@@ -14,7 +14,7 @@
 #include <sstream>
 #include <utility>
 
-#include "exec/task_group.h"
+#include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "graph/serialization.h"
 #include "obs/metrics.h"
@@ -86,6 +86,15 @@ IdRepairServer::IdRepairServer(ServerOptions options)
 
 Result<std::unique_ptr<IdRepairServer>> IdRepairServer::Start(
     ServerOptions options) {
+  if (options.exec_threads < 0) {
+    return Status::InvalidArgument("server: exec_threads must be >= 0, got " +
+                                   std::to_string(options.exec_threads));
+  }
+  if (options.default_deadline_ms < 0) {
+    return Status::InvalidArgument(
+        "server: default_deadline_ms must be >= 0, got " +
+        std::to_string(options.default_deadline_ms));
+  }
   std::unique_ptr<IdRepairServer> srv(new IdRepairServer(std::move(options)));
   if (!srv->options_.load_dir.empty()) {
     auto loaded = srv->registry_.LoadDir(srv->options_.load_dir);
@@ -372,19 +381,18 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
       m.inflight->Set(inflight_.load(std::memory_order_relaxed));
     }
   };
-  TaskGroup group(&ThreadPool::Default());
-  for (size_t i = 0; i < jobs; ++i) {
-    group.Spawn([i, &slots, &sets, &engine, &req, &bundle, &release] {
-      const TrajectorySet& set =
-          req.use_corpus ? *bundle->corpus : sets[i];
-      slots[i].emplace(engine.Repair(set));
-      release();
-      return Status::OK();  // per-batch errors travel in the slot
-    });
-  }
-  // The group skips a task once it is cancelled or its run failpoint
-  // fires; such a batch never reached its release(), so release it here.
-  Status group_status = group.Wait();
+  // One block per batch. A stopped loop (the block failpoint fired) leaves
+  // later slots unset; those batches never reached their release(), so
+  // they are released below and report the loop's Status.
+  ThreadPool& pool = ThreadPool::Default();
+  Status loop_status = ParallelFor(
+      &pool, jobs, pool.num_threads(), 1, [&](size_t i, size_t, size_t) {
+        const TrajectorySet& set =
+            req.use_corpus ? *bundle->corpus : sets[i];
+        slots[i].emplace(engine.Repair(set));
+        release();
+        return Status::OK();  // per-batch errors travel in the slot
+      });
 
   RepairReply reply;
   reply.batches.reserve(jobs);
@@ -392,9 +400,7 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
     BatchReply batch;
     if (!slots[i].has_value()) {
       release();
-      batch.completion = group_status.ok()
-                             ? Status::Internal("batch task never ran")
-                             : group_status;
+      batch.completion = loop_status;
     } else if (!slots[i]->ok()) {
       batch.completion = slots[i]->status();
     } else {

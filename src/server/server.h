@@ -29,9 +29,10 @@ struct ServerOptions {
   /// dir in the request mandatory.
   std::string snapshot_dir;
   /// Admission bound: total repair batches admitted but not yet finished
-  /// (queued on the exec pool + running). Requests that would push the
-  /// count past this are shed whole with ResourceExhausted — the queue
-  /// must not grow without bound under overload.
+  /// (waiting for a worker of their request's fan-out loop + running).
+  /// Requests that would push the count past this are shed whole with
+  /// ResourceExhausted — the backlog must not grow without bound under
+  /// overload.
   uint64_t max_inflight = 64;
   /// deadline_ms applied to repairs whose request carries no budget and
   /// whose bundle registered none. 0 = unbounded.
@@ -42,10 +43,11 @@ struct ServerOptions {
 };
 
 /// `idrepaird`: the long-running repair daemon. One acceptor thread plus
-/// one thread per live connection; repair batches are dispatched onto the
-/// process-wide exec pool (ThreadPool::Default()) via TaskGroup, so the
-/// repair parallelism and its determinism guarantees are exactly the
-/// library's. All socket loops poll with short timeouts against an atomic
+/// one thread per live connection; a request's repair batches fan out
+/// through ParallelFor, one block per batch, with the connection thread as
+/// the first worker and the process-wide exec pool (ThreadPool::Default())
+/// supplying helpers, so the repair parallelism and its determinism
+/// guarantees are exactly the library's. All socket loops poll with short timeouts against an atomic
 /// stop flag, which keeps Stop() prompt and TSan-clean.
 class IdRepairServer {
  public:

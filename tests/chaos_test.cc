@@ -65,8 +65,8 @@ const std::map<std::string, std::vector<std::string>>& ErrorSitesByEngine() {
 // Every failpoint the production code evaluates (src/fault/README.md).
 const std::vector<std::string>& AllSites() {
   static const std::vector<std::string> kSites = {
-      "exec.pool.dispatch",      "exec.pool.steal",
-      "exec.task_group.run",     "repair.generation.shard",
+      "exec.pool.dispatch",      "exec.parallel_for.block",
+      "repair.generation.shard",
       "repair.selection.shard",  "repair.selection.commit",
       "stream.append",           "stream.poll",
       "stream.finish",           "io.csv.read",
@@ -260,7 +260,7 @@ TEST_F(ChaosTest, ArmedButSilentSitesAreByteInvisible) {
 // pool and shard sites leave output byte-identical while genuinely firing.
 TEST_F(ChaosTest, DelayChaosNeverChangesResults) {
   for (const char* site :
-       {"exec.pool.dispatch", "exec.pool.steal", "exec.task_group.run",
+       {"exec.pool.dispatch", "exec.parallel_for.block",
         "repair.generation.shard"}) {
     fault::FaultSpec delay;
     delay.action = fault::FaultAction::kDelay;
@@ -322,14 +322,14 @@ TEST_F(ChaosTest, ErrorInjectionPropagatesCleanlyAndLeavesNoResidue) {
   }
 }
 
-// A fault in the exec layer while Gm is built (100 trajectories make two
-// Gm blocks at two or more threads, so the build runs on the pool) must
-// fail the run with the injected code, never yield a "complete" repair of
-// an edgeless graph. Both engines that build Gm are covered.
+// A fault in the exec layer while Gm is built (the first loop block of a
+// repair is a Gm block, run inline at one thread and on the pool at two or
+// more) must fail the run with the injected code, never yield a "complete"
+// repair of an edgeless graph. Both engines that build Gm are covered.
 TEST_F(ChaosTest, GmBuildFaultFailsTheRunInsteadOfRepairingNothing) {
   for (const Scenario& s : MakeScenarios()) {
     for (std::string_view engine : {"core", "neighborhood"}) {
-      for (int threads : {2, 8}) {
+      for (int threads : {1, 2, 8}) {
         SCOPED_TRACE(s.name + "/" + std::string(engine) + "/t" +
                      std::to_string(threads));
         fault::FaultSpec spec;
@@ -337,7 +337,7 @@ TEST_F(ChaosTest, GmBuildFaultFailsTheRunInsteadOfRepairingNothing) {
         spec.code = StatusCode::kIoError;
         spec.message = "injected Gm build fault";
         ASSERT_TRUE(fault::FailPointRegistry::Global()
-                        .Arm("exec.task_group.run", spec)
+                        .Arm("exec.parallel_for.block", spec)
                         .ok());
 
         auto result = RunEngine(engine, s, threads);
@@ -696,7 +696,7 @@ TEST_F(ChaosTest, SoakSeededProbabilisticChaos) {
       ASSERT_TRUE(fault::FailPointRegistry::Global().Arm(site, spec).ok());
     };
     arm("exec.pool.dispatch", fault::FaultAction::kDelay, 5);
-    arm("exec.pool.steal", fault::FaultAction::kDelay, 5);
+    arm("exec.parallel_for.block", fault::FaultAction::kError, 50);
     arm("repair.generation.shard", fault::FaultAction::kError, 4);
     arm("repair.selection.commit", fault::FaultAction::kError, 6);
     arm("repair.selection.shard", fault::FaultAction::kAllocFail, 4);

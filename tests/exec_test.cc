@@ -16,7 +16,6 @@
 #include "exec/exec_options.h"
 #include "exec/grain.h"
 #include "exec/parallel_for.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -25,10 +24,9 @@ namespace idrepair {
 namespace {
 
 /// Parks every worker of a pool on a blocker task that has signalled it
-/// started, until destruction. Tasks submitted from the test thread then
-/// sit in the pool's injection queue, and the test thread's helping Wait()
-/// runs them itself, one at a time in FIFO order: the schedule the
-/// cancellation tests assert on, whatever the load on the host.
+/// started, until destruction. Helpers a ParallelFor offers meanwhile sit
+/// in the queue, so the calling thread runs the whole loop itself: the
+/// schedule the claim tests assert on, whatever the load on the host.
 class ParkedWorkers {
  public:
   explicit ParkedWorkers(ThreadPool* pool)
@@ -77,114 +75,35 @@ TEST(ExecOptionsTest, ResolvesAndValidates) {
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3);
   std::atomic<int> counter{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 100; ++i) {
-    group.Spawn([&counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-  }
-  EXPECT_TRUE(group.Wait().ok());
+  {
+    ThreadPool pool(3);
+    EXPECT_EQ(pool.num_threads(), 3);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit(
+          [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, NestedGroupsDoNotDeadlockOnSingleWorker) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 4; ++i) {
-    outer.Spawn([&pool, &counter] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 4; ++j) {
-        inner.Spawn([&counter] {
-          counter.fetch_add(1, std::memory_order_relaxed);
-          return Status::OK();
-        });
-      }
-      return inner.Wait();
-    });
-  }
-  EXPECT_TRUE(outer.Wait().ok());
-  EXPECT_EQ(counter.load(), 16);
-}
-
-TEST(TaskGroupTest, PropagatesFirstError) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  for (int i = 0; i < 8; ++i) {
-    group.Spawn([i] {
-      if (i == 3) return Status::InvalidArgument("task 3 failed");
-      return Status::OK();
-    });
-  }
-  Status status = group.Wait();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(status.message(), "task 3 failed");
-  EXPECT_TRUE(group.IsCancelled());
-}
-
-TEST(TaskGroupTest, ErrorCancelsUnstartedTasks) {
-  // The worker is parked, so the helping waiter runs the group in spawn
-  // order: the failing task first, after which every later task is
-  // cancelled and skipped without running.
-  ThreadPool pool(1);
-  ParkedWorkers parked(&pool);
-  std::atomic<int> executed{0};
-  TaskGroup group(&pool);
-  group.Spawn([] { return Status::Internal("fail fast"); });
-  for (int i = 0; i < 200; ++i) {
-    group.Spawn([&executed] {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-  }
-  Status status = group.Wait();
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(executed.load(), 0);
-}
-
-TEST(TaskGroupTest, ManualCancelSkipsTasksAndWaitReturnsOk) {
-  ThreadPool pool(1);
-  std::atomic<int> executed{0};
-  TaskGroup group(&pool);
-  group.Cancel();  // cancel before anything is spawned
-  for (int i = 0; i < 50; ++i) {
-    group.Spawn([&executed] {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-  }
-  EXPECT_TRUE(group.Wait().ok());  // cancellation is not an error
-  EXPECT_EQ(executed.load(), 0);
 }
 
 TEST(ThreadPoolTest, ObsCountsEveryTaskExactlyOnce) {
   obs::MetricsRegistry::Global().Reset();
   obs::SetEnabled(true);
+  std::atomic<int> ran{0};
   {
-    // Scoped so the pool joins its workers before the counters are read —
-    // a worker bumps "executed" only after the task body returns.
+    // Scoped so the pool drains and joins its workers before the counters
+    // are read — a worker bumps "executed" only after the task returns.
     ThreadPool pool(4);
-    TaskGroup group(&pool);
-    std::atomic<int> ran{0};
     for (int i = 0; i < 100; ++i) {
-      group.Spawn([&ran] {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      });
+      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    ASSERT_TRUE(group.Wait().ok());
-    EXPECT_EQ(ran.load(), 100);
   }
   obs::SetEnabled(false);
+  EXPECT_EQ(ran.load(), 100);
 
   uint64_t submitted = 0;
   uint64_t executed = 0;
-  uint64_t stolen = 0;
   int64_t depth = -1;
   bool saw_latency = false;
   for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
@@ -192,8 +111,6 @@ TEST(ThreadPoolTest, ObsCountsEveryTaskExactlyOnce) {
       submitted = m.counter_value;
     } else if (m.name == "idrepair_exec_tasks_executed_total") {
       executed = m.counter_value;
-    } else if (m.name == "idrepair_exec_tasks_stolen_total") {
-      stolen = m.counter_value;
     } else if (m.name == "idrepair_exec_queue_depth") {
       depth = m.gauge_value;
     } else if (m.name == "idrepair_exec_task_seconds") {
@@ -202,93 +119,12 @@ TEST(ThreadPoolTest, ObsCountsEveryTaskExactlyOnce) {
   }
   EXPECT_EQ(submitted, 100u);
   EXPECT_EQ(executed, submitted);
-  EXPECT_LE(stolen, executed);
   EXPECT_EQ(depth, 0);  // everything enqueued was drained
   EXPECT_TRUE(saw_latency);
 }
 
-// Regression for the deterministic-first-error contract: the surfaced
-// error belongs to the lowest spawn index among the tasks that failed,
-// not to whichever failure landed first. Task 0 fails slowly while a
-// burst of later tasks fails instantly; at every thread count Wait()
-// must still report task 0.
-TEST(TaskGroupTest, SurfacesLowestSpawnIndexErrorNotFirstToLand) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ThreadPool pool(threads);
-    TaskGroup group(&pool);
-    std::atomic<bool> started{false};
-    group.Spawn([&started] {
-      started.store(true, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return Status::Corruption("slow failure at index 0");
-    });
-    // Don't introduce the fast failures until task 0 is running, so it can
-    // never be skipped by their cancellation — its failure always exists.
-    while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
-    for (int i = 1; i < 32; ++i) {
-      group.Spawn([] { return Status::Internal("fast failure"); });
-    }
-    Status status = group.Wait();
-    EXPECT_EQ(status.code(), StatusCode::kCorruption);
-    EXPECT_EQ(status.message(), "slow failure at index 0");
-  }
-}
-
-// With exactly one fallible task in the group — the common one-bad-shard
-// case — the same error surfaces at every thread count, run after run.
-TEST(TaskGroupTest, SingleFailureIsDeterministicAcrossThreadCounts) {
-  for (int threads : {1, 2, 8}) {
-    for (int round = 0; round < 5; ++round) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " round=" +
-                   std::to_string(round));
-      ThreadPool pool(threads);
-      TaskGroup group(&pool);
-      for (int i = 0; i < 64; ++i) {
-        group.Spawn([i] {
-          if (i == 23) return Status::NotFound("shard 23 is bad");
-          return Status::OK();
-        });
-      }
-      Status status = group.Wait();
-      EXPECT_EQ(status.code(), StatusCode::kNotFound);
-      EXPECT_EQ(status.message(), "shard 23 is bad");
-    }
-  }
-}
-
-// The exec.task_group.run failpoint fires inside task closures and its
-// error propagates through Wait() like any task failure; disarming
-// restores clean runs.
-TEST(TaskGroupTest, InjectedFaultAtRunSitePropagates) {
-  fault::FaultSpec spec;
-  spec.fire_on_hit = 1;
-  spec.code = StatusCode::kResourceExhausted;
-  ASSERT_TRUE(fault::FailPointRegistry::Global()
-                  .Arm("exec.task_group.run", spec)
-                  .ok());
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 16; ++i) {
-    group.Spawn([&executed] {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
-  }
-  EXPECT_EQ(group.Wait().code(), StatusCode::kResourceExhausted);
-  EXPECT_LT(executed.load(), 16) << "the fault should have cancelled tasks";
-
-  fault::FailPointRegistry::Global().DisarmAll();
-  TaskGroup clean(&pool);
-  for (int i = 0; i < 16; ++i) {
-    clean.Spawn([] { return Status::OK(); });
-  }
-  EXPECT_TRUE(clean.Wait().ok());
-}
-
-// Delay perturbation on the pool's dispatch/steal sites reorders timing
-// but never drops work or surfaces errors (MaybePerturb swallows them).
+// Delay perturbation at helper start reorders timing but never drops
+// blocks or surfaces errors (MaybePerturb swallows them).
 TEST(ThreadPoolTest, DispatchPerturbationNeverDropsTasks) {
   fault::FaultSpec delay;
   delay.action = fault::FaultAction::kDelay;
@@ -297,18 +133,16 @@ TEST(ThreadPoolTest, DispatchPerturbationNeverDropsTasks) {
   delay.delay_micros = 100;
   ASSERT_TRUE(
       fault::FailPointRegistry::Global().Arm("exec.pool.dispatch", delay).ok());
-  ASSERT_TRUE(
-      fault::FailPointRegistry::Global().Arm("exec.pool.steal", delay).ok());
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 200; ++i) {
-    group.Spawn([&counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
+  for (int round = 0; round < 20; ++round) {
+    Status status =
+        ParallelFor(&pool, 10, 4, 1, [&counter](size_t, size_t, size_t) {
+          counter.fetch_add(1, std::memory_order_relaxed);
+          return Status::OK();
+        });
+    EXPECT_TRUE(status.ok()) << status;
   }
-  EXPECT_TRUE(group.Wait().ok());
   EXPECT_EQ(counter.load(), 200);
   fault::FailPointRegistry::Global().DisarmAll();
 }
@@ -399,9 +233,8 @@ TEST(ParallelForTest, BlockDecompositionIsPureAndOrdered) {
 }
 
 TEST(ParallelForTest, LowestErroredBlockWins) {
-  // Mirror of TaskGroup's lowest-spawn-index retention: when several
-  // blocks error, the reported Status is the lowest block index's, at any
-  // thread count.
+  // When several blocks error, the reported Status is the lowest block
+  // index's, at any thread count.
   ThreadPool pool(4);
   for (int threads : {1, 2, 8}) {
     Status status = ParallelFor(
@@ -418,9 +251,9 @@ TEST(ParallelForTest, LowestErroredBlockWins) {
 }
 
 TEST(ParallelForTest, ErrorStopsFurtherClaims) {
-  // Both workers are parked, so the helping waiter runs the two worker
-  // tasks in turn: the first claims block 0, fails and stops the cursor,
-  // and the second finds it stopped before claiming anything.
+  // Both workers are parked, so the calling thread runs the loop alone:
+  // it claims block 0, fails and stops the cursor, and the queued helper
+  // starts after the loop has returned and claims nothing.
   ThreadPool pool(2);
   ParkedWorkers parked(&pool);
   std::atomic<int> ran{0};
@@ -466,6 +299,109 @@ TEST(ParallelForTest, SerialPathRunsInlineWithStats) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(stats.blocks, 5u);
   EXPECT_EQ(stats.workers, 1u);
+}
+
+// The calling thread is worker 0: with every pool worker parked, no helper
+// ever starts, and the caller alone claims all 100 blocks.
+TEST(ParallelForTest, CompletesWhileEveryPoolWorkerIsParked) {
+  ThreadPool pool(2);
+  ParkedWorkers parked(&pool);
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> seen(100, 0);
+  ScheduleStats stats;
+  Status status = ParallelFor(
+      &pool, seen.size(), 8, 1,
+      [&](size_t block, size_t, size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++seen[block];
+        return Status::OK();
+      },
+      &stats);
+  ASSERT_TRUE(status.ok()) << status;
+  for (int s : seen) EXPECT_EQ(s, 1);
+  EXPECT_EQ(stats.workers, 1u);
+  EXPECT_EQ(stats.blocks_per_worker[0], 100u);
+}
+
+// A loop inside a block of another loop on a one-worker pool: the outer
+// loop's helper (if the worker starts it) and the caller each run their
+// inner loops themselves, so nothing waits on a task that cannot start.
+TEST(ParallelForTest, NestedLoopsDoNotDeadlockOnSingleWorker) {
+  ThreadPool pool(1);
+  std::atomic<int> counter{0};
+  Status status =
+      ParallelFor(&pool, 4, 4, 1, [&pool, &counter](size_t, size_t, size_t) {
+        return ParallelFor(&pool, 4, 4, 1, [&counter](size_t, size_t, size_t) {
+          counter.fetch_add(1, std::memory_order_relaxed);
+          return Status::OK();
+        });
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(counter.load(), 16);
+}
+
+/// Runs one loop whose helpers cannot start (the pool's workers are
+/// parked) and returns its block sum; the helpers are still queued when
+/// this frame, and every local the loop body and stats point into, is gone.
+size_t SumBlocksWithQueuedHelpers(ThreadPool* pool) {
+  auto sums = std::make_unique<std::vector<size_t>>(64, 0);
+  auto stats = std::make_unique<ScheduleStats>();
+  Status status = ParallelFor(
+      pool, sums->size(), 8, 1,
+      [&](size_t block, size_t, size_t) {
+        (*sums)[block] = block;
+        return Status::OK();
+      },
+      stats.get());
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(stats->workers, 1u);
+  size_t total = 0;
+  for (size_t v : *sums) total += v;
+  return total;
+}
+
+// A helper the pool starts after its loop returned must touch nothing of
+// that loop but the shared state it owns a reference to: the frame, the
+// body and the stats are gone. AddressSanitizer (scripts/check_asan.sh)
+// and ThreadSanitizer (scripts/check_tsan.sh) watch the late helpers run.
+TEST(ParallelForTest, LateHelpersTouchNothingOfAFinishedLoop) {
+  auto pool = std::make_unique<ThreadPool>(4);
+  {
+    ParkedWorkers parked(pool.get());
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(SumBlocksWithQueuedHelpers(pool.get()), 64u * 63u / 2);
+    }
+  }  // released: the workers start the queued helpers now
+  pool.reset();  // drains whatever is still queued, then joins
+}
+
+// The exec.parallel_for.block failpoint fires before a block's body at
+// every width, inline runs included; its error becomes that block's error
+// and stops the loop like a body failure. Disarming restores clean runs.
+TEST(ParallelForTest, InjectedFaultAtBlockSitePropagates) {
+  ThreadPool pool(2);
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    fault::FaultSpec spec;
+    spec.fire_on_hit = 1;
+    spec.code = StatusCode::kResourceExhausted;
+    ASSERT_TRUE(fault::FailPointRegistry::Global()
+                    .Arm("exec.parallel_for.block", spec)
+                    .ok());
+    std::atomic<int> executed{0};
+    auto body = [&executed](size_t, size_t, size_t) {
+      executed.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
+    };
+    EXPECT_EQ(ParallelFor(&pool, 16, threads, 1, body).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_LT(executed.load(), 16) << "the fault should have stopped claims";
+
+    fault::FailPointRegistry::Global().DisarmAll();
+    executed = 0;
+    EXPECT_TRUE(ParallelFor(&pool, 16, threads, 1, body).ok());
+    EXPECT_EQ(executed.load(), 16);
+  }
 }
 
 }  // namespace

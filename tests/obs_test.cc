@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "exec/task_group.h"
+#include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
@@ -38,14 +38,12 @@ TEST_F(ObsTest, CounterMergesIncrementsFromPoolThreads) {
   for (int threads : {1, 2, 8}) {
     counter.Reset();
     ThreadPool pool(threads);
-    TaskGroup group(&pool);
-    for (int i = 0; i < 64; ++i) {
-      group.Spawn([&counter] {
-        for (int k = 0; k < 100; ++k) counter.Increment();
-        return Status::OK();
-      });
-    }
-    ASSERT_TRUE(group.Wait().ok());
+    Status status =
+        ParallelFor(&pool, 64, threads, 1, [&counter](size_t, size_t, size_t) {
+          for (int k = 0; k < 100; ++k) counter.Increment();
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << status;
     EXPECT_EQ(counter.Value(), 6400u) << "threads=" << threads;
   }
 }
@@ -93,17 +91,15 @@ TEST_F(ObsTest, RegistrySnapshotsIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     registry.Reset();
     ThreadPool pool(threads);
-    TaskGroup group(&pool);
-    for (int task = 0; task < 16; ++task) {
-      group.Spawn([=] {
-        for (int i = 0; i < 25; ++i) {
-          items->Increment(2);
-          weights->Observe(static_cast<double>((task * 25 + i) % 5) * 0.25);
-        }
-        return Status::OK();
-      });
-    }
-    ASSERT_TRUE(group.Wait().ok());
+    Status status =
+        ParallelFor(&pool, 16, threads, 1, [=](size_t task, size_t, size_t) {
+          for (size_t i = 0; i < 25; ++i) {
+            items->Increment(2);
+            weights->Observe(static_cast<double>((task * 25 + i) % 5) * 0.25);
+          }
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << status;
     std::string rendered = registry.RenderPrometheus();
     if (threads == 1) {
       reference = rendered;

@@ -34,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -428,9 +429,9 @@ TEST(ServerE2ETest, AdmissionControlShedsWholeRequests) {
   (*srv)->Stop();
 }
 
-// A batch task the group skips (its run failpoint fired, or the group was
-// cancelled by another batch's failure) never reaches the code that
-// releases its admission slot inside the task; the server must release it
+// A batch the fan-out loop never runs (its block failpoint fired, or the
+// loop stopped at another batch's failure) never reaches the code that
+// releases its admission slot inside the block; the server must release it
 // anyway, or every such request shrinks max_inflight for good.
 TEST(ServerE2ETest, SkippedBatchTasksReleaseTheirAdmissionSlots) {
   auto srv = StartLoopbackServer();
@@ -454,15 +455,15 @@ TEST(ServerE2ETest, SkippedBatchTasksReleaseTheirAdmissionSlots) {
   spec.fire_on_hit = 1;
   spec.code = StatusCode::kIoError;
   ASSERT_TRUE(fault::FailPointRegistry::Global()
-                  .Arm("exec.task_group.run", spec)
+                  .Arm("exec.parallel_for.block", spec)
                   .ok());
   auto faulted = client->Repair(req);
   fault::FailPointRegistry::Global().DisarmAll();
   ASSERT_TRUE(faulted.ok()) << faulted.status();
   ASSERT_EQ(faulted->batches.size(), batches.size());
-  // The first batch task to start takes the fault and never runs; tasks
-  // that had not started by then are skipped. Either way the batch reports
-  // the group's error, and a batch that did run is still exact.
+  // The first batch block claimed takes the fault and never runs; blocks
+  // not claimed by then are never run. Either way the batch reports the
+  // loop's error, and a batch that did run is still exact.
   size_t failed = 0;
   for (size_t i = 0; i < batches.size(); ++i) {
     SCOPED_TRACE("batch " + std::to_string(i));
@@ -811,6 +812,29 @@ TEST(ServerE2ETest, StopIsIdempotentAndDestructorIsSafeAfterStop) {
   srv->reset();  // destructor after explicit Stop
 }
 
+// A negative thread count or default deadline used to be accepted and then
+// ignored (the server reads each only when it is positive); Start rejects
+// them and names the field.
+TEST(ServerE2ETest, StartRejectsNegativeThreadsAndDeadline) {
+  ServerOptions threads;
+  threads.exec_threads = -2;
+  auto bad_threads = StartLoopbackServer(std::move(threads));
+  ASSERT_FALSE(bad_threads.ok());
+  EXPECT_EQ(bad_threads.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_threads.status().message().find("exec_threads"),
+            std::string::npos)
+      << bad_threads.status();
+
+  ServerOptions deadline;
+  deadline.default_deadline_ms = -1;
+  auto bad_deadline = StartLoopbackServer(std::move(deadline));
+  ASSERT_FALSE(bad_deadline.ok());
+  EXPECT_EQ(bad_deadline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_deadline.status().message().find("default_deadline_ms"),
+            std::string::npos)
+      << bad_deadline.status();
+}
+
 // ---- A child daemon process --------------------------------------------
 
 /// `idrepair_cli serve --listen unix:<socket> <extra...>` as a child
@@ -1048,6 +1072,41 @@ TEST(CliProcessTest, RepairRejectsUnreadFlagsAndBadObservabilityValues) {
   auto [ok_code, ok_err] = repair({"--grain", "1", "--threads", "2"});
   EXPECT_EQ(ok_code, 0) << ok_err;
   EXPECT_TRUE(fs::exists(out));
+}
+
+// --threads parses as int64; a value past INT_MAX used to be narrowed
+// (4294967297 ran at one thread, exit 0). `repair` and `serve` now reject
+// it with the flag's name, and serve rejects a negative thread count or
+// default deadline before it listens. The socket directory does not exist,
+// so a serve that accepted its flags would fail to listen, not hang.
+TEST(CliProcessTest, ThreadsPastIntMaxAndNegativeServeValuesAreRejected) {
+  TempDir dir("cli_threads");
+  const std::string graph = (dir.path() / "g.txt").string();
+  const std::string records = (dir.path() / "r.csv").string();
+  const std::string out = (dir.path() / "out.csv").string();
+  ASSERT_TRUE(WriteTransitionGraphFile(graph, MakePaperExampleGraph()).ok());
+  ASSERT_TRUE(WriteRecordsCsvFile(records, MakePaperExampleGraph(),
+                                  testutil::MakeTable1Records())
+                  .ok());
+  auto [code, err] =
+      RunCli(dir.path(), {"repair", "--graph", graph, "--records", records,
+                          "--out", out, "--threads", "4294967297"});
+  EXPECT_NE(code, 0) << err;
+  EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(out));
+
+  const std::string nowhere =
+      "unix:" + (dir.path() / "missing" / "d.sock").string();
+  for (const auto& [flag, value, named] :
+       {std::tuple<std::string, std::string, std::string>{
+            "--threads", "4294967297", "--threads"},
+        {"--threads", "-1", "exec_threads"},
+        {"--default-deadline-ms", "-5", "default_deadline_ms"}}) {
+    auto [serve_code, serve_err] =
+        RunCli(dir.path(), {"serve", "--listen", nowhere, flag, value});
+    EXPECT_EQ(serve_code, 1) << flag << " " << value << ": " << serve_err;
+    EXPECT_NE(serve_err.find(named), std::string::npos) << serve_err;
+  }
 }
 
 std::string ReadText(const fs::path& path) {

@@ -40,6 +40,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -102,6 +103,21 @@ int RejectUnreadFlags(const FlagParser& flags) {
   return 2;
 }
 
+/// --threads, shared by `repair` and `serve`. The flag parses as int64;
+/// a value outside int's range is rejected instead of narrowed (4294967297
+/// would otherwise run at one thread). Negative values are left to the
+/// options' own checks, which name them.
+Result<int> ThreadsFromFlags(const FlagParser& flags) {
+  auto threads = flags.GetInt("threads", 0);
+  if (!threads.ok()) return threads.status();
+  if (*threads < std::numeric_limits<int>::min() ||
+      *threads > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--threads out of range: " +
+                                   std::to_string(*threads));
+  }
+  return static_cast<int>(*threads);
+}
+
 Result<RepairOptions> OptionsFromFlags(const FlagParser& flags) {
   auto theta = flags.GetInt("theta", 4);
   if (!theta.ok()) return theta.status();
@@ -111,7 +127,7 @@ Result<RepairOptions> OptionsFromFlags(const FlagParser& flags) {
   if (!zeta.ok()) return zeta.status();
   auto lambda = flags.GetDouble("lambda", 0.5);
   if (!lambda.ok()) return lambda.status();
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = ThreadsFromFlags(flags);
   if (!threads.ok()) return threads.status();
   auto grain = ParseGrainValue(flags.GetString("grain", "auto"), "grain");
   if (!grain.ok()) return grain.status();
@@ -141,7 +157,7 @@ Result<RepairOptions> OptionsFromFlags(const FlagParser& flags) {
   options.use_mcp_pruning = !flags.GetBool("no-prune");
   options.selection = *selection;
   options.similarity = owned_similarity.get();
-  options.exec.num_threads = static_cast<int>(*threads);
+  options.exec.num_threads = *threads;
   options.exec.grain = *grain;
   options.deadline_ms = *deadline_ms;
   IDREPAIR_RETURN_NOT_OK(options.Validate());
@@ -466,7 +482,7 @@ int RunServe(const FlagParser& flags) {
   const std::string failpoints = flags.GetString("failpoints");
   auto max_inflight = flags.GetInt("max-inflight", 64);
   auto default_deadline = flags.GetInt("default-deadline-ms", 0);
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = ThreadsFromFlags(flags);
   for (const Status& s :
        {max_inflight.status(), default_deadline.status(), threads.status()}) {
     if (!s.ok()) return FailWith(s);
@@ -479,7 +495,7 @@ int RunServe(const FlagParser& flags) {
   if (int code = RejectUnreadFlags(flags); code != 0) return code;
   options.max_inflight = static_cast<uint64_t>(*max_inflight);
   options.default_deadline_ms = *default_deadline;
-  options.exec_threads = static_cast<int>(*threads);
+  options.exec_threads = *threads;
   if (Status s = fault::ArmFromString(failpoints); !s.ok()) return FailWith(s);
 
   if (!metrics->path.empty()) obs::SetEnabled(true);
