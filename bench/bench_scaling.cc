@@ -151,13 +151,13 @@ int main() {
 
   // ------------------------------------------- selection-phase scaling
   // Phase 2 in isolation: a dense-window workload under DMIN, which
-  // materializes the repair graph — a surface sharded by --grain — and
-  // then runs the serial tournament-tree degree pick, which walks Gr once
-  // and costs a small fraction of the build.
-  // Gr edge count grows superlinearly with window density (300
-  // trajectories here already mean ~2M conflict edges), so the workload
-  // stays moderate. sel_ms is Phase 2 wall time only, so its speedup is
-  // the Gr build's.
+  // counts each repair's Gr degree off the per-trajectory cover lists —
+  // by a serial walk over shared member subsets, or by a pass sharded by
+  // --grain where that is cheaper at the thread count — and then runs the
+  // serial tournament-tree degree pick. No Gr edge is built; gr_edges is
+  // the count Gr would hold, and it grows superlinearly with window
+  // density (300 trajectories here already mean ~2M conflict edges).
+  // sel_ms is Phase 2 wall time only, and most of it is serial.
   report.Title("Selection phase: thread scaling (DMIN, grain 64)");
   if (!Generate(graph, 300, 3600, 2026, &set)) return 1;
   RepairOptions dmin = options;
@@ -177,8 +177,7 @@ int main() {
                     })) {
     return 1;
   }
-  std::cout << "\n(Phase 2 only: the sharded repair-graph build is what "
-               "scales; the serial degree pick after it is small, and the "
-               "output never moves)\n";
+  std::cout << "\n(Phase 2 only: the degree walk and the degree pick are "
+               "serial, so little scales, and the output never moves)\n";
   return 0;
 }

@@ -130,17 +130,33 @@ echo "==> scaling: wall-clock speedup test + bench floor"
 # speedup to a floor scaled by the cores actually present: the full >=4x
 # tentpole target on >=8 cores, cores/2 on smaller true multicores, and
 # report-only below 4 cores. Override the computed floor with
-# IDREPAIR_SCALING_BENCH_FLOOR (e.g. on a contended shared runner).
+# IDREPAIR_SCALING_BENCH_FLOOR (e.g. on a contended shared runner). One
+# run's 1-thread time swings too widely to divide by (5.58x and 3.27x on
+# unchanged code), so the bench runs three times and the gate reads the
+# median 1-thread gen_ms over the median 8-thread gen_ms.
 "$BUILD_DIR/tests/scaling_test" --gtest_also_run_disabled_tests \
   --gtest_filter='ScalingTest.DISABLED_GenerationSpeedupMeetsFloor'
-IDREPAIR_BENCH_JSON_DIR="$BENCH_JSON_DIR" "$BUILD_DIR/bench/bench_scaling"
-python3 - "$BENCH_JSON_DIR/BENCH_scaling.json" <<'EOF'
-import json, os, sys
-report = json.load(open(sys.argv[1]))
-table = next(t for t in report["tables"]
-             if t["title"].startswith("Single giant chain component"))
-gen_ms = {row["threads"]: float(row["gen_ms"]) for row in table["rows"]}
-speedup = gen_ms[1] / max(gen_ms[8], 1e-9)
+scaling_runs=()
+for run in 1 2 3; do
+  mkdir -p "$BENCH_JSON_DIR/scaling-$run"
+  IDREPAIR_BENCH_JSON_DIR="$BENCH_JSON_DIR/scaling-$run" \
+    "$BUILD_DIR/bench/bench_scaling"
+  scaling_runs+=("$BENCH_JSON_DIR/scaling-$run/BENCH_scaling.json")
+done
+python3 - "${scaling_runs[@]}" <<'EOF'
+import json, os, statistics, sys
+gen_ms = {1: [], 8: []}
+for path in sys.argv[1:]:
+    report = json.load(open(path))
+    table = next(t for t in report["tables"]
+                 if t["title"].startswith("Single giant chain component"))
+    for row in table["rows"]:
+        if row["threads"] in gen_ms:
+            gen_ms[row["threads"]].append(float(row["gen_ms"]))
+one, eight = statistics.median(gen_ms[1]), statistics.median(gen_ms[8])
+speedup = one / max(eight, 1e-9)
+print(f"scaling: 1-thread gen_ms {gen_ms[1]} (median {one:.1f}), "
+      f"8-thread gen_ms {gen_ms[8]} (median {eight:.1f})")
 cores = os.cpu_count() or 1
 env_floor = os.environ.get("IDREPAIR_SCALING_BENCH_FLOOR")
 if env_floor is not None:
@@ -157,7 +173,7 @@ if floor is None:
     sys.exit(0)
 verdict = "ok" if speedup >= floor else "FAIL"
 print(f"scaling: {verdict} 8-thread generation speedup {speedup:.2f}x "
-      f"(floor {floor:.2f}x on {cores} cores)")
+      f"(ratio of medians; floor {floor:.2f}x on {cores} cores)")
 sys.exit(0 if speedup >= floor else 1)
 EOF
 

@@ -14,6 +14,48 @@ namespace idrepair {
 /// Index of a candidate repair within its generation batch.
 using RepairIndex = uint32_t;
 
+/// Per-trajectory cover index: the candidates whose joinable subset holds
+/// trajectory t are entries[offsets[t] .. offsets[t+1]), ascending. Two
+/// repairs conflict exactly when they share a trajectory, so these lists
+/// hold Gr without its edges.
+struct CoverIndex {
+  std::vector<uint64_t> offsets;
+  std::vector<RepairIndex> entries;
+
+  /// A counting pass sizes each trajectory's slot, then a fill pass
+  /// appends candidates in ascending order. Linear in total membership;
+  /// serial.
+  static CoverIndex Build(const CandidateSet& candidates, size_t num_trajs);
+
+  Span<const RepairIndex> Cover(TrajIndex t) const {
+    return Span<const RepairIndex>(entries.data() + offsets[t],
+                                   offsets[t + 1] - offsets[t]);
+  }
+};
+
+/// Gr's vertex degrees without its edges: the cover index plus, for every
+/// repair v, degree[v] = |∪ over v's members t of Cover(t)| − 1, the number
+/// of other repairs that share a trajectory with v (Gr's degree exactly).
+/// What DMIN and DMAX read (SelectByDegree).
+struct ConflictDegrees {
+  CoverIndex cover;
+  std::vector<uint32_t> degree;
+  size_t num_edges = 0;  // Σ degree / 2: Gr's edge count
+
+  /// Two exact methods, whichever has the smaller work bound: a serial
+  /// walk over the member subsets that two or more repairs share
+  /// (inclusion–exclusion, at most |M_v|·2^|M_v| steps per repair), or a
+  /// stamp pass that reads every cover list of each repair's members
+  /// (Σ |Cover(t)|² steps), split into blocks over the exec pool; the walk
+  /// is taken when its bound times the thread count is no larger. Either
+  /// evaluates "repair.selection.shard" once per block (the walk is one
+  /// block); each repair's degree is a pure function of the candidates, so
+  /// the result is byte-identical at any thread count and grain.
+  static Result<ConflictDegrees> Count(const CandidateSet& candidates,
+                                       size_t num_trajs,
+                                       const ExecOptions& exec);
+};
+
 /// The repair graph Gr (§3.3): one vertex per candidate repair, an
 /// undirected edge wherever two repairs are *incompatible*, i.e. their
 /// joinable subsets share a trajectory. Selecting compatible repairs is then
@@ -28,8 +70,8 @@ class RepairGraph {
   /// Builds Gr from the candidate set with the adjacency pass split into
   /// blocks over the exec pool. Block boundaries never affect the result:
   /// each block derives its vertex range's neighbor list as the
-  /// sorted-unique union of a shared (read-only) per-trajectory cover index
-  /// over the vertex's members — built once per call and dropped when Build
+  /// sorted-unique union of a shared (read-only) CoverIndex over the
+  /// vertex's members — built once per call and dropped when Build
   /// returns — so the graph is byte-identical at any thread count; a single
   /// block runs inline on the calling thread. Evaluates the
   /// "repair.selection.shard" failpoint once per block, so a non-empty set

@@ -19,13 +19,15 @@ namespace idrepair {
 namespace {
 
 /// The one instrument no RepairStats field copies: a distribution, observed
-/// per Gr vertex. kStable: Gr is a pure function of the candidates.
+/// per Gr vertex (from the DMIN/DMAX degree pass, or from Gr when a
+/// selector is passed or exact search runs). kStable: Gr is a pure
+/// function of the candidates.
 obs::Histogram* ConflictDegree() {
   static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
       "idrepair_selection_conflict_degree", obs::Stability::kStable,
       obs::ExponentialBuckets(1.0, 2.0, 16),
       "Conflict edges per repair-graph vertex (Gr degree distribution; "
-      "only observed on the graph-materializing selection path)");
+      "observed by every selection path except EMAX's cover path)");
   return h;
 }
 
@@ -201,6 +203,7 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
     SelectionContext ctx;
     ctx.exec = options_.exec;
     ctx.deadline = &deadline;
+    Result<std::vector<RepairIndex>> selected = std::vector<RepairIndex>();
     if (selector == nullptr &&
         options_.selection == SelectionAlgorithm::kEmax) {
       // EMAX fast path: greedily taking the highest-ω repair and discarding
@@ -209,9 +212,30 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
       // "used" mask, which is exactly "discard all Gr neighbors". On dense
       // datasets Gr can hold hundreds of millions of edges, so this path
       // turns the selection phase from the bottleneck into a linear pass.
-      auto selected = SelectEmaxByCover(result.candidates, set.size(), ctx);
-      IDREPAIR_RETURN_NOT_OK(selected.status());
-      result.selected = std::move(selected).value();
+      selected = SelectEmaxByCover(result.candidates, set.size(), ctx);
+    } else if (selector == nullptr &&
+               options_.selection != SelectionAlgorithm::kExact) {
+      // DMIN/DMAX read Gr's degrees off the per-trajectory cover lists and
+      // never build its edges; gr_edges is the same count Gr would hold.
+      std::optional<ConflictDegrees> conflicts;
+      {
+        obs::PhaseScope sub("repair.selection.graph",
+                            &result.stats.seconds_selection_graph);
+        auto counted = ConflictDegrees::Count(result.candidates, set.size(),
+                                              options_.exec);
+        IDREPAIR_RETURN_NOT_OK(counted.status());
+        conflicts.emplace(std::move(counted).value());
+      }
+      result.stats.gr_edges = conflicts->num_edges;
+      if (obs::Enabled()) {
+        for (uint32_t d : conflicts->degree) {
+          ConflictDegree()->Observe(static_cast<double>(d));
+        }
+      }
+      obs::TraceSpan pick("repair.selection.pick");
+      selected = SelectByDegree(
+          result.candidates, std::move(*conflicts),
+          options_.selection == SelectionAlgorithm::kDmin, ctx);
     } else {
       std::optional<RepairGraph> gr;
       {
@@ -234,10 +258,10 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
         selector = owned.get();
       }
       obs::TraceSpan pick("repair.selection.pick");
-      auto selected = selector->Select(*gr, result.candidates, ctx);
-      IDREPAIR_RETURN_NOT_OK(selected.status());
-      result.selected = std::move(selected).value();
+      selected = selector->Select(*gr, result.candidates, ctx);
     }
+    IDREPAIR_RETURN_NOT_OK(selected.status());
+    result.selected = std::move(selected).value();
   }
   result.stats.num_selected = result.selected.size();
   result.total_effectiveness =

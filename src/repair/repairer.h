@@ -38,13 +38,16 @@ struct RepairStats {
   size_t jnb_checks = 0;
   size_t joinable_subsets = 0;      // all joinable subsets found (phase 1)
   size_t num_candidates = 0;        // |R| (repairs with |ivt| >= 1)
-  size_t gr_edges = 0;              // 0 when the EMAX fast path skips Gr
+  // Gr's edge count: Σ degree / 2 from the degree pass under DMIN/DMAX
+  // (no edge is built), the built Gr's otherwise; 0 on EMAX's cover path.
+  size_t gr_edges = 0;
   size_t num_selected = 0;          // |R'|
   double seconds_gm = 0.0;          // trajectory-graph construction
   double seconds_generation = 0.0;  // cliques + jnb + target assignment
   double seconds_selection = 0.0;   // Gr + selection
-  // The Gr build inside seconds_selection (0 when the EMAX fast path skips
-  // Gr); the pick/commit loop took the rest.
+  // The conflict structure inside seconds_selection: the cover index plus
+  // the degree pass under DMIN/DMAX, the Gr build otherwise (0 on EMAX's
+  // cover path); the pick/commit loop took the rest.
   double seconds_selection_graph = 0.0;
   double seconds_apply = 0.0;       // rewrites + ApplyRewrites
   double seconds_total = 0.0;

@@ -1,6 +1,7 @@
 #include "repair/selectors.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -99,22 +100,23 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
   return order;
 }
 
-/// Dynamic degree-driven greedy shared by DMIN and DMAX: each pick is the
-/// remaining vertex of minimum (DMIN) or maximum (DMAX) current degree,
-/// smallest index on ties, read off a tournament-tree root.
-///
-/// Each leaf holds one packed key per vertex — (degree << 32) | vertex for
-/// DMIN, (0xFFFFFFFF - degree) << 32 | vertex for DMAX — and every inner
-/// node the minimum of its children, so the root is the minimum degree
-/// (maximum for DMAX) with the smallest vertex breaking ties.
-/// Removed vertices hold kEmpty. A commit re-keys each touched vertex's leaf
-/// once, walking up only while the ancestor minimum changes; the tree never
-/// holds a stale entry.
-Result<std::vector<RepairIndex>> DegreeGreedyTree(
-    const RepairGraph& gr, bool minimize, const SelectionContext& ctx) {
+}  // namespace
+
+Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
+                                                ConflictDegrees conflicts,
+                                                bool minimize,
+                                                const SelectionContext& ctx) {
   constexpr uint64_t kEmpty = ~uint64_t{0};
-  const size_t n = gr.num_vertices();
-  std::vector<uint32_t> degree(n);
+  const size_t n = candidates.size();
+  std::vector<uint32_t>& degree = conflicts.degree;
+  CoverIndex& cover = conflicts.cover;
+  // Each leaf holds one packed key per vertex — (degree << 32) | vertex for
+  // DMIN, (0xFFFFFFFF - degree) << 32 | vertex for DMAX — and every inner
+  // node the minimum of its children, so the root is the minimum degree
+  // (maximum for DMAX) with the smallest vertex breaking ties. Removed
+  // vertices hold kEmpty. A commit re-keys each touched vertex's leaf once,
+  // walking up only while the ancestor minimum changes; the tree never
+  // holds a stale entry.
   auto key = [&](RepairIndex v) {
     uint64_t rank = minimize ? degree[v] : 0xFFFFFFFFu - degree[v];
     return rank << 32 | v;
@@ -122,10 +124,7 @@ Result<std::vector<RepairIndex>> DegreeGreedyTree(
   size_t leaves = 1;
   while (leaves < n) leaves *= 2;
   std::vector<uint64_t> tree(2 * leaves, kEmpty);
-  for (RepairIndex v = 0; v < n; ++v) {
-    degree[v] = static_cast<uint32_t>(gr.Degree(v));
-    tree[leaves + v] = key(v);
-  }
+  for (RepairIndex v = 0; v < n; ++v) tree[leaves + v] = key(v);
   for (size_t i = leaves - 1; i >= 1; --i) {
     tree[i] = std::min(tree[2 * i], tree[2 * i + 1]);
   }
@@ -140,11 +139,50 @@ Result<std::vector<RepairIndex>> DegreeGreedyTree(
   };
 
   std::vector<uint8_t> removed(n, 0);
-  // touched_at[w] == commits marks w as already collected this commit.
-  std::vector<uint64_t> touched_at(n, 0);
+  // Cover(t)'s surviving repairs sit in entries[offsets[t] .. live_end[t]);
+  // each scan keeps the survivors at the front, so a removed repair is
+  // passed over at most once per cover list it sits in.
+  std::vector<uint64_t> live_end(cover.offsets.begin() + 1,
+                                 cover.offsets.end());
+  auto for_each_live = [&](TrajIndex t, auto&& visit) {
+    uint64_t kept = cover.offsets[t];
+    for (uint64_t i = cover.offsets[t]; i < live_end[t]; ++i) {
+      RepairIndex r = cover.entries[i];
+      if (removed[r]) continue;
+      cover.entries[kept++] = r;
+      visit(r);
+    }
+    live_end[t] = kept;
+  };
+  // A commit's batch (v and the survivors it removes, at positions
+  // 0..|batch|-1) is indexed by trajectory: each trajectory a batch repair
+  // holds gets a slot (slot_of[t], valid while slot_commit[t] == commits)
+  // listing the positions holding it in list[list_at[s] .. list_at[s + 1])
+  // and, while the rows cost at most 16 words per list entry, as a bitset
+  // row of `words` words. A survivor loses one degree per batch repair it
+  // shares a trajectory with: the size of the union of its slots, read as
+  // the popcount of their OR-ed rows or by stamping their lists, whichever
+  // reads less.
+  const size_t num_trajs = cover.offsets.size() - 1;
+  std::vector<uint64_t> slot_commit(num_trajs, 0);
+  std::vector<uint32_t> slot_of(num_trajs);
+  std::vector<TrajIndex> slot_traj;
+  std::vector<size_t> list_at;
+  std::vector<size_t> cursor;
+  std::vector<uint32_t> list;
+  std::vector<uint64_t> rows;
+  std::vector<uint32_t> held;  // w's slots
+  // pos_seen[p] == stamp marks batch position p as counted for the
+  // current survivor; the stamp only grows, so nothing is cleared.
+  std::vector<uint64_t> pos_seen;
+  uint64_t stamp = 0;
+  // mark[w] == 2 * commits: w was touched by this commit through one slot;
+  // 2 * commits + 1: through two or more.
+  std::vector<uint64_t> mark(n, 0);
   std::vector<RepairIndex> out;
   std::vector<RepairIndex> batch;
   std::vector<RepairIndex> touched;
+  std::vector<RepairIndex> shared;
   uint64_t commits = 0;
   uint64_t invalidations = 0;
   while (tree[1] != kEmpty) {
@@ -155,37 +193,116 @@ Result<std::vector<RepairIndex>> DegreeGreedyTree(
     ++commits;
     if (ctx.commit_order != nullptr) ctx.commit_order->push_back(v);
 
-    // Commit removes v and its surviving neighbors as one batch.
+    // A commit removes v and every surviving repair that shares one of its
+    // trajectories as one batch.
     batch.clear();
     batch.push_back(v);
     removed[v] = 1;
-    for (RepairIndex w : gr.Neighbors(v)) {
-      if (!removed[w]) {
+    for (TrajIndex t : candidates.members(v)) {
+      for_each_live(t, [&](RepairIndex w) {
         removed[w] = 1;
         ++invalidations;
         batch.push_back(w);
-      }
+      });
     }
     for (RepairIndex u : batch) set_leaf(u, kEmpty);
 
-    // Every surviving neighbor of a batch member loses one incident edge
-    // per adjacent batch member; its leaf is re-keyed once at the end.
-    touched.clear();
+    // Slot the batch's trajectories and list each one's batch positions.
+    slot_traj.clear();
+    list_at.assign(1, 0);
     for (RepairIndex u : batch) {
-      for (RepairIndex w : gr.Neighbors(u)) {
-        if (removed[w]) continue;
-        --degree[w];
-        if (touched_at[w] != commits) {
-          touched_at[w] = commits;
+      for (TrajIndex t : candidates.members(u)) {
+        if (slot_commit[t] != commits) {
+          slot_commit[t] = commits;
+          slot_of[t] = static_cast<uint32_t>(slot_traj.size());
+          slot_traj.push_back(t);
+          list_at.push_back(0);
+        }
+        ++list_at[slot_of[t] + 1];
+      }
+    }
+    const size_t slots = slot_traj.size();
+    for (size_t s = 0; s < slots; ++s) list_at[s + 1] += list_at[s];
+    list.resize(list_at[slots]);
+    const size_t words = (batch.size() + 63) / 64;
+    const bool use_rows = slots * words <= 16 * list.size();
+    rows.assign(use_rows ? slots * words : 0, 0);
+    cursor.assign(list_at.begin(), list_at.end() - 1);
+    for (size_t p = 0; p < batch.size(); ++p) {
+      for (TrajIndex t : candidates.members(batch[p])) {
+        const uint32_t s = slot_of[t];
+        list[cursor[s]++] = static_cast<uint32_t>(p);
+        if (use_rows) rows[s * words + p / 64] |= uint64_t{1} << (p % 64);
+      }
+    }
+    if (pos_seen.size() < batch.size()) pos_seen.resize(batch.size(), 0);
+
+    // Every survivor in a slotted trajectory's live cover list is charged
+    // that slot's batch repairs. One holding a single slotted trajectory is
+    // then exact; one holding several (marked 2 * commits + 1) was charged
+    // once per shared trajectory for each batch repair, and gets the
+    // surplus back from the exact union of its slots (unsigned arithmetic,
+    // so a transient wrap cancels). Each touched leaf is re-keyed once.
+    touched.clear();
+    shared.clear();
+    for (size_t s = 0; s < slots; ++s) {
+      const auto listed = static_cast<uint32_t>(list_at[s + 1] - list_at[s]);
+      for_each_live(slot_traj[s], [&](RepairIndex w) {
+        degree[w] -= listed;
+        if (mark[w] < 2 * commits) {
+          mark[w] = 2 * commits;
           touched.push_back(w);
+        } else if (mark[w] == 2 * commits) {
+          mark[w] = 2 * commits + 1;
+          shared.push_back(w);
+        }
+      });
+    }
+    for (RepairIndex w : shared) {
+      held.clear();
+      size_t listed = 0;
+      for (TrajIndex t : candidates.members(w)) {
+        if (slot_commit[t] != commits) continue;
+        const uint32_t s = slot_of[t];
+        held.push_back(s);
+        listed += list_at[s + 1] - list_at[s];
+      }
+      uint32_t lost = 0;
+      if (use_rows && (held.size() + 1) * words <= listed) {
+        for (size_t k = 0; k < words; ++k) {
+          uint64_t any = 0;
+          for (uint32_t s : held) any |= rows[s * words + k];
+          lost += static_cast<uint32_t>(std::popcount(any));
+        }
+      } else {
+        ++stamp;
+        for (uint32_t s : held) {
+          for (size_t i = list_at[s]; i < list_at[s + 1]; ++i) {
+            if (pos_seen[list[i]] == stamp) continue;
+            pos_seen[list[i]] = stamp;
+            ++lost;
+          }
         }
       }
+      degree[w] += static_cast<uint32_t>(listed) - lost;
     }
     for (RepairIndex w : touched) set_leaf(w, key(w));
   }
   std::sort(out.begin(), out.end());
   RecordSelection(commits, invalidations);
   return out;
+}
+
+namespace {
+
+/// DMIN/DMAX as the selectors run them: the degree pass, then the picks.
+Result<std::vector<RepairIndex>> DegreeGreedy(const CandidateSet& candidates,
+                                              size_t num_trajs, bool minimize,
+                                              const SelectionContext& ctx) {
+  auto conflicts = ConflictDegrees::Count(candidates, num_trajs, ctx.exec);
+  IDREPAIR_RETURN_NOT_OK(conflicts.status());
+  return SelectByDegree(candidates, std::move(conflicts).value(), minimize,
+                        ctx);
 }
 
 }  // namespace
@@ -199,15 +316,13 @@ Result<std::vector<RepairIndex>> EmaxSelector::Select(
 Result<std::vector<RepairIndex>> DminSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
-  (void)candidates;
-  return DegreeGreedyTree(gr, /*minimize=*/true, ctx);
+  return DegreeGreedy(candidates, gr.num_trajs(), /*minimize=*/true, ctx);
 }
 
 Result<std::vector<RepairIndex>> DmaxSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
-  (void)candidates;
-  return DegreeGreedyTree(gr, /*minimize=*/false, ctx);
+  return DegreeGreedy(candidates, gr.num_trajs(), /*minimize=*/false, ctx);
 }
 
 namespace {

@@ -13,7 +13,7 @@
 namespace idrepair {
 
 /// Execution context for Phase 2 selection. `exec` controls how the
-/// selectors shard their sort and Gr-build work; `deadline`, when non-null,
+/// selectors shard their sort and degree-pass work; `deadline`, when non-null,
 /// is probed before every commit so selection degrades to a well-formed
 /// *prefix* of the commit sequence — the partial selection is still
 /// pairwise compatible. `commit_order`, when non-null, receives the selected
@@ -61,9 +61,9 @@ class EmaxSelector final : public RepairSelector {
 /// Minimum-degree first (DMIN, §6.5.1): repeatedly take a remaining vertex
 /// of minimum *current* degree (smallest index on ties) and discard its
 /// neighbors — the classic greedy independent-set heuristic, blind to ω.
-/// Picks come from a tournament tree over packed (degree, vertex) keys: the
-/// root is the next pick, and a commit re-keys each touched vertex once. It
-/// runs serially; only the Gr build before it is sharded.
+/// Select is SelectByDegree over ConflictDegrees::Count with Gr's
+/// trajectory count: it never reads Gr's edges, only the per-trajectory
+/// cover lists (DESIGN.md §3).
 class DminSelector final : public RepairSelector {
  public:
   Result<std::vector<RepairIndex>> Select(
@@ -72,7 +72,8 @@ class DminSelector final : public RepairSelector {
   std::string_view name() const override { return "DMIN"; }
 };
 
-/// Maximum-degree first (DMAX, §6.5.1): the adversarial twin of DMIN.
+/// Maximum-degree first (DMAX, §6.5.1): the adversarial twin of DMIN, on
+/// the same path (SelectByDegree with minimize = false).
 class DmaxSelector final : public RepairSelector {
  public:
   Result<std::vector<RepairIndex>> Select(
@@ -131,6 +132,22 @@ double TotalEffectiveness(const CandidateSet& candidates,
 Result<std::vector<RepairIndex>> SelectEmaxByCover(
     const CandidateSet& candidates, size_t num_trajs,
     const SelectionContext& ctx);
+
+/// DMIN (`minimize`) or DMAX without materializing the repair graph: each
+/// pick is the surviving repair of minimum (maximum) current Gr degree,
+/// smallest index on ties, read off a tournament tree over packed
+/// (degree, vertex) keys. A commit removes the pick and every surviving
+/// repair in its members' cover lists, and each survivor that shares a
+/// trajectory with a removed repair loses one degree per distinct removed
+/// neighbor; the commit reads each cover list its batch touches once,
+/// whatever the number of removed repairs in it. `conflicts` comes from
+/// ConflictDegrees::Count and is consumed.
+/// The commit loop is serial; it evaluates "repair.selection.commit" and
+/// honors ctx.deadline before each commit (compatible-prefix cutoff).
+Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
+                                                ConflictDegrees conflicts,
+                                                bool minimize,
+                                                const SelectionContext& ctx);
 
 }  // namespace idrepair
 

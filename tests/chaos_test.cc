@@ -39,6 +39,7 @@
 #include "graph/serialization.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "repair/selectors.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "test_util.h"
@@ -417,6 +418,79 @@ TEST_F(ChaosTest, DeadlineExpiryMidSelectionKeepsCompatiblePrefix) {
   // selected it too, so the partial is a compatible subset, not a detour.
   EXPECT_TRUE(std::find(clean->selected.begin(), clean->selected.end(),
                         partial->selected.front()) != clean->selected.end());
+}
+
+// The same selection contracts on DMIN's path through the engine, which
+// reads Gr's degrees off the cover lists (repair.selection.shard fires once
+// per degree block) and never builds Gr:
+//  * an error armed at either selection site surfaces as the same Status at
+//    every thread count, and the disarmed rerun equals the clean run;
+//  * a deadline forced at the (k+1)-th commit check leaves exactly the
+//    first k commits of the full commit order, with records conserved.
+TEST_F(ChaosTest, DminSelectionFaultsAndDeadlinesThroughTheEngine) {
+  for (const Scenario& base : MakeScenarios()) {
+    Scenario s = base;
+    s.options.selection = SelectionAlgorithm::kDmin;
+    s.options.exec.grain = 1;
+    auto clean = RunEngine("core", s, 1);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    const std::string clean_print = Fingerprint(*clean);
+
+    for (const char* site :
+         {"repair.selection.shard", "repair.selection.commit"}) {
+      Status first;  // the first thread count's error
+      for (int threads : ThreadCounts()) {
+        SCOPED_TRACE(s.name + "/" + site + "/t" + std::to_string(threads));
+        fault::FaultSpec spec;
+        spec.fire_on_hit = 1;
+        spec.code = StatusCode::kInternal;
+        spec.message = "injected DMIN selection fault";
+        ASSERT_TRUE(fault::FailPointRegistry::Global().Arm(site, spec).ok());
+        auto result = RunEngine("core", s, threads);
+        ASSERT_FALSE(result.ok()) << "armed " << site << " but the run passed";
+        if (first.ok()) first = result.status();
+        EXPECT_EQ(result.status(), first);
+        EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+
+        fault::FailPointRegistry::Global().DisarmAll();
+        auto rerun = RunEngine("core", s, threads);
+        ASSERT_TRUE(rerun.ok()) << rerun.status();
+        EXPECT_EQ(Fingerprint(*rerun), clean_print);
+      }
+    }
+
+    // The full commit order, from the selector call the engine's path
+    // shares (DegreeGreedyParityTest pins the two equal).
+    auto gr = RepairGraph::Build(clean->candidates, s.set.size(),
+                                 s.options.exec);
+    ASSERT_TRUE(gr.ok()) << gr.status();
+    std::vector<RepairIndex> full;
+    SelectionContext ctx;
+    ctx.commit_order = &full;
+    ASSERT_TRUE(DminSelector().Select(*gr, clean->candidates, ctx).ok());
+    ASSERT_GT(full.size(), 2u) << "scenario too small to interrupt";
+    for (size_t k : {size_t{0}, size_t{1}, full.size() / 2}) {
+      SCOPED_TRACE(s.name + "/k" + std::to_string(k));
+      // Deadline checks: generation boundary, selection boundary, then one
+      // per commit — so check 3 + k is the one before commit k + 1.
+      fault::FaultSpec expire;
+      expire.fire_on_hit = 3 + k;
+      ASSERT_TRUE(fault::FailPointRegistry::Global()
+                      .Arm(fault::kDeadlineExpireSite, expire)
+                      .ok());
+      auto partial = RunEngine("core", s, 2, /*deadline_ms=*/600000);
+      fault::FailPointRegistry::Global().DisarmAll();
+      ASSERT_TRUE(partial.ok()) << partial.status();
+      EXPECT_EQ(partial->completion.code(), StatusCode::kDeadlineExceeded);
+      EXPECT_NE(partial->completion.message().find("selection commit"),
+                std::string::npos)
+          << partial->completion;
+      EXPECT_EQ(partial->repaired.total_records(), s.set.total_records());
+      std::vector<RepairIndex> prefix(full.begin(), full.begin() + k);
+      std::sort(prefix.begin(), prefix.end());
+      EXPECT_EQ(partial->selected, prefix);
+    }
+  }
 }
 
 // The alloc-failure and cancellation actions map onto their dedicated

@@ -21,6 +21,7 @@
 #include "obs/scrape.h"
 #include "obs/trace.h"
 #include "repair/repairer.h"
+#include "repair/selectors.h"
 #include "test_util.h"
 
 namespace idrepair {
@@ -286,6 +287,50 @@ TEST_F(ObsTest, RepairWithObsEnabledPopulatesMetricsAndTrace) {
     if (std::string(e.name) == "repair.run") saw_run = true;
   }
   EXPECT_TRUE(saw_run);
+}
+
+// DMIN through the engine reads Gr's degrees off the cover lists: its trace
+// holds degree-pass blocks and no Gr-build block, and the conflict-degree
+// histogram observes one degree per candidate, summing to 2 × gr_edges. A
+// caller that passes the selector explicitly still builds Gr first.
+TEST_F(ObsTest, DminRunBuildsNoRepairGraph) {
+  TransitionGraph graph = MakeRealLikeGraph();
+  TrajectorySet set = SparseSet(graph);
+  RepairOptions options;
+  options.theta = 4;
+  options.eta = 600;
+  options.selection = SelectionAlgorithm::kDmin;
+  auto spans_named = [](const char* name) {
+    size_t n = 0;
+    for (const auto& e : obs::TraceSink::Global().Events()) {
+      if (std::string(e.name) == name) ++n;
+    }
+    return n;
+  };
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().Reset();
+  obs::TraceSink::Global().Clear();
+  auto result = IdRepairer(graph, options).Repair(set);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_GT(result->stats.gr_edges, 0u);
+  EXPECT_GT(spans_named("selection.degree.shard"), 0u);
+  EXPECT_EQ(spans_named("selection.gr.shard"), 0u);
+  bool saw_histogram = false;
+  for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
+    if (m.name != "idrepair_selection_conflict_degree") continue;
+    saw_histogram = true;
+    EXPECT_EQ(m.total_count, result->stats.num_candidates);
+    EXPECT_EQ(m.sum, 2.0 * static_cast<double>(result->stats.gr_edges));
+  }
+  EXPECT_TRUE(saw_histogram);
+
+  obs::TraceSink::Global().Clear();
+  DminSelector dmin;
+  auto explicit_run = IdRepairer(graph, options).Repair(set, &dmin);
+  ASSERT_TRUE(explicit_run.ok()) << explicit_run.status();
+  EXPECT_GT(spans_named("selection.gr.shard"), 0u);
+  EXPECT_EQ(explicit_run->selected, result->selected);
+  EXPECT_EQ(explicit_run->stats.gr_edges, result->stats.gr_edges);
 }
 
 // The Prometheus names a run leaves behind, pinned. RunRecorder derives

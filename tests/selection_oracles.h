@@ -1,9 +1,10 @@
 // Reference implementations of the Phase 2 greedy selectors, written for
 // obviousness rather than speed. They share no code with
-// src/repair/selectors.cc: EMAX finds conflicts itself by pairwise member
-// intersection (no repair graph, no cover mask), and the degree heuristics
-// rescan every remaining vertex per pick (no tournament tree). The selector
-// tests demand byte-identical output from production against them.
+// src/repair/selectors.cc or src/repair/repair_graph.cc: every conflict is
+// found by pairwise member intersection (no repair graph, no cover lists,
+// no cover mask), and the degree heuristics rescan every remaining vertex
+// per pick (no tournament tree). The selector tests demand byte-identical
+// output from production against them.
 
 #ifndef IDREPAIR_TESTS_SELECTION_ORACLES_H_
 #define IDREPAIR_TESTS_SELECTION_ORACLES_H_
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "repair/candidates.h"
-#include "repair/repair_graph.h"
+#include "repair/repair_graph.h"  // RepairIndex only
 
 namespace idrepair {
 namespace oracle {
@@ -98,16 +99,20 @@ inline Selection Emax(const CandidateSet& candidates) {
 /// DMIN (`minimize`) or DMAX over Gr (§6.5.1): rescan every remaining
 /// vertex for the minimum (maximum) current degree, the smallest index on
 /// ties, take it, and remove it with its remaining neighbors, decrementing
-/// the degrees of their remaining neighbors. O(|Vr|²).
-inline Selection DegreeGreedy(const RepairGraph& gr,
-                              const CandidateSet& candidates, bool minimize) {
-  const size_t n = gr.num_vertices();
+/// the degrees of their remaining neighbors. Gr's adjacency comes from
+/// Neighbors (pairwise member intersection). O(|Vr|²).
+inline Selection DegreeGreedy(const CandidateSet& candidates, bool minimize) {
+  const size_t n = candidates.size();
+  std::vector<std::vector<RepairIndex>> adjacency(n);
+  for (RepairIndex v = 0; v < n; ++v) {
+    adjacency[v] = Neighbors(candidates, v);
+  }
   std::vector<bool> removed(n, false);
   std::vector<size_t> degree(n);
-  for (RepairIndex v = 0; v < n; ++v) degree[v] = gr.Degree(v);
+  for (RepairIndex v = 0; v < n; ++v) degree[v] = adjacency[v].size();
   auto remove_vertex = [&](RepairIndex v) {
     removed[v] = true;
-    for (RepairIndex w : gr.Neighbors(v)) {
+    for (RepairIndex w : adjacency[v]) {
       if (!removed[w]) --degree[w];
     }
   };
@@ -126,11 +131,22 @@ inline Selection DegreeGreedy(const RepairGraph& gr,
     if (!found) break;
     taken.push_back(best);
     remove_vertex(best);
-    for (RepairIndex w : gr.Neighbors(best)) {
+    for (RepairIndex w : adjacency[best]) {
       if (!removed[w]) remove_vertex(w);
     }
   }
   return Finish(std::move(taken), candidates);
+}
+
+/// Gr's edge count from the definition: conflicting unordered pairs.
+inline size_t ConflictingPairs(const CandidateSet& candidates) {
+  size_t pairs = 0;
+  for (RepairIndex a = 0; a < candidates.size(); ++a) {
+    for (RepairIndex b = a + 1; b < candidates.size(); ++b) {
+      if (Conflict(candidates, a, b)) ++pairs;
+    }
+  }
+  return pairs;
 }
 
 }  // namespace oracle

@@ -19,6 +19,9 @@
 #include "common/rng.h"
 #include "fault/deadline.h"
 #include "fault/failpoint.h"
+#include "gen/synthetic.h"
+#include "graph/generators.h"
+#include "repair/repairer.h"
 #include "repair/selectors.h"
 #include "selection_oracles.h"
 
@@ -115,10 +118,9 @@ bool IsConnected(const RepairGraph& gr) {
 
 // The oracle answer for one of the three greedy selectors.
 oracle::Selection OracleFor(const RepairSelector& selector,
-                            const RepairGraph& gr,
                             const CandidateSet& candidates) {
   if (selector.name() == "EMAX") return oracle::Emax(candidates);
-  return oracle::DegreeGreedy(gr, candidates, selector.name() == "DMIN");
+  return oracle::DegreeGreedy(candidates, selector.name() == "DMIN");
 }
 
 // ------------------------------------------------- sharded graph build
@@ -169,7 +171,7 @@ TEST(ParallelSelectorsTest, GreedySelectorsMatchOracleAcrossThreads) {
     size_t num_trajs = candidates.size() == 3 ? 3 : kDenseTrajs;
     RepairGraph gr = BuildSerial(candidates, num_trajs);
     for (const RepairSelector* selector : selectors) {
-      const oracle::Selection want = OracleFor(*selector, gr, candidates);
+      const oracle::Selection want = OracleFor(*selector, candidates);
       for (int threads : kThreadCounts) {
         SelectionContext ctx = MakeContext(threads);
         std::vector<RepairIndex> commit_order;
@@ -324,7 +326,7 @@ TEST(ParallelSelectorsTest, RandomizedGrainsMatchOracleAcrossShapes) {
     RepairGraph serial = BuildSerial(candidates, num_trajs);
     std::vector<std::vector<RepairIndex>> reference;
     for (const RepairSelector* selector : selectors) {
-      reference.push_back(OracleFor(*selector, serial, candidates).selected);
+      reference.push_back(OracleFor(*selector, candidates).selected);
     }
     for (int round = 0; round < 4; ++round) {
       // Grain 0 is the auto sentinel; the explicit draws cover degenerate
@@ -504,8 +506,7 @@ TEST(DegreeGreedyTest, MatchesRescanReferenceOnEdgeShapes) {
     for (const RepairSelector* selector :
          std::vector<const RepairSelector*>{&dmin, &dmax}) {
       SCOPED_TRACE(shape.name + "/" + std::string(selector->name()));
-      const oracle::Selection want =
-          OracleFor(*selector, gr, shape.candidates);
+      const oracle::Selection want = OracleFor(*selector, shape.candidates);
       for (int threads : kThreadCounts) {
         std::vector<RepairIndex> commit_order;
         SelectionContext ctx = MakeContext(threads);
@@ -590,6 +591,186 @@ TEST(DegreeGreedyTest, ForcedDeadlineYieldsCommitOrderPrefix) {
       EXPECT_EQ(prefix, expected) << "k=" << k;
       std::sort(expected.begin(), expected.end());
       EXPECT_EQ(*got, expected) << "k=" << k;
+    }
+  }
+}
+
+// A commit subtracts one degree per *distinct* removed neighbor. c3 shares
+// trajectories 0 and 1 with c2 (a ζ-member candidate), so when DMIN's first
+// pick c0 removes c2, c3 must lose one degree, not two: it then ties c1 at
+// degree 1 and the smaller index, c1, commits second. Subtracting per shared
+// trajectory would drop c3 to 0 and commit it before c1.
+TEST(DegreeGreedyTest, NeighborSharingTwoTrajectoriesLosesOneDegree) {
+  const CandidateSet candidates = MakeCandidates({{{5}, 1.0},
+                                                  {{9}, 1.0},
+                                                  {{0, 1, 5, 11}, 1.0},
+                                                  {{0, 1, 2}, 1.0},
+                                                  {{2, 8}, 1.0},
+                                                  {{9, 10}, 1.0}});
+  DminSelector dmin;
+  DmaxSelector dmax;
+  const std::vector<std::pair<const RepairSelector*, std::vector<RepairIndex>>>
+      pinned = {{&dmin, {0, 1, 3}}, {&dmax, {2, 1, 4}}};
+  RepairGraph gr = BuildSerial(candidates, NumTrajsFor(candidates));
+  for (const auto& [selector, want_order] : pinned) {
+    SCOPED_TRACE(std::string(selector->name()));
+    EXPECT_EQ(OracleFor(*selector, candidates).commit_order, want_order);
+    for (int threads : kThreadCounts) {
+      std::vector<RepairIndex> commit_order;
+      SelectionContext ctx = MakeContext(threads);
+      ctx.commit_order = &commit_order;
+      auto got = selector->Select(gr, candidates, ctx);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(commit_order, want_order) << "threads=" << threads;
+    }
+  }
+}
+
+// ConflictDegrees::Count takes the subset walk or the stamp pass by their
+// work bounds, and both must give every repair its pairwise conflict count.
+// "shared_subsets" (20 repairs on one 4-subset, 100 more on its first
+// trajectory) and "overlapping" take the walk at one and two threads and
+// recurse to depth 4 and 3; "wide" (40-member windows) puts the walk's
+// bound past any stamp pass; at eight threads "shared_subsets" takes the
+// stamp pass too.
+TEST(ConflictDegreesTest, WalkAndStampMatchPairwiseDegrees) {
+  std::vector<Spec> shared;
+  for (TrajIndex i = 0; i < 20; ++i) {
+    shared.push_back({{0, 1, 2, 3, static_cast<TrajIndex>(10 + i)}, 1.0});
+  }
+  for (TrajIndex i = 0; i < 100; ++i) {
+    shared.push_back({{0, static_cast<TrajIndex>(40 + i)}, 1.0});
+  }
+  std::vector<Spec> wide;
+  for (TrajIndex i = 0; i < 30; ++i) {
+    Spec window{{}, 1.0};
+    for (TrajIndex k = 0; k < 40; ++k) window.members.push_back(i + k);
+    wide.push_back(window);
+  }
+  std::vector<std::pair<std::string, CandidateSet>> shapes;
+  shapes.emplace_back("shared_subsets", MakeCandidates(shared));
+  shapes.emplace_back("overlapping", RandomInstance(300, 12, 7));
+  shapes.emplace_back("wide", MakeCandidates(wide));
+  shapes.emplace_back("empty", CandidateSet());
+  for (const auto& [name, candidates] : shapes) {
+    const size_t num_trajs = NumTrajsFor(candidates);
+    std::vector<uint32_t> want(candidates.size());
+    for (size_t v = 0; v < candidates.size(); ++v) {
+      want[v] = static_cast<uint32_t>(
+          oracle::Neighbors(candidates, static_cast<RepairIndex>(v)).size());
+    }
+    for (int threads : kThreadCounts) {
+      for (size_t grain : {kGrainAuto, size_t{1}}) {
+        SCOPED_TRACE(name + "/t" + std::to_string(threads) + "/g" +
+                     std::to_string(grain));
+        ExecOptions exec;
+        exec.num_threads = threads;
+        exec.grain = grain;
+        auto got = ConflictDegrees::Count(candidates, num_trajs, exec);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->degree, want);
+        EXPECT_EQ(got->num_edges, oracle::ConflictingPairs(candidates));
+      }
+    }
+  }
+}
+
+// --------------------------------------------- DMIN/DMAX through IdRepairer
+
+// A dense synthetic batch whose candidates include a ζ-member repair and
+// pairs that share two trajectories (both asserted below).
+struct EngineInput {
+  TransitionGraph graph;
+  TrajectorySet set;
+  RepairOptions options;
+};
+
+EngineInput DegreeParityInput() {
+  EngineInput in;
+  in.graph = MakeGridNetwork(3, 4);
+  SyntheticConfig config;
+  config.num_trajectories = 100;
+  config.record_error_rate = 0.2;
+  config.max_path_len = 6;
+  config.window_seconds = 3600;
+  config.travel_median_lo = 30;
+  config.travel_median_hi = 90;
+  config.seed = 9002;
+  auto ds = GenerateSyntheticDataset(in.graph, config);
+  EXPECT_TRUE(ds.ok()) << ds.status();
+  if (ds.ok()) in.set = ds->BuildObservedTrajectories();
+  in.options.theta = 6;
+  in.options.eta = 600;
+  return in;
+}
+
+size_t SharedTrajectories(const CandidateSet& candidates, RepairIndex a,
+                          RepairIndex b) {
+  Span<const TrajIndex> x = candidates.members(a);
+  Span<const TrajIndex> y = candidates.members(b);
+  size_t shared = 0;
+  for (TrajIndex t : x) shared += std::count(y.begin(), y.end(), t);
+  return shared;
+}
+
+// IdRepairer's DMIN/DMAX read Gr's degrees off the cover lists and never
+// build Gr. At every thread count and grain: the selection equals the
+// oracle's; gr_edges equals the built Gr's edge count and the oracle's
+// conflicting pairs; and the call benchmark/src/traced_main.cc makes,
+// MakeSelector(...)->Select(gr, ...), returns the engine's selection in
+// the oracle's commit order.
+TEST(DegreeGreedyParityTest, IdRepairerMatchesOracleAndGraphCall) {
+  const EngineInput in = DegreeParityInput();
+  for (SelectionAlgorithm algorithm :
+       {SelectionAlgorithm::kDmin, SelectionAlgorithm::kDmax}) {
+    RepairOptions options = in.options;
+    options.selection = algorithm;
+    options.exec.num_threads = 1;
+    auto reference = IdRepairer(in.graph, options).Repair(in.set);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    const CandidateSet& candidates = reference->candidates;
+    bool zeta_members = false;
+    bool shares_two = false;
+    for (RepairIndex a = 0; a < candidates.size(); ++a) {
+      zeta_members |= candidates.members(a).size() == options.zeta;
+      for (RepairIndex b = a + 1; b < candidates.size() && !shares_two; ++b) {
+        shares_two = SharedTrajectories(candidates, a, b) >= 2;
+      }
+    }
+    ASSERT_TRUE(zeta_members) << "no candidate with zeta members";
+    ASSERT_TRUE(shares_two) << "no candidate pair shares two trajectories";
+    const std::unique_ptr<RepairSelector> selector = MakeSelector(algorithm);
+    const oracle::Selection want = OracleFor(*selector, candidates);
+    const size_t pairs = oracle::ConflictingPairs(candidates);
+    ASSERT_GT(want.selected.size(), 1u);
+    for (int threads : kThreadCounts) {
+      for (size_t grain : {size_t{1}, kGrainAuto}) {
+        SCOPED_TRACE(std::string(selector->name()) + " threads=" +
+                     std::to_string(threads) +
+                     " grain=" + std::to_string(grain));
+        options.exec.num_threads = threads;
+        options.exec.grain = grain;
+        auto result = IdRepairer(in.graph, options).Repair(in.set);
+        ASSERT_TRUE(result.ok()) << result.status();
+        ASSERT_EQ(result->candidates.size(), candidates.size());
+        EXPECT_EQ(result->selected, want.selected);
+        EXPECT_EQ(result->total_effectiveness, want.omega);
+
+        auto gr = RepairGraph::Build(result->candidates, in.set.size(),
+                                     options.exec);
+        ASSERT_TRUE(gr.ok()) << gr.status();
+        EXPECT_EQ(result->stats.gr_edges, gr->num_edges());
+        EXPECT_EQ(result->stats.gr_edges, pairs);
+
+        SelectionContext ctx;
+        ctx.exec = options.exec;
+        std::vector<RepairIndex> commit_order;
+        ctx.commit_order = &commit_order;
+        auto traced = selector->Select(*gr, result->candidates, ctx);
+        ASSERT_TRUE(traced.ok()) << traced.status();
+        EXPECT_EQ(*traced, result->selected);
+        EXPECT_EQ(commit_order, want.commit_order);
+      }
     }
   }
 }
