@@ -1,9 +1,11 @@
 // Storage-layer memory benchmark: measures the resident cost of the hot
 // data-plane structures behind the view-based API — the columnar
 // CandidateSet (members in one CSR arena, ivt(R) a bitmask over each row's
-// members) and the CSR RepairGraph — and compares against a model of the
-// seed's AoS-plus-adjacency-vectors layout holding the same logical
-// content (the model mirrors tests/differential_test.cc's seedmodel).
+// members) and the RepairGraph (Gr held as its per-trajectory cover lists
+// plus one degree per repair; its edges are never stored) — and compares
+// against a model of the seed's AoS-plus-adjacency-vectors layout holding
+// the same logical content (the model mirrors tests/differential_test.cc's
+// seedmodel).
 //
 // Two instances:
 //  - "dense":     a scripted grouped-conflict workload where the seed
@@ -12,6 +14,13 @@
 //  - "synthetic": an end-to-end repair on a generated dataset, so the
 //                 reported peak RSS covers the whole pipeline, not just
 //                 the final structures.
+//
+// Columns: cands and edges count Gr's vertices and the conflict edges it
+// represents; cand_KB and gr_KB are the heap bytes of the candidate set
+// and of the RepairGraph (cover index + degrees); B/edge is gr_KB per
+// represented edge, well under one byte on dense instances because the
+// cover lists grow with membership, not with edges; seed_KB is the seed
+// model and ratio seed_KB / (cand_KB + gr_KB).
 //
 // The JSON "memory" block (bench_util.h) carries the gate metrics for the
 // ci.sh bench-smoke stage: peak_rss_bytes, candidate/graph bytes,

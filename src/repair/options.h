@@ -13,8 +13,10 @@
 namespace idrepair {
 
 /// Which heuristic picks the compatible repair set from the repair graph
-/// (§4.2, §6.5.1). kExact solves the weighted-independent-set problem
-/// optimally (exponential worst case; use on small inputs only).
+/// (§4.2, §6.5.1). kExact solves Eq. 4 optimally as a set packing over the
+/// cover lists (exponential worst case); it honors deadline_ms, returning
+/// the best packing found so far, which starts from EMAX's selection, once
+/// the budget runs out.
 enum class SelectionAlgorithm {
   kEmax,   // maximum-effectiveness first (Algorithm 3; the paper's choice)
   kDmin,   // minimum-degree first
@@ -90,7 +92,7 @@ struct RepairOptions {
   /// Wall-clock budget for one Repair() call, milliseconds; 0 disables.
   /// When the budget runs out mid-run the engine degrades gracefully: it
   /// stops starting new work at the next safe boundary (phase, selection
-  /// commit, or replay batch), passes the unprocessed remainder through
+  /// commit, exact search node, or replay batch), passes the unprocessed remainder through
   /// unrepaired, and returns a well-formed partial RepairResult whose
   /// `completion` Status is DeadlineExceeded (see repairer.h).
   int64_t deadline_ms = 0;

@@ -1,7 +1,6 @@
 #include "repair/repair_graph.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "exec/grain.h"
 #include "exec/parallel_for.h"
@@ -12,31 +11,6 @@
 namespace idrepair {
 
 namespace {
-
-/// Fills the neighbor lists for vertices [begin, end) into `arena`, writing
-/// each vertex's degree into `degree`. N(v) is the sorted-unique union of
-/// the cover lists over v's members, minus v itself — a pure function of
-/// (candidates, cover, v), so the output is independent of how the vertex
-/// range is split. `scratch` is caller-owned so one buffer serves a whole
-/// block.
-void BuildVertexRange(const CandidateSet& candidates, const CoverIndex& cover,
-                      size_t begin, size_t end,
-                      std::vector<RepairIndex>& arena,
-                      std::vector<uint32_t>& degree,
-                      std::vector<RepairIndex>& scratch) {
-  for (size_t v = begin; v < end; ++v) {
-    scratch.clear();
-    for (TrajIndex t : candidates.members(v)) {
-      for (RepairIndex r : cover.Cover(t)) {
-        if (r != static_cast<RepairIndex>(v)) scratch.push_back(r);
-      }
-    }
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    degree[v] = static_cast<uint32_t>(scratch.size());
-    arena.insert(arena.end(), scratch.begin(), scratch.end());
-  }
-}
 
 /// Gr degrees by inclusion–exclusion over member subsets:
 /// |∪ over t in M_v of Cover(t)| = Σ over nonempty S ⊆ M_v of
@@ -145,14 +119,14 @@ CoverIndex CoverIndex::Build(const CandidateSet& candidates,
   return cover;
 }
 
-Result<ConflictDegrees> ConflictDegrees::Count(const CandidateSet& candidates,
-                                               size_t num_trajs,
-                                               const ExecOptions& exec) {
-  ConflictDegrees out;
-  out.cover = CoverIndex::Build(candidates, num_trajs);
+Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
+                                       size_t num_trajs,
+                                       const ExecOptions& exec) {
+  RepairGraph out;
+  out.cover_ = CoverIndex::Build(candidates, num_trajs);
   const int threads = exec.ResolvedThreads();
   const size_t n = candidates.size();
-  out.degree.assign(n, 0);
+  out.degree_.assign(n, 0);
 
   // Work bounds of the two exact methods: the subset walk visits at most
   // 2^|M_v| subsets per repair at |M_v| steps each; the stamp pass reads
@@ -161,7 +135,7 @@ Result<ConflictDegrees> ConflictDegrees::Count(const CandidateSet& candidates,
   // threads the stamp pass would split over, is no larger.
   uint64_t stamp_work = 0;
   for (size_t t = 0; t < num_trajs; ++t) {
-    const uint64_t len = out.cover.offsets[t + 1] - out.cover.offsets[t];
+    const uint64_t len = out.cover_.offsets[t + 1] - out.cover_.offsets[t];
     stamp_work += len * len;
   }
   uint64_t walk_bound = 0;
@@ -177,13 +151,13 @@ Result<ConflictDegrees> ConflictDegrees::Count(const CandidateSet& candidates,
     obs::TraceSpan span("selection.degree.shard", 0);
     SubsetWalk walk(candidates, num_trajs, max_members);
     for (size_t t = 0; t < num_trajs; ++t) {
-      walk.Visit(out.cover.Cover(static_cast<TrajIndex>(t)), 1,
+      walk.Visit(out.cover_.Cover(static_cast<TrajIndex>(t)), 1,
                  static_cast<TrajIndex>(t));
     }
     for (size_t v = 0; v < n; ++v) {
       // A repair with members counts itself once in its union.
       const int64_t others = walk.union_size(v) - 1;
-      out.degree[v] = others > 0 ? static_cast<uint32_t>(others) : 0;
+      out.degree_[v] = others > 0 ? static_cast<uint32_t>(others) : 0;
     }
   } else {
     const size_t block = ResolveGrain(exec.grain, n, threads,
@@ -204,71 +178,20 @@ Result<ConflictDegrees> ConflictDegrees::Count(const CandidateSet& candidates,
             ++epoch;
             uint32_t degree = 0;
             for (TrajIndex t : candidates.members(v)) {
-              for (RepairIndex r : out.cover.Cover(t)) {
+              for (RepairIndex r : out.cover_.Cover(t)) {
                 if (r == v || seen[r] == epoch) continue;
                 seen[r] = epoch;
                 ++degree;
               }
             }
-            out.degree[v] = degree;
+            out.degree_[v] = degree;
           }
           return Status::OK();
         }));
   }
-  for (uint32_t d : out.degree) out.num_edges += d;
-  out.num_edges /= 2;
+  for (uint32_t d : out.degree_) out.num_edges_ += d;
+  out.num_edges_ /= 2;
   return out;
-}
-
-Result<RepairGraph> RepairGraph::Build(const CandidateSet& candidates,
-                                       size_t num_trajs,
-                                       const ExecOptions& exec) {
-  RepairGraph g;
-  g.num_trajs_ = num_trajs;
-  const CoverIndex cover = CoverIndex::Build(candidates, num_trajs);
-
-  const int threads = exec.ResolvedThreads();
-  const size_t n = candidates.size();
-  const size_t block = ResolveGrain(exec.grain, n, threads,
-                                    kSelectionGrainCalibration);
-  std::vector<uint32_t> degree(n, 0);
-
-  // Each block owns a contiguous vertex range and *pulls* its neighbor
-  // lists from the shared (read-only) cover index into a private arena;
-  // the arenas concatenate in block order, which is vertex order (a single
-  // arena is moved, not copied).
-  std::vector<std::vector<RepairIndex>> slot_arena((n + block - 1) / block);
-  IDREPAIR_RETURN_NOT_OK(ParallelFor(
-      &ThreadPool::Default(), n, threads, block,
-      [&](size_t b, size_t begin, size_t end) {
-        IDREPAIR_FAULT_INJECT("repair.selection.shard");
-        obs::TraceSpan span("selection.gr.shard", b);
-        // Sort scratch that keeps its capacity across blocks and Build
-        // calls and dies with its thread; BuildVertexRange clears it per
-        // vertex, so what an earlier block left behind is never read.
-        thread_local std::vector<RepairIndex> scratch;
-        BuildVertexRange(candidates, cover, begin, end, slot_arena[b],
-                         degree, scratch);
-        return Status::OK();
-      }));
-  if (slot_arena.size() == 1) {
-    g.neighbors_ = std::move(slot_arena.front());
-  } else {
-    size_t total = 0;
-    for (const auto& arena : slot_arena) total += arena.size();
-    g.neighbors_.reserve(total);
-    for (const auto& arena : slot_arena) {
-      g.neighbors_.insert(g.neighbors_.end(), arena.begin(), arena.end());
-    }
-  }
-
-  g.offsets_.assign(candidates.size() + 1, 0);
-  for (size_t v = 0; v < candidates.size(); ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + degree[v];
-    g.num_edges_ += degree[v];
-  }
-  g.num_edges_ /= 2;
-  return g;
 }
 
 }  // namespace idrepair

@@ -33,83 +33,56 @@ struct CoverIndex {
   }
 };
 
-/// Gr's vertex degrees without its edges: the cover index plus, for every
-/// repair v, degree[v] = |∪ over v's members t of Cover(t)| − 1, the number
-/// of other repairs that share a trajectory with v (Gr's degree exactly).
-/// What DMIN and DMAX read (SelectByDegree).
-struct ConflictDegrees {
-  CoverIndex cover;
-  std::vector<uint32_t> degree;
-  size_t num_edges = 0;  // Σ degree / 2: Gr's edge count
-
-  /// Two exact methods, whichever has the smaller work bound: a serial
-  /// walk over the member subsets that two or more repairs share
-  /// (inclusion–exclusion, at most |M_v|·2^|M_v| steps per repair), or a
-  /// stamp pass that reads every cover list of each repair's members
-  /// (Σ |Cover(t)|² steps), split into blocks over the exec pool; the walk
-  /// is taken when its bound times the thread count is no larger. Either
-  /// evaluates "repair.selection.shard" once per block (the walk is one
-  /// block); each repair's degree is a pure function of the candidates, so
-  /// the result is byte-identical at any thread count and grain.
-  static Result<ConflictDegrees> Count(const CandidateSet& candidates,
-                                       size_t num_trajs,
-                                       const ExecOptions& exec);
-};
-
 /// The repair graph Gr (§3.3): one vertex per candidate repair, an
 /// undirected edge wherever two repairs are *incompatible*, i.e. their
-/// joinable subsets share a trajectory. Selecting compatible repairs is then
-/// an independent-set problem on this graph.
-///
-/// Storage is compressed sparse row (DESIGN.md §9): all neighbor lists live
-/// in one flat arena indexed by a per-vertex offset table, instead of one
-/// heap vector per vertex. Neighbors() returns a Span view into the arena —
-/// valid for the graph's lifetime, since a built graph is immutable.
+/// joinable subsets share a trajectory. Gr is held as its cover lists: two
+/// repairs conflict exactly when they sit in one trajectory's cover list,
+/// so the edges are never materialised. Beside the cover index it holds
+/// each vertex's degree, |∪ over v's members t of Cover(t)| − 1 (Gr's
+/// degree exactly), and the edge count Σ degree / 2. DMIN and DMAX commit
+/// from the degrees, exact selection searches set packings over the cover
+/// lists (DESIGN.md §3).
 class RepairGraph {
  public:
-  /// Builds Gr from the candidate set with the adjacency pass split into
-  /// blocks over the exec pool. Block boundaries never affect the result:
-  /// each block derives its vertex range's neighbor list as the
-  /// sorted-unique union of a shared (read-only) CoverIndex over the
-  /// vertex's members — built once per call and dropped when Build
-  /// returns — so the graph is byte-identical at any thread count; a single
-  /// block runs inline on the calling thread. Evaluates the
-  /// "repair.selection.shard" failpoint once per block, so a non-empty set
-  /// hits it at least once at every thread count.
+  /// Builds the cover index, then counts every degree by one of two exact
+  /// methods, whichever has the smaller work bound: a serial walk over the
+  /// member subsets that two or more repairs share (inclusion–exclusion,
+  /// at most |M_v|·2^|M_v| steps per repair), or a stamp pass that reads
+  /// every cover list of each repair's members (Σ |Cover(t)|² steps),
+  /// split into blocks over the exec pool; the walk is taken when its
+  /// bound times the thread count is no larger. Either evaluates
+  /// "repair.selection.shard" once per block (the walk is one block), so a
+  /// non-empty set hits it at least once at every thread count; each
+  /// degree is a pure function of the candidates, so the graph is
+  /// byte-identical at any thread count and grain.
   static Result<RepairGraph> Build(const CandidateSet& candidates,
                                    size_t num_trajs, const ExecOptions& exec);
 
-  size_t num_vertices() const { return offsets_.size() - 1; }
+  size_t num_vertices() const { return degree_.size(); }
   size_t num_edges() const { return num_edges_; }
 
-  /// Sorted list of repairs incompatible with `v`. View into the CSR arena,
-  /// valid for the graph's lifetime.
-  Span<const RepairIndex> Neighbors(RepairIndex v) const {
-    return Span<const RepairIndex>(neighbors_.data() + offsets_[v],
-                                   offsets_[v + 1] - offsets_[v]);
-  }
+  /// Number of repairs incompatible with `v`.
+  size_t Degree(RepairIndex v) const { return degree_[v]; }
+  const std::vector<uint32_t>& degrees() const { return degree_; }
 
-  size_t Degree(RepairIndex v) const {
-    return offsets_[v + 1] - offsets_[v];
-  }
+  /// The candidates holding each trajectory, ascending.
+  const CoverIndex& cover() const { return cover_; }
 
   /// Trajectories the candidates' members index into (Build's num_trajs).
-  size_t num_trajs() const { return num_trajs_; }
+  size_t num_trajs() const { return cover_.offsets.size() - 1; }
 
-  /// Heap bytes of the adjacency CSR.
+  /// Heap bytes of the cover index plus the degrees.
   size_t MemoryBytes() const {
-    return offsets_.capacity() * sizeof(uint64_t) +
-           neighbors_.capacity() * sizeof(RepairIndex);
+    return cover_.offsets.capacity() * sizeof(uint64_t) +
+           cover_.entries.capacity() * sizeof(RepairIndex) +
+           degree_.capacity() * sizeof(uint32_t);
   }
 
  private:
   RepairGraph() = default;
 
-  // Adjacency CSR: neighbors of v are neighbors_[offsets_[v] ..
-  // offsets_[v+1]), sorted ascending.
-  std::vector<uint64_t> offsets_ = {0};
-  std::vector<RepairIndex> neighbors_;
-  size_t num_trajs_ = 0;
+  CoverIndex cover_;
+  std::vector<uint32_t> degree_;
   size_t num_edges_ = 0;
 };
 

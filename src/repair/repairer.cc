@@ -19,8 +19,7 @@ namespace idrepair {
 namespace {
 
 /// The one instrument no RepairStats field copies: a distribution, observed
-/// per Gr vertex (from the DMIN/DMAX degree pass, or from Gr when a
-/// selector is passed or exact search runs). kStable: Gr is a pure
+/// per Gr vertex by every run that builds Gr. kStable: Gr is a pure
 /// function of the candidates.
 obs::Histogram* ConflictDegree() {
   static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
@@ -206,37 +205,12 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
     Result<std::vector<RepairIndex>> selected = std::vector<RepairIndex>();
     if (selector == nullptr &&
         options_.selection == SelectionAlgorithm::kEmax) {
-      // EMAX fast path: greedily taking the highest-ω repair and discarding
-      // everything that shares a trajectory never needs the repair graph
-      // materialized — incompatibility is checked through a per-trajectory
-      // "used" mask, which is exactly "discard all Gr neighbors". On dense
-      // datasets Gr can hold hundreds of millions of edges, so this path
-      // turns the selection phase from the bottleneck into a linear pass.
+      // EMAX needs no part of Gr: discarding everything that shares a
+      // trajectory with a commit is a per-trajectory "used" mask, so this
+      // path skips the cover index and the degree pass.
       selected = SelectEmaxByCover(result.candidates, set.size(), ctx);
-    } else if (selector == nullptr &&
-               options_.selection != SelectionAlgorithm::kExact) {
-      // DMIN/DMAX read Gr's degrees off the per-trajectory cover lists and
-      // never build its edges; gr_edges is the same count Gr would hold.
-      std::optional<ConflictDegrees> conflicts;
-      {
-        obs::PhaseScope sub("repair.selection.graph",
-                            &result.stats.seconds_selection_graph);
-        auto counted = ConflictDegrees::Count(result.candidates, set.size(),
-                                              options_.exec);
-        IDREPAIR_RETURN_NOT_OK(counted.status());
-        conflicts.emplace(std::move(counted).value());
-      }
-      result.stats.gr_edges = conflicts->num_edges;
-      if (obs::Enabled()) {
-        for (uint32_t d : conflicts->degree) {
-          ConflictDegree()->Observe(static_cast<double>(d));
-        }
-      }
-      obs::TraceSpan pick("repair.selection.pick");
-      selected = SelectByDegree(
-          result.candidates, std::move(*conflicts),
-          options_.selection == SelectionAlgorithm::kDmin, ctx);
     } else {
+      // Every other selector reads Gr: its cover lists and degrees.
       std::optional<RepairGraph> gr;
       {
         obs::PhaseScope sub("repair.selection.graph",
@@ -268,9 +242,10 @@ Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
       TotalEffectiveness(result.candidates, result.selected);
 
   if (deadline.Expired()) {
-    // The budget ran out mid-selection: the commit loop stopped at a safe
-    // boundary, so `selected` is a compatible prefix of the full greedy
-    // sequence — seal it as a partial result.
+    // The budget ran out mid-selection: the selector stopped at a safe
+    // boundary, so `selected` is compatible (a prefix of the greedy commit
+    // sequence, or the best packing exact search found) — seal it as a
+    // partial result.
     return finish_degraded(deadline.Check("selection commit"));
   }
 

@@ -45,9 +45,9 @@ struct RepairStats {
   double seconds_gm = 0.0;          // trajectory-graph construction
   double seconds_generation = 0.0;  // cliques + jnb + target assignment
   double seconds_selection = 0.0;   // Gr + selection
-  // The conflict structure inside seconds_selection: the cover index plus
-  // the degree pass under DMIN/DMAX, the Gr build otherwise (0 on EMAX's
-  // cover path); the pick/commit loop took the rest.
+  // Gr's build inside seconds_selection: the cover index plus the degree
+  // pass (0 on EMAX's cover path); the pick/commit loop or exact search
+  // took the rest.
   double seconds_selection_graph = 0.0;
   double seconds_apply = 0.0;       // rewrites + ApplyRewrites
   double seconds_total = 0.0;

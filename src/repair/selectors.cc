@@ -10,6 +10,7 @@
 #include "exec/grain.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
+#include "fault/deadline.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -100,16 +101,25 @@ Result<std::vector<RepairIndex>> OrderByEffectiveness(
   return order;
 }
 
-}  // namespace
-
+/// DMIN (`minimize`) or DMAX: each pick is the surviving repair of minimum
+/// (maximum) current Gr degree, smallest index on ties, read off a
+/// tournament tree over packed (degree, vertex) keys. A commit removes the
+/// pick and every surviving repair in its members' cover lists, and each
+/// survivor that shares a trajectory with a removed repair loses one degree
+/// per distinct removed neighbor; the commit reads each cover list its
+/// batch touches once, whatever the number of removed repairs in it. The
+/// loop works on one linear copy of `gr`'s degrees and cover entries, so
+/// it never recounts. It is serial; it evaluates "repair.selection.commit"
+/// and honors ctx.deadline before each commit (compatible-prefix cutoff).
 Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
-                                                ConflictDegrees conflicts,
+                                                const RepairGraph& gr,
                                                 bool minimize,
                                                 const SelectionContext& ctx) {
   constexpr uint64_t kEmpty = ~uint64_t{0};
   const size_t n = candidates.size();
-  std::vector<uint32_t>& degree = conflicts.degree;
-  CoverIndex& cover = conflicts.cover;
+  std::vector<uint32_t> degree = gr.degrees();
+  const std::vector<uint64_t>& offsets = gr.cover().offsets;
+  std::vector<RepairIndex> entries = gr.cover().entries;
   // Each leaf holds one packed key per vertex — (degree << 32) | vertex for
   // DMIN, (0xFFFFFFFF - degree) << 32 | vertex for DMAX — and every inner
   // node the minimum of its children, so the root is the minimum degree
@@ -142,14 +152,13 @@ Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
   // Cover(t)'s surviving repairs sit in entries[offsets[t] .. live_end[t]);
   // each scan keeps the survivors at the front, so a removed repair is
   // passed over at most once per cover list it sits in.
-  std::vector<uint64_t> live_end(cover.offsets.begin() + 1,
-                                 cover.offsets.end());
+  std::vector<uint64_t> live_end(offsets.begin() + 1, offsets.end());
   auto for_each_live = [&](TrajIndex t, auto&& visit) {
-    uint64_t kept = cover.offsets[t];
-    for (uint64_t i = cover.offsets[t]; i < live_end[t]; ++i) {
-      RepairIndex r = cover.entries[i];
+    uint64_t kept = offsets[t];
+    for (uint64_t i = offsets[t]; i < live_end[t]; ++i) {
+      RepairIndex r = entries[i];
       if (removed[r]) continue;
-      cover.entries[kept++] = r;
+      entries[kept++] = r;
       visit(r);
     }
     live_end[t] = kept;
@@ -163,7 +172,7 @@ Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
   // shares a trajectory with: the size of the union of its slots, read as
   // the popcount of their OR-ed rows or by stamping their lists, whichever
   // reads less.
-  const size_t num_trajs = cover.offsets.size() - 1;
+  const size_t num_trajs = gr.num_trajs();
   std::vector<uint64_t> slot_commit(num_trajs, 0);
   std::vector<uint32_t> slot_of(num_trajs);
   std::vector<TrajIndex> slot_traj;
@@ -293,18 +302,6 @@ Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
   return out;
 }
 
-namespace {
-
-/// DMIN/DMAX as the selectors run them: the degree pass, then the picks.
-Result<std::vector<RepairIndex>> DegreeGreedy(const CandidateSet& candidates,
-                                              size_t num_trajs, bool minimize,
-                                              const SelectionContext& ctx) {
-  auto conflicts = ConflictDegrees::Count(candidates, num_trajs, ctx.exec);
-  IDREPAIR_RETURN_NOT_OK(conflicts.status());
-  return SelectByDegree(candidates, std::move(conflicts).value(), minimize,
-                        ctx);
-}
-
 }  // namespace
 
 Result<std::vector<RepairIndex>> EmaxSelector::Select(
@@ -316,174 +313,182 @@ Result<std::vector<RepairIndex>> EmaxSelector::Select(
 Result<std::vector<RepairIndex>> DminSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
-  return DegreeGreedy(candidates, gr.num_trajs(), /*minimize=*/true, ctx);
+  return SelectByDegree(candidates, gr, /*minimize=*/true, ctx);
 }
 
 Result<std::vector<RepairIndex>> DmaxSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
-  return DegreeGreedy(candidates, gr.num_trajs(), /*minimize=*/false, ctx);
+  return SelectByDegree(candidates, gr, /*minimize=*/false, ctx);
 }
 
 namespace {
 
-/// Branch-and-bound maximum-weight independent set over one connected
-/// component (vertex ids are component-local). Uses degree-0/1 reductions,
-/// a greedy-matching upper bound (for every matched edge at most one
-/// endpoint can be taken, so the lighter endpoint's weight is provably
-/// unreachable), and max-degree pivoting.
-class ComponentSolver {
+/// Branch-and-bound for Eq. 4 over one conflict component at a time: a
+/// maximum-ω set of pairwise disjoint repairs. A repair is *live* while
+/// none of its trajectories is closed. Each node branches on the
+/// trajectory t covered by the most live repairs: one child takes each of
+/// t's live repairs (ω descending, lower index first), which closes all
+/// its members, and a last child takes none, which closes t alone. Every
+/// packing either holds exactly one repair containing t or none, so the
+/// children are complete. A node is pruned when Ω + U ≤ best, where U sums,
+/// over the trajectories, the largest share ω(R)/|ivt(R)| of a live R
+/// holding t in ivt(R) (ω split over all members when ivt(R) is empty):
+/// the repairs of a packing are disjoint, so their shares land on distinct
+/// trajectories and U bounds every packing of the live repairs. The search
+/// starts from an incumbent and replaces it only by a strictly larger Ω.
+/// Closing a trajectory kills its live repairs onto a trail that a return
+/// to the parent unwinds; the node stack is explicit, so depth never
+/// touches the thread's stack.
+class PackingSearch {
  public:
-  ComponentSolver(const std::vector<std::vector<uint32_t>>& adj,
-                  const std::vector<double>& weight)
-      : adj_(adj), weight_(weight), n_(weight.size()) {}
+  /// One conflict component: its repairs with ω > 0 (the others are never
+  /// taken), the trajectories they hold, and a packing of them to start
+  /// from.
+  struct Component {
+    std::vector<RepairIndex> reps;
+    std::vector<TrajIndex> trajs;
+    std::vector<RepairIndex> incumbent;
+  };
 
-  std::vector<uint32_t> Solve() {
-    std::vector<uint32_t> avail(n_);
-    std::iota(avail.begin(), avail.end(), 0u);
-    best_value_ = -1.0;
-    std::vector<uint32_t> chosen;
-    Recurse(std::move(avail), 0.0, chosen);
-    return best_set_;
+  PackingSearch(const CandidateSet& candidates, const CoverIndex& cover,
+                const fault::Deadline* deadline)
+      : candidates_(candidates),
+        cover_(cover),
+        deadline_(deadline),
+        alive_(candidates.size(), 0),
+        share_(candidates.size(), 0.0),
+        live_(cover.offsets.size() - 1, 0),
+        bound_(cover.offsets.size() - 1, 0.0) {}
+
+  /// Returns the best packing of `c` found: its incumbent unless a strictly
+  /// larger Ω turned up before the search ended or the deadline expired.
+  std::vector<RepairIndex> Solve(Component& c) {
+    for (RepairIndex r : c.reps) {
+      alive_[r] = 1;
+      const size_t split = candidates_.num_invalid(r) > 0
+                               ? candidates_.num_invalid(r)
+                               : candidates_.num_members(r);
+      share_[r] = candidates_.effectiveness(r) / static_cast<double>(split);
+      for (TrajIndex t : candidates_.members(r)) ++live_[t];
+    }
+    best_ = TotalEffectiveness(candidates_, c.incumbent);
+    best_set_ = std::move(c.incumbent);
+    Enter(c, 0.0);
+    while (!frames_.empty()) {
+      Frame& f = frames_.back();
+      Unwind(f.trail_mark);
+      chosen_.resize(f.chosen_size);
+      if (f.next > f.kids_end || Expired()) {
+        kids_.resize(f.kids_begin);
+        frames_.pop_back();
+        continue;
+      }
+      const size_t i = f.next++;
+      double omega = f.omega;
+      if (i < f.kids_end) {
+        const RepairIndex r = kids_[i];
+        omega += candidates_.effectiveness(r);
+        chosen_.push_back(r);
+        for (TrajIndex t : candidates_.members(r)) Close(t);
+      } else {
+        Close(f.traj);
+      }
+      Enter(c, omega);
+    }
+    return std::move(best_set_);
   }
-
-  double best_value() const { return best_value_; }
 
  private:
-  bool Adjacent(uint32_t u, uint32_t v) const {
-    return std::binary_search(adj_[u].begin(), adj_[u].end(), v);
+  struct Frame {
+    TrajIndex traj;     // the trajectory branched on
+    size_t kids_begin;  // its live repairs, kids_[kids_begin .. kids_end)
+    size_t kids_end;
+    size_t next;        // next child; kids_end is "take none"
+    double omega;       // Ω of chosen_ at this node
+    size_t trail_mark;  // trail_ size at this node
+    size_t chosen_size;
+  };
+
+  bool Expired() const {
+    return deadline_ != nullptr && deadline_->Expired();
   }
 
-  void Recurse(std::vector<uint32_t> avail, double current,
-               std::vector<uint32_t>& chosen) {
-    size_t chosen_mark = chosen.size();
-    std::vector<uint8_t> in_avail(n_, 0);
-    std::vector<uint32_t> degree(n_, 0);
-    std::vector<uint32_t> only_neighbor(n_, 0);
-
-    // ---- Reductions to a fixpoint ----
-    // degree-0: always take. degree-1 with weight >= its neighbor: take it
-    // and drop the neighbor (domination).
-    bool changed = true;
-    while (changed && !avail.empty()) {
-      changed = false;
-      for (uint32_t v : avail) in_avail[v] = 1;
-      for (uint32_t v : avail) {
-        uint32_t d = 0;
-        uint32_t last = 0;
-        for (uint32_t w : adj_[v]) {
-          if (in_avail[w]) {
-            ++d;
-            last = w;
-          }
-        }
-        degree[v] = d;
-        only_neighbor[v] = last;
-      }
-      for (uint32_t v : avail) {
-        if (!in_avail[v]) continue;
-        if (degree[v] == 0) {
-          chosen.push_back(v);
-          current += weight_[v];
-          in_avail[v] = 0;
-          changed = true;
-        } else if (degree[v] == 1) {
-          uint32_t u = only_neighbor[v];
-          if (in_avail[u] && weight_[v] >= weight_[u]) {
-            chosen.push_back(v);
-            current += weight_[v];
-            in_avail[v] = 0;
-            in_avail[u] = 0;
-            changed = true;
-          }
-        }
-      }
-      if (changed) {
-        std::vector<uint32_t> next;
-        next.reserve(avail.size());
-        for (uint32_t v : avail) {
-          if (in_avail[v]) next.push_back(v);
-        }
-        for (uint32_t v : avail) in_avail[v] = 0;  // reset for next pass
-        avail = std::move(next);
+  /// Visits the node reached with Ω = `omega`: records it if no repair is
+  /// live, pushes its frame unless it is pruned.
+  void Enter(const Component& c, double omega) {
+    if (Expired()) return;
+    for (RepairIndex r : c.reps) {
+      if (!alive_[r]) continue;
+      auto lift = [&](TrajIndex t) {
+        bound_[t] = std::max(bound_[t], share_[r]);
+      };
+      if (candidates_.num_invalid(r) > 0) {
+        candidates_.ForEachInvalid(r, lift);
+      } else {
+        for (TrajIndex t : candidates_.members(r)) lift(t);
       }
     }
-
-    if (avail.empty()) {
-      if (current > best_value_) {
-        best_value_ = current;
-        best_set_ = chosen;
+    double upper = 0.0;
+    TrajIndex branch = 0;
+    uint32_t most = 0;
+    for (TrajIndex t : c.trajs) {
+      upper += bound_[t];
+      bound_[t] = 0.0;
+      if (live_[t] > most) {
+        most = live_[t];
+        branch = t;
       }
-      chosen.resize(chosen_mark);
+    }
+    if (omega + upper <= best_) return;
+    if (most == 0) {
+      best_ = omega;
+      best_set_ = chosen_;
       return;
     }
-    // The reduction loop exits with in_avail set for the surviving set.
-    for (uint32_t v : avail) in_avail[v] = 1;
-
-    // ---- Greedy-matching upper bound ----
-    double avail_weight = 0.0;
-    for (uint32_t v : avail) avail_weight += weight_[v];
-    double penalty = 0.0;
-    {
-      std::vector<uint8_t> matched(n_, 0);
-      for (uint32_t v : avail) {
-        if (matched[v]) continue;
-        for (uint32_t w : adj_[v]) {
-          if (w <= v || !in_avail[w] || matched[w]) continue;
-          matched[v] = 1;
-          matched[w] = 1;
-          penalty += std::min(weight_[v], weight_[w]);
-          break;
-        }
-      }
+    const size_t begin = kids_.size();
+    for (RepairIndex r : cover_.Cover(branch)) {
+      if (alive_[r]) kids_.push_back(r);
     }
-    if (current + avail_weight - penalty <= best_value_) {
-      chosen.resize(chosen_mark);
-      return;
-    }
-
-    // ---- Branch on the max-degree (ties: heaviest) vertex ----
-    uint32_t pivot = avail.front();
-    uint32_t pivot_degree = 0;
-    bool have_pivot = false;
-    for (uint32_t v : avail) {
-      uint32_t d = degree[v];
-      if (!have_pivot || d > pivot_degree ||
-          (d == pivot_degree && weight_[v] > weight_[pivot])) {
-        pivot = v;
-        pivot_degree = d;
-        have_pivot = true;
-      }
-    }
-
-    // Include branch: drop pivot and its neighbors.
-    {
-      std::vector<uint32_t> next;
-      next.reserve(avail.size());
-      for (uint32_t v : avail) {
-        if (v != pivot && !Adjacent(pivot, v)) next.push_back(v);
-      }
-      chosen.push_back(pivot);
-      Recurse(std::move(next), current + weight_[pivot], chosen);
-      chosen.pop_back();
-    }
-    // Exclude branch: drop pivot only.
-    {
-      std::vector<uint32_t> next;
-      next.reserve(avail.size());
-      for (uint32_t v : avail) {
-        if (v != pivot) next.push_back(v);
-      }
-      Recurse(std::move(next), current, chosen);
-    }
-    chosen.resize(chosen_mark);
+    std::sort(kids_.begin() + begin, kids_.end(),
+              EffectivenessOrder{&candidates_});
+    frames_.push_back(Frame{branch, begin, kids_.size(), begin, omega,
+                            trail_.size(), chosen_.size()});
   }
 
-  const std::vector<std::vector<uint32_t>>& adj_;
-  const std::vector<double>& weight_;
-  size_t n_;
-  double best_value_ = -1.0;
-  std::vector<uint32_t> best_set_;
+  /// Kills every live repair holding `t`.
+  void Close(TrajIndex t) {
+    for (RepairIndex r : cover_.Cover(t)) {
+      if (!alive_[r]) continue;
+      alive_[r] = 0;
+      trail_.push_back(r);
+      for (TrajIndex m : candidates_.members(r)) --live_[m];
+    }
+  }
+
+  /// Revives the repairs killed since the trail held `mark` entries.
+  void Unwind(size_t mark) {
+    while (trail_.size() > mark) {
+      const RepairIndex r = trail_.back();
+      trail_.pop_back();
+      alive_[r] = 1;
+      for (TrajIndex m : candidates_.members(r)) ++live_[m];
+    }
+  }
+
+  const CandidateSet& candidates_;
+  const CoverIndex& cover_;
+  const fault::Deadline* deadline_;
+  std::vector<uint8_t> alive_;
+  std::vector<double> share_;
+  std::vector<uint32_t> live_;  // live repairs holding each trajectory
+  std::vector<double> bound_;   // scratch of Enter, all-zero between uses
+  std::vector<RepairIndex> trail_;
+  std::vector<RepairIndex> kids_;
+  std::vector<RepairIndex> chosen_;
+  std::vector<Frame> frames_;
+  double best_ = 0.0;
+  std::vector<RepairIndex> best_set_;
 };
 
 }  // namespace
@@ -491,46 +496,49 @@ class ComponentSolver {
 Result<std::vector<RepairIndex>> ExactSelector::Select(
     const RepairGraph& gr, const CandidateSet& candidates,
     const SelectionContext& ctx) const {
-  (void)ctx;
-  size_t n = gr.num_vertices();
-  // Connected components (repairs in different components never conflict).
-  std::vector<int64_t> component(n, -1);
+  SelectionContext greedy = ctx;
+  greedy.commit_order = nullptr;
+  auto incumbent = SelectEmaxByCover(candidates, gr.num_trajs(), greedy);
+  IDREPAIR_RETURN_NOT_OK(incumbent.status());
+
+  // Components: union-find over the members of every repair with ω > 0
+  // (the others are never taken), numbered by their smallest repair.
+  std::vector<TrajIndex> parent(gr.num_trajs());
+  std::iota(parent.begin(), parent.end(), TrajIndex{0});
+  auto find = [&](TrajIndex t) {
+    while (parent[t] != t) t = parent[t] = parent[parent[t]];
+    return t;
+  };
+  for (RepairIndex r = 0; r < candidates.size(); ++r) {
+    if (candidates.effectiveness(r) <= 0.0) continue;
+    Span<const TrajIndex> members = candidates.members(r);
+    for (TrajIndex t : members) parent[find(t)] = find(members[0]);
+  }
+  constexpr uint32_t kNone = ~uint32_t{0};
+  std::vector<uint32_t> component_of(gr.num_trajs(), kNone);  // by root
+  std::vector<PackingSearch::Component> components;
+  for (RepairIndex r = 0; r < candidates.size(); ++r) {
+    if (candidates.effectiveness(r) <= 0.0) continue;
+    uint32_t& c = component_of[find(candidates.members(r)[0])];
+    if (c == kNone) {
+      c = static_cast<uint32_t>(components.size());
+      components.emplace_back();
+    }
+    components[c].reps.push_back(r);
+  }
+  for (TrajIndex t = 0; t < gr.num_trajs(); ++t) {
+    const uint32_t c = component_of[find(t)];
+    if (c != kNone) components[c].trajs.push_back(t);
+  }
+  for (RepairIndex r : *incumbent) {
+    components[component_of[find(candidates.members(r)[0])]]
+        .incumbent.push_back(r);
+  }
+
+  PackingSearch search(candidates, gr.cover(), ctx.deadline);
   std::vector<RepairIndex> out;
-  std::vector<RepairIndex> stack;
-  int64_t num_components = 0;
-  for (RepairIndex s = 0; s < n; ++s) {
-    if (component[s] >= 0) continue;
-    int64_t c = num_components++;
-    stack.push_back(s);
-    component[s] = c;
-    std::vector<RepairIndex> members;
-    while (!stack.empty()) {
-      RepairIndex v = stack.back();
-      stack.pop_back();
-      members.push_back(v);
-      for (RepairIndex w : gr.Neighbors(v)) {
-        if (component[w] < 0) {
-          component[w] = c;
-          stack.push_back(w);
-        }
-      }
-    }
-    // Solve this component with local ids.
-    std::sort(members.begin(), members.end());
-    std::unordered_map<RepairIndex, uint32_t> local;
-    local.reserve(members.size());
-    for (uint32_t i = 0; i < members.size(); ++i) local[members[i]] = i;
-    std::vector<std::vector<uint32_t>> adj(members.size());
-    std::vector<double> weight(members.size());
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      weight[i] = candidates.effectiveness(members[i]);
-      for (RepairIndex w : gr.Neighbors(members[i])) {
-        adj[i].push_back(local.at(w));
-      }
-      std::sort(adj[i].begin(), adj[i].end());
-    }
-    ComponentSolver solver(adj, weight);
-    for (uint32_t v : solver.Solve()) out.push_back(members[v]);
+  for (PackingSearch::Component& c : components) {
+    for (RepairIndex r : search.Solve(c)) out.push_back(r);
   }
   std::sort(out.begin(), out.end());
   return out;

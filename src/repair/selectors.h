@@ -13,11 +13,13 @@
 namespace idrepair {
 
 /// Execution context for Phase 2 selection. `exec` controls how the
-/// selectors shard their sort and degree-pass work; `deadline`, when non-null,
-/// is probed before every commit so selection degrades to a well-formed
-/// *prefix* of the commit sequence — the partial selection is still
-/// pairwise compatible. `commit_order`, when non-null, receives the selected
-/// indices in commit (pick) order, which the verifier tests pin; the
+/// selectors shard their sort work; `deadline`, when non-null, is probed
+/// before every greedy commit (and at every exact search node) so selection
+/// degrades to a well-formed partial selection that is still pairwise
+/// compatible: a *prefix* of the greedy commit sequence, or the best
+/// packing exact search has found. `commit_order`, when non-null, receives
+/// the greedy selectors' indices in commit (pick) order, which the verifier
+/// tests pin; exact search has no pick order and leaves it untouched. The
 /// returned vector itself is always ascending.
 struct SelectionContext {
   ExecOptions exec;
@@ -26,8 +28,9 @@ struct SelectionContext {
 };
 
 /// Phase 2 — compatible repair selection (§3.3, §4.2): pick an independent
-/// set of the repair graph. Implementations return candidate indices in
-/// ascending order; the returned set is always independent (compatible).
+/// set of the repair graph, i.e. repairs that share no trajectory.
+/// Implementations return candidate indices in ascending order; the
+/// returned set is always independent (compatible).
 /// The greedy selectors may shard work over the exec pool and evaluate the
 /// "repair.selection.*" failpoints; their output is byte-identical at every
 /// thread count and equals the test oracles in tests/selection_oracles.h
@@ -61,9 +64,8 @@ class EmaxSelector final : public RepairSelector {
 /// Minimum-degree first (DMIN, §6.5.1): repeatedly take a remaining vertex
 /// of minimum *current* degree (smallest index on ties) and discard its
 /// neighbors — the classic greedy independent-set heuristic, blind to ω.
-/// Select is SelectByDegree over ConflictDegrees::Count with Gr's
-/// trajectory count: it never reads Gr's edges, only the per-trajectory
-/// cover lists (DESIGN.md §3).
+/// Select commits from a copy of Gr's degrees and cover lists, so it never
+/// recounts a degree (DESIGN.md §3).
 class DminSelector final : public RepairSelector {
  public:
   Result<std::vector<RepairIndex>> Select(
@@ -73,7 +75,7 @@ class DminSelector final : public RepairSelector {
 };
 
 /// Maximum-degree first (DMAX, §6.5.1): the adversarial twin of DMIN, on
-/// the same path (SelectByDegree with minimize = false).
+/// the same commit loop with the degree order reversed.
 class DmaxSelector final : public RepairSelector {
  public:
   Result<std::vector<RepairIndex>> Select(
@@ -82,10 +84,16 @@ class DmaxSelector final : public RepairSelector {
   std::string_view name() const override { return "DMAX"; }
 };
 
-/// Exact maximum-weight independent set via branch-and-bound with connected
-/// component decomposition. Exponential worst case — intended for the small
-/// datasets of the Fig 15 experiment, exactly as in the paper. Serial;
-/// ignores `ctx`.
+/// Exact Eq. 4: a maximum-ω set of pairwise disjoint repairs (a weighted
+/// set packing over trajectories), found by branch-and-bound over Gr's
+/// cover lists, one conflict component at a time. It branches on the
+/// trajectory covered by the most live repairs — take one of them, or none
+/// — and prunes with a per-trajectory split of ω (DESIGN.md §3). The
+/// search starts from EMAX's picks and replaces them only by a strictly
+/// larger Ω, so where EMAX is optimal it returns EMAX's selection.
+/// Exponential worst case; serial. It probes ctx.deadline at every search
+/// node and, once it expires, returns the best packing found so far. The
+/// selection failpoints and commit counters are its EMAX incumbent's.
 class ExactSelector final : public RepairSelector {
  public:
   Result<std::vector<RepairIndex>> Select(
@@ -122,32 +130,15 @@ std::unique_ptr<RepairSelector> MakeSelector(SelectionAlgorithm algorithm);
 double TotalEffectiveness(const CandidateSet& candidates,
                           const std::vector<RepairIndex>& selected);
 
-/// EMAX without materializing the repair graph: incompatibility is tracked
-/// with a per-trajectory mask instead of Gr adjacency — O(Σ|members| +
-/// n log n) rather than O(|Er|). Used by IdRepairer on large inputs, where
-/// Gr can hold hundreds of millions of edges. Shard-sorts the pick order
+/// EMAX without building the repair graph: incompatibility is tracked
+/// with a per-trajectory mask — O(Σ|members| + n log n). IdRepairer's EMAX
+/// path and exact search's incumbent. Shard-sorts the pick order
 /// over ctx.exec, evaluates the selection failpoints, and honors
 /// ctx.deadline with a compatible-prefix cutoff; byte-identical indices at
 /// any thread count.
 Result<std::vector<RepairIndex>> SelectEmaxByCover(
     const CandidateSet& candidates, size_t num_trajs,
     const SelectionContext& ctx);
-
-/// DMIN (`minimize`) or DMAX without materializing the repair graph: each
-/// pick is the surviving repair of minimum (maximum) current Gr degree,
-/// smallest index on ties, read off a tournament tree over packed
-/// (degree, vertex) keys. A commit removes the pick and every surviving
-/// repair in its members' cover lists, and each survivor that shares a
-/// trajectory with a removed repair loses one degree per distinct removed
-/// neighbor; the commit reads each cover list its batch touches once,
-/// whatever the number of removed repairs in it. `conflicts` comes from
-/// ConflictDegrees::Count and is consumed.
-/// The commit loop is serial; it evaluates "repair.selection.commit" and
-/// honors ctx.deadline before each commit (compatible-prefix cutoff).
-Result<std::vector<RepairIndex>> SelectByDegree(const CandidateSet& candidates,
-                                                ConflictDegrees conflicts,
-                                                bool minimize,
-                                                const SelectionContext& ctx);
 
 }  // namespace idrepair
 

@@ -421,8 +421,8 @@ TEST_F(ChaosTest, DeadlineExpiryMidSelectionKeepsCompatiblePrefix) {
 }
 
 // The same selection contracts on DMIN's path through the engine, which
-// reads Gr's degrees off the cover lists (repair.selection.shard fires once
-// per degree block) and never builds Gr:
+// builds Gr as its cover lists and degrees (repair.selection.shard fires
+// once per degree block) and never stores an edge:
 //  * an error armed at either selection site surfaces as the same Status at
 //    every thread count, and the disarmed rerun equals the clean run;
 //  * a deadline forced at the (k+1)-th commit check leaves exactly the
@@ -493,6 +493,93 @@ TEST_F(ChaosTest, DminSelectionFaultsAndDeadlinesThroughTheEngine) {
   }
 }
 
+// Exact selection through the engine honors the same contracts. Its
+// deadline checks run: generation boundary, selection boundary, one per
+// commit of its EMAX incumbent, then one per search node and one before
+// each child of a node. So a deadline forced at check 3 stops it before any
+// commit, at check 3 + E (E = EMAX's commits) it returns EMAX's selection,
+// and later it returns the best packing found by then — never less Ω than
+// EMAX's. Each is a DeadlineExceeded partial with records conserved, a
+// compatible selection, and the same bytes at every thread count. An
+// error armed at either selection site surfaces the same at every thread
+// count.
+TEST_F(ChaosTest, ExactSelectionFaultsAndDeadlinesThroughTheEngine) {
+  for (const Scenario& base : MakeScenarios()) {
+    auto emax = RunEngine("core", base, 1);
+    ASSERT_TRUE(emax.ok()) << emax.status();
+    const size_t emax_commits = emax->selected.size();
+    Scenario s = base;
+    s.options.selection = SelectionAlgorithm::kExact;
+    auto clean = RunEngine("core", s, 1);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    ASSERT_TRUE(clean->completion.ok()) << clean->completion;
+    EXPECT_GE(clean->total_effectiveness, emax->total_effectiveness);
+
+    for (const char* site :
+         {"repair.selection.shard", "repair.selection.commit"}) {
+      for (int threads : ThreadCounts()) {
+        SCOPED_TRACE(s.name + "/" + site + "/t" + std::to_string(threads));
+        fault::FaultSpec spec;
+        spec.fire_on_hit = 1;
+        spec.code = StatusCode::kInternal;
+        spec.message = "injected exact selection fault";
+        ASSERT_TRUE(fault::FailPointRegistry::Global().Arm(site, spec).ok());
+        auto result = RunEngine("core", s, threads);
+        fault::FailPointRegistry::Global().DisarmAll();
+        ASSERT_FALSE(result.ok()) << "armed " << site << " but the run passed";
+        EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+        EXPECT_NE(result.status().message().find("injected exact"),
+                  std::string::npos)
+            << result.status();
+      }
+    }
+
+    for (size_t k : {size_t{3}, 3 + emax_commits, 3 + emax_commits + 1,
+                     3 + emax_commits + 20}) {
+      std::string first;
+      for (int threads : ThreadCounts()) {
+        SCOPED_TRACE(s.name + "/k" + std::to_string(k) + "/t" +
+                     std::to_string(threads));
+        fault::FaultSpec expire;
+        expire.fire_on_hit = k;
+        ASSERT_TRUE(fault::FailPointRegistry::Global()
+                        .Arm(fault::kDeadlineExpireSite, expire)
+                        .ok());
+        auto partial = RunEngine("core", s, threads, /*deadline_ms=*/600000);
+        fault::FailPointRegistry::Global().DisarmAll();
+        ASSERT_TRUE(partial.ok()) << partial.status();
+        EXPECT_EQ(partial->completion.code(), StatusCode::kDeadlineExceeded);
+        EXPECT_NE(partial->completion.message().find("selection commit"),
+                  std::string::npos)
+            << partial->completion;
+        EXPECT_EQ(partial->repaired.total_records(), s.set.total_records());
+        // Compatible: no trajectory is a member of two selected repairs.
+        std::set<TrajIndex> used;
+        size_t held = 0;
+        for (RepairIndex r : partial->selected) {
+          for (TrajIndex t : partial->candidates.members(r)) {
+            used.insert(t);
+            ++held;
+          }
+        }
+        EXPECT_EQ(used.size(), held);
+        if (k == 3) {
+          EXPECT_TRUE(partial->selected.empty());
+        }
+        if (k == 3 + emax_commits) {
+          EXPECT_EQ(partial->selected, emax->selected);
+        }
+        if (k >= 3 + emax_commits) {
+          EXPECT_GE(partial->total_effectiveness, emax->total_effectiveness);
+        }
+        EXPECT_LE(partial->total_effectiveness, clean->total_effectiveness);
+        if (first.empty()) first = Fingerprint(*partial);
+        EXPECT_EQ(Fingerprint(*partial), first);
+      }
+    }
+  }
+}
+
 // The alloc-failure and cancellation actions map onto their dedicated
 // status codes through a full engine run.
 TEST_F(ChaosTest, AllocFailureAndCancellationCarryTheirCodes) {
@@ -521,9 +608,18 @@ TEST_F(ChaosTest, AllocFailureAndCancellationCarryTheirCodes) {
 // DeadlineExceeded completion marker, full record conservation. Single
 // thread keeps which-boundary-expired deterministic.
 TEST_F(ChaosTest, ForcedDeadlineExpiryDegradesToWellFormedPartial) {
-  for (const Scenario& s : MakeScenarios()) {
-    for (std::string_view engine : {"core", "streaming"}) {
-      SCOPED_TRACE(s.name + "/" + std::string(engine));
+  const std::pair<std::string_view, SelectionAlgorithm> kArms[] = {
+      {"core", SelectionAlgorithm::kEmax},
+      {"streaming", SelectionAlgorithm::kEmax},
+      {"core", SelectionAlgorithm::kExact},
+  };
+  for (const Scenario& base : MakeScenarios()) {
+    for (const auto& [engine, selection] : kArms) {
+      const bool exact = selection == SelectionAlgorithm::kExact;
+      SCOPED_TRACE(base.name + "/" + std::string(engine) +
+                   (exact ? "/exact" : ""));
+      Scenario s = base;
+      s.options.selection = selection;
       fault::FaultSpec expire;
       expire.one_in = 1;  // every deadline check reports expiry
       ASSERT_TRUE(fault::FailPointRegistry::Global()
@@ -543,7 +639,13 @@ TEST_F(ChaosTest, ForcedDeadlineExpiryDegradesToWellFormedPartial) {
       auto clean = RunEngine(engine, s, 1, /*deadline_ms=*/600000);
       ASSERT_TRUE(clean.ok()) << clean.status();
       EXPECT_TRUE(clean->completion.ok()) << clean->completion;
-      EXPECT_EQ(Fingerprint(*clean), BaselineFor(s, engine, 1));
+      if (exact) {
+        auto unbounded = RunEngine(engine, s, 1);
+        ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+        EXPECT_EQ(Fingerprint(*clean), Fingerprint(*unbounded));
+      } else {
+        EXPECT_EQ(Fingerprint(*clean), BaselineFor(s, engine, 1));
+      }
     }
   }
 }
